@@ -28,9 +28,9 @@
 //! work-stealing shard claiming exists for), at n up to 10⁵.
 //!
 //! Results are printed and written to `BENCH_alg_coloring.json` (one JSON
-//! object per line; regenerated, not appended). Set `ALG_BENCH_SMOKE=1` for
-//! the reduced-n CI smoke (same rows and asserts at a fraction of the size,
-//! no JSON artifact).
+//! object per line; replaced atomically once the gate has passed). Set
+//! `ALG_BENCH_SMOKE=1` for the reduced-n CI smoke (same rows and asserts at
+//! a fraction of the size, no JSON artifact).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use symbreak_bench::artifact::BenchArtifact;
 use symbreak_classic::coloring::baseline;
 use symbreak_congest::SyncConfig;
 use symbreak_core::query_coloring::QueryPlan;
@@ -318,19 +319,7 @@ fn stage_setup_row(fam: &Family) -> Row {
 }
 
 fn compare_pipelines() {
-    use std::io::Write;
-
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_alg_coloring.json");
-    let mut json = (!smoke())
-        .then(|| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(json_path)
-                .ok()
-        })
-        .flatten();
+    let mut json = BenchArtifact::open("BENCH_alg_coloring.json", !smoke());
     println!(
         "\n=== alg_coloring: flat stage pipeline vs nested-Vec baseline{} ===",
         if smoke() { " (smoke)" } else { "" }
@@ -349,10 +338,8 @@ fn compare_pipelines() {
             setup_speedup = Some(row.speedup());
             rows.push(row);
         }
-        if let Some(f) = json.as_mut() {
-            for row in &rows {
-                let _ = writeln!(f, "{}", row.json());
-            }
+        for row in &rows {
+            json.row(row.json());
         }
     }
     let setup_speedup = setup_speedup.expect("random_d8 stage_setup row must have run");
@@ -365,6 +352,7 @@ fn compare_pipelines() {
         "flat stage setup regressed: {setup_speedup:.2}x < {bar}x on random_d8 final-stage spec"
     );
     println!("stage_setup speedup {setup_speedup:.2}x (gate: ≥ {bar}x)\n");
+    json.commit().expect("write BENCH_alg_coloring.json");
 }
 
 fn bench(c: &mut Criterion) {

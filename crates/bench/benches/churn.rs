@@ -19,14 +19,16 @@
 //! recompute pays Θ(n + m) per batch.
 //!
 //! Results are printed and written to `BENCH_churn.json` (one JSON object
-//! per line; regenerated, not appended). Set `CHURN_SMOKE=1` for the
-//! reduced-size CI smoke (same rows and asserts, no JSON artifact).
+//! per line; replaced atomically once every gate has passed). Set
+//! `CHURN_SMOKE=1` for the reduced-size CI smoke (same rows and asserts, no
+//! JSON artifact).
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use symbreak_bench::artifact::BenchArtifact;
 use symbreak_classic::coloring::verify::is_proper_coloring;
 use symbreak_classic::mis::verify::is_mis;
 use symbreak_congest::SyncConfig;
@@ -205,19 +207,7 @@ fn family_rows(fam: &Family, batches: usize) -> Vec<Row> {
 }
 
 fn run_grid() {
-    use std::io::Write;
-
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_churn.json");
-    let mut json = (!smoke())
-        .then(|| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(json_path)
-                .ok()
-        })
-        .flatten();
+    let mut json = BenchArtifact::open("BENCH_churn.json", !smoke());
     println!(
         "\n=== churn: incremental repair vs full recompute, ≤1% edges per batch{} ===",
         if smoke() { " (smoke)" } else { "" }
@@ -245,11 +235,10 @@ fn run_grid() {
                 row.row,
                 row.graph_name
             );
-            if let Some(f) = json.as_mut() {
-                let _ = writeln!(f, "{}", row.json());
-            }
+            json.row(row.json());
         }
     }
+    json.commit().expect("write BENCH_churn.json");
 }
 
 fn bench(c: &mut Criterion) {

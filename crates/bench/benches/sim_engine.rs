@@ -26,7 +26,8 @@
 //! (reported, not gated: row translation is the price of frontier
 //! isolation). The speedups are printed and written to
 //! `BENCH_sim_engine.json` (one JSON object per line, `threads`/`shards`
-//! fields per row; the file is regenerated, not appended).
+//! fields per row; the file is replaced atomically once every gate has
+//! passed, see [`symbreak_bench::artifact`]).
 //!
 //! A **trace-recording row** (`flood_trace`) runs the cycle flood at
 //! n = 10⁵ with the full message trace captured twice — once into the
@@ -57,6 +58,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use symbreak_bench::artifact::BenchArtifact;
 use symbreak_congest::async_sim::{AsyncConfig, AsyncSimulator};
 use symbreak_congest::reference::NaiveSyncSimulator;
 use symbreak_congest::trace_store::MmapTraceObserver;
@@ -321,26 +323,14 @@ impl Row<'_> {
 }
 
 fn compare_engines() {
-    use std::io::Write;
-
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let mt_threads = cores.min(8);
-    // Benches run with the package directory as CWD; anchor the artifact at
-    // the workspace root where the other BENCH_*.json files live. The file
-    // is regenerated wholesale (smoke runs write no artifact).
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_engine.json");
-    let mut json = (!smoke())
-        .then(|| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(json_path)
-                .ok()
-        })
-        .flatten();
+    // The artifact sits at the workspace root with the other BENCH_*.json
+    // files and is replaced wholesale once every gate has passed (smoke runs
+    // write no artifact).
+    let mut json = BenchArtifact::open("BENCH_sim_engine.json", !smoke());
     println!(
         "\n=== sim_engine: arena engine vs naive nested-Vec loop ({} core(s){}) ===",
         cores,
@@ -364,9 +354,7 @@ fn compare_engines() {
             naive_ns,
         };
         row.print();
-        if let Some(f) = json.as_mut() {
-            let _ = writeln!(f, "{}", row.json());
-        }
+        json.row(row.json());
         if matches!(case.workload, Workload::DenseRounds) {
             assert!(
                 engine_ns <= naive_ns,
@@ -402,9 +390,7 @@ fn compare_engines() {
                 naive_ns,
             };
             sharded_row.print();
-            if let Some(f) = json.as_mut() {
-                let _ = writeln!(f, "{}", sharded_row.json());
-            }
+            json.row(sharded_row.json());
         }
         let ratio = engine_again_ns / sharded1_ns;
         if smoke() {
@@ -438,9 +424,7 @@ fn compare_engines() {
                 naive_ns,
             };
             mt_row.print();
-            if let Some(f) = json.as_mut() {
-                let _ = writeln!(f, "{}", mt_row.json());
-            }
+            json.row(mt_row.json());
             if matches!(case.workload, Workload::Flood) && case.graph_name == "random_d8_100000" {
                 mt_flood_ratio = Some(engine_ns / mt_ns);
             }
@@ -455,9 +439,7 @@ fn compare_engines() {
                 naive_ns,
             };
             mt_sharded_row.print();
-            if let Some(f) = json.as_mut() {
-                let _ = writeln!(f, "{}", mt_sharded_row.json());
-            }
+            json.row(mt_sharded_row.json());
         }
     }
     trace_row(&mut json);
@@ -482,6 +464,7 @@ fn compare_engines() {
             );
         }
     }
+    json.commit().expect("write BENCH_sim_engine.json");
     println!();
 }
 
@@ -492,9 +475,7 @@ fn compare_engines() {
 /// — the acceptance check of the spill layer at the scale that motivated
 /// it. Runs single-threaded: active observers pin runs to the sequential
 /// loop anyway.
-fn trace_row(json: &mut Option<std::fs::File>) {
-    use std::io::Write;
-
+fn trace_row(json: &mut BenchArtifact) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
     let graph = generators::cycle(n);
@@ -543,16 +524,13 @@ fn trace_row(json: &mut Option<std::fs::File>) {
         ram_ns / 1e6,
         bytes as f64 / (1024.0 * 1024.0),
     );
-    if let Some(f) = json.as_mut() {
-        let _ = writeln!(
-            f,
-            "{{\"bench\":\"sim_engine\",\"graph\":\"cycle_{n}\",\"workload\":\"flood_trace\",\
-             \"n\":{n},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{},\
-             \"spill_ns\":{spill_ns:.0},\"ram_ns\":{ram_ns:.0},\"spill_bytes\":{bytes}}}",
-            graph.num_edges(),
-            ram_report.messages,
-        );
-    }
+    json.row(format_args!(
+        "{{\"bench\":\"sim_engine\",\"graph\":\"cycle_{n}\",\"workload\":\"flood_trace\",\
+         \"n\":{n},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{},\
+         \"spill_ns\":{spill_ns:.0},\"ram_ns\":{ram_ns:.0},\"spill_bytes\":{bytes}}}",
+        graph.num_edges(),
+        ram_report.messages,
+    ));
     stored.remove().expect("spill hygiene");
 }
 
@@ -563,9 +541,7 @@ fn trace_row(json: &mut Option<std::fs::File>) {
 /// nothing — gated at ≥ 0.9× of the plain path on full-size runs
 /// (informational at smoke scale). The two measurements are interleaved,
 /// like the shards = 1 gate, so clock drift cannot fail the ratio.
-fn fault_seam_row(json: &mut Option<std::fs::File>) {
-    use std::io::Write;
-
+fn fault_seam_row(json: &mut BenchArtifact) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
     let graph = generators::random_near_regular(n, 8, &mut StdRng::seed_from_u64(42));
@@ -602,15 +578,12 @@ fn fault_seam_row(json: &mut Option<std::fs::File>) {
         plain_ns / 1e6,
         ratio,
     );
-    if let Some(f) = json.as_mut() {
-        let _ = writeln!(
-            f,
-            "{{\"bench\":\"sim_engine\",\"graph\":\"random_d8_{n}\",\"workload\":\"async_fault0\",\
-             \"n\":{n},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{messages},\
-             \"seam_ns\":{seam_ns:.0},\"plain_ns\":{plain_ns:.0},\"ratio\":{ratio:.3}}}",
-            graph.num_edges(),
-        );
-    }
+    json.row(format_args!(
+        "{{\"bench\":\"sim_engine\",\"graph\":\"random_d8_{n}\",\"workload\":\"async_fault0\",\
+         \"n\":{n},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{messages},\
+         \"seam_ns\":{seam_ns:.0},\"plain_ns\":{plain_ns:.0},\"ratio\":{ratio:.3}}}",
+        graph.num_edges(),
+    ));
     if smoke() {
         if ratio < 0.9 {
             println!(
@@ -647,9 +620,7 @@ fn fault_seam_row(json: &mut Option<std::fs::File>) {
 ///   bandwidth/adjacency/multiplicity/race checks. Reported, not gated —
 ///   per-message replay has a real price — with the report asserted
 ///   bit-identical to the plain run and zero violations.
-fn audit_row(json: &mut Option<std::fs::File>, mt_threads: usize) {
-    use std::io::Write;
-
+fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
     let graph = generators::random_near_regular(n, 8, &mut StdRng::seed_from_u64(42));
@@ -689,16 +660,13 @@ fn audit_row(json: &mut Option<std::fs::File>, mt_threads: usize) {
         on_ns / 1e6,
         audit_on_ratio,
     );
-    if let Some(f) = json.as_mut() {
-        let _ = writeln!(
-            f,
-            "{{\"bench\":\"sim_engine\",\"graph\":\"random_d8_{n}\",\"workload\":\"flood_audit0\",\
-             \"n\":{n},\"m\":{},\"threads\":{mt_threads},\"shards\":0,\"messages\":{messages},\
-             \"off_ns\":{off_ns:.0},\"direct_ns\":{direct_ns:.0},\"on_ns\":{on_ns:.0},\
-             \"seam_ratio\":{seam_ratio:.3},\"audit_on_ratio\":{audit_on_ratio:.3}}}",
-            graph.num_edges(),
-        );
-    }
+    json.row(format_args!(
+        "{{\"bench\":\"sim_engine\",\"graph\":\"random_d8_{n}\",\"workload\":\"flood_audit0\",\
+         \"n\":{n},\"m\":{},\"threads\":{mt_threads},\"shards\":0,\"messages\":{messages},\
+         \"off_ns\":{off_ns:.0},\"direct_ns\":{direct_ns:.0},\"on_ns\":{on_ns:.0},\
+         \"seam_ratio\":{seam_ratio:.3},\"audit_on_ratio\":{audit_on_ratio:.3}}}",
+        graph.num_edges(),
+    ));
     if smoke() {
         if seam_ratio < 0.95 {
             println!(
@@ -733,9 +701,7 @@ fn audit_row(json: &mut Option<std::fs::File>, mt_threads: usize) {
 ///   adversarial stress for the boundary path itself. A plain cycle round
 ///   is a few skip-list probes, so no boundary encoder can stay within
 ///   0.8× here; the row is reported to track the trend, not gated.
-fn checkpoint_row(json: &mut Option<std::fs::File>) {
-    use std::io::Write;
-
+fn checkpoint_row(json: &mut BenchArtifact) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
     let config = SyncConfig::default().with_threads(1);
@@ -778,17 +744,14 @@ fn checkpoint_row(json: &mut Option<std::fs::File>) {
             plain_ns / 1e6,
             ratio,
         );
-        if let Some(f) = json.as_mut() {
-            let _ = writeln!(
-                f,
-                "{{\"bench\":\"sim_engine\",\"graph\":\"{graph_name}\",\"workload\":\"{workload}\",\
-                 \"n\":{},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{messages},\
-                 \"ckpt_ns\":{ckpt_ns:.0},\"plain_ns\":{plain_ns:.0},\"ratio\":{ratio:.3},\
-                 \"log_bytes\":{log_bytes}}}",
-                graph.num_nodes(),
-                graph.num_edges(),
-            );
-        }
+        json.row(format_args!(
+            "{{\"bench\":\"sim_engine\",\"graph\":\"{graph_name}\",\"workload\":\"{workload}\",\
+             \"n\":{},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{messages},\
+             \"ckpt_ns\":{ckpt_ns:.0},\"plain_ns\":{plain_ns:.0},\"ratio\":{ratio:.3},\
+             \"log_bytes\":{log_bytes}}}",
+            graph.num_nodes(),
+            graph.num_edges(),
+        ));
         (ratio, records)
     };
 

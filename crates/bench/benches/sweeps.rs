@@ -9,9 +9,10 @@
 //! no speedup claim.
 //!
 //! Full runs rewrite `BENCH_sweeps.json` at the workspace root (one JSON
-//! object per line). The run *gates* on amortization: at least one batched
-//! cell must reach ≥ 1.0× over sequential (≥ 0.9× under `SWEEP_SMOKE=1`,
-//! where graphs are tiny and per-run overhead dominates).
+//! object per line), atomically once the gate below has passed. The run
+//! *gates* on amortization: at least one batched cell must reach ≥ 1.0× over
+//! sequential (≥ 0.9× under `SWEEP_SMOKE=1`, where graphs are tiny and
+//! per-run overhead dominates).
 //!
 //! Run with `cargo bench --bench sweeps`; set `SWEEP_SMOKE=1` for the
 //! reduced CI grid (no artifact is written).
@@ -19,23 +20,12 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use symbreak_bench::artifact::BenchArtifact;
 use symbreak_bench::sweeps;
 use symbreak_core::experiments;
 
 fn run_registry() {
-    use std::io::Write;
-
-    let json_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweeps.json");
-    let mut json = (!sweeps::smoke())
-        .then(|| {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(json_path)
-                .ok()
-        })
-        .flatten();
+    let mut json = BenchArtifact::open("BENCH_sweeps.json", !sweeps::smoke());
     println!(
         "\n=== sweeps: {} lockstep lanes vs seed-by-seed sequential{} ===",
         sweeps::default_lanes(),
@@ -57,9 +47,7 @@ fn run_registry() {
                 cell.graph,
                 cell.algorithm
             );
-            if let Some(f) = json.as_mut() {
-                let _ = writeln!(f, "{}", cell.json());
-            }
+            json.row(cell.json());
             if cell.batched && cell.speedup() > best_speedup {
                 best_speedup = cell.speedup();
                 best_cell = format!("{}/{}/{}", cell.sweep, cell.graph, cell.algorithm);
@@ -76,18 +64,14 @@ fn run_registry() {
             cell.stats.avg_utilized_edges,
             cell.stats.base_edges
         );
-        if let Some(f) = json.as_mut() {
-            let _ = writeln!(f, "{}", cell.json());
-        }
+        json.row(cell.json());
     }
     for cell in sweeps::run_cycle_sweep(&sweeps::lowerbound_cycles_sweep()) {
         println!(
             "{:<20} {:?} cycles={:<3} messages {:>8} mute {}",
             cell.sweep, cell.problem, cell.count, cell.stats.messages, cell.stats.mute_cycles
         );
-        if let Some(f) = json.as_mut() {
-            let _ = writeln!(f, "{}", cell.json());
-        }
+        json.row(cell.json());
     }
     // The amortization gate. Tiny smoke graphs leave little shared work to
     // amortize, so CI only requires near-parity there; full-size runs must
@@ -99,6 +83,7 @@ fn run_registry() {
          at {best_cell})"
     );
     println!("\nbest batched speedup: {best_speedup:.2}x ({best_cell})");
+    json.commit().expect("write BENCH_sweeps.json");
 }
 
 fn bench(c: &mut Criterion) {

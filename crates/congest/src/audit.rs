@@ -196,7 +196,10 @@ impl fmt::Display for Violation {
         write!(f, "CONGEST audit violation: ")?;
         match self.kind {
             ViolationKind::Bandwidth { bits, budget } => {
-                write!(f, "message of {bits} model bits exceeds the {budget}-bit budget")?;
+                write!(
+                    f,
+                    "message of {bits} model bits exceeds the {budget}-bit budget"
+                )?;
             }
             ViolationKind::Adjacency => write!(f, "send to a non-neighbour")?,
             ViolationKind::Multiplicity { count } => {

@@ -1,6 +1,9 @@
 //! Query-time enforcement of KT-ρ initial knowledge.
 
-use symbreak_graphs::{Graph, IdAssignment, NodeId};
+use std::cmp::Ordering;
+use std::slice;
+
+use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
 
 use crate::KtLevel;
 
@@ -12,6 +15,12 @@ use crate::KtLevel;
 /// for information outside the KT-ρ radius is a bug in the algorithm and
 /// panics with a descriptive message. This keeps the simulated algorithms
 /// honest about what they are allowed to read "for free".
+///
+/// The radius tests read the sorted CSR rows in place and never allocate:
+/// radius 0 is `v == me`, radius 1 a binary search of this node's row
+/// (O(log Δ)), radius 2 additionally a merge of this node's row with `v`'s
+/// looking for a common neighbour. Only radius ≥ 3 falls back to a truncated
+/// BFS.
 #[derive(Debug, Clone, Copy)]
 pub struct KnowledgeView<'a> {
     graph: &'a Graph,
@@ -65,8 +74,38 @@ impl<'a> KnowledgeView<'a> {
         self.graph.neighbor_vec(self.me)
     }
 
+    /// Whether `v` lies within `radius` hops of this node.
+    fn within(&self, v: NodeId, radius: u32) -> bool {
+        match radius {
+            0 => v == self.me,
+            1 => v == self.me || self.graph.has_edge(self.me, v),
+            2 => v == self.me || self.graph.has_edge(self.me, v) || self.shares_neighbor_with(v),
+            _ => self.bounded_distance(v, radius).is_some(),
+        }
+    }
+
+    /// Whether this node and `v` have a common neighbour: one merge of the
+    /// two sorted CSR rows.
+    fn shares_neighbor_with(&self, v: NodeId) -> bool {
+        if v.index() >= self.graph.num_nodes() {
+            return false;
+        }
+        let (mut a, mut b) = (
+            self.graph.neighbor_slice(self.me),
+            self.graph.neighbor_slice(v),
+        );
+        while let (Some(&(x, _)), Some(&(y, _))) = (a.first(), b.first()) {
+            match x.cmp(&y) {
+                Ordering::Less => a = &a[1..],
+                Ordering::Greater => b = &b[1..],
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
     /// Distance from `me` to `v` if it is at most `cap`, computed by a
-    /// truncated BFS.
+    /// truncated BFS. Only radii of three and more use it.
     fn bounded_distance(&self, v: NodeId, cap: u32) -> Option<u32> {
         if v == self.me {
             return Some(0);
@@ -102,11 +141,12 @@ impl<'a> KnowledgeView<'a> {
     /// Panics if `v` is farther than ρ hops from this node — KT-ρ does not
     /// permit knowing that ID initially.
     pub fn id_of(&self, v: NodeId) -> u64 {
-        let within = self.bounded_distance(v, self.level.radius()).is_some();
         assert!(
-            within,
+            self.within(v, self.level.radius()),
             "{} violation: node {} may not initially know the ID of {}",
-            self.level, self.me, v
+            self.level,
+            self.me,
+            v
         );
         self.ids.id_of(v)
     }
@@ -123,10 +163,30 @@ impl<'a> KnowledgeView<'a> {
             "{} violation: neighbour IDs are not known initially",
             self.level
         );
-        self.graph
-            .neighbors(self.me)
-            .map(|v| (v, self.ids.id_of(v)))
-            .collect()
+        self.known_neighbors(self.me).collect()
+    }
+
+    /// The neighbours of node `v` with their IDs, in increasing [`NodeId`]
+    /// order, read in place from `v`'s CSR row (no allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is farther than ρ − 1 hops from this node; KT-ρ only
+    /// reveals the neighbourhood of nodes within radius ρ − 1. (The IDs of
+    /// those neighbours are then within radius ρ, so they are known too.)
+    pub fn known_neighbors(&self, v: NodeId) -> KnownNeighbors<'a> {
+        let r = self.level.radius();
+        assert!(
+            r >= 1 && self.within(v, r - 1),
+            "{} violation: node {} may not initially know the neighbourhood of {}",
+            self.level,
+            self.me,
+            v
+        );
+        KnownNeighbors {
+            row: self.graph.neighbor_slice(v).iter(),
+            ids: self.ids,
+        }
     }
 
     /// The neighbours (addresses) of node `v`.
@@ -136,14 +196,7 @@ impl<'a> KnowledgeView<'a> {
     /// Panics if `v` is farther than ρ − 1 hops from this node; KT-ρ only
     /// reveals the neighbourhood of nodes within radius ρ − 1.
     pub fn neighbors_of(&self, v: NodeId) -> Vec<NodeId> {
-        let r = self.level.radius();
-        let ok = r >= 1 && self.bounded_distance(v, r - 1).is_some();
-        assert!(
-            ok,
-            "{} violation: node {} may not initially know the neighbourhood of {}",
-            self.level, self.me, v
-        );
-        self.graph.neighbor_vec(v)
+        self.known_neighbors(v).map(|(w, _)| w).collect()
     }
 
     /// The IDs of the neighbours of node `v` (requires `v` within ρ − 1).
@@ -152,10 +205,7 @@ impl<'a> KnowledgeView<'a> {
     ///
     /// Panics under the same conditions as [`Self::neighbors_of`].
     pub fn neighbor_ids_of(&self, v: NodeId) -> Vec<(NodeId, u64)> {
-        self.neighbors_of(v)
-            .into_iter()
-            .map(|w| (w, self.ids.id_of(w)))
-            .collect()
+        self.known_neighbors(v).collect()
     }
 
     /// Whether the edge `{a, b}` is visible in this node's initial knowledge,
@@ -166,8 +216,7 @@ impl<'a> KnowledgeView<'a> {
         if r == 0 {
             return false;
         }
-        let sees = |x: NodeId| self.bounded_distance(x, r - 1).is_some();
-        (sees(a) || sees(b)) && self.graph.has_edge(a, b)
+        (self.within(a, r - 1) || self.within(b, r - 1)) && self.graph.has_edge(a, b)
     }
 
     /// Nodes at distance exactly two, visible in KT-2 and above.
@@ -188,9 +237,34 @@ impl<'a> KnowledgeView<'a> {
     /// initially (those within radius ρ). Returns `None` for unknown IDs.
     pub fn known_node_with_id(&self, id: u64) -> Option<NodeId> {
         let v = self.ids.node_with_id(id)?;
-        self.bounded_distance(v, self.level.radius()).map(|_| v)
+        self.within(v, self.level.radius()).then_some(v)
     }
 }
+
+/// The neighbours of a node whose neighbourhood is known, paired with their
+/// IDs, in increasing [`NodeId`] order. Borrows the graph's CSR row, so
+/// iterating allocates nothing; created by
+/// [`KnowledgeView::known_neighbors`], which checks the radius once.
+#[derive(Debug, Clone)]
+pub struct KnownNeighbors<'a> {
+    row: slice::Iter<'a, (NodeId, EdgeId)>,
+    ids: &'a IdAssignment,
+}
+
+impl Iterator for KnownNeighbors<'_> {
+    type Item = (NodeId, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, u64)> {
+        self.row.next().map(|&(w, _)| (w, self.ids.id_of(w)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.row.size_hint()
+    }
+}
+
+impl ExactSizeIterator for KnownNeighbors<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -256,6 +330,34 @@ mod tests {
         let (g, ids, level) = setup(KtLevel::KT1);
         let k = KnowledgeView::new(&g, &ids, level, NodeId(0));
         let _ = k.neighbors_of(NodeId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "KT-0 violation: node v0 may not initially know the ID of v1")]
+    fn kt0_does_not_know_a_neighbor_id() {
+        let (g, ids, level) = setup(KtLevel::KT0);
+        let k = KnowledgeView::new(&g, &ids, level, NodeId(0));
+        let _ = k.id_of(NodeId(1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "KT-2 violation: node v0 may not initially know the neighbourhood of v2"
+    )]
+    fn kt2_does_not_know_two_hop_adjacency() {
+        let (g, ids, level) = setup(KtLevel::KT2);
+        let k = KnowledgeView::new(&g, &ids, level, NodeId(0));
+        let _ = k.neighbors_of(NodeId(2));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "KT-1 violation: node v1 may not initially know the neighbourhood of v2"
+    )]
+    fn known_neighbors_checks_the_radius_up_front() {
+        let (g, ids, level) = setup(KtLevel::KT1);
+        let k = KnowledgeView::new(&g, &ids, level, NodeId(1));
+        let _ = k.known_neighbors(NodeId(2));
     }
 
     #[test]

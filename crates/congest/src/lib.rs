@@ -92,7 +92,7 @@ pub use faults::{
     fault_seed_from_env, scenario_enabled, CrashFault, DelayLaw, EdgeProb, FaultPlan, FaultStats,
     Recovery, FAULT_SCENARIOS_ENV, FAULT_SEED_ENV,
 };
-pub use knowledge::KnowledgeView;
+pub use knowledge::{KnowledgeView, KnownNeighbors};
 pub use lockstep::{
     run_synchronized, run_synchronized_recovering, RejoinLedger, Synchronized,
     DEFAULT_REPLAY_DEPTH, PULSE_TAG,

@@ -567,9 +567,8 @@ impl<'g> SyncSimulator<'g> {
                 // else walks the shards in order on the sequential loop.
                 // Reports are bit-identical either way.
                 if !O::ACTIVE && threads > 1 {
-                    return self.run_sharded_parallel::<_, _, false>(
-                        config, make, sharded, threads, None,
-                    );
+                    return self
+                        .run_sharded_parallel::<_, _, false>(config, make, sharded, threads, None);
                 }
                 return self.run_sequential::<_, _, _, true>(config, make, observer, Some(sharded));
             }
@@ -1010,7 +1009,10 @@ impl<'g> SyncSimulator<'g> {
                     .zip(shard_sent.iter_mut())
                     .zip(done_slices)
                     .map(
-                        |((((((view, &(wlo, whi)), frontier_row), undone_buf), scratch), sent), ds)| {
+                        |(
+                            (((((view, &(wlo, whi)), frontier_row), undone_buf), scratch), sent),
+                            ds,
+                        )| {
                             ShardedTask {
                                 view,
                                 active_slice: &active[wlo..whi],

@@ -3,12 +3,12 @@
 //! provenance and the caller's replay seed, and audited runs must stay
 //! bit-identical to unaudited ones with zero violations.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use symbreak_congest::{
     AuditConfig, Auditor, KtLevel, Message, NodeAlgorithm, NodeInit, RoundContext, SyncConfig,
     SyncSimulator, Violation, ViolationKind,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use symbreak_graphs::{generators, IdAssignment, NodeId};
 
 /// The doc-example flood: node 0 floods a token, everyone terminates.
@@ -56,7 +56,10 @@ fn oversized_payload_is_caught_with_provenance() {
     let audit = AuditConfig::collect(SEED).with_budget(1);
     let (report, violations) = sim.run_audited(SyncConfig::default(), &audit, flood());
     assert!(report.completed);
-    assert!(!violations.is_empty(), "crushed budget must flag every send");
+    assert!(
+        !violations.is_empty(),
+        "crushed budget must flag every send"
+    );
     // Round 0: node 0 broadcasts to its two cycle neighbours — the first
     // finding is its lower-indexed send, on the real graph edge.
     let v = &violations[0];
@@ -72,7 +75,10 @@ fn oversized_payload_is_caught_with_provenance() {
     assert_eq!(v.from, Some(NodeId(0)));
     assert_eq!(
         v.edge,
-        graph.edge_between(NodeId(0), v.to.expect("message violations carry a receiver"))
+        graph.edge_between(
+            NodeId(0),
+            v.to.expect("message violations carry a receiver")
+        )
     );
     assert_eq!(v.seed, SEED);
     assert_eq!(v.lane, 0);
@@ -191,8 +197,7 @@ fn audited_runs_match_plain_runs_with_zero_violations() {
             shards,
             ..SyncConfig::default()
         };
-        let (report, violations) =
-            sim.run_audited(config, &AuditConfig::collect(SEED), flood());
+        let (report, violations) = sim.run_audited(config, &AuditConfig::collect(SEED), flood());
         assert!(
             violations.is_empty(),
             "threads={threads} shards={shards}: {violations:?}"

@@ -15,12 +15,14 @@
 //! 4. Every node prunes itself/its edges using KT-2 knowledge (no messages).
 //! 5. Luby's algorithm finishes the job on the sparse remnant graph.
 
+use std::cmp::Ordering;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use symbreak_classic::mis::{luby, parallel_greedy};
 use symbreak_congest::{
-    BatchSimulator, CostAccount, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig,
-    SyncSimulator,
+    BatchSimulator, CostAccount, KnownNeighbors, KtLevel, Message, NodeAlgorithm, RoundContext,
+    SyncConfig, SyncSimulator,
 };
 use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 use symbreak_ktrand::sampling;
@@ -122,39 +124,24 @@ impl NodeAlgorithm for InformNode {
         // Forwarding role: for every JOIN heard from a neighbour u, relay it
         // to exactly the 2-hop neighbours of u for which we are the
         // minimum-ID common neighbour (computable from KT-2 knowledge).
-        let me = ctx.node();
-        let my_id = ctx.own_id();
-        let mut to_send: Vec<(NodeId, u64)> = Vec::new();
+        let knowledge = ctx.knowledge();
+        let my_id = knowledge.own_id();
         for msg in inbox {
             if msg.tag() != TAG_JOIN {
                 continue;
             }
             let uid = msg.ids()[0];
-            let Some(u) = ctx.knowledge().known_node_with_id(uid) else {
+            let Some(u) = knowledge.known_node_with_id(uid) else {
                 continue;
             };
-            let u_neighbors = ctx.knowledge().neighbors_of(u);
-            for &(w, _wid) in ctx.knowledge().neighbor_ids().iter() {
-                if w == u || u_neighbors.contains(&w) {
-                    continue; // w is u itself or a 1-hop neighbour of u.
-                }
-                // Common neighbours of u and w; we know N(w) because w is our
-                // neighbour (KT-2).
-                let w_neighbors = ctx.knowledge().neighbors_of(w);
-                let min_common = u_neighbors
-                    .iter()
-                    .filter(|x| w_neighbors.contains(x))
-                    .map(|&x| (ctx.knowledge().id_of(x), x))
-                    .min();
-                if let Some((_, best)) = min_common {
-                    if best == me {
-                        to_send.push((w, uid));
-                    }
+            // We know N(u) and every N(w) because u and w are our neighbours.
+            let nu = knowledge.known_neighbors(u);
+            for (w, _) in knowledge.known_neighbors(knowledge.me()) {
+                if w != u && relays_to(u, nu.clone(), w, knowledge.known_neighbors(w), my_id) {
+                    self.pending.push((w, uid));
                 }
             }
         }
-        let _ = my_id;
-        self.pending.extend(to_send);
         // Drain at most one relay per target edge per round; a node with
         // leftovers stays active (`is_done`) and continues next round.
         let mut sent_now: Vec<NodeId> = Vec::new();
@@ -175,6 +162,34 @@ impl NodeAlgorithm for InformNode {
     fn output(&self) -> Option<u64> {
         Some(self.informed)
     }
+}
+
+/// Whether the node with ID `my_id`, a common neighbour of `u` and `w`,
+/// relays `u`'s JOIN to `w`: `u` and `w` must not be adjacent, and no common
+/// neighbour of theirs may have a smaller ID (IDs are unique). One merge of
+/// the two sorted rows decides both. The merge compares every element of
+/// the row that runs out first, so an edge `{u, w}` shows up either as `w`
+/// in `N(u)` or as `u` in `N(w)`.
+fn relays_to(
+    u: NodeId,
+    mut nu: KnownNeighbors<'_>,
+    w: NodeId,
+    mut nw: KnownNeighbors<'_>,
+    my_id: u64,
+) -> bool {
+    let (mut x, mut y) = (nu.next(), nw.next());
+    while let (Some((xv, xid)), Some((yv, _))) = (x, y) {
+        if xv == w || yv == u {
+            return false;
+        }
+        match xv.cmp(&yv) {
+            Ordering::Less => x = nu.next(),
+            Ordering::Greater => y = nw.next(),
+            Ordering::Equal if xid < my_id => return false,
+            Ordering::Equal => (x, y) = (nu.next(), nw.next()),
+        }
+    }
+    true
 }
 
 /// Runs Algorithm 3.

@@ -1,0 +1,265 @@
+//! Golden digests of every algorithm's observable behaviour.
+//!
+//! Each digest is a 64-bit FNV-1a fold of one run's outputs (colours or MIS
+//! membership) and of every per-phase cost entry (label, simulated and
+//! charged messages and rounds). The grid is G(64, ½), G(128, ½) and a
+//! connected random 8-regular graph with n = 2048, two seeds each, run
+//! through the sequential `run` entry points of Algorithms 1–3 and the Luby
+//! and Johansson baselines.
+//!
+//! The constants were captured before the KT-ρ knowledge checks moved from
+//! a per-query BFS to CSR radius tests, so they pin that refactor (and any
+//! later one) to bit-identical behaviour. The simulator configuration comes
+//! from the environment (`CONGEST_THREADS`, `CONGEST_SHARDS`,
+//! `CONGEST_AUDIT`), so the same constants also hold at every thread and
+//! shard count and under the auditor. If a change is *meant* to alter
+//! behaviour, the failure message prints the new digest to paste in.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use symbreak_classic::{coloring, mis};
+use symbreak_congest::{CostAccount, SyncConfig};
+use symbreak_core::{alg1_coloring, alg2_coloring, alg3_mis, Alg1Config, Alg2Config, Alg3Config};
+use symbreak_graphs::{generators, properties, Graph, IdAssignment, IdSpace};
+
+/// FNV-1a over little-endian words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn colors(mut self, colors: &[Option<u64>]) -> Self {
+        self.u64(colors.len() as u64);
+        for c in colors {
+            self.u64(c.unwrap_or(u64::MAX));
+        }
+        self
+    }
+
+    fn membership(mut self, in_set: &[bool]) -> Self {
+        self.u64(in_set.len() as u64);
+        for &b in in_set {
+            self.bytes(&[u8::from(b)]);
+        }
+        self
+    }
+
+    fn costs(mut self, costs: &CostAccount) -> Self {
+        for (label, c) in costs.phases() {
+            self.u64(label.len() as u64);
+            self.bytes(label.as_bytes());
+            self.u64(c.simulated_messages);
+            self.u64(c.simulated_rounds);
+            self.u64(c.charged_messages);
+            self.u64(c.charged_rounds);
+        }
+        self
+    }
+}
+
+/// One cell of the grid: a named graph, its IDs and the seed of the runs.
+struct Cell {
+    name: &'static str,
+    seed: u64,
+    graph: Graph,
+    ids: IdAssignment,
+}
+
+fn grid() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for seed in [1u64, 2] {
+        for (name, n) in [("gnp64", 64), ("gnp128", 128)] {
+            let mut rng = StdRng::seed_from_u64(seed * 1000 + n as u64);
+            let graph = generators::connected_gnp(n, 0.5, &mut rng);
+            let ids = IdAssignment::random(&graph, IdSpace::CUBIC, &mut rng);
+            cells.push(Cell {
+                name,
+                seed,
+                graph,
+                ids,
+            });
+        }
+        let graph = (0..)
+            .map(|k| {
+                let mut rng = StdRng::seed_from_u64(seed * 1000 + 8 + k);
+                generators::random_near_regular(2048, 8, &mut rng)
+            })
+            .find(properties::is_connected)
+            .expect("a connected near-regular draw exists");
+        let ids = IdAssignment::random(
+            &graph,
+            IdSpace::CUBIC,
+            &mut StdRng::seed_from_u64(seed * 1000 + 7),
+        );
+        cells.push(Cell {
+            name: "regular8_2048",
+            seed,
+            graph,
+            ids,
+        });
+    }
+    cells
+}
+
+fn rng(cell: &Cell, salt: u64) -> StdRng {
+    StdRng::seed_from_u64(cell.seed * 100 + salt)
+}
+
+/// Runs `digest` on every cell and compares it with `golden`, listing every
+/// mismatch (with the digest to paste in) before failing.
+fn check(algorithm: &str, golden: [u64; 6], digest: impl Fn(&Cell) -> u64) {
+    let cells = grid();
+    assert_eq!(cells.len(), golden.len());
+    let mismatches: Vec<String> = cells
+        .iter()
+        .zip(golden)
+        .filter_map(|(cell, want)| {
+            let got = digest(cell);
+            (got != want).then(|| {
+                format!(
+                    "{algorithm} on {}@{}: got {got:#018x}, golden {want:#018x}",
+                    cell.name, cell.seed
+                )
+            })
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+// Golden digests per algorithm, in `grid` order: seed 1 then seed 2, each
+// over G(64, ½), G(128, ½) and the 8-regular graph.
+const ALG1_GOLDEN: [u64; 6] = [
+    0x1895_bca3_0ba8_2372,
+    0xc864_2d36_2e47_f2cd,
+    0x944a_3b0a_ca21_ca71,
+    0x170a_db53_9535_5be2,
+    0x5b03_a6d6_9ce6_126c,
+    0xa329_5383_e4bc_23ad,
+];
+
+const ALG2_GOLDEN: [u64; 6] = [
+    0xe713_47dd_f21a_4db2,
+    0x3309_364a_81ea_6a44,
+    0x226b_4681_6f21_a595,
+    0x31b8_9976_defe_6e1c,
+    0xd316_7f90_0059_b83f,
+    0xb55c_0234_0830_5206,
+];
+
+const ALG3_GOLDEN: [u64; 6] = [
+    0x490a_d949_a56e_abe5,
+    0x879b_66ae_e50d_c2ca,
+    0x94a7_7c05_da13_b771,
+    0xdf0d_741d_1c6d_1513,
+    0x88e0_14e5_5228_661e,
+    0xfa86_cb91_2cd9_132f,
+];
+
+const LUBY_GOLDEN: [u64; 6] = [
+    0xc52f_db8e_6c1a_4a42,
+    0x0daa_1bde_c72e_2abe,
+    0x3d09_14f8_8691_7627,
+    0x0cf7_1e27_7770_ccdc,
+    0x9b11_edb1_c467_9e74,
+    0x399d_80b7_3206_2273,
+];
+
+const JOHANSSON_GOLDEN: [u64; 6] = [
+    0xe291_8488_b728_cbad,
+    0xd6bb_c504_6c2f_a747,
+    0x906a_90f2_cc93_3f1d,
+    0xaa0f_cede_6c34_096b,
+    0x5d0b_735b_a4a0_6ff9,
+    0xa294_7b2c_b875_f992,
+];
+
+#[test]
+fn alg1_matches_golden_digests() {
+    check("alg1", ALG1_GOLDEN, |cell| {
+        let out = alg1_coloring::run(
+            &cell.graph,
+            &cell.ids,
+            Alg1Config::default(),
+            &mut rng(cell, 1),
+        )
+        .expect("alg1 runs");
+        let mut d = Digest::new().colors(&out.colors).costs(&out.costs);
+        d.u64(out.levels_used as u64);
+        d.0
+    });
+}
+
+#[test]
+fn alg2_matches_golden_digests() {
+    let config = Alg2Config {
+        epsilon: 0.5,
+        ..Alg2Config::default()
+    };
+    check("alg2", ALG2_GOLDEN, |cell| {
+        let out = alg2_coloring::run(&cell.graph, &cell.ids, config, &mut rng(cell, 2))
+            .expect("alg2 runs");
+        let mut d = Digest::new().colors(&out.colors).costs(&out.costs);
+        d.u64(out.palette_size);
+        d.0
+    });
+}
+
+#[test]
+fn alg3_matches_golden_digests() {
+    check("alg3", ALG3_GOLDEN, |cell| {
+        let out = alg3_mis::run(
+            &cell.graph,
+            &cell.ids,
+            Alg3Config::default(),
+            &mut rng(cell, 3),
+        )
+        .expect("alg3 runs");
+        let mut d = Digest::new().membership(&out.in_mis).costs(&out.costs);
+        d.u64(out.sampled as u64);
+        d.u64(out.remnant_max_degree as u64);
+        d.0
+    });
+}
+
+#[test]
+fn luby_matches_golden_digests() {
+    check("luby", LUBY_GOLDEN, |cell| {
+        let (in_mis, report) = mis::luby::run(
+            &cell.graph,
+            &cell.ids,
+            cell.seed * 100 + 4,
+            SyncConfig::default(),
+        );
+        let mut costs = CostAccount::new();
+        costs.charge_report("luby", &report);
+        Digest::new().membership(&in_mis).costs(&costs).0
+    });
+}
+
+#[test]
+fn johansson_matches_golden_digests() {
+    check("johansson", JOHANSSON_GOLDEN, |cell| {
+        let (colors, report) = coloring::baseline::run(
+            &cell.graph,
+            &cell.ids,
+            cell.seed * 100 + 5,
+            SyncConfig::default(),
+        );
+        let mut costs = CostAccount::new();
+        costs.charge_report("johansson", &report);
+        Digest::new().colors(&colors).costs(&costs).0
+    });
+}

@@ -145,10 +145,16 @@ impl Graph {
         &self.targets[lo..hi]
     }
 
-    /// The CSR row of `v`, exposed to the overlay's merge iterator so the
-    /// delta lists can be merged against the flat arrays without copying.
+    /// The CSR row of `v`: its `(neighbour, edge)` pairs sorted by
+    /// neighbour, borrowed in place so callers (the overlay's merge iterator,
+    /// the KT-ρ radius tests) can merge or binary-search rows without
+    /// copying.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
     #[inline]
-    pub(crate) fn neighbor_slice(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
+    pub fn neighbor_slice(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
         self.row(v)
     }
 

@@ -328,19 +328,20 @@ pub fn lex(src: &str) -> Vec<Token> {
             ch if ch.is_ascii_digit() => {
                 let mut j = i + 1;
                 while j < c.len() {
-                    if is_ident_cont(c[j]) {
-                        j += 1;
-                    } else if c[j] == '.'
+                    let decimal_point = c[j] == '.'
                         && j + 1 < c.len()
                         && c[j + 1].is_ascii_digit()
-                        && (j == 0 || c[j - 1] != '.')
-                    {
+                        && (j == 0 || c[j - 1] != '.');
+                    if is_ident_cont(c[j]) || decimal_point {
                         j += 1;
                     } else {
                         break;
                     }
                 }
-                toks.push(Token { tok: Tok::Num, line });
+                toks.push(Token {
+                    tok: Tok::Num,
+                    line,
+                });
                 i = j;
             }
             other => {
@@ -563,14 +564,19 @@ impl SourceFile {
 /// Whether a string literal names an environment knob the README must
 /// document: `CONGEST_<X>` or `<X>_SMOKE`, all `[A-Z0-9_]`.
 fn is_env_knob(s: &str) -> bool {
-    if s.is_empty() || !s.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+    if s.is_empty()
+        || !s
+            .chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
     {
         return false;
     }
-    let congest = s.strip_prefix("CONGEST_").is_some_and(|rest| !rest.is_empty());
-    let smoke = s.strip_suffix("_SMOKE").is_some_and(|rest| {
-        rest.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-    });
+    let congest = s
+        .strip_prefix("CONGEST_")
+        .is_some_and(|rest| !rest.is_empty());
+    let smoke = s
+        .strip_suffix("_SMOKE")
+        .is_some_and(|rest| rest.chars().next().is_some_and(|c| c.is_ascii_uppercase()));
     congest || smoke
 }
 
@@ -647,8 +653,8 @@ pub fn run_lints(root: &Path) -> Result<LintOutcome, String> {
     let sources: Vec<SourceFile> = files
         .iter()
         .map(|path| {
-            let text = fs::read_to_string(path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            let text =
+                fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
             Ok(SourceFile {
                 rel: rel_path(root, path),
                 tokens: lex(&text),
@@ -946,7 +952,11 @@ pub fn report_json(outcome: &LintOutcome) -> String {
             json_escape(&e.lint),
             json_escape(&e.path),
             json_escape(&e.reason),
-            if k + 1 < outcome.allowlist.len() { "," } else { "" }
+            if k + 1 < outcome.allowlist.len() {
+                ","
+            } else {
+                ""
+            }
         ));
     }
     s.push_str(&format!(

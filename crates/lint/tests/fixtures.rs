@@ -70,7 +70,10 @@ fn fixture_findings_have_correct_provenance() {
     let stale = find("stale-allow");
     assert_eq!(stale.path, "lint.allow");
     // The documented knob must be registered but not flagged.
-    assert_eq!(outcome.knobs.get(&documented).map(|(doc, _)| *doc), Some(true));
+    assert_eq!(
+        outcome.knobs.get(&documented).map(|(doc, _)| *doc),
+        Some(true)
+    );
     assert_eq!(
         outcome.knobs.get(&undocumented).map(|(doc, _)| *doc),
         Some(false)
