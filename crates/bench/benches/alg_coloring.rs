@@ -1,26 +1,11 @@
-//! ALG-COLORING: the paper's algorithm layer on the flat stage pipeline vs.
-//! the retained nested-`Vec` pipeline.
+//! ALG-COLORING: end-to-end wall time of the paper's algorithm layer.
 //!
-//! This is the first bench row that measures the *algorithms* of
-//! conf_podc_PaiPP021 — alg1 (Δ+1)-coloring, alg2 (1+ε)Δ-coloring, alg3
-//! MIS and the classic Johansson Δ+1 baseline — rather than raw engine
-//! message traffic (`sim_engine`). Every row times the flat arena/bitset
-//! pipeline against the nested baseline, **interleaved** so clock drift hits
-//! both sides equally; outputs are bit-identical by construction (asserted
-//! by `crates/core/tests/stage_flat_equivalence.rs`), so the comparison is
-//! pure setup/runtime overhead.
-//!
-//! Rows:
-//!
-//! * `alg1` / `alg2` / `mis` / `classic` — end-to-end wall time of each
-//!   algorithm on both pipelines (speedups here are diluted by the shared
-//!   simulation cost; they must simply not regress below ~1×);
-//! * `stage_setup` — the isolated stage-construction cost on the
-//!   `random_d8_100000` final-stage spec: nested `Vec<Vec<u64>>` palettes +
-//!   `Vec<Vec<NodeId>>` active lists + colour-vector clone vs. one bitset
-//!   blit + one CSR arena pass. The harness **asserts** flat ≥ 1.5× nested
-//!   at full size (≥ 1× in smoke mode) — this is the regression gate for
-//!   the flat pipeline.
+//! This bench times the *algorithms* of conf_podc_PaiPP021 — alg1
+//! (Δ+1)-coloring, alg2 (1+ε)Δ-coloring, alg3 MIS and the classic Johansson
+//! Δ+1 baseline — rather than raw engine message traffic (`sim_engine`).
+//! Each row runs its algorithm once untimed, checks that output
+//! (`is_proper_coloring` or `is_mis`) and records its total message cost,
+//! then keeps the best wall time of the timed runs that follow.
 //!
 //! Graph families: cycle (Δ = 2, pure final stage), clique (dense, bucket
 //! levels engage), random d8 (the paper's sparse near-regular shape) and
@@ -28,24 +13,21 @@
 //! work-stealing shard claiming exists for), at n up to 10⁵.
 //!
 //! Results are printed and written to `BENCH_alg_coloring.json` (one JSON
-//! object per line; replaced atomically once the gate has passed). Set
-//! `ALG_BENCH_SMOKE=1` for the reduced-n CI smoke (same rows and asserts at
+//! object per line; replaced atomically once every row has run). Set
+//! `ALG_BENCH_SMOKE=1` for the reduced-n CI smoke (same rows and checks at
 //! a fraction of the size, no JSON artifact).
 
-use std::sync::Arc;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_bench::artifact::BenchArtifact;
-use symbreak_classic::coloring::baseline;
+use symbreak_classic::coloring::{self, baseline};
+use symbreak_classic::mis;
 use symbreak_congest::SyncConfig;
-use symbreak_core::query_coloring::QueryPlan;
-use symbreak_core::stage_flat::FlatStageSpec;
-use symbreak_core::{
-    alg1_coloring, alg2_coloring, alg3_mis, Alg1Config, Alg2Config, Alg3Config, StagePipeline,
-};
+use symbreak_core::{alg1_coloring, alg2_coloring, alg3_mis, Alg1Config, Alg2Config, Alg3Config};
 use symbreak_graphs::{generators, properties, Graph, IdAssignment, IdSpace};
 
 /// Whether this run is the reduced-size CI smoke.
@@ -57,7 +39,7 @@ struct Family {
     name: &'static str,
     graph: Graph,
     ids: IdAssignment,
-    /// Best-of iterations per pipeline for the algorithm rows.
+    /// Timed iterations per algorithm row.
     iters: u32,
     /// alg1/alg2 need a connected graph.
     connected: bool,
@@ -98,18 +80,15 @@ fn families() -> Vec<Family> {
     out
 }
 
-/// Best-of wall-clock nanoseconds of `run` over `iters` iterations,
-/// returning the payload of the last iteration too.
-fn best_of<T>(iters: u32, mut run: impl FnMut() -> T) -> (f64, T) {
+/// Best-of wall-clock nanoseconds of `run` over `iters` iterations.
+fn best_of<T>(iters: u32, mut run: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
-    let mut last = None;
     for _ in 0..iters {
         let t = Instant::now();
-        let out = run();
+        black_box(run());
         best = best.min(t.elapsed().as_nanos() as f64);
-        last = Some(out);
     }
-    (best, last.expect("at least one iteration"))
+    best
 }
 
 struct Row {
@@ -118,161 +97,131 @@ struct Row {
     n: usize,
     m: usize,
     messages: u64,
-    flat_ns: f64,
-    nested_ns: f64,
+    wall_ns: f64,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.nested_ns / self.flat_ns
-    }
-
     fn print(&self) {
         println!(
-            "{:<12} {:<18} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
+            "{:<12} {:<18} {:>12} {:>12.2}ms",
             self.row,
             self.graph_name,
             self.messages,
-            self.flat_ns / 1e6,
-            self.nested_ns / 1e6,
-            self.speedup()
+            self.wall_ns / 1e6
         );
     }
 
     fn json(&self) -> String {
         format!(
-            "{{\"bench\":\"alg_coloring\",\"row\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"messages\":{},\"flat_ns\":{:.0},\"nested_ns\":{:.0},\"speedup\":{:.3}}}",
-            self.row,
-            self.graph_name,
-            self.n,
-            self.m,
-            self.messages,
-            self.flat_ns,
-            self.nested_ns,
-            self.speedup()
+            "{{\"bench\":\"alg_coloring\",\"row\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"messages\":{},\"wall_ns\":{:.0}}}",
+            self.row, self.graph_name, self.n, self.m, self.messages, self.wall_ns
         )
     }
 }
 
-/// One interleaved flat/nested measurement: an untimed warm-up pair (page
-/// cache, branch predictors — whichever side runs first otherwise eats a
-/// 1.5–2× cold-start penalty), then alternating single iterations so slow
-/// clock drift (thermal throttling, noisy neighbours) hits both pipelines
-/// equally.
-fn measure_pair(
-    iters: u32,
-    mut flat: impl FnMut() -> u64,
-    mut nested: impl FnMut() -> u64,
-) -> (f64, f64, u64) {
-    let messages = flat();
-    assert_eq!(messages, nested(), "pipelines must do identical work");
-    let (mut flat_best, mut nested_best) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..iters {
-        let (f_ns, _) = best_of(1, &mut flat);
-        let (n_ns, _) = best_of(1, &mut nested);
-        flat_best = flat_best.min(f_ns);
-        nested_best = nested_best.min(n_ns);
-    }
-    (flat_best, nested_best, messages)
+/// One row's measurement: an untimed warm-up run (page cache, branch
+/// predictors) whose output `check` validates and turns into the row's
+/// message count, then the best wall time of `iters` timed runs.
+fn measure<T>(iters: u32, mut run: impl FnMut() -> T, check: impl FnOnce(&T) -> u64) -> (f64, u64) {
+    let messages = check(&run());
+    (best_of(iters, run), messages)
 }
 
 fn alg_rows(fam: &Family) -> Vec<Row> {
-    let n = fam.graph.num_nodes();
-    let m = fam.graph.num_edges();
+    let (graph, ids) = (&fam.graph, &fam.ids);
     let mut rows = Vec::new();
-    let mut push = |row: &'static str, (flat_ns, nested_ns, messages): (f64, f64, u64)| {
+    let mut push = |row: &'static str, (wall_ns, messages): (f64, u64)| {
         let r = Row {
             row,
             graph_name: fam.name.to_string(),
-            n,
-            m,
+            n: graph.num_nodes(),
+            m: graph.num_edges(),
             messages,
-            flat_ns,
-            nested_ns,
+            wall_ns,
         };
         r.print();
         rows.push(r);
     };
+    let proper = |row: &str, colors: &[Option<u64>]| {
+        assert!(
+            coloring::verify::is_proper_coloring(graph, colors),
+            "{row} on {}: improper colouring",
+            fam.name
+        );
+    };
 
     if fam.connected {
-        let alg1 = |pipeline| {
-            let config = Alg1Config {
-                pipeline,
-                threads: 1,
-                ..Alg1Config::default()
-            };
-            let mut rng = StdRng::seed_from_u64(0xc01);
-            alg1_coloring::run(&fam.graph, &fam.ids, config, &mut rng)
-                .expect("alg1 succeeds")
-                .costs
-                .total_messages()
+        let config = Alg1Config {
+            threads: 1,
+            ..Alg1Config::default()
         };
         push(
             "alg1",
-            measure_pair(
+            measure(
                 fam.iters,
-                || alg1(StagePipeline::Flat),
-                || alg1(StagePipeline::Nested),
+                || {
+                    let mut rng = StdRng::seed_from_u64(0xc01);
+                    alg1_coloring::run(graph, ids, config, &mut rng).expect("alg1 succeeds")
+                },
+                |out| {
+                    proper("alg1", &out.colors);
+                    out.costs.total_messages()
+                },
             ),
         );
 
-        let alg2 = |pipeline| {
-            let config = Alg2Config {
-                pipeline,
-                threads: 1,
-                ..Alg2Config::default()
-            };
-            let mut rng = StdRng::seed_from_u64(0xc02);
-            alg2_coloring::run(&fam.graph, &fam.ids, config, &mut rng)
-                .expect("alg2 succeeds")
-                .costs
-                .total_messages()
+        let config = Alg2Config {
+            threads: 1,
+            ..Alg2Config::default()
         };
         push(
             "alg2",
-            measure_pair(
+            measure(
                 fam.iters,
-                || alg2(StagePipeline::Flat),
-                || alg2(StagePipeline::Nested),
+                || {
+                    let mut rng = StdRng::seed_from_u64(0xc02);
+                    alg2_coloring::run(graph, ids, config, &mut rng).expect("alg2 succeeds")
+                },
+                |out| {
+                    proper("alg2", &out.colors);
+                    out.costs.total_messages()
+                },
             ),
         );
     }
 
-    let mis = |pipeline| {
-        let config = Alg3Config {
-            pipeline,
-            threads: 1,
-            ..Alg3Config::default()
-        };
-        let mut rng = StdRng::seed_from_u64(0xc03);
-        alg3_mis::run(&fam.graph, &fam.ids, config, &mut rng)
-            .expect("alg3 succeeds")
-            .costs
-            .total_messages()
+    let config = Alg3Config {
+        threads: 1,
+        ..Alg3Config::default()
     };
     push(
         "mis",
-        measure_pair(
+        measure(
             fam.iters,
-            || mis(StagePipeline::Flat),
-            || mis(StagePipeline::Nested),
+            || {
+                let mut rng = StdRng::seed_from_u64(0xc03);
+                alg3_mis::run(graph, ids, config, &mut rng).expect("alg3 succeeds")
+            },
+            |out| {
+                assert!(
+                    mis::verify::is_mis(graph, &out.in_mis),
+                    "mis on {}: not an MIS",
+                    fam.name
+                );
+                out.costs.total_messages()
+            },
         ),
     );
 
     let config = SyncConfig::default().with_threads(1);
     push(
         "classic",
-        measure_pair(
+        measure(
             fam.iters,
-            || {
-                baseline::run(&fam.graph, &fam.ids, 0xc1a, config)
-                    .1
-                    .messages
-            },
-            || {
-                baseline::run_nested(&fam.graph, &fam.ids, 0xc1a, config)
-                    .1
-                    .messages
+            || baseline::run(graph, ids, 0xc1a, config),
+            |(colors, report)| {
+                proper("classic", colors);
+                report.messages
             },
         ),
     );
@@ -280,96 +229,39 @@ fn alg_rows(fam: &Family) -> Vec<Row> {
     rows
 }
 
-/// The regression gate: isolated stage-*setup* cost of the final-stage spec
-/// on the random d8 instance — the exact builder Algorithm 1 runs before a
-/// single round executes.
-fn stage_setup_row(fam: &Family) -> Row {
-    let graph = &fam.graph;
-    let ids = &fam.ids;
-    let n = graph.num_nodes();
-    let palette_size = graph.max_degree() as u64 + 1;
-    let colors: Vec<Option<u64>> = vec![None; n];
-    let plan = Arc::new(QueryPlan::new(graph, ids, Vec::new()));
-    let iters = 7;
-    let (mut flat_best, mut nested_best) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..iters {
-        let (f_ns, flat_spec) = best_of(1, || {
-            FlatStageSpec::for_final_stage(graph, &colors, palette_size, Arc::clone(&plan), 100)
-        });
-        let (n_ns, nested_spec) = best_of(1, || {
-            alg1_coloring::nested_final_spec(graph, &colors, palette_size, Arc::clone(&plan), 100)
-        });
-        // Keep both specs alive through the timing window and sanity-check
-        // they describe the same stage.
-        assert_eq!(flat_spec.active().total_len(), {
-            nested_spec.active.iter().map(Vec::len).sum::<usize>()
-        });
-        flat_best = flat_best.min(f_ns);
-        nested_best = nested_best.min(n_ns);
-    }
-    Row {
-        row: "stage_setup",
-        graph_name: fam.name.to_string(),
-        n,
-        m: graph.num_edges(),
-        messages: 0,
-        flat_ns: flat_best,
-        nested_ns: nested_best,
-    }
-}
-
-fn compare_pipelines() {
+fn run_rows() {
     let mut json = BenchArtifact::open("BENCH_alg_coloring.json", !smoke());
     println!(
-        "\n=== alg_coloring: flat stage pipeline vs nested-Vec baseline{} ===",
+        "\n=== alg_coloring: end-to-end algorithm wall time{} ===",
         if smoke() { " (smoke)" } else { "" }
     );
     println!(
-        "{:<12} {:<18} {:>12} {:>14} {:>14} {:>9}",
-        "row", "graph", "messages", "flat", "nested", "speedup"
+        "{:<12} {:<18} {:>12} {:>14}",
+        "row", "graph", "messages", "wall"
     );
-    let families = families();
-    let mut setup_speedup = None;
-    for fam in &families {
-        let mut rows = alg_rows(fam);
-        if fam.name == "random_d8_100000" {
-            let row = stage_setup_row(fam);
-            row.print();
-            setup_speedup = Some(row.speedup());
-            rows.push(row);
-        }
-        for row in &rows {
+    for fam in &families() {
+        for row in alg_rows(fam) {
             json.row(row.json());
         }
     }
-    let setup_speedup = setup_speedup.expect("random_d8 stage_setup row must have run");
-    // The regression gate. At smoke scale constant overheads dominate, so
-    // the bar is only "flat must not lose"; at full size the flat builder
-    // must clear 1.5x (the acceptance threshold of the flat-pipeline PR).
-    let bar = if smoke() { 1.0 } else { 1.5 };
-    assert!(
-        setup_speedup >= bar,
-        "flat stage setup regressed: {setup_speedup:.2}x < {bar}x on random_d8 final-stage spec"
-    );
-    println!("stage_setup speedup {setup_speedup:.2}x (gate: ≥ {bar}x)\n");
     json.commit().expect("write BENCH_alg_coloring.json");
 }
 
 fn bench(c: &mut Criterion) {
-    compare_pipelines();
+    run_rows();
     // Criterion samples a mid-size alg1 run so per-iteration regressions in
-    // the full pipeline show up without the comparison table's long tail.
+    // the full pipeline show up without the row table's long tail.
     let graph = generators::random_near_regular(10_000, 8, &mut StdRng::seed_from_u64(48));
     let ids = IdAssignment::random(&graph, IdSpace::CUBIC, &mut StdRng::seed_from_u64(49));
     if properties::is_connected(&graph) {
-        c.bench_function("alg1_flat_random_d8_10000", |b| {
+        c.bench_function("alg1_random_d8_10000", |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(50);
                 alg1_coloring::run(&graph, &ids, Alg1Config::default(), &mut rng).unwrap()
             })
         });
     }
-    c.bench_function("classic_flat_random_d8_10000", |b| {
+    c.bench_function("classic_random_d8_10000", |b| {
         b.iter(|| baseline::run(&graph, &ids, 51, SyncConfig::default().with_threads(1)))
     });
 }

@@ -81,8 +81,8 @@ pub mod palette {
     //!
     //! Every coloring stage in the workspace draws colours from a bounded
     //! domain `0..domain` (at most `(1+ε)Δ + 1` colours), so a per-node
-    //! palette fits in `⌈domain/64⌉` machine words. Compared to the nested
-    //! `Vec<Vec<u64>>` representation this makes
+    //! palette fits in `⌈domain/64⌉` machine words. Compared to per-node
+    //! `Vec<u64>` colour lists this makes
     //!
     //! * striking a colour (`FINAL` digestion) an O(1) bit clear instead of
     //!   a linear scan + `Vec` removal, and
@@ -91,9 +91,7 @@ pub mod palette {
     //!
     //! Bit order is colour order: the `r`-th set bit (ascending) of a row is
     //! the `r`-th smallest colour, so a flat draw visits colours in exactly
-    //! the order a sorted, duplicate-free colour list would — which is what
-    //! keeps the bitset pipelines bit-identical to the retained nested-`Vec`
-    //! baselines under the same per-node RNG streams.
+    //! the order a sorted, duplicate-free colour list would.
 
     /// Number of 64-bit words covering the colour domain `0..domain`.
     pub fn words_for(domain: u64) -> usize {
@@ -251,8 +249,7 @@ pub mod palette {
     }
 
     /// One node's mutable palette: the bitset row plus a live colour count.
-    /// [`NodePalette::remove`] is the O(1) strike that replaces the nested
-    /// representation's linear `Vec` removal.
+    /// [`NodePalette::remove`] strikes a colour in O(1).
     #[derive(Debug, Clone)]
     pub struct NodePalette {
         words: Vec<u64>,
@@ -360,17 +357,12 @@ pub mod johansson {
     //! relies on when colouring each part `B_i` (Step 3) and the leftover
     //! set `L` (Step 5).
     //!
-    //! Two equivalent runtimes are provided:
-    //!
-    //! * [`run`] — the retained nested-`Vec` baseline: per-node palette and
-    //!   active-list `Vec`s cloned out of a [`ListColoringSpec`];
-    //! * [`run_flat`] — the flat pipeline: palettes as fixed-width bitsets
-    //!   ([`super::palette`]) and active lists in one CSR arena
-    //!   ([`FlatListColoring`]), borrowed (not cloned) into the nodes.
-    //!
-    //! Both draw colours in ascending palette order from identical per-node
-    //! RNG streams, so their outputs and reports are bit-identical (asserted
-    //! by the `stage_flat_equivalence` differential suite).
+    //! [`run_flat`] runs an instance held as a [`FlatListColoring`]:
+    //! palettes as fixed-width bitsets ([`super::palette`]) and active lists
+    //! in one CSR arena, borrowed (not cloned) into the nodes. Build one with
+    //! [`FlatListColoring::delta_plus_one`], or flatten per-node lists with
+    //! [`FlatListColoring::from_spec`], which checks the `(deg+1)`
+    //! precondition.
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -431,119 +423,6 @@ pub mod johansson {
         }
     }
 
-    struct Node {
-        participating: bool,
-        color: Option<u64>,
-        palette: Vec<u64>,
-        active: Vec<NodeId>,
-        candidate: Option<u64>,
-        rng: StdRng,
-    }
-
-    impl Node {
-        fn remove_from_palette(&mut self, c: u64) {
-            // Order-preserving removal: palettes are kept sorted ascending so
-            // the nested and flat runtimes draw identical colours from
-            // identical RNG streams (the flat bitset can only enumerate
-            // colours in ascending order).
-            if let Some(pos) = self.palette.iter().position(|&x| x == c) {
-                self.palette.remove(pos);
-            }
-        }
-        fn send_all(&self, ctx: &mut RoundContext<'_>, msg: &Message) {
-            for i in 0..self.active.len() {
-                ctx.send(self.active[i], *msg);
-            }
-        }
-    }
-
-    impl NodeAlgorithm for Node {
-        fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-            if !self.participating {
-                return;
-            }
-            if ctx.round() % 2 == 0 {
-                // Start of a phase: first digest the FINAL announcements of
-                // the previous phase, then propose a fresh candidate.
-                for msg in inbox {
-                    if msg.tag() == TAG_FINAL {
-                        self.remove_from_palette(msg.values()[0]);
-                    }
-                }
-                if self.color.is_none() {
-                    assert!(
-                        !self.palette.is_empty(),
-                        "palette exhausted — the list-coloring precondition was violated"
-                    );
-                    let idx = self.rng.gen_range(0..self.palette.len());
-                    let c = self.palette[idx];
-                    self.candidate = Some(c);
-                    self.send_all(ctx, &Message::tagged(TAG_PROPOSE).with_value(c));
-                }
-            } else if self.color.is_none() {
-                // Decision: keep the candidate if no neighbour proposed the
-                // same colour this phase (finalised colours were already
-                // removed from the palette, so they cannot be the candidate).
-                let c = self.candidate.expect("a candidate was proposed this phase");
-                let conflict = inbox
-                    .iter()
-                    .any(|m| m.tag() == TAG_PROPOSE && m.values()[0] == c);
-                if !conflict {
-                    self.color = Some(c);
-                    self.send_all(ctx, &Message::tagged(TAG_FINAL).with_value(c));
-                }
-                self.candidate = None;
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            !self.participating || self.color.is_some()
-        }
-
-        fn output(&self) -> Option<u64> {
-            self.color
-        }
-    }
-
-    /// Runs Johansson's list-coloring according to `spec`.
-    ///
-    /// Returns per-node colours (participants only; non-participants are
-    /// `None`) and the execution report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec violates the `(deg+1)`-list-coloring precondition
-    /// (a participant with a palette not larger than its active degree) or if
-    /// the run fails to terminate within the configured round limit.
-    pub fn run(
-        graph: &Graph,
-        ids: &IdAssignment,
-        level: KtLevel,
-        spec: &ListColoringSpec,
-        seed: u64,
-        config: SyncConfig,
-    ) -> (Vec<Option<u64>>, ExecutionReport) {
-        spec.validate(graph);
-        let sim = SyncSimulator::new(graph, ids, level);
-        let mut report = sim.run(config, |init| {
-            let i = init.node.index();
-            Node {
-                participating: spec.participating[i],
-                color: None,
-                palette: spec.palettes[i].clone(),
-                active: spec.active[i].clone(),
-                candidate: None,
-                rng: StdRng::seed_from_u64(seed ^ 0x517cc1b727220a95u64.wrapping_mul(i as u64 + 1)),
-            }
-        });
-        assert!(
-            report.completed,
-            "Johansson list-coloring did not terminate"
-        );
-        let colors = std::mem::take(&mut report.outputs);
-        (colors, report)
-    }
-
     /// Flat specification of a list-coloring instance: bitset palettes plus
     /// one CSR arena of active lists — two allocations where the nested
     /// [`ListColoringSpec`] holds `2n` nested `Vec`s.
@@ -573,16 +452,14 @@ pub mod johansson {
             }
         }
 
-        /// Flattens a nested spec (used by the differential suite and the
-        /// bench baseline interleave).
+        /// Flattens a per-node spec.
         ///
         /// # Panics
         ///
-        /// Panics when the nested spec violates the `(deg+1)`-list-coloring
-        /// precondition. Palette lists must be sorted ascending and
-        /// duplicate-free for flat/nested runs to be bit-identical (all the
-        /// workspace's builders produce such lists); this is checked in
-        /// debug builds.
+        /// Panics when the spec violates the `(deg+1)`-list-coloring
+        /// precondition (a participant with a palette not larger than its
+        /// active participating degree). Palette lists must be sorted
+        /// ascending and duplicate-free; this is checked in debug builds.
         pub fn from_spec(graph: &Graph, spec: &ListColoringSpec) -> Self {
             spec.validate(graph);
             debug_assert!(spec
@@ -657,11 +534,11 @@ pub mod johansson {
         }
     }
 
-    /// Runs Johansson's list-coloring on the flat pipeline: the instance is
-    /// borrowed into the nodes (per-node state is one small bitset), and the
-    /// outputs are moved — not cloned — out of the report.
-    ///
-    /// Bit-identical to [`run`] on the equivalent nested spec.
+    /// Runs Johansson's list-coloring: the instance is borrowed into the
+    /// nodes (per-node state is one small bitset), and the outputs are
+    /// moved — not cloned — out of the report. Returns per-node colours
+    /// (participants only; non-participants are `None`) and the execution
+    /// report.
     ///
     /// # Panics
     ///
@@ -750,10 +627,9 @@ pub mod baseline {
     use symbreak_congest::{BatchSimulator, ExecutionReport, KtLevel, SyncConfig};
     use symbreak_graphs::{Graph, IdAssignment};
 
-    use super::johansson::{self, FlatListColoring, ListColoringSpec};
+    use super::johansson::{self, FlatListColoring};
 
-    /// Runs the baseline and returns `(colors, report)`. The flat pipeline
-    /// is used (bit-identical to the nested one; see [`run_nested`]).
+    /// Runs the baseline and returns `(colors, report)`.
     pub fn run(
         graph: &Graph,
         ids: &IdAssignment,
@@ -779,18 +655,6 @@ pub mod baseline {
         assert_eq!(sim.level(), KtLevel::KT1, "the baseline runs at KT-1");
         let instance = FlatListColoring::delta_plus_one(sim.graph());
         johansson::run_flat_batch(sim, &instance, seeds, config)
-    }
-
-    /// The baseline on the retained nested-`Vec` runtime (differential
-    /// oracle and bench baseline).
-    pub fn run_nested(
-        graph: &Graph,
-        ids: &IdAssignment,
-        seed: u64,
-        config: SyncConfig,
-    ) -> (Vec<Option<u64>>, ExecutionReport) {
-        let spec = ListColoringSpec::delta_plus_one(graph);
-        johansson::run(graph, ids, KtLevel::KT1, &spec, seed, config)
     }
 }
 
@@ -842,9 +706,10 @@ mod tests {
         for n in [15usize, 30, 60] {
             let g = generators::connected_gnp(n, 0.2, &mut rng);
             let ids = IdAssignment::identity(n);
-            let spec = ListColoringSpec::delta_plus_one(&g);
+            let instance =
+                johansson::FlatListColoring::from_spec(&g, &ListColoringSpec::delta_plus_one(&g));
             let (colors, report) =
-                johansson::run(&g, &ids, KtLevel::KT1, &spec, 5, SyncConfig::default());
+                johansson::run_flat(&g, &ids, KtLevel::KT1, &instance, 5, SyncConfig::default());
             assert!(verify::is_proper_coloring(&g, &colors), "n={n}");
             assert!(verify::uses_colors_below(
                 &colors,
@@ -865,7 +730,9 @@ mod tests {
             active: g.nodes().map(|v| g.neighbor_vec(v)).collect(),
             participating: vec![true; 9],
         };
-        let (colors, _) = johansson::run(&g, &ids, KtLevel::KT1, &spec, 9, SyncConfig::default());
+        let instance = johansson::FlatListColoring::from_spec(&g, &spec);
+        let (colors, _) =
+            johansson::run_flat(&g, &ids, KtLevel::KT1, &instance, 9, SyncConfig::default());
         assert!(verify::is_proper_coloring(&g, &colors));
         assert!(verify::respects_lists(&colors, &lists));
     }
@@ -890,8 +757,9 @@ mod tests {
             active,
             participating: participating.clone(),
         };
+        let instance = johansson::FlatListColoring::from_spec(&g, &spec);
         let (colors, report) =
-            johansson::run(&g, &ids, KtLevel::KT1, &spec, 3, SyncConfig::default());
+            johansson::run_flat(&g, &ids, KtLevel::KT1, &instance, 3, SyncConfig::default());
         for v in g.nodes() {
             assert_eq!(colors[v.index()].is_some(), participating[v.index()]);
         }
@@ -910,31 +778,12 @@ mod tests {
     #[should_panic(expected = "strictly larger palette")]
     fn johansson_rejects_too_small_palettes() {
         let g = generators::clique(4);
-        let ids = IdAssignment::identity(4);
         let spec = ListColoringSpec {
             palettes: vec![vec![0, 1]; 4],
             active: g.nodes().map(|v| g.neighbor_vec(v)).collect(),
             participating: vec![true; 4],
         };
-        let _ = johansson::run(&g, &ids, KtLevel::KT1, &spec, 1, SyncConfig::default());
-    }
-
-    #[test]
-    fn flat_johansson_is_bit_identical_to_nested() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for (n, p, seed) in [(20usize, 0.3, 1u64), (40, 0.15, 2), (25, 0.6, 3)] {
-            let g = generators::connected_gnp(n, p, &mut rng);
-            let ids = IdAssignment::identity(n);
-            let spec = ListColoringSpec::delta_plus_one(&g);
-            let flat = johansson::FlatListColoring::from_spec(&g, &spec);
-            let (nested_colors, nested_report) =
-                johansson::run(&g, &ids, KtLevel::KT1, &spec, seed, SyncConfig::default());
-            let (flat_colors, flat_report) =
-                johansson::run_flat(&g, &ids, KtLevel::KT1, &flat, seed, SyncConfig::default());
-            assert_eq!(flat_colors, nested_colors, "n={n} seed={seed}");
-            assert_eq!(flat_report.messages, nested_report.messages);
-            assert_eq!(flat_report.rounds, nested_report.rounds);
-        }
+        let _ = johansson::FlatListColoring::from_spec(&g, &spec);
     }
 
     #[test]

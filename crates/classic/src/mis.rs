@@ -127,9 +127,9 @@ pub mod parallel_greedy {
         NotParticipating,
     }
 
-    /// The automaton is generic over its active-list storage so the nested
-    /// path (per-node `Vec` clones) and the flat path (borrowed CSR arena
-    /// rows) run the exact same code.
+    /// The automaton is generic over its active-list storage: the
+    /// checkpointed and asynchronous factories give each node its own
+    /// `Vec`, the synchronous stage runtimes lend it a CSR arena row.
     struct Node<L> {
         state: State,
         rank: u64,
@@ -317,35 +317,13 @@ pub mod parallel_greedy {
     /// * `participating[v]` — whether `v` takes part (e.g. membership in the
     ///   sampled set `S` of Algorithm 3); non-participants output 0.
     /// * `ranks[v]` — the node's rank (must be distinct among participants).
-    /// * `active[v]` — the participating neighbours of `v` it communicates
-    ///   with (normally its participating neighbours in `graph`).
+    /// * `active.row(v)` — the participating neighbours of `v` it
+    ///   communicates with (normally its participating neighbours in
+    ///   `graph`), in one flat CSR arena: each node borrows its row, so
+    ///   stage setup is two allocations total and per-node initialisation
+    ///   clones nothing.
     ///
     /// Returns the per-node MIS membership and the execution report.
-    ///
-    /// The nested lists are flattened into one CSR arena and run through
-    /// [`run_arena`] — the former duplicate nested runtime folded into the
-    /// arena one (the automaton is generic over its active-list storage, so
-    /// the outputs are unchanged). [`super::luby::run_restricted_nested`] is
-    /// the one genuinely nested stage runtime retained as a differential
-    /// oracle.
-    pub fn run(
-        graph: &Graph,
-        ids: &IdAssignment,
-        level: KtLevel,
-        participating: &[bool],
-        ranks: &[u64],
-        active: &[Vec<NodeId>],
-        config: SyncConfig,
-    ) -> (Vec<bool>, ExecutionReport) {
-        assert_eq!(active.len(), graph.num_nodes());
-        let arena = AdjacencyArena::from_rows(active);
-        run_arena(graph, ids, level, participating, ranks, &arena, config)
-    }
-
-    /// Like [`run`], with the active lists in one flat CSR arena instead of
-    /// nested `Vec`s: each node borrows its arena row, so stage setup is two
-    /// allocations total and per-node initialisation clones nothing.
-    /// Bit-identical to [`run`] on equivalent lists.
     pub fn run_arena(
         graph: &Graph,
         ids: &IdAssignment,
@@ -442,8 +420,8 @@ pub mod parallel_greedy {
         config: SyncConfig,
     ) -> (Vec<bool>, ExecutionReport) {
         let participating = vec![true; graph.num_nodes()];
-        let active: Vec<Vec<NodeId>> = graph.nodes().map(|v| graph.neighbor_vec(v)).collect();
-        run(
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
+        run_arena(
             graph,
             ids,
             KtLevel::KT1,
@@ -709,73 +687,9 @@ pub mod luby {
     }
 
     /// Runs Luby's algorithm restricted to the nodes with
-    /// `participating[v] = true`, communicating over the `active[v]` lists.
-    ///
-    /// The nested lists are flattened into one CSR arena and run through
-    /// [`run_restricted_arena`] — the former duplicate nested runtime folded
-    /// into the arena one (the automaton is generic over its active-list
-    /// storage, so the outputs are unchanged). The genuinely nested runtime
-    /// survives as [`run_restricted_nested`], the one retained differential
-    /// oracle.
-    pub fn run_restricted(
-        graph: &Graph,
-        ids: &IdAssignment,
-        level: KtLevel,
-        participating: &[bool],
-        active: &[Vec<NodeId>],
-        seed: u64,
-        config: SyncConfig,
-    ) -> (Vec<bool>, ExecutionReport) {
-        assert_eq!(active.len(), graph.num_nodes());
-        let arena = AdjacencyArena::from_rows(active);
-        run_restricted_arena(graph, ids, level, participating, &arena, seed, config)
-    }
-
-    /// The retained **nested** stage runtime: per-node `Vec` active lists
-    /// cloned into each automaton, exactly the pre-fold [`run_restricted`]
-    /// body. Kept as the one classic-MIS differential oracle — Algorithm 3's
-    /// `StagePipeline::Nested` runs its Luby stage through it, and the
-    /// `stage_flat_equivalence` suite asserts that path stays bit-identical
-    /// to [`run_restricted_arena`] on equivalent lists.
-    pub fn run_restricted_nested(
-        graph: &Graph,
-        ids: &IdAssignment,
-        level: KtLevel,
-        participating: &[bool],
-        active: &[Vec<NodeId>],
-        seed: u64,
-        config: SyncConfig,
-    ) -> (Vec<bool>, ExecutionReport) {
-        assert_eq!(participating.len(), graph.num_nodes());
-        assert_eq!(active.len(), graph.num_nodes());
-        let sim = SyncSimulator::new(graph, ids, level);
-        let report = sim.run(config, |init| {
-            let i = init.node.index();
-            Node {
-                state: if participating[i] {
-                    State::Undecided
-                } else {
-                    State::NotParticipating
-                },
-                rng: StdRng::seed_from_u64(
-                    seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ),
-                current: 0,
-                active: active[i].clone(),
-            }
-        });
-        assert!(report.completed, "Luby's algorithm did not terminate");
-        let membership = report
-            .outputs
-            .iter()
-            .map(|o| o.expect("all nodes decided") == 1)
-            .collect();
-        (membership, report)
-    }
-
-    /// Like [`run_restricted`], with the active lists in one flat CSR arena:
-    /// each node borrows its arena row instead of cloning a `Vec`.
-    /// Bit-identical to [`run_restricted`] on equivalent lists.
+    /// `participating[v] = true`, communicating over the `active.row(v)`
+    /// lists of one flat CSR arena: each node borrows its arena row instead
+    /// of cloning a `Vec`.
     pub fn run_restricted_arena(
         graph: &Graph,
         ids: &IdAssignment,
@@ -869,9 +783,7 @@ pub mod luby {
 
     /// One whole-graph Luby execution per seed, batched over one shared CSR
     /// (the batched Figure-1 MIS baseline). Lane `k` is bit-identical to
-    /// [`run`] with `seeds[k]` — the automaton is generic over its
-    /// active-list storage, so the borrowed arena rows here step exactly
-    /// like [`run`]'s cloned `Vec`s.
+    /// [`run`] with `seeds[k]`.
     ///
     /// # Panics
     ///
@@ -903,8 +815,8 @@ pub mod luby {
         config: SyncConfig,
     ) -> (Vec<bool>, ExecutionReport) {
         let participating = vec![true; graph.num_nodes()];
-        let active: Vec<Vec<NodeId>> = graph.nodes().map(|v| graph.neighbor_vec(v)).collect();
-        run_restricted(
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
+        run_restricted_arena(
             graph,
             ids,
             KtLevel::KT1,
@@ -958,7 +870,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symbreak_congest::SyncConfig;
-    use symbreak_graphs::{generators, IdAssignment, NodeId};
+    use symbreak_graphs::{generators, AdjacencyArena, IdAssignment};
 
     #[test]
     fn verify_detects_non_independence_and_non_maximality() {
@@ -1027,15 +939,8 @@ mod tests {
         let ids = IdAssignment::identity(8);
         let participating: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
         let ranks: Vec<u64> = (0..8).map(|i| 100 - i as u64).collect();
-        let active: Vec<Vec<NodeId>> = g
-            .nodes()
-            .map(|v| {
-                g.neighbors(v)
-                    .filter(|u| participating[u.index()])
-                    .collect()
-            })
-            .collect();
-        let (mis, _) = parallel_greedy::run(
+        let active = AdjacencyArena::from_filtered(&g, |_, u| participating[u.index()]);
+        let (mis, _) = parallel_greedy::run_arena(
             &g,
             &ids,
             symbreak_congest::KtLevel::KT1,

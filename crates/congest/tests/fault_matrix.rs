@@ -42,7 +42,8 @@ use symbreak_congest::{
     Message, NodeAlgorithm, Recovery, RoundContext, SyncConfig,
 };
 use symbreak_core::alg2_coloring;
-use symbreak_core::query_coloring::{self, QueryPlan, StageSpec};
+use symbreak_core::query_coloring::QueryPlan;
+use symbreak_core::stage_flat::{self, FlatStageSpec};
 use symbreak_graphs::{generators, Graph, IdAssignment, NodeId};
 use symbreak_ktrand::SharedRandomness;
 
@@ -446,20 +447,21 @@ fn scenario_matrix() {
     {
         let graph = generators::connected_gnp(24, 0.2, &mut StdRng::seed_from_u64(13));
         let ids = IdAssignment::identity(24);
-        let palette: Vec<u64> = (0..2 * graph.max_degree() as u64 + 2).collect();
-        let spec = StageSpec {
-            participating: vec![true; 24],
-            palettes: vec![palette; 24],
-            active: graph.nodes().map(|v| graph.neighbor_vec(v)).collect(),
-            existing_colors: vec![None; 24],
-            plan: Arc::new(QueryPlan::new(&graph, &ids, Vec::new())),
-            phase_limit: 200,
-        };
+        let uncolored = vec![None; 24];
+        // Everyone participates with palette {0, …, 2Δ + 1}, active towards
+        // all of its neighbours.
+        let spec = FlatStageSpec::for_final_stage(
+            &graph,
+            &uncolored,
+            2 * graph.max_degree() as u64 + 2,
+            Arc::new(QueryPlan::new(&graph, &ids, Vec::new())),
+            200,
+        );
         for (ci, &class) in classes.iter().enumerate() {
             let seed = base_seed ^ 0x3_0000 ^ (ci as u64) << 8;
             let row = run_cell("alg1-stage", true, &graph, class, seed, |plan, seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let (colors, _, report) = query_coloring::run_stage_async(
+                let (colors, _, report) = stage_flat::run_stage_flat_async(
                     &graph,
                     &ids,
                     &spec,

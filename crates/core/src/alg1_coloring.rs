@@ -24,14 +24,14 @@ use symbreak_congest::{
     async_sim, BatchSimulator, CostAccount, KtLevel, PhaseCost, SyncConfig, SyncSimulator,
 };
 use symbreak_danner::{ops, setup};
-use symbreak_graphs::{properties, Graph, IdAssignment, NodeId};
+use symbreak_graphs::{properties, Graph, IdAssignment};
 use symbreak_ktrand::SharedRandomness;
 
 use crate::error::CoreError;
-use crate::partition::{ChangPartition, Part};
-use crate::query_coloring::{run_stage_on, QueryPlan, StageSpec};
+use crate::partition::ChangPartition;
+use crate::query_coloring::QueryPlan;
 use crate::stage_flat::{
-    run_stage_flat_batch_lanes_on, run_stage_flat_on, FlatStageLane, FlatStageSpec, StagePipeline,
+    run_stage_flat_batch_lanes_on, run_stage_flat_on, FlatStageLane, FlatStageSpec,
 };
 
 /// Configuration of Algorithm 1.
@@ -47,9 +47,6 @@ pub struct Alg1Config {
     pub edge_threshold_factor: f64,
     /// Seed for the per-node private randomness of the coloring stages.
     pub stage_seed: u64,
-    /// Which stage runtime to drive the coloring stages through (outputs are
-    /// bit-identical either way; `Nested` is the retained baseline).
-    pub pipeline: StagePipeline,
     /// Worker threads for the simulated stages (`0` = automatic, i.e. the
     /// `CONGEST_THREADS` environment variable or the CPU count).
     pub threads: usize,
@@ -69,7 +66,6 @@ impl Default for Alg1Config {
             max_levels: 3,
             edge_threshold_factor: 2.0,
             stage_seed: 0x1_5eed,
-            pipeline: StagePipeline::Flat,
             threads: 0,
             shards: 0,
         }
@@ -190,32 +186,17 @@ pub fn run<R: Rng + ?Sized>(
 
         // Step 3: colour all buckets in parallel with one stage.
         let seed = config.stage_seed.wrapping_add(level as u64);
-        let (stage_colors, report) = match config.pipeline {
-            StagePipeline::Flat => {
-                let spec = FlatStageSpec::for_bucket_level(
-                    graph,
-                    &partition,
-                    &parts,
-                    &colors,
-                    palette_size,
-                    Arc::clone(&plan),
-                    phase_limit_buckets,
-                );
-                run_stage_flat_on(&stage_sim, &spec, seed, stage_config)
-            }
-            StagePipeline::Nested => {
-                let spec = nested_level_spec(
-                    graph,
-                    &partition,
-                    &parts,
-                    &colors,
-                    palette_size,
-                    Arc::clone(&plan),
-                    phase_limit_buckets,
-                );
-                run_stage_on(&stage_sim, &spec, seed, stage_config)
-            }
-        };
+        let spec = FlatStageSpec::for_bucket_level(
+            graph,
+            &partition,
+            &parts,
+            &colors,
+            palette_size,
+            Arc::clone(&plan),
+            phase_limit_buckets,
+        );
+        let (stage_colors, report) = run_stage_flat_on(&stage_sim, &spec, seed, stage_config);
+        drop(spec);
         costs.charge_report(format!("bucket coloring, level {level}"), &report);
         colors = stage_colors;
         Arc::get_mut(&mut plan)
@@ -228,23 +209,15 @@ pub fn run<R: Rng + ?Sized>(
     if colors.iter().any(Option::is_none) {
         let phase_limit = (16.0 * log_n).ceil() as usize + 32;
         let seed = config.stage_seed.wrapping_add(0xffff);
-        let (final_colors, report) = match config.pipeline {
-            StagePipeline::Flat => {
-                let spec = FlatStageSpec::for_final_stage(
-                    graph,
-                    &colors,
-                    palette_size,
-                    Arc::clone(&plan),
-                    phase_limit,
-                );
-                run_stage_flat_on(&stage_sim, &spec, seed, stage_config)
-            }
-            StagePipeline::Nested => {
-                let spec =
-                    nested_final_spec(graph, &colors, palette_size, Arc::clone(&plan), phase_limit);
-                run_stage_on(&stage_sim, &spec, seed, stage_config)
-            }
-        };
+        let spec = FlatStageSpec::for_final_stage(
+            graph,
+            &colors,
+            palette_size,
+            Arc::clone(&plan),
+            phase_limit,
+        );
+        let (final_colors, report) = run_stage_flat_on(&stage_sim, &spec, seed, stage_config);
+        drop(spec);
         costs.charge_report("final-stage coloring", &report);
         colors = final_colors;
     }
@@ -266,10 +239,7 @@ pub fn run<R: Rng + ?Sized>(
 /// Runs Algorithm 1 once per seed, stepping the coloring stages of all lanes
 /// in lockstep over one shared [`BatchSimulator`] CSR. Lane `k` is
 /// **bit-identical** (colours, levels used, per-phase cost account) to
-/// [`run`] with `StdRng::seed_from_u64(seeds[k])` and the same config on the
-/// flat pipeline — the nested/flat choice in `config.pipeline` is ignored
-/// here because the two pipelines are themselves bit-identical and only the
-/// flat one has a batched runtime.
+/// [`run`] with `StdRng::seed_from_u64(seeds[k])` and the same config.
 ///
 /// The setup is amortized across the batch: the danner, the leader and the
 /// broadcast tree are pure functions of `(graph, ids, δ)` and are built
@@ -499,96 +469,6 @@ pub fn run_batch(
             max_degree,
         })
         .collect())
-}
-
-/// The retained nested-`Vec` builder for one bucket-coloring level — exactly
-/// the PR-2-era stage setup (per-node palette recomputation and all), kept
-/// as the baseline the flat pipeline's stage-setup speedup is measured
-/// against (`BENCH_alg_coloring.json`) and as the differential oracle.
-pub fn nested_level_spec(
-    graph: &Graph,
-    partition: &ChangPartition,
-    parts: &[Part],
-    colors: &[Option<u64>],
-    palette_size: u64,
-    plan: Arc<QueryPlan>,
-    phase_limit: usize,
-) -> StageSpec {
-    let participating: Vec<bool> = graph
-        .nodes()
-        .map(|v| colors[v.index()].is_none() && matches!(parts[v.index()], Part::Bucket(_)))
-        .collect();
-    let palettes: Vec<Vec<u64>> = graph
-        .nodes()
-        .map(|v| match parts[v.index()] {
-            Part::Bucket(b) if participating[v.index()] => {
-                partition.palette_of_bucket(palette_size, b)
-            }
-            _ => Vec::new(),
-        })
-        .collect();
-    let active: Vec<Vec<NodeId>> = graph
-        .nodes()
-        .map(|v| {
-            if !participating[v.index()] {
-                return Vec::new();
-            }
-            graph
-                .neighbors(v)
-                .filter(|u| participating[u.index()] && parts[u.index()] == parts[v.index()])
-                .collect()
-        })
-        .collect();
-    StageSpec {
-        participating,
-        palettes,
-        active,
-        existing_colors: colors.to_vec(),
-        plan,
-        phase_limit,
-    }
-}
-
-/// The retained nested-`Vec` builder for the final stage (see
-/// [`nested_level_spec`]).
-pub fn nested_final_spec(
-    graph: &Graph,
-    colors: &[Option<u64>],
-    palette_size: u64,
-    plan: Arc<QueryPlan>,
-    phase_limit: usize,
-) -> StageSpec {
-    let participating: Vec<bool> = colors.iter().map(Option::is_none).collect();
-    let palettes: Vec<Vec<u64>> = graph
-        .nodes()
-        .map(|v| {
-            if participating[v.index()] {
-                (0..palette_size).collect()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let active: Vec<Vec<NodeId>> = graph
-        .nodes()
-        .map(|v| {
-            if !participating[v.index()] {
-                return Vec::new();
-            }
-            graph
-                .neighbors(v)
-                .filter(|u| participating[u.index()])
-                .collect()
-        })
-        .collect();
-    StageSpec {
-        participating,
-        palettes,
-        active,
-        existing_colors: colors.to_vec(),
-        plan,
-        phase_limit,
-    }
 }
 
 /// Runs the asynchronous variant of Algorithm 1 (Theorem 3.4).

@@ -16,14 +16,14 @@ use rand::{Rng, SeedableRng};
 use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
 use symbreak_congest::{
     run_synchronized, BatchSimulator, CostAccount, ExecutionReport, FaultPlan, KtLevel, Message,
-    NodeAlgorithm, RoundContext, SyncConfig, SyncSimulator,
+    NodeAlgorithm, NodeInit, RoundContext, SyncConfig, SyncSimulator,
 };
 use symbreak_danner::{ops, setup};
 use symbreak_graphs::{properties, Graph, IdAssignment, NodeId};
 use symbreak_ktrand::{tail, KWiseHash, SharedRandomness};
 
 use crate::error::CoreError;
-use crate::stage_flat::StagePipeline;
+use crate::query_coloring::QueryPlan;
 
 const TAG_QUERY: u16 = 0x60;
 const TAG_RESPONSE: u16 = 0x61;
@@ -38,9 +38,6 @@ pub struct Alg2Config {
     pub delta: f64,
     /// Safety factor on the `O(log n / ε)` phase budget.
     pub phase_budget_factor: f64,
-    /// Which phase runtime to use (outputs are bit-identical either way;
-    /// `Nested` is the retained per-node-allocation baseline).
-    pub pipeline: StagePipeline,
     /// Worker threads for the simulated phases (`0` = automatic).
     pub threads: usize,
 }
@@ -51,7 +48,6 @@ impl Default for Alg2Config {
             epsilon: 0.5,
             delta: 0.0,
             phase_budget_factor: 12.0,
-            pipeline: StagePipeline::Flat,
             threads: 0,
         }
     }
@@ -70,118 +66,10 @@ pub struct Alg2Outcome {
     pub max_degree: u64,
 }
 
-/// The retained nested-baseline automaton: every node clones the shared
-/// randomness, collects its own `Vec` of neighbour IDs and derives every
-/// phase hash privately (n copies of identical `O(log n)`-coefficient
-/// derivations).
-struct Alg2Node {
-    own_id: u64,
-    color: Option<u64>,
-    neighbor_ids: Vec<(NodeId, u64)>,
-    shared: SharedRandomness,
-    palette_size: u64,
-    independence: usize,
-    hashes: Vec<KWiseHash>,
-    phase: usize,
-    max_phases: usize,
-    candidate: Option<u64>,
-}
-
-impl Alg2Node {
-    fn hash_for_phase(&mut self, j: usize) -> &KWiseHash {
-        while self.hashes.len() <= j {
-            let h = self.shared.indexed_hash_fn(
-                "alg2.phase",
-                self.hashes.len(),
-                self.independence,
-                self.palette_size,
-            );
-            self.hashes.push(h);
-        }
-        &self.hashes[j]
-    }
-
-    fn respond(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message], phase: usize) {
-        // Make sure the current phase hash exists before borrowing.
-        let _ = self.hash_for_phase(phase);
-        for msg in inbox {
-            if msg.tag() != TAG_QUERY {
-                continue;
-            }
-            let c = msg.values()[0];
-            let sender_id = msg.ids()[0];
-            let Some(sender) = ctx.knowledge().known_node_with_id(sender_id) else {
-                continue;
-            };
-            let proposes_c_with_priority = self.color.is_none()
-                && self.hashes[phase].eval(self.own_id) == c
-                && self.own_id < sender_id;
-            let taken = u64::from(self.color == Some(c) || proposes_c_with_priority);
-            ctx.send(
-                sender,
-                Message::tagged(TAG_RESPONSE)
-                    .with_value(c)
-                    .with_value(taken),
-            );
-        }
-    }
-}
-
-impl NodeAlgorithm for Alg2Node {
-    fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-        let phase = (ctx.round() / 3) as usize;
-        match ctx.round() % 3 {
-            0 => {
-                if self.color.is_none() && self.phase < self.max_phases {
-                    let own_id = self.own_id;
-                    let c = self.hash_for_phase(phase).eval(own_id);
-                    self.candidate = Some(c);
-                    // Query exactly the neighbours that could hold or propose c.
-                    let mut targets = Vec::new();
-                    for &(u, uid) in &self.neighbor_ids {
-                        let could = (0..=phase).any(|j| self.hashes[j].eval(uid) == c);
-                        if could {
-                            targets.push(u);
-                        }
-                    }
-                    let query = Message::tagged(TAG_QUERY)
-                        .with_value(c)
-                        .with_id(self.own_id);
-                    for u in targets {
-                        ctx.send(u, query);
-                    }
-                }
-            }
-            1 => {
-                self.respond(ctx, inbox, phase);
-            }
-            _ => {
-                if let Some(c) = self.candidate.take() {
-                    let blocked = inbox.iter().any(|m| {
-                        m.tag() == TAG_RESPONSE && m.values()[0] == c && m.values()[1] == 1
-                    });
-                    if !blocked {
-                        self.color = Some(c);
-                    }
-                    self.phase += 1;
-                }
-            }
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.color.is_some() || self.phase >= self.max_phases
-    }
-
-    fn output(&self) -> Option<u64> {
-        self.color
-    }
-}
-
-/// The flat automaton: the phase hashes (identical at every node — they are
-/// pure functions of the shared randomness) are derived once by the caller
-/// and borrowed, and each node borrows its row of one flat neighbour-ID
-/// arena. Message behaviour is bit-identical to [`Alg2Node`].
+/// The phase automaton: the phase hashes (identical at every node — they
+/// are pure functions of the shared randomness) are derived once by the
+/// caller and borrowed, and each node borrows its row of one flat
+/// neighbour-ID arena.
 struct FlatAlg2Node<'a> {
     own_id: u64,
     color: Option<u64>,
@@ -192,7 +80,26 @@ struct FlatAlg2Node<'a> {
     candidate: Option<u64>,
 }
 
-impl FlatAlg2Node<'_> {
+impl<'a> FlatAlg2Node<'a> {
+    /// Node `init.node`'s automaton over the shared phase hashes and
+    /// neighbour table.
+    fn new(
+        hashes: &'a [KWiseHash],
+        neighbor_table: &'a QueryPlan,
+        init: NodeInit<'_>,
+        max_phases: usize,
+    ) -> Self {
+        FlatAlg2Node {
+            own_id: init.knowledge.own_id(),
+            color: None,
+            neighbor_ids: neighbor_table.neighbor_row(init.node),
+            hashes,
+            phase: 0,
+            max_phases,
+            candidate: None,
+        }
+    }
+
     fn respond(&self, ctx: &mut RoundContext<'_>, inbox: &[Message], phase: usize) {
         for msg in inbox {
             if msg.tag() != TAG_QUERY {
@@ -265,10 +172,24 @@ impl NodeAlgorithm for FlatAlg2Node<'_> {
     }
 }
 
+/// Derives the `max_phases` phase hashes of Algorithm 2 from `shared` (on a
+/// clone, so the caller's [`SharedRandomness::consumed_bits`] count is left
+/// untouched).
+fn phase_hashes(
+    shared: &SharedRandomness,
+    n: usize,
+    palette_size: u64,
+    max_phases: usize,
+) -> Vec<KWiseHash> {
+    let independence = tail::log_n_independence(n);
+    let scratch = shared.clone();
+    (0..max_phases)
+        .map(|j| scratch.indexed_hash_fn("alg2.phase", j, independence, palette_size))
+        .collect()
+}
+
 /// Runs the Algorithm 2 colouring phases given already-distributed shared
 /// randomness and a known Δ. Exposed separately so ablations can reuse it.
-/// Uses the flat runtime; see [`run_phases_nested`] for the retained
-/// baseline (bit-identical outputs).
 pub fn run_phases(
     graph: &Graph,
     ids: &IdAssignment,
@@ -283,26 +204,6 @@ pub fn run_phases(
         palette_size,
         max_phases,
         SyncConfig::default(),
-        StagePipeline::Flat,
-    )
-}
-
-/// [`run_phases`] on the retained nested baseline.
-pub fn run_phases_nested(
-    graph: &Graph,
-    ids: &IdAssignment,
-    shared: &SharedRandomness,
-    palette_size: u64,
-    max_phases: usize,
-) -> (Vec<Option<u64>>, ExecutionReport) {
-    run_phases_config(
-        graph,
-        ids,
-        shared,
-        palette_size,
-        max_phases,
-        SyncConfig::default(),
-        StagePipeline::Nested,
     )
 }
 
@@ -313,68 +214,32 @@ fn run_phases_config(
     palette_size: u64,
     max_phases: usize,
     config: SyncConfig,
-    pipeline: StagePipeline,
 ) -> (Vec<Option<u64>>, ExecutionReport) {
-    let n = graph.num_nodes();
-    let independence = tail::log_n_independence(n);
+    let hashes = phase_hashes(shared, graph.num_nodes(), palette_size, max_phases);
+    // The history-free `QueryPlan`'s CSR rows are exactly the per-node
+    // `(address, ID)` slices the automata need.
+    let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
     let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-    match pipeline {
-        StagePipeline::Flat => {
-            // Derive every phase hash once (on a throwaway clone so the
-            // caller's bit-consumption accounting matches the nested path,
-            // where each node derives from its own clone); the flat
-            // neighbour-ID table is a history-free `QueryPlan`, whose CSR
-            // rows are exactly the per-node `(address, ID)` slices needed.
-            let scratch = shared.clone();
-            let hashes: Vec<KWiseHash> = (0..max_phases)
-                .map(|j| scratch.indexed_hash_fn("alg2.phase", j, independence, palette_size))
-                .collect();
-            let neighbor_table = crate::query_coloring::QueryPlan::new(graph, ids, Vec::new());
-            let mut report = sim.run(config, |init| FlatAlg2Node {
-                own_id: init.knowledge.own_id(),
-                color: None,
-                neighbor_ids: neighbor_table.neighbor_row(init.node),
-                hashes: &hashes,
-                phase: 0,
-                max_phases,
-                candidate: None,
-            });
-            assert!(report.completed, "Algorithm 2 phases did not quiesce");
-            let colors = std::mem::take(&mut report.outputs);
-            (colors, report)
-        }
-        StagePipeline::Nested => {
-            let mut report = sim.run(config, |init| Alg2Node {
-                own_id: init.knowledge.own_id(),
-                color: None,
-                neighbor_ids: init.knowledge.neighbor_ids(),
-                shared: shared.clone(),
-                palette_size,
-                independence,
-                hashes: Vec::new(),
-                phase: 0,
-                max_phases,
-                candidate: None,
-            });
-            assert!(report.completed, "Algorithm 2 phases did not quiesce");
-            let colors = std::mem::take(&mut report.outputs);
-            (colors, report)
-        }
-    }
+    let mut report = sim.run(config, |init| {
+        FlatAlg2Node::new(&hashes, &neighbor_table, init, max_phases)
+    });
+    assert!(report.completed, "Algorithm 2 phases did not quiesce");
+    let colors = std::mem::take(&mut report.outputs);
+    (colors, report)
 }
 
 /// Runs the Algorithm 2 colouring phases on the **asynchronous** executor
 /// under a fault plan, via the α-synchronizer lockstep wrapper
 /// ([`symbreak_congest::Synchronized`]).
 ///
-/// The synchronous (nested-pipeline) run executes first to fix the
-/// lockstep round budget and as ground truth; the returned triple is
-/// `(synchronous colours, synchronous report, asynchronous report)`. All
-/// per-node randomness comes from `shared`, so the asynchronous replay
-/// consumes identical hash schedules: on benign, delay-only and
-/// duplicate/reorder fault schedules its outputs equal the synchronous
-/// colours, while loss or crashes stall the run (`completed == false`)
-/// instead of emitting a conflicting colouring.
+/// The synchronous run ([`run_phases`]) executes first to fix the lockstep
+/// round budget and as ground truth; the returned triple is `(synchronous
+/// colours, synchronous report, asynchronous report)`. All per-node
+/// randomness comes from `shared`, so the asynchronous replay consumes
+/// identical hash schedules: on benign, delay-only and duplicate/reorder
+/// fault schedules its outputs equal the synchronous colours, while loss or
+/// crashes stall the run (`completed == false`) instead of emitting a
+/// conflicting colouring.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phases_async<R: Rng + ?Sized>(
     graph: &Graph,
@@ -386,9 +251,9 @@ pub fn run_phases_async<R: Rng + ?Sized>(
     fault_plan: &FaultPlan,
     rng: &mut R,
 ) -> (Vec<Option<u64>>, ExecutionReport, AsyncReport) {
-    let (colors, sync_report) = run_phases_nested(graph, ids, shared, palette_size, max_phases);
-    let n = graph.num_nodes();
-    let independence = tail::log_n_independence(n);
+    let (colors, sync_report) = run_phases(graph, ids, shared, palette_size, max_phases);
+    let hashes = phase_hashes(shared, graph.num_nodes(), palette_size, max_phases);
+    let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
     let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
     let report = run_synchronized(
         &sim,
@@ -396,18 +261,7 @@ pub fn run_phases_async<R: Rng + ?Sized>(
         fault_plan,
         sync_report.rounds,
         rng,
-        |init| Alg2Node {
-            own_id: init.knowledge.own_id(),
-            color: None,
-            neighbor_ids: init.knowledge.neighbor_ids(),
-            shared: shared.clone(),
-            palette_size,
-            independence,
-            hashes: Vec::new(),
-            phase: 0,
-            max_phases,
-            candidate: None,
-        },
+        |init| FlatAlg2Node::new(&hashes, &neighbor_table, init, max_phases),
     );
     (colors, sync_report, report)
 }
@@ -433,25 +287,13 @@ pub fn run_phases_batch_on(
     assert!(!shared.is_empty(), "batched phases need at least one lane");
     assert_eq!(sim.level(), KtLevel::KT1, "Algorithm 2 runs in KT-1");
     let n = sim.graph().num_nodes();
-    let independence = tail::log_n_independence(n);
     let lane_hashes: Vec<Vec<KWiseHash>> = shared
         .iter()
-        .map(|s| {
-            let scratch = s.clone();
-            (0..max_phases)
-                .map(|j| scratch.indexed_hash_fn("alg2.phase", j, independence, palette_size))
-                .collect()
-        })
+        .map(|s| phase_hashes(s, n, palette_size, max_phases))
         .collect();
-    let neighbor_table = crate::query_coloring::QueryPlan::new(sim.graph(), sim.ids(), Vec::new());
-    let reports = sim.run_batch(config, shared.len(), |k, init| FlatAlg2Node {
-        own_id: init.knowledge.own_id(),
-        color: None,
-        neighbor_ids: neighbor_table.neighbor_row(init.node),
-        hashes: &lane_hashes[k],
-        phase: 0,
-        max_phases,
-        candidate: None,
+    let neighbor_table = QueryPlan::new(sim.graph(), sim.ids(), Vec::new());
+    let reports = sim.run_batch(config, shared.len(), |k, init| {
+        FlatAlg2Node::new(&lane_hashes[k], &neighbor_table, init, max_phases)
     });
     reports
         .into_iter()
@@ -639,7 +481,6 @@ pub fn run<R: Rng + ?Sized>(
         palette_size,
         max_phases,
         SyncConfig::default().with_threads(config.threads),
-        config.pipeline,
     );
     costs.charge_report("colour trial phases", &report);
 

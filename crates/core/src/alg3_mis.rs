@@ -28,7 +28,6 @@ use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 use symbreak_ktrand::sampling;
 
 use crate::error::CoreError;
-use crate::stage_flat::StagePipeline;
 
 const TAG_MEMBER: u16 = 0x70;
 const TAG_JOIN: u16 = 0x71;
@@ -42,10 +41,6 @@ pub struct Alg3Config {
     pub sample_coefficient: f64,
     /// Seed for the private per-node randomness of the Luby stage.
     pub luby_seed: u64,
-    /// Which active-list representation the greedy-MIS and Luby stages use
-    /// (outputs are bit-identical either way; `Nested` is the retained
-    /// per-node `Vec<Vec<NodeId>>` baseline).
-    pub pipeline: StagePipeline,
     /// Worker threads for the simulated stages (`0` = automatic).
     pub threads: usize,
 }
@@ -55,7 +50,6 @@ impl Default for Alg3Config {
         Alg3Config {
             sample_coefficient: 1.0,
             luby_seed: 0x3_5eed,
-            pipeline: StagePipeline::Flat,
             threads: 0,
         }
     }
@@ -242,51 +236,19 @@ pub fn run<R: Rng + ?Sized>(
     costs.charge_report("S announces membership + rank", &report);
 
     // Step 2b: parallel randomized greedy MIS on G[S]. The active lists are
-    // the S-neighbours each node just learned about — on the flat pipeline
-    // one CSR arena built in a single pass over the graph's rows, on the
-    // nested baseline one Vec per node (flattened inside `run` since the
-    // nested greedy runtime folded into the arena one; only Luby retains a
-    // genuinely nested oracle, exercised in step 5).
-    let (greedy_mis, report) = match config.pipeline {
-        StagePipeline::Flat => {
-            let s_neighbors = AdjacencyArena::from_filtered(graph, |v, u| {
-                in_sample[v.index()] && in_sample[u.index()]
-            });
-            symbreak_classic::mis::parallel_greedy::run_arena(
-                graph,
-                ids,
-                KtLevel::KT2,
-                &in_sample,
-                &ranks,
-                &s_neighbors,
-                stage_config,
-            )
-        }
-        StagePipeline::Nested => {
-            let s_neighbors: Vec<Vec<NodeId>> = graph
-                .nodes()
-                .map(|v| {
-                    if in_sample[v.index()] {
-                        graph
-                            .neighbors(v)
-                            .filter(|u| in_sample[u.index()])
-                            .collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            symbreak_classic::mis::parallel_greedy::run(
-                graph,
-                ids,
-                KtLevel::KT2,
-                &in_sample,
-                &ranks,
-                &s_neighbors,
-                stage_config,
-            )
-        }
-    };
+    // the S-neighbours each node just learned about, in one CSR arena built
+    // in a single pass over the graph's rows.
+    let s_neighbors =
+        AdjacencyArena::from_filtered(graph, |v, u| in_sample[v.index()] && in_sample[u.index()]);
+    let (greedy_mis, report) = parallel_greedy::run_arena(
+        graph,
+        ids,
+        KtLevel::KT2,
+        &in_sample,
+        &ranks,
+        &s_neighbors,
+        stage_config,
+    );
     costs.charge_report("parallel greedy MIS on G[S]", &report);
 
     // Step 3: MIS members of S inform their 2-hop neighbourhoods.
@@ -308,50 +270,18 @@ pub fn run<R: Rng + ?Sized>(
     let undecided: Vec<bool> = graph.nodes().map(|v| !dominated[v.index()]).collect();
 
     // Step 5: Luby's algorithm on the remnant graph.
-    let (remnant_max_degree, (luby_mis, report)) = match config.pipeline {
-        StagePipeline::Flat => {
-            let remnant = AdjacencyArena::from_filtered(graph, |v, u| {
-                undecided[v.index()] && undecided[u.index()]
-            });
-            let max_deg = graph.nodes().map(|v| remnant.row_len(v)).max().unwrap_or(0);
-            let out = symbreak_classic::mis::luby::run_restricted_arena(
-                graph,
-                ids,
-                KtLevel::KT2,
-                &undecided,
-                &remnant,
-                config.luby_seed,
-                stage_config,
-            );
-            (max_deg, out)
-        }
-        StagePipeline::Nested => {
-            let remnant_neighbors: Vec<Vec<NodeId>> = graph
-                .nodes()
-                .map(|v| {
-                    if undecided[v.index()] {
-                        graph
-                            .neighbors(v)
-                            .filter(|u| undecided[u.index()])
-                            .collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            let max_deg = remnant_neighbors.iter().map(Vec::len).max().unwrap_or(0);
-            let out = symbreak_classic::mis::luby::run_restricted_nested(
-                graph,
-                ids,
-                KtLevel::KT2,
-                &undecided,
-                &remnant_neighbors,
-                config.luby_seed,
-                stage_config,
-            );
-            (max_deg, out)
-        }
-    };
+    let remnant =
+        AdjacencyArena::from_filtered(graph, |v, u| undecided[v.index()] && undecided[u.index()]);
+    let remnant_max_degree = graph.nodes().map(|v| remnant.row_len(v)).max().unwrap_or(0);
+    let (luby_mis, report) = luby::run_restricted_arena(
+        graph,
+        ids,
+        KtLevel::KT2,
+        &undecided,
+        &remnant,
+        config.luby_seed,
+        stage_config,
+    );
     costs.charge_report("Luby on remnant graph", &report);
 
     let in_mis: Vec<bool> = graph
@@ -371,11 +301,9 @@ pub fn run<R: Rng + ?Sized>(
 /// (announce, greedy MIS on `G[S]`, 2-hop inform, Luby on the remnant) of
 /// all lanes in lockstep over one shared KT-2 CSR. Lane `k` is
 /// **bit-identical** (MIS, sampled count, remnant degree, per-phase cost
-/// account) to [`run`] with `StdRng::seed_from_u64(seeds[k])` on the flat
-/// pipeline — the nested/flat choice in `config.pipeline` is ignored here
-/// because the two pipelines are themselves bit-identical and only the flat
-/// one has a batched runtime. The per-lane sampling (step 1) and pruning
-/// (step 4) are local computations and stay per-lane sequential.
+/// account) to [`run`] with `StdRng::seed_from_u64(seeds[k])`. The per-lane
+/// sampling (step 1) and pruning (step 4) are local computations and stay
+/// per-lane sequential.
 ///
 /// # Errors
 ///

@@ -18,11 +18,12 @@
 //! * [`repair`] — incremental repair after edge churn: dirty-frontier
 //!   extraction, frontier-induced subgraphs re-entering the flat stage
 //!   pipeline, and the generation-keyed [`ChurnSession`] caches.
-//! * [`stage_flat`] — the flat stage pipeline (arena-backed stage specs,
-//!   bitset palettes, borrow-threaded stage runtime) the algorithms run on
-//!   by default; the nested-`Vec` pipeline in [`query_coloring`] is retained
-//!   as the differential oracle and bench baseline
-//!   ([`StagePipeline::Nested`]).
+//! * [`stage_flat`] — the one stage runtime of Algorithm 1's coloring
+//!   stages and the churn repair (arena-backed stage specs, bitset
+//!   palettes, borrow-threaded automata), synchronous and asynchronous;
+//!   [`query_coloring`] holds its query-target oracle. The committed golden
+//!   digests in `tests/golden_digests.rs` pin the outputs and per-phase
+//!   costs of every algorithm built on it.
 //! * [`experiments`] / [`report`] — the measurement harness used by the
 //!   benches and by `EXPERIMENTS.md`.
 //!
@@ -63,4 +64,4 @@ pub use alg3_mis::{Alg3Config, MisOutcome};
 pub use error::CoreError;
 pub use repair::{ChurnSession, ColoringRepairDriver, MisRepairDriver, RepairReport};
 pub use report::{MeasurementRow, MeasurementTable};
-pub use stage_flat::{FlatStageSpec, StagePipeline};
+pub use stage_flat::FlatStageSpec;

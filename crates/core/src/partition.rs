@@ -112,13 +112,6 @@ impl ChangPartition {
             .map(|i| self.part_of_id(ids.id_of(NodeId(i as u32))))
             .collect()
     }
-
-    /// The colours of `palette` owned by bucket `b`.
-    pub fn palette_of_bucket(&self, palette_size: u64, b: usize) -> Vec<u64> {
-        (0..palette_size)
-            .filter(|&c| self.bucket_of_color(c) == b)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +205,7 @@ mod tests {
         let palette_size = 65u64;
         let mut seen = vec![0usize; palette_size as usize];
         for b in 0..p.num_buckets() {
-            for c in p.palette_of_bucket(palette_size, b) {
+            for c in (0..palette_size).filter(|&c| p.bucket_of_color(c) == b) {
                 seen[c as usize] += 1;
             }
         }

@@ -1,4 +1,7 @@
-//! The conflict-aware list-coloring stage shared by Algorithm 1's steps.
+//! The query side of the conflict-aware list-coloring stage shared by
+//! Algorithm 1's steps: the stage's message tags and [`QueryPlan`], its
+//! query-target oracle. The stage runtime itself is
+//! [`crate::stage_flat`].
 //!
 //! Algorithm 1 colours the buckets `B_1, …, B_k` and later the leftover set
 //! `L` with a Johansson-style randomized list coloring. Two kinds of
@@ -20,16 +23,6 @@
 //! the neighbours' IDs (KT-1), so no extra communication is needed to set
 //! the stage up.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
-use symbreak_congest::{
-    run_synchronized, ExecutionReport, FaultPlan, KtLevel, Message, NodeAlgorithm, NodeInit,
-    RoundContext, SyncConfig, SyncSimulator,
-};
 use symbreak_graphs::{Graph, GraphOverlay, IdAssignment, NodeId};
 
 use crate::partition::{ChangPartition, Part};
@@ -277,370 +270,11 @@ impl QueryPlan {
     }
 }
 
-/// Specification of one coloring stage — the **retained nested-`Vec`
-/// baseline**.
-///
-/// The hot path uses [`crate::stage_flat::FlatStageSpec`] /
-/// [`crate::stage_flat::run_stage_flat`] instead: palettes as fixed-width
-/// bitsets, active lists in one CSR arena, and the spec borrowed (not
-/// cloned) into the nodes. This nested form is kept as the differential
-/// oracle (`tests/stage_flat_equivalence.rs`) and the bench baseline the
-/// flat pipeline's speedup is measured against.
-#[derive(Debug, Clone)]
-pub struct StageSpec {
-    /// Which nodes are to be coloured in this stage.
-    pub participating: Vec<bool>,
-    /// Per-node stage palette.
-    pub palettes: Vec<Vec<u64>>,
-    /// Same-stage neighbours for `PROPOSE`/`FINAL` exchange.
-    pub active: Vec<Vec<NodeId>>,
-    /// Colours already held from earlier stages (each node's own colour).
-    pub existing_colors: Vec<Option<u64>>,
-    /// Query-target oracle built on the partition history of earlier levels.
-    pub plan: Arc<QueryPlan>,
-    /// Give up after this many unsuccessful phases (a participant that gives
-    /// up simply stays uncoloured and is handled by a later stage).
-    pub phase_limit: usize,
-}
-
-struct StageNode {
-    participating: bool,
-    own_id: u64,
-    me: NodeId,
-    color: Option<u64>,
-    palette: Vec<u64>,
-    known_taken: BTreeSet<u64>,
-    active: Vec<NodeId>,
-    active_set: BTreeSet<NodeId>,
-    plan: Arc<QueryPlan>,
-    phase_limit: usize,
-    failed_phases: usize,
-    gave_up: bool,
-    candidate: Option<u64>,
-    conflict: bool,
-    rng: StdRng,
-}
-
-impl StageNode {
-    fn respond_to_queries(&self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-        for msg in inbox {
-            if msg.tag() != TAG_QUERY {
-                continue;
-            }
-            let c = msg.values()[0];
-            let sender_id = msg.ids()[0];
-            let Some(sender) = ctx.knowledge().known_node_with_id(sender_id) else {
-                continue;
-            };
-            let taken = u64::from(self.color == Some(c));
-            ctx.send(
-                sender,
-                Message::tagged(TAG_RESPONSE)
-                    .with_value(c)
-                    .with_value(taken),
-            );
-        }
-    }
-
-    fn choose_candidate(&mut self) -> Option<u64> {
-        let available: Vec<u64> = self
-            .palette
-            .iter()
-            .copied()
-            .filter(|c| !self.known_taken.contains(c))
-            .collect();
-        if available.is_empty() {
-            None
-        } else {
-            Some(available[self.rng.gen_range(0..available.len())])
-        }
-    }
-
-    fn send_active(&self, ctx: &mut RoundContext<'_>, msg: &Message) {
-        for i in 0..self.active.len() {
-            ctx.send(self.active[i], *msg);
-        }
-    }
-
-    fn wants_color(&self) -> bool {
-        self.participating && self.color.is_none() && !self.gave_up
-    }
-}
-
-impl NodeAlgorithm for StageNode {
-    fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-        match ctx.round() % 3 {
-            0 => {
-                // Digest FINAL announcements from the previous phase.
-                for msg in inbox {
-                    if msg.tag() == TAG_FINAL {
-                        self.known_taken.insert(msg.values()[0]);
-                    }
-                }
-                if self.wants_color() {
-                    match self.choose_candidate() {
-                        Some(c) => {
-                            self.candidate = Some(c);
-                            self.conflict = false;
-                            self.send_active(ctx, &Message::tagged(TAG_PROPOSE).with_value(c));
-                            let query = Message::tagged(TAG_QUERY)
-                                .with_value(c)
-                                .with_id(self.own_id);
-                            let targets = self.plan.targets(self.me, c);
-                            for u in targets {
-                                if !self.active_set.contains(&u) {
-                                    ctx.send(u, query);
-                                }
-                            }
-                        }
-                        None => {
-                            self.candidate = None;
-                            self.failed_phases += 1;
-                            if self.failed_phases >= self.phase_limit {
-                                self.gave_up = true;
-                            }
-                        }
-                    }
-                }
-            }
-            1 => {
-                // Answer queries and note same-stage proposal conflicts.
-                self.respond_to_queries(ctx, inbox);
-                if let Some(c) = self.candidate {
-                    if inbox
-                        .iter()
-                        .any(|m| m.tag() == TAG_PROPOSE && m.values()[0] == c)
-                    {
-                        self.conflict = true;
-                    }
-                }
-            }
-            _ => {
-                // Fold in query responses and decide.
-                if let Some(c) = self.candidate.take() {
-                    for msg in inbox {
-                        if msg.tag() == TAG_RESPONSE && msg.values()[1] == 1 {
-                            self.known_taken.insert(msg.values()[0]);
-                            if msg.values()[0] == c {
-                                self.conflict = true;
-                            }
-                        }
-                    }
-                    if self.conflict {
-                        self.failed_phases += 1;
-                        if self.failed_phases >= self.phase_limit {
-                            self.gave_up = true;
-                        }
-                    } else {
-                        self.color = Some(c);
-                        self.send_active(ctx, &Message::tagged(TAG_FINAL).with_value(c));
-                    }
-                }
-            }
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        !self.wants_color()
-    }
-
-    fn output(&self) -> Option<u64> {
-        self.color
-    }
-}
-
-/// Runs one conflict-aware coloring stage and returns the updated colour of
-/// every node (existing colours are preserved; newly coloured participants
-/// get their stage colour; participants that gave up stay `None`).
-///
-/// Builds a fresh [`SyncSimulator`] per call; multi-stage callers should
-/// build one simulator and drive every stage through [`run_stage_on`].
-pub fn run_stage(
-    graph: &Graph,
-    ids: &IdAssignment,
-    spec: &StageSpec,
-    seed: u64,
-    config: SyncConfig,
-) -> (Vec<Option<u64>>, ExecutionReport) {
-    let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-    run_stage_on(&sim, spec, seed, config)
-}
-
-/// [`run_stage`] on a caller-built KT-1 [`SyncSimulator`], so multi-stage
-/// runs reuse whatever the simulator carries across `run` calls (notably a
-/// prebuilt [`symbreak_graphs::sharded::ShardedGraph`] attached via
-/// [`SyncSimulator::with_sharded_graph`]) instead of rebuilding it per
-/// stage — the nested counterpart of
-/// [`crate::stage_flat::run_stage_flat_on`].
-///
-/// # Panics
-///
-/// Panics if the simulator is not KT-1, if the spec does not cover the
-/// simulator's graph, or if the stage fails to quiesce within the round
-/// limit.
-pub fn run_stage_on(
-    sim: &SyncSimulator<'_>,
-    spec: &StageSpec,
-    seed: u64,
-    config: SyncConfig,
-) -> (Vec<Option<u64>>, ExecutionReport) {
-    assert_eq!(sim.level(), KtLevel::KT1, "coloring stages run in KT-1");
-    let n = sim.graph().num_nodes();
-    assert_eq!(spec.participating.len(), n);
-    assert_eq!(spec.palettes.len(), n);
-    assert_eq!(spec.active.len(), n);
-    assert_eq!(spec.existing_colors.len(), n);
-    let mut report = sim.run(config, |init| stage_node(spec, seed, init));
-    assert!(report.completed, "coloring stage did not quiesce");
-    let colors = std::mem::take(&mut report.outputs);
-    (colors, report)
-}
-
-/// Builds one stage automaton — shared by the synchronous entry points and
-/// the asynchronous lockstep replay so both run identical node state and
-/// RNG schedules.
-fn stage_node(spec: &StageSpec, seed: u64, init: NodeInit<'_>) -> StageNode {
-    let i = init.node.index();
-    StageNode {
-        participating: spec.participating[i],
-        own_id: init.knowledge.own_id(),
-        me: init.node,
-        color: spec.existing_colors[i],
-        palette: spec.palettes[i].clone(),
-        known_taken: BTreeSet::new(),
-        active: spec.active[i].clone(),
-        active_set: spec.active[i].iter().copied().collect(),
-        plan: Arc::clone(&spec.plan),
-        phase_limit: spec.phase_limit.max(1),
-        failed_phases: 0,
-        gave_up: false,
-        candidate: None,
-        conflict: false,
-        rng: StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(i as u64 + 1)),
-    }
-}
-
-/// Runs one coloring stage on the **asynchronous** executor under a fault
-/// plan, via the α-synchronizer lockstep wrapper
-/// ([`symbreak_congest::Synchronized`]).
-///
-/// The synchronous stage runs first to fix the lockstep round budget (and
-/// as ground truth); the returned triple is `(synchronous colours,
-/// synchronous report, asynchronous report)`. On benign, delay-only and
-/// duplicate/reorder schedules the asynchronous outputs equal the
-/// synchronous colours; loss or crashes stall the run (`completed ==
-/// false`) instead of emitting a conflicting colouring.
-#[allow(clippy::too_many_arguments)]
-pub fn run_stage_async<R: Rng + ?Sized>(
-    graph: &Graph,
-    ids: &IdAssignment,
-    spec: &StageSpec,
-    seed: u64,
-    sync_config: SyncConfig,
-    async_config: AsyncConfig,
-    fault_plan: &FaultPlan,
-    rng: &mut R,
-) -> (Vec<Option<u64>>, ExecutionReport, AsyncReport) {
-    let (colors, sync_report) = run_stage(graph, ids, spec, seed, sync_config);
-    let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
-    let report = run_synchronized(
-        &sim,
-        async_config,
-        fault_plan,
-        sync_report.rounds,
-        rng,
-        |init| stage_node(spec, seed, init),
-    );
-    (colors, sync_report, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use symbreak_graphs::generators;
     use symbreak_ktrand::SharedRandomness;
-
-    fn empty_plan(graph: &Graph, ids: &IdAssignment) -> Arc<QueryPlan> {
-        Arc::new(QueryPlan::new(graph, ids, Vec::new()))
-    }
-
-    #[test]
-    fn stage_colors_whole_graph_like_johansson() {
-        let g = generators::clique(12);
-        let ids = IdAssignment::identity(12);
-        let spec = StageSpec {
-            participating: vec![true; 12],
-            palettes: vec![(0..12).collect(); 12],
-            active: g.nodes().map(|v| g.neighbor_vec(v)).collect(),
-            existing_colors: vec![None; 12],
-            plan: empty_plan(&g, &ids),
-            phase_limit: 200,
-        };
-        let (colors, report) = run_stage(&g, &ids, &spec, 3, SyncConfig::default());
-        assert!(colors.iter().all(Option::is_some));
-        for (_, u, v) in g.edges() {
-            assert_ne!(colors[u.index()], colors[v.index()]);
-        }
-        assert!(report.completed);
-    }
-
-    #[test]
-    fn queries_prevent_conflicts_with_previously_colored_neighbors() {
-        // Star: the centre is pre-coloured with colour 0 at "level 0"; the
-        // leaves must avoid 0 purely through queries (their active lists are
-        // empty, so no PROPOSE/FINAL traffic can save them).
-        let g = generators::star(8);
-        let ids = IdAssignment::identity(8);
-        let shared = SharedRandomness::from_seed(9, 1024);
-        // Build a history in which the centre's ID could hold any colour of
-        // its bucket; to make the test deterministic we search for a colour
-        // the centre could hold under the level-0 partition.
-        let partition = ChangPartition::compute(&shared, 0, 8, 7);
-        let centre_id = ids.id_of(NodeId(0));
-        let centre_color = (0..8u64).find(|&c| partition.id_could_hold_color(centre_id, c));
-        let Some(centre_color) = centre_color else {
-            // The centre landed in L under this seed; nothing to test.
-            return;
-        };
-        let mut existing = vec![None; 8];
-        existing[0] = Some(centre_color);
-        let plan = Arc::new(QueryPlan::new(&g, &ids, vec![partition]));
-        let spec = StageSpec {
-            participating: (0..8).map(|i| i != 0).collect(),
-            // Leaves may only use the centre's colour or one alternative, so
-            // without queries they would pick the centre's colour half the
-            // time.
-            palettes: vec![vec![centre_color, centre_color + 100]; 8],
-            active: vec![Vec::new(); 8],
-            existing_colors: existing,
-            plan,
-            phase_limit: 100,
-        };
-        let (colors, report) = run_stage(&g, &ids, &spec, 5, SyncConfig::default());
-        for leaf in 1..8 {
-            assert_eq!(colors[leaf], Some(centre_color + 100), "leaf {leaf}");
-        }
-        assert_eq!(colors[0], Some(centre_color));
-        // Queries were actually sent (leaves had to ask the centre).
-        assert!(report.messages > 0);
-    }
-
-    #[test]
-    fn participants_with_empty_palettes_give_up_gracefully() {
-        let g = generators::path(2);
-        let ids = IdAssignment::identity(2);
-        let spec = StageSpec {
-            participating: vec![true, false],
-            palettes: vec![Vec::new(), Vec::new()],
-            active: vec![Vec::new(), Vec::new()],
-            existing_colors: vec![None, None],
-            plan: empty_plan(&g, &ids),
-            phase_limit: 3,
-        };
-        let (colors, report) = run_stage(&g, &ids, &spec, 1, SyncConfig::default());
-        assert_eq!(colors, vec![None, None]);
-        assert!(report.completed);
-    }
 
     #[test]
     fn query_plan_targets_respect_history() {

@@ -1,10 +1,8 @@
-//! The flat stage pipeline: arena-backed stage specs and the borrow-threaded
-//! stage runtime.
+//! The stage pipeline: arena-backed stage specs and the borrow-threaded
+//! runtime of the conflict-aware coloring stage.
 //!
-//! PR 1–2 made the round *engine* allocation-frugal; this module gives the
-//! paper's algorithm layer the same treatment. A [`FlatStageSpec`] replaces
-//! the nested [`StageSpec`]'s
-//! `Vec<Vec<u64>>` palettes and `Vec<Vec<NodeId>>` active lists with
+//! A [`FlatStageSpec`] holds one stage of Algorithm 1 (or of the churn
+//! repair) in three flat structures:
 //!
 //! * **bitset palettes** ([`PaletteBitsets`]): one flat word array, one
 //!   distinct palette row computed per *bucket* (not per node) and blitted
@@ -12,50 +10,36 @@
 //!   random free-colour draw is an O(words) select;
 //! * **CSR active lists** ([`AdjacencyArena`]): one offsets array plus one
 //!   flat values array, filled in a single pass over the graph's own CSR
-//!   rows — two allocations where the nested builder made `2n`;
+//!   rows;
 //! * **borrowed stage state**: [`run_stage_flat`] threads the spec into the
-//!   per-node automata by reference (the plan by `Arc`), so stage setup no
-//!   longer clones `existing_colors`, per-node palettes or active lists —
-//!   the nested path's per-level cost was `O(n·Δ)` allocations before a
-//!   single round ran.
+//!   per-node automata by reference (the plan by `Arc`), so stage setup
+//!   clones neither `existing_colors` nor per-node palettes or active lists.
 //!
-//! Palette rows enumerate colours ascending, exactly the order the nested
-//! builders list them, and both runtimes consume identical per-node RNG
-//! streams — so flat and nested stages produce **bit-identical** colours,
-//! round counts and cost reports (asserted across algorithms, seeds and
-//! thread counts by `tests/stage_flat_equivalence.rs`).
+//! A node draws its candidate as the `r`-th free colour of its palette in
+//! ascending order, with `r` from its own seeded RNG stream, so a stage's
+//! colours, round counts and cost reports are a pure function of the spec
+//! and the seed at every thread, shard and lane count.
+//! `tests/golden_digests.rs` pins them for every algorithm built on it.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use symbreak_classic::coloring::palette::{self, PaletteBitsets};
+use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
 use symbreak_congest::{
-    BatchSimulator, ExecutionReport, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig,
-    SyncSimulator,
+    run_synchronized, BatchSimulator, ExecutionReport, FaultPlan, KtLevel, Message, NodeAlgorithm,
+    NodeInit, RoundContext, SyncConfig, SyncSimulator,
 };
 use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
 use crate::partition::{ChangPartition, Part};
-use crate::query_coloring::{
-    QueryPlan, StageSpec, TAG_FINAL, TAG_PROPOSE, TAG_QUERY, TAG_RESPONSE,
-};
-
-/// Which stage runtime an algorithm drives its coloring/MIS stages through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StagePipeline {
-    /// The arena/bitset pipeline (the default hot path).
-    #[default]
-    Flat,
-    /// The retained nested-`Vec` pipeline — differential oracle and bench
-    /// baseline; bit-identical outputs to [`StagePipeline::Flat`].
-    Nested,
-}
+use crate::query_coloring::{QueryPlan, TAG_FINAL, TAG_PROPOSE, TAG_QUERY, TAG_RESPONSE};
 
 /// Flat specification of one conflict-aware coloring stage. Borrows the
 /// current colour vector instead of cloning it; build one per stage with
 /// [`FlatStageSpec::for_bucket_level`], [`FlatStageSpec::for_final_stage`]
-/// or (in tests/benches) [`FlatStageSpec::from_nested`].
+/// or [`FlatStageSpec::for_repair`].
 #[derive(Debug, Clone)]
 pub struct FlatStageSpec<'a> {
     participating: Vec<bool>,
@@ -72,8 +56,7 @@ impl<'a> FlatStageSpec<'a> {
     /// its active list is its same-bucket participating neighbours.
     ///
     /// Each bucket's palette row is computed once (`O(palette_size)` total)
-    /// and blitted per node; the nested builder recomputed the bucket
-    /// palette from scratch for every node.
+    /// and blitted per node.
     pub fn for_bucket_level(
         graph: &Graph,
         partition: &ChangPartition,
@@ -163,8 +146,7 @@ impl<'a> FlatStageSpec<'a> {
     /// already excluded), active towards their fellow frontier nodes.
     ///
     /// `palettes` lists must be sorted ascending and duplicate-free (checked
-    /// in debug builds), exactly like the nested builders' lists, so the
-    /// stage draws the same colours as an equivalent nested spec would.
+    /// in debug builds).
     pub fn for_repair(
         graph: &Graph,
         colors: &'a [Option<u64>],
@@ -192,26 +174,6 @@ impl<'a> FlatStageSpec<'a> {
         }
     }
 
-    /// Flattens a nested [`StageSpec`] (differential suite and bench
-    /// baseline interleave). Palette lists must be sorted ascending and
-    /// duplicate-free for the two runtimes to be bit-identical — every
-    /// builder in the workspace produces such lists; checked in debug
-    /// builds.
-    pub fn from_nested(nested: &'a StageSpec) -> Self {
-        debug_assert!(nested
-            .palettes
-            .iter()
-            .all(|list| list.windows(2).all(|w| w[0] < w[1])));
-        FlatStageSpec {
-            participating: nested.participating.clone(),
-            palettes: PaletteBitsets::from_lists(&nested.palettes),
-            active: AdjacencyArena::from_rows(&nested.active),
-            existing_colors: &nested.existing_colors,
-            plan: Arc::clone(&nested.plan),
-            phase_limit: nested.phase_limit,
-        }
-    }
-
     /// Whether node `i` participates in this stage.
     pub fn is_participating(&self, i: usize) -> bool {
         self.participating[i]
@@ -228,19 +190,19 @@ impl<'a> FlatStageSpec<'a> {
     }
 }
 
-/// Per-node state of the flat stage runtime. The spec is borrowed and the
-/// `taken` bitset is a disjoint window of one runtime-owned flat array — the
-/// only per-node allocation left is the reusable query-target scratch
-/// buffer.
-struct FlatStageNode<'s> {
+/// Per-node state of the stage runtime. The spec is borrowed; the `taken`
+/// bitset storage `T` is a disjoint `&mut [u64]` window of one
+/// runtime-owned flat array on the synchronous paths, and an owned
+/// `Vec<u64>` on the asynchronous path, whose executor may build a node more
+/// than once (a reset crash rebuilds it through the factory).
+struct FlatStageNode<'s, T> {
     spec: &'s FlatStageSpec<'s>,
     me: NodeId,
     own_id: u64,
     color: Option<u64>,
     /// Colours known to be taken (same width as the palette rows); the free
-    /// candidates are `palette & !taken`. A `words`-wide window of the
-    /// stage's flat `n × words` bitset, exclusively owned by this node.
-    taken: &'s mut [u64],
+    /// candidates are `palette & !taken`. Exclusively owned by this node.
+    taken: T,
     candidate: Option<u64>,
     conflict: bool,
     phase_limit: usize,
@@ -251,27 +213,50 @@ struct FlatStageNode<'s> {
     targets: Vec<NodeId>,
 }
 
-impl FlatStageNode<'_> {
+impl<'s, T> FlatStageNode<'s, T> {
+    /// Node `init.node`'s automaton for one stage run with `seed`; `taken`
+    /// must be a zeroed row of the spec's palette width.
+    fn new(spec: &'s FlatStageSpec<'s>, seed: u64, init: NodeInit<'_>, taken: T) -> Self {
+        let i = init.node.index();
+        FlatStageNode {
+            spec,
+            me: init.node,
+            own_id: init.knowledge.own_id(),
+            color: spec.existing_colors[i],
+            taken,
+            candidate: None,
+            conflict: false,
+            phase_limit: spec.phase_limit.max(1),
+            failed_phases: 0,
+            gave_up: false,
+            rng: StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(i as u64 + 1)),
+            targets: Vec::new(),
+        }
+    }
+}
+
+impl<T: AsRef<[u64]> + AsMut<[u64]>> FlatStageNode<'_, T> {
     fn mark_taken(&mut self, c: u64) {
         // Colours outside the stage domain can never be candidates, so
-        // ignoring them preserves bit-identical behaviour with the nested
-        // runtime's unbounded `BTreeSet`.
+        // they need no bit.
+        let taken = self.taken.as_mut();
         let k = (c / 64) as usize;
-        if k < self.taken.len() {
-            self.taken[k] |= 1 << (c % 64);
+        if k < taken.len() {
+            taken[k] |= 1 << (c % 64);
         }
     }
 
     fn choose_candidate(&mut self) -> Option<u64> {
         let row = self.spec.palettes.row(self.me.index());
-        let free = palette::masked_count(row, self.taken) as usize;
+        let taken = self.taken.as_ref();
+        let free = palette::masked_count(row, taken) as usize;
         if free == 0 {
             None
         } else {
-            // Same draw as the nested runtime: `gen_range` over the free
-            // count, then the r-th free colour ascending.
+            // `gen_range` over the free count, then the r-th free colour
+            // ascending.
             let r = self.rng.gen_range(0..free);
-            Some(palette::masked_nth(row, self.taken, r as u32))
+            Some(palette::masked_nth(row, taken, r as u32))
         }
     }
 
@@ -310,7 +295,7 @@ impl FlatStageNode<'_> {
     }
 }
 
-impl NodeAlgorithm for FlatStageNode<'_> {
+impl<T: AsRef<[u64]> + AsMut<[u64]>> NodeAlgorithm for FlatStageNode<'_, T> {
     fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
         match ctx.round() % 3 {
             0 => {
@@ -395,13 +380,11 @@ impl NodeAlgorithm for FlatStageNode<'_> {
     }
 }
 
-/// Runs one conflict-aware coloring stage on the flat pipeline and returns
-/// the updated colour of every node (existing colours preserved; newly
-/// coloured participants get their stage colour; participants that gave up
-/// stay `None`). Bit-identical to
-/// [`run_stage`](crate::query_coloring::run_stage) on the equivalent nested
-/// spec; the returned colours are **moved** out of the report (whose
-/// `outputs` field is left empty) instead of cloned.
+/// Runs one conflict-aware coloring stage and returns the updated colour of
+/// every node (existing colours preserved; newly coloured participants get
+/// their stage colour; participants that gave up stay `None`). The returned
+/// colours are **moved** out of the report (whose `outputs` field is left
+/// empty) instead of cloned.
 ///
 /// Builds a fresh [`SyncSimulator`] per call; multi-stage callers should
 /// build one simulator (optionally with a prebuilt sharded graph attached)
@@ -431,8 +414,7 @@ pub fn run_stage_flat(
 /// by this runtime; each automaton receives its row as a disjoint `&mut`
 /// window (the rows are handed out in node order while the flat array is
 /// zeroed, so the split is allocation- and branch-free). Stage setup
-/// therefore makes no per-node allocations at all, and behaviour is
-/// bit-identical to the former per-node `Vec<u64>` bitsets.
+/// therefore makes no per-node allocations at all.
 ///
 /// # Panics
 ///
@@ -451,34 +433,61 @@ pub fn run_stage_flat_on(
     assert_eq!(spec.existing_colors.len(), n);
     assert_eq!(spec.active.num_nodes(), n);
     let words = spec.palettes.words_per_node();
-    let phase_limit = spec.phase_limit.max(1);
     let mut taken_flat = vec![0u64; n * words];
     let mut taken_rows = taken_flat.chunks_mut(words.max(1));
     let mut report = sim.run(config, |init| {
-        let i = init.node.index();
         let taken: &mut [u64] = if words == 0 {
             Default::default()
         } else {
             taken_rows.next().expect("one taken row per node")
         };
-        FlatStageNode {
-            spec,
-            me: init.node,
-            own_id: init.knowledge.own_id(),
-            color: spec.existing_colors[i],
-            taken,
-            candidate: None,
-            conflict: false,
-            phase_limit,
-            failed_phases: 0,
-            gave_up: false,
-            rng: StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(i as u64 + 1)),
-            targets: Vec::new(),
-        }
+        FlatStageNode::new(spec, seed, init, taken)
     });
     assert!(report.completed, "coloring stage did not quiesce");
     let colors = std::mem::take(&mut report.outputs);
     (colors, report)
+}
+
+/// Runs one coloring stage on the **asynchronous** executor under a fault
+/// plan, via the α-synchronizer lockstep wrapper
+/// ([`symbreak_congest::Synchronized`]).
+///
+/// The synchronous stage ([`run_stage_flat`]) runs first to fix the
+/// lockstep round budget (and as ground truth); the returned triple is
+/// `(synchronous colours, synchronous report, asynchronous report)`. On
+/// benign, delay-only and duplicate/reorder schedules the asynchronous
+/// outputs equal the synchronous colours; loss or crashes stall the run
+/// (`completed == false`) instead of emitting a conflicting colouring.
+///
+/// Every automaton the executor builds owns a fresh zeroed `taken` row, so
+/// a node rebuilt after a reset crash starts exactly like a new one.
+///
+/// # Panics
+///
+/// As [`run_stage_flat_on`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_stage_flat_async<R: Rng + ?Sized>(
+    graph: &Graph,
+    ids: &IdAssignment,
+    spec: &FlatStageSpec<'_>,
+    seed: u64,
+    sync_config: SyncConfig,
+    async_config: AsyncConfig,
+    fault_plan: &FaultPlan,
+    rng: &mut R,
+) -> (Vec<Option<u64>>, ExecutionReport, AsyncReport) {
+    let (colors, sync_report) = run_stage_flat(graph, ids, spec, seed, sync_config);
+    let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
+    let words = spec.palettes.words_per_node();
+    let report = run_synchronized(
+        &sim,
+        async_config,
+        fault_plan,
+        sync_report.rounds,
+        rng,
+        |init| FlatStageNode::new(spec, seed, init, vec![0u64; words]),
+    );
+    (colors, sync_report, report)
 }
 
 /// [`run_stage_flat_on`], batched: runs one stage execution per seed in
@@ -562,7 +571,6 @@ pub fn run_stage_flat_batch_lanes_on(
         .collect();
     let reports = sim.run_batch(config, lanes.len(), |k, init| {
         let spec = lanes[k].spec;
-        let i = init.node.index();
         let taken: &mut [u64] = if spec.palettes.words_per_node() == 0 {
             Default::default()
         } else {
@@ -570,22 +578,7 @@ pub fn run_stage_flat_batch_lanes_on(
                 .next()
                 .expect("one taken row per (node, lane)")
         };
-        FlatStageNode {
-            spec,
-            me: init.node,
-            own_id: init.knowledge.own_id(),
-            color: spec.existing_colors[i],
-            taken,
-            candidate: None,
-            conflict: false,
-            phase_limit: spec.phase_limit.max(1),
-            failed_phases: 0,
-            gave_up: false,
-            rng: StdRng::seed_from_u64(
-                lanes[k].seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(i as u64 + 1),
-            ),
-            targets: Vec::new(),
-        }
+        FlatStageNode::new(spec, lanes[k].seed, init, taken)
     });
     reports
         .into_iter()
@@ -600,9 +593,6 @@ pub fn run_stage_flat_batch_lanes_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query_coloring::run_stage;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use symbreak_graphs::generators;
     use symbreak_ktrand::SharedRandomness;
 
@@ -625,98 +615,39 @@ mod tests {
     }
 
     #[test]
-    fn flat_stage_is_bit_identical_to_nested_stage() {
-        // A clique with a partition history: exercises palettes, same-stage
-        // proposals and cross-stage queries on both pipelines.
-        let g = generators::clique(14);
-        let ids = IdAssignment::from_vec((0..14u64).map(|i| i * 37 + 5).collect());
-        let shared = SharedRandomness::from_seed(21, 2048);
-        let p0 = ChangPartition::compute(&shared, 0, 14, 13);
-        let parts = p0.parts_for(&ids);
-        let colors_in: Vec<Option<u64>> = vec![None; 14];
-        let plan = empty_plan(&g, &ids);
-
-        // Nested level spec, built exactly like Algorithm 1's nested path.
-        let participating: Vec<bool> = (0..14)
-            .map(|i| matches!(parts[i], Part::Bucket(_)))
-            .collect();
-        let palettes: Vec<Vec<u64>> = (0..14)
-            .map(|i| match parts[i] {
-                Part::Bucket(b) if participating[i] => p0.palette_of_bucket(14, b),
-                _ => Vec::new(),
-            })
-            .collect();
-        let active: Vec<Vec<NodeId>> = g
-            .nodes()
-            .map(|v| {
-                if !participating[v.index()] {
-                    return Vec::new();
-                }
-                g.neighbors(v)
-                    .filter(|u| participating[u.index()] && parts[u.index()] == parts[v.index()])
-                    .collect()
-            })
-            .collect();
-        let nested = StageSpec {
-            participating,
-            palettes,
-            active,
-            existing_colors: colors_in.clone(),
-            plan: Arc::clone(&plan),
-            phase_limit: 60,
+    fn queries_prevent_conflicts_with_previously_colored_neighbors() {
+        // Star: the centre is pre-coloured with colour 0 at "level 0"; the
+        // leaves must avoid 0 purely through queries (they are pairwise
+        // non-adjacent, so their active lists are empty and no
+        // PROPOSE/FINAL traffic can save them).
+        let g = generators::star(8);
+        let ids = IdAssignment::identity(8);
+        let shared = SharedRandomness::from_seed(9, 1024);
+        // Build a history in which the centre's ID could hold any colour of
+        // its bucket; to make the test deterministic we search for a colour
+        // the centre could hold under the level-0 partition.
+        let partition = ChangPartition::compute(&shared, 0, 8, 7);
+        let centre_id = ids.id_of(NodeId(0));
+        let centre_color = (0..8u64).find(|&c| partition.id_could_hold_color(centre_id, c));
+        let Some(centre_color) = centre_color else {
+            // The centre landed in L under this seed; nothing to test.
+            return;
         };
-        let flat = FlatStageSpec::for_bucket_level(&g, &p0, &parts, &colors_in, 14, plan, 60);
-
-        for seed in [1u64, 9, 42] {
-            let (nc, nr) = run_stage(&g, &ids, &nested, seed, SyncConfig::default());
-            let (fc, fr) = run_stage_flat(&g, &ids, &flat, seed, SyncConfig::default());
-            assert_eq!(fc, nc, "seed {seed}");
-            assert_eq!(fr.messages, nr.messages, "seed {seed}");
-            assert_eq!(fr.rounds, nr.rounds, "seed {seed}");
+        let mut existing = vec![None; 8];
+        existing[0] = Some(centre_color);
+        let plan = Arc::new(QueryPlan::new(&g, &ids, vec![partition]));
+        // Leaves may only use the centre's colour or one alternative, so
+        // without queries they would pick the centre's colour half the time.
+        let palettes = vec![vec![centre_color, centre_color + 100]; 8];
+        let spec = FlatStageSpec::for_repair(&g, &existing, &palettes, plan, 100);
+        assert_eq!(spec.active().total_len(), 0);
+        let (colors, report) = run_stage_flat(&g, &ids, &spec, 5, SyncConfig::default());
+        for leaf in 1..8 {
+            assert_eq!(colors[leaf], Some(centre_color + 100), "leaf {leaf}");
         }
-    }
-
-    #[test]
-    fn from_nested_matches_direct_builders() {
-        let g = generators::connected_gnp(24, 0.3, &mut StdRng::seed_from_u64(4));
-        let ids = IdAssignment::identity(24);
-        let mut colors_in: Vec<Option<u64>> = vec![None; 24];
-        colors_in[3] = Some(2);
-        let plan = empty_plan(&g, &ids);
-        let participating: Vec<bool> = colors_in.iter().map(Option::is_none).collect();
-        let nested = StageSpec {
-            participating: participating.clone(),
-            palettes: (0..24)
-                .map(|i| {
-                    if participating[i] {
-                        (0..=g.max_degree() as u64).collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect(),
-            active: g
-                .nodes()
-                .map(|v| {
-                    if !participating[v.index()] {
-                        return Vec::new();
-                    }
-                    g.neighbors(v)
-                        .filter(|u| participating[u.index()])
-                        .collect()
-                })
-                .collect(),
-            existing_colors: colors_in.clone(),
-            plan: Arc::clone(&plan),
-            phase_limit: 100,
-        };
-        let converted = FlatStageSpec::from_nested(&nested);
-        let direct =
-            FlatStageSpec::for_final_stage(&g, &colors_in, g.max_degree() as u64 + 1, plan, 100);
-        let (a, _) = run_stage_flat(&g, &ids, &converted, 8, SyncConfig::default());
-        let (b, _) = run_stage_flat(&g, &ids, &direct, 8, SyncConfig::default());
-        assert_eq!(a, b);
-        assert_eq!(a[3], Some(2), "existing colours survive");
+        assert_eq!(colors[0], Some(centre_color));
+        // Queries were actually sent (leaves had to ask the centre).
+        assert!(report.messages > 0);
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! Each digest is a 64-bit FNV-1a fold of one run's outputs (colours or MIS
 //! membership) and of every per-phase cost entry (label, simulated and
-//! charged messages and rounds). The grid is G(64, ½), G(128, ½) and a
-//! connected random 8-regular graph with n = 2048, two seeds each, run
+//! charged messages and rounds). The grid is G(64, ½), G(128, ½), a
+//! connected random 8-regular graph with n = 2048, sparse G(90, 0.3), dense
+//! G(60, 0.8) and a power-law graph with n = 120, two seeds each, run
 //! through the sequential `run` entry points of Algorithms 1–3 and the Luby
 //! and Johansson baselines.
 //!
-//! The constants were captured before the KT-ρ knowledge checks moved from
-//! a per-query BFS to CSR radius tests, so they pin that refactor (and any
-//! later one) to bit-identical behaviour. The simulator configuration comes
-//! from the environment (`CONGEST_THREADS`, `CONGEST_SHARDS`,
+//! These digests are the oracle of the stage runtime: they pin every
+//! refactor of it to bit-identical behaviour. The simulator configuration
+//! comes from the environment (`CONGEST_THREADS`, `CONGEST_SHARDS`,
 //! `CONGEST_AUDIT`), so the same constants also hold at every thread and
 //! shard count and under the auditor. If a change is *meant* to alter
 //! behaviour, the failure message prints the new digest to paste in.
@@ -111,6 +111,25 @@ fn grid() -> Vec<Cell> {
             ids,
         });
     }
+    // Sparse G(90, 0.3), dense G(60, 0.8) and a power-law graph with hubs,
+    // drawn in that order from one generator per seed.
+    for seed in [1u64, 2] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for name in ["gnp90", "dense60", "power_law120"] {
+            let graph = match name {
+                "gnp90" => generators::connected_gnp(90, 0.3, &mut rng),
+                "dense60" => generators::connected_gnp(60, 0.8, &mut rng),
+                _ => generators::power_law(120, 3, &mut rng),
+            };
+            let ids = IdAssignment::random(&graph, IdSpace::CUBIC, &mut rng);
+            cells.push(Cell {
+                name,
+                seed,
+                graph,
+                ids,
+            });
+        }
+    }
     cells
 }
 
@@ -120,7 +139,7 @@ fn rng(cell: &Cell, salt: u64) -> StdRng {
 
 /// Runs `digest` on every cell and compares it with `golden`, listing every
 /// mismatch (with the digest to paste in) before failing.
-fn check(algorithm: &str, golden: [u64; 6], digest: impl Fn(&Cell) -> u64) {
+fn check(algorithm: &str, golden: [u64; 12], digest: impl Fn(&Cell) -> u64) {
     let cells = grid();
     assert_eq!(cells.len(), golden.len());
     let mismatches: Vec<String> = cells
@@ -139,51 +158,82 @@ fn check(algorithm: &str, golden: [u64; 6], digest: impl Fn(&Cell) -> u64) {
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
-// Golden digests per algorithm, in `grid` order: seed 1 then seed 2, each
-// over G(64, ½), G(128, ½) and the 8-regular graph.
-const ALG1_GOLDEN: [u64; 6] = [
+// Golden digests per algorithm, in `grid` order: seed 1 then seed 2 over
+// G(64, ½), G(128, ½) and the 8-regular graph, then seed 1 then seed 2 over
+// G(90, 0.3), G(60, 0.8) and the power-law graph.
+const ALG1_GOLDEN: [u64; 12] = [
     0x1895_bca3_0ba8_2372,
     0xc864_2d36_2e47_f2cd,
     0x944a_3b0a_ca21_ca71,
     0x170a_db53_9535_5be2,
     0x5b03_a6d6_9ce6_126c,
     0xa329_5383_e4bc_23ad,
+    0x5104_04ec_c065_a7b7,
+    0xce91_0651_dd77_f618,
+    0x8099_5d4c_5537_6996,
+    0x4a24_6e6d_69f3_e718,
+    0x2a9b_3aeb_5e8f_8483,
+    0xb30f_41ad_6378_9186,
 ];
 
-const ALG2_GOLDEN: [u64; 6] = [
+const ALG2_GOLDEN: [u64; 12] = [
     0xe713_47dd_f21a_4db2,
     0x3309_364a_81ea_6a44,
     0x226b_4681_6f21_a595,
     0x31b8_9976_defe_6e1c,
     0xd316_7f90_0059_b83f,
     0xb55c_0234_0830_5206,
+    0x309e_cba7_38b3_231e,
+    0x315e_2a51_fd55_d9c7,
+    0x22b5_6a13_2dd2_f46d,
+    0x8000_915c_d64f_51f5,
+    0xf242_b0b1_71e5_7690,
+    0x8ddb_db8b_9362_0d91,
 ];
 
-const ALG3_GOLDEN: [u64; 6] = [
+const ALG3_GOLDEN: [u64; 12] = [
     0x490a_d949_a56e_abe5,
     0x879b_66ae_e50d_c2ca,
     0x94a7_7c05_da13_b771,
     0xdf0d_741d_1c6d_1513,
     0x88e0_14e5_5228_661e,
     0xfa86_cb91_2cd9_132f,
+    0xa28f_a571_8282_eda0,
+    0xe634_5cb4_cee7_1af3,
+    0xcc48_1a8c_f726_e2ff,
+    0x4ae2_43e4_8c56_897f,
+    0xe794_7790_7fc9_dc82,
+    0x19dc_fcbd_fd59_2049,
 ];
 
-const LUBY_GOLDEN: [u64; 6] = [
+const LUBY_GOLDEN: [u64; 12] = [
     0xc52f_db8e_6c1a_4a42,
     0x0daa_1bde_c72e_2abe,
     0x3d09_14f8_8691_7627,
     0x0cf7_1e27_7770_ccdc,
     0x9b11_edb1_c467_9e74,
     0x399d_80b7_3206_2273,
+    0x1220_ceb1_f5e3_f484,
+    0xda05_f3b8_412b_f76f,
+    0x68ad_24cb_04f7_fac9,
+    0xaeab_d369_e2ff_b3bd,
+    0x98e0_0648_ba1a_8910,
+    0xd98b_b6de_6a02_76eb,
 ];
 
-const JOHANSSON_GOLDEN: [u64; 6] = [
+const JOHANSSON_GOLDEN: [u64; 12] = [
     0xe291_8488_b728_cbad,
     0xd6bb_c504_6c2f_a747,
     0x906a_90f2_cc93_3f1d,
     0xaa0f_cede_6c34_096b,
     0x5d0b_735b_a4a0_6ff9,
     0xa294_7b2c_b875_f992,
+    0xb840_d60b_16b5_6766,
+    0x75ee_c999_1512_7bac,
+    0x7b46_7c6a_8a6a_f9e9,
+    0x817e_fe3c_b238_d93e,
+    0x6c7e_dd9a_8b2d_8b20,
+    0x4e3b_dfca_3c44_4708,
 ];
 
 #[test]

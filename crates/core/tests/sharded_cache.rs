@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::coloring::verify;
 use symbreak_congest::SHARDS_ENV;
-use symbreak_core::{alg1_coloring, Alg1Config, StagePipeline};
+use symbreak_core::{alg1_coloring, Alg1Config};
 use symbreak_graphs::sharded::ShardedGraph;
 use symbreak_graphs::{generators, IdAssignment, IdSpace};
 
@@ -32,37 +32,34 @@ fn multi_stage_alg1_run_shards_the_graph_exactly_once() {
     let g = generators::connected_gnp(120, 0.9, &mut rng);
     let ids = IdAssignment::random(&g, IdSpace::CUBIC, &mut rng);
 
-    for pipeline in [StagePipeline::Flat, StagePipeline::Nested] {
-        let config = Alg1Config {
-            pipeline,
-            threads: 1,
-            shards: 3,
-            ..Alg1Config::default()
-        };
-        let mut rng = StdRng::seed_from_u64(6);
-        let before = ShardedGraph::constructions();
-        let out = alg1_coloring::run(&g, &ids, config, &mut rng).unwrap();
-        let built = ShardedGraph::constructions() - before;
+    let config = Alg1Config {
+        threads: 1,
+        shards: 3,
+        ..Alg1Config::default()
+    };
+    let mut rng = StdRng::seed_from_u64(6);
+    let before = ShardedGraph::constructions();
+    let out = alg1_coloring::run(&g, &ids, config, &mut rng).unwrap();
+    let built = ShardedGraph::constructions() - before;
 
-        // The run really was multi-stage: at least one level stage plus the
-        // final stage went through the simulator.
-        let coloring_stages = out
-            .costs
-            .phases()
-            .filter(|(label, _)| label.contains("coloring"))
-            .count();
-        assert!(
-            out.levels_used >= 1 && coloring_stages >= 2,
-            "{pipeline:?}: expected a multi-stage run, got {} level(s) / {} stage(s)",
-            out.levels_used,
-            coloring_stages
-        );
-        assert!(verify::is_proper_coloring(&g, &out.colors));
-        assert_eq!(
-            built, 1,
-            "{pipeline:?}: {coloring_stages} stages constructed the ShardedGraph {built} times"
-        );
-    }
+    // The run really was multi-stage: at least one level stage plus the
+    // final stage went through the simulator.
+    let coloring_stages = out
+        .costs
+        .phases()
+        .filter(|(label, _)| label.contains("coloring"))
+        .count();
+    assert!(
+        out.levels_used >= 1 && coloring_stages >= 2,
+        "expected a multi-stage run, got {} level(s) / {} stage(s)",
+        out.levels_used,
+        coloring_stages
+    );
+    assert!(verify::is_proper_coloring(&g, &out.colors));
+    assert_eq!(
+        built, 1,
+        "{coloring_stages} stages constructed the ShardedGraph {built} times"
+    );
 
     // And the cached sharded view must not change behaviour: a sharded run
     // is bit-identical to an unsharded one, phase by phase.
