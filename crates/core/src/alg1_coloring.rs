@@ -120,15 +120,15 @@ pub fn run<R: Rng + ?Sized>(
     let setup_outcome = setup::try_shared_randomness(graph, ids, config.delta, seed_bits, rng)?;
     costs.absorb("setup", &setup_outcome.costs);
     let shared = setup_outcome.shared;
-    let carrier = setup_outcome.danner.subgraph().clone();
+    let carrier = setup_outcome.danner.subgraph();
     let tree = setup_outcome.tree;
 
     // Learn the global maximum degree Δ over the danner tree and broadcast it
     // back down (real messages).
     let degrees: Vec<u64> = graph.nodes().map(|v| graph.degree(v) as u64).collect();
-    let (max_degree, report) = ops::convergecast_max(&carrier, ids, &tree, &degrees);
+    let (max_degree, report) = ops::convergecast_max(carrier, ids, &tree, &degrees);
     costs.charge_report("Δ convergecast", &report);
-    let report = ops::broadcast_words(&carrier, ids, &tree, &[max_degree]);
+    let report = ops::broadcast_words(carrier, ids, &tree, &[max_degree]);
     costs.charge_report("Δ broadcast", &report);
     let palette_size = max_degree + 1;
 
@@ -168,7 +168,7 @@ pub fn run<R: Rng + ?Sized>(
             })
             .collect();
         let (double_edges, report) =
-            ops::convergecast_sum(&carrier, ids, &tree, &local_uncolored_deg);
+            ops::convergecast_sum(carrier, ids, &tree, &local_uncolored_deg);
         costs.charge_report(format!("|E(G[L])| check, level {level}"), &report);
         let uncolored_edges = double_edges / 2;
         let uncolored_max_deg = *local_uncolored_deg.iter().max().unwrap_or(&0);

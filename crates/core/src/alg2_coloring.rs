@@ -457,15 +457,15 @@ pub fn run<R: Rng + ?Sized>(
     let seed_bits = ((log_n.powi(3) / config.epsilon).ceil() as usize).max(64);
     let setup_outcome = setup::try_shared_randomness(graph, ids, config.delta, seed_bits, rng)?;
     costs.absorb("setup", &setup_outcome.costs);
-    let carrier = setup_outcome.danner.subgraph().clone();
+    let carrier = setup_outcome.danner.subgraph();
     let tree = setup_outcome.tree;
     let shared = setup_outcome.shared;
 
     // Learn and redistribute Δ (real messages over the danner tree).
     let degrees: Vec<u64> = graph.nodes().map(|v| graph.degree(v) as u64).collect();
-    let (max_degree, report) = ops::convergecast_max(&carrier, ids, &tree, &degrees);
+    let (max_degree, report) = ops::convergecast_max(carrier, ids, &tree, &degrees);
     costs.charge_report("Δ convergecast", &report);
-    let report = ops::broadcast_words(&carrier, ids, &tree, &[max_degree]);
+    let report = ops::broadcast_words(carrier, ids, &tree, &[max_degree]);
     costs.charge_report("Δ broadcast", &report);
 
     let palette_size = (((1.0 + config.epsilon) * max_degree as f64).ceil() as u64)

@@ -5,6 +5,19 @@
 //! and aggregating statistics (such as `|E(G[L])|` in Step 4 of Algorithm 1)
 //! back up. Both are implemented as [`NodeAlgorithm`] automata and executed
 //! by the CONGEST simulator, so every message is counted for real.
+//!
+//! A node's state does not grow with the payload. In the broadcast the root
+//! borrows the words, every node borrows its row of the tree's children,
+//! and each node keeps only the index of its next word and a running FNV-1a
+//! fold. A non-root node needs no buffer: it has one parent, which sends at
+//! most one word per round, and delivery is synchronous, so the words reach
+//! it in index order, one per round, and it forwards each in the round it
+//! arrives. In a convergecast a node keeps its running fold and a count of
+//! the children that have reported.
+//!
+//! Each collective knows its exact round count (`height + |words|` for the
+//! broadcast, `height + 1` for a convergecast) and uses it as its round cap,
+//! so no tree height or payload length runs into a fixed cap.
 
 use symbreak_congest::{
     ExecutionReport, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig, SyncSimulator,
@@ -18,81 +31,90 @@ const TAG_BCAST: u16 = 0x10;
 /// Message tag for convergecast partial sums.
 const TAG_UPCAST: u16 = 0x11;
 
-/// Pipelined broadcast of `words` from the tree root to every node.
+/// FNV-1a offset basis: the digest of an empty word sequence.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// Folds one word into an FNV-1a style digest. Both a node's running fold
+/// and [`words_digest`] go through this step, so the outputs that
+/// [`broadcast_words_batch`] derives cannot drift from a simulated run.
+fn fnv_step(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(0x100000001b3)
+}
+
+/// The digest of a full payload in index order: every node's broadcast
+/// output.
+fn words_digest(words: &[u64]) -> u64 {
+    words.iter().fold(FNV_OFFSET, |acc, &w| fnv_step(acc, w))
+}
+
+/// One node of the pipelined broadcast of `words` from the tree root.
 ///
-/// Word `i` is injected by the root in round `i` and forwarded down the tree,
-/// so the execution takes `height + |words|` rounds and `(n − 1)·|words|`
-/// messages. Every node's output is a digest of the words it received, which
-/// [`broadcast_words`] checks for agreement.
-struct BroadcastNode {
-    is_root: bool,
-    children: Vec<NodeId>,
-    expected: usize,
-    words: Vec<Option<u64>>,
-    next_to_send: usize,
+/// The root injects word `i` in round `i`; every other node forwards each
+/// word to its children in the round it arrives. The execution therefore
+/// takes `height + |words|` rounds and `(n − 1)·|words|` messages, and every
+/// tree edge carries at most one message per round, as the CONGEST model
+/// (and the `congest::audit` multiplicity check) requires.
+///
+/// The state is O(1) per node: the root borrows the payload, the node
+/// borrows its children, and it keeps the index of its next word plus a
+/// running [`fnv_step`] fold. A non-root node's words arrive in index order,
+/// one per round, because its one parent sends at most one per round and
+/// delivery is synchronous, so it needs no buffer. Its output is the fold
+/// once all words have passed, which [`broadcast_words`] checks for
+/// agreement.
+struct BroadcastNode<'a> {
+    /// The payload; only the root holds it.
+    payload: Option<&'a [u64]>,
+    children: &'a [NodeId],
+    len: usize,
+    next: usize,
+    fold: u64,
 }
 
-impl BroadcastNode {
-    fn digest(&self) -> u64 {
-        words_digest(self.words.iter().flatten().copied())
-    }
-    fn have_all(&self) -> bool {
-        self.words.iter().all(Option::is_some)
+impl<'a> BroadcastNode<'a> {
+    fn new(tree: &'a BfsTree, words: &'a [u64], node: NodeId) -> Self {
+        BroadcastNode {
+            payload: (node == tree.root()).then_some(words),
+            children: tree.children(node),
+            len: words.len(),
+            next: 0,
+            fold: FNV_OFFSET,
+        }
     }
 }
 
-/// FNV-1a style fold of a word sequence; every node's broadcast output is
-/// this digest of the full payload in index order.
-fn words_digest(words: impl Iterator<Item = u64>) -> u64 {
-    let mut acc: u64 = 0xcbf29ce484222325;
-    for w in words {
-        acc ^= w;
-        acc = acc.wrapping_mul(0x100000001b3);
-    }
-    acc
-}
-
-impl NodeAlgorithm for BroadcastNode {
+impl NodeAlgorithm for BroadcastNode<'_> {
     fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-        for msg in inbox {
-            if msg.tag() == TAG_BCAST {
-                let idx = msg.values()[0] as usize;
-                let word = msg.values()[1];
-                if self.words[idx].is_none() {
-                    self.words[idx] = Some(word);
-                }
+        let word = match self.payload {
+            Some(words) => words.get(self.next).copied(),
+            None => inbox.first().map(|msg| {
+                debug_assert_eq!(inbox.len(), 1, "one parent sends one word per round");
+                debug_assert_eq!((msg.tag(), msg.values()[0]), (TAG_BCAST, self.next as u64));
+                msg.values()[1]
+            }),
+        };
+        if let Some(word) = word {
+            let msg = Message::tagged(TAG_BCAST)
+                .with_value(self.next as u64)
+                .with_value(word);
+            for &child in self.children {
+                ctx.send(child, msg);
             }
+            self.fold = fnv_step(self.fold, word);
+            self.next += 1;
         }
-        // Forward (or, at the root, inject) *one* word per round — a tree
-        // edge may carry at most one message per round in the CONGEST model
-        // (the `congest::audit` multiplicity check enforces this), so the
-        // words pipeline down the tree one level and one index per round.
-        if self.next_to_send < self.expected {
-            if let Some(word) = self.words[self.next_to_send] {
-                let msg = Message::tagged(TAG_BCAST)
-                    .with_value(self.next_to_send as u64)
-                    .with_value(word);
-                for i in 0..self.children.len() {
-                    ctx.send(self.children[i], msg);
-                }
-                self.next_to_send += 1;
-            }
-        }
-        let _ = self.is_root;
     }
 
-    /// Reactive, except while holding an injectable word: a forwarded word
-    /// arrives through the inbox (which re-invokes a done node), so a node
-    /// only needs to stay active while its next word in sequence is already
-    /// available locally — the root during injection, or any node the round
-    /// it forwards. Per-round cost stays O(frontier): total activations are
-    /// O(messages), never the all-nodes-all-rounds Θ(n·height) sweep.
+    /// Reactive, except at the root while it injects: a forwarded word
+    /// arrives through the inbox (which re-invokes a done node), so total
+    /// activations are O(messages), never the all-nodes-all-rounds
+    /// Θ(n·height) sweep.
     fn is_done(&self) -> bool {
-        self.next_to_send >= self.expected || self.words[self.next_to_send].is_none()
+        self.payload.is_none() || self.next == self.len
     }
 
     fn output(&self) -> Option<u64> {
-        self.have_all().then(|| self.digest())
+        (self.next == self.len).then_some(self.fold)
     }
 }
 
@@ -100,7 +122,15 @@ impl NodeAlgorithm for BroadcastNode {
 ///
 /// Returns the execution report. All communication happens inside the
 /// simulator over the subgraph `carrier` (normally the danner), so the
-/// returned report's message count is the real cost of the broadcast.
+/// returned report's message count is the real cost of the broadcast:
+/// `(n − 1)·|words|` messages in exactly `height + |words|` rounds, which is
+/// also the run's round cap.
+///
+/// Only the root holds `words`; every other node keeps O(1) state, the
+/// index of its next word and a running digest. Its words arrive in index
+/// order, one per round, because it has one parent, the parent sends at
+/// most one word per round and delivery is synchronous, so it forwards each
+/// word in the round it arrives and buffers nothing.
 ///
 /// # Panics
 ///
@@ -114,21 +144,9 @@ pub fn broadcast_words(
 ) -> ExecutionReport {
     assert!(!words.is_empty(), "broadcast requires at least one word");
     let sim = SyncSimulator::new(carrier, ids, KtLevel::KT1);
-    let report = sim.run(SyncConfig::default(), |init| {
-        let is_root = init.node == tree.root();
-        let mut slots = vec![None; words.len()];
-        if is_root {
-            for (i, w) in words.iter().enumerate() {
-                slots[i] = Some(*w);
-            }
-        }
-        BroadcastNode {
-            is_root,
-            children: tree.children(init.node).to_vec(),
-            expected: words.len(),
-            words: slots,
-            next_to_send: 0,
-        }
+    let rounds = u64::from(tree.height()) + words.len() as u64;
+    let report = sim.run(SyncConfig::default().with_max_rounds(rounds), |init| {
+        BroadcastNode::new(tree, words, init.node)
     });
     assert!(report.completed, "broadcast did not terminate");
     let first = report.outputs[0];
@@ -178,7 +196,7 @@ pub fn broadcast_words_batch(
                 base.clone()
             } else {
                 let mut report = base.clone();
-                let digest = Some(words_digest(words.iter().copied()));
+                let digest = Some(words_digest(words));
                 report.outputs = vec![digest; report.outputs.len()];
                 report
             }
@@ -186,20 +204,24 @@ pub fn broadcast_words_batch(
         .collect()
 }
 
-/// Convergecast (upcast) of a sum along the tree.
-struct ConvergecastNode {
+/// One node of a convergecast (upcast): it folds its children's results
+/// into its own value and, once every child has reported, sends the result
+/// to its parent. `fold` is `wrapping_add` for [`convergecast_sum`] and
+/// `max` for [`convergecast_max`].
+struct UpcastNode<F> {
     parent: Option<NodeId>,
     num_children: usize,
     received: usize,
     acc: u64,
     sent: bool,
+    fold: F,
 }
 
-impl NodeAlgorithm for ConvergecastNode {
+impl<F: Fn(u64, u64) -> u64> NodeAlgorithm for UpcastNode<F> {
     fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
         for msg in inbox {
             if msg.tag() == TAG_UPCAST {
-                self.acc = self.acc.wrapping_add(msg.values()[0]);
+                self.acc = (self.fold)(self.acc, msg.values()[0]);
                 self.received += 1;
             }
         }
@@ -223,6 +245,41 @@ impl NodeAlgorithm for ConvergecastNode {
     }
 }
 
+/// Folds `values[v]` up the tree with `fold` and returns the root's result
+/// with the report: `n − 1` messages in exactly `height + 1` rounds, which
+/// is also the run's round cap.
+fn upcast<F>(
+    carrier: &Graph,
+    ids: &IdAssignment,
+    tree: &BfsTree,
+    values: &[u64],
+    fold: F,
+) -> (u64, ExecutionReport)
+where
+    F: Fn(u64, u64) -> u64 + Copy + Send,
+{
+    assert_eq!(
+        values.len(),
+        carrier.num_nodes(),
+        "one value per node is required"
+    );
+    let sim = SyncSimulator::new(carrier, ids, KtLevel::KT1);
+    let rounds = u64::from(tree.height()) + 1;
+    let report = sim.run(SyncConfig::default().with_max_rounds(rounds), |init| {
+        UpcastNode {
+            parent: tree.parent(init.node),
+            num_children: tree.children(init.node).len(),
+            received: 0,
+            acc: values[init.node.index()],
+            sent: false,
+            fold,
+        }
+    });
+    assert!(report.completed, "convergecast did not terminate");
+    let result = report.outputs[tree.root().index()].expect("the root produced a result");
+    (result, report)
+}
+
 /// Aggregates `values[v]` over all nodes by summation up the tree and returns
 /// `(total, report)`. Costs `n − 1` messages and `height + 1` rounds.
 pub fn convergecast_sum(
@@ -231,22 +288,7 @@ pub fn convergecast_sum(
     tree: &BfsTree,
     values: &[u64],
 ) -> (u64, ExecutionReport) {
-    assert_eq!(
-        values.len(),
-        carrier.num_nodes(),
-        "one value per node is required"
-    );
-    let sim = SyncSimulator::new(carrier, ids, KtLevel::KT1);
-    let report = sim.run(SyncConfig::default(), |init| ConvergecastNode {
-        parent: tree.parent(init.node),
-        num_children: tree.children(init.node).len(),
-        received: 0,
-        acc: values[init.node.index()],
-        sent: false,
-    });
-    assert!(report.completed, "convergecast did not terminate");
-    let total = report.outputs[tree.root().index()].expect("root produced a total");
-    (total, report)
+    upcast(carrier, ids, tree, values, u64::wrapping_add)
 }
 
 /// [`convergecast_sum`] for `B` lanes at once: lane `k`'s total and report
@@ -297,8 +339,8 @@ pub fn convergecast_sum_batch(
 }
 
 /// Per-node wrapping subtree sums of `values` over `tree` — exactly the
-/// outputs a [`ConvergecastNode`] execution produces (wrapping addition is
-/// commutative, so child fold order is immaterial).
+/// outputs a summing [`UpcastNode`] execution produces (wrapping addition
+/// is commutative, so child fold order is immaterial).
 fn subtree_sums(tree: &BfsTree, values: &[u64]) -> Vec<u64> {
     let mut order: Vec<u32> = (0..values.len() as u32).collect();
     order.sort_unstable_by_key(|&v| std::cmp::Reverse(tree.depth(NodeId(v))));
@@ -311,41 +353,6 @@ fn subtree_sums(tree: &BfsTree, values: &[u64]) -> Vec<u64> {
     sums
 }
 
-/// Convergecast (upcast) of a maximum along the tree.
-struct MaxcastNode {
-    parent: Option<NodeId>,
-    num_children: usize,
-    received: usize,
-    acc: u64,
-    sent: bool,
-}
-
-impl NodeAlgorithm for MaxcastNode {
-    fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-        for msg in inbox {
-            if msg.tag() == TAG_UPCAST {
-                self.acc = self.acc.max(msg.values()[0]);
-                self.received += 1;
-            }
-        }
-        if !self.sent && self.received == self.num_children {
-            if let Some(p) = self.parent {
-                ctx.send(p, Message::tagged(TAG_UPCAST).with_value(self.acc));
-            }
-            self.sent = true;
-        }
-    }
-
-    /// Reactive (see [`BroadcastNode::is_done`]).
-    fn is_done(&self) -> bool {
-        true
-    }
-
-    fn output(&self) -> Option<u64> {
-        self.sent.then_some(self.acc)
-    }
-}
-
 /// Aggregates the maximum of `values[v]` up the tree (e.g. to learn the
 /// global maximum degree Δ) and returns `(max, report)`. Costs `n − 1`
 /// messages and `height + 1` rounds.
@@ -355,22 +362,7 @@ pub fn convergecast_max(
     tree: &BfsTree,
     values: &[u64],
 ) -> (u64, ExecutionReport) {
-    assert_eq!(
-        values.len(),
-        carrier.num_nodes(),
-        "one value per node is required"
-    );
-    let sim = SyncSimulator::new(carrier, ids, KtLevel::KT1);
-    let report = sim.run(SyncConfig::default(), |init| MaxcastNode {
-        parent: tree.parent(init.node),
-        num_children: tree.children(init.node).len(),
-        received: 0,
-        acc: values[init.node.index()],
-        sent: false,
-    });
-    assert!(report.completed, "convergecast did not terminate");
-    let total = report.outputs[tree.root().index()].expect("root produced a maximum");
-    (total, report)
+    upcast(carrier, ids, tree, values, u64::max)
 }
 
 #[cfg(test)]
@@ -396,18 +388,95 @@ mod tests {
         (g, ids, tree)
     }
 
-    #[test]
-    fn broadcast_delivers_all_words() {
-        let (g, ids, tree) = setup(12);
-        let words = vec![0xdead, 0xbeef, 0x1234, 0x5678];
-        let report = broadcast_words(&g, &ids, &tree, &words);
-        assert!(report.completed);
-        // Each of the n − 1 tree edges carries each word exactly once.
-        assert_eq!(report.messages, (12 - 1) * words.len() as u64);
-        // Pipelining: rounds ≈ height + #words, far below height × #words.
-        assert!(report.rounds <= tree.height() as u64 + words.len() as u64 + 2);
+    /// The broadcast's tree shapes: a deep path (every node receives and
+    /// forwards in the same round for 100 consecutive rounds), a star, a
+    /// lone node, and the BFS tree of a random danner carrying Algorithm 2's
+    /// payload at ε = ½.
+    fn broadcast_shapes() -> Vec<(&'static str, Graph, IdAssignment, BfsTree, Vec<u64>)> {
+        use crate::setup::SetupPlan;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut shapes = Vec::new();
+        for (name, g, root, num_words) in [
+            ("path", generators::path(64), NodeId(0), 100),
+            ("star", generators::star(30), NodeId(0), 7),
+            ("single", generators::path(1), NodeId(0), 5),
+        ] {
+            let ids = IdAssignment::identity(g.num_nodes());
+            let tree = BfsTree::rooted_at(&g, root);
+            let words = (0..num_words).map(|_| rng.gen()).collect();
+            shapes.push((name, g, ids, tree, words));
+        }
+        let g = generators::connected_gnp(300, 0.05, &mut rng);
+        let ids = IdAssignment::random(&g, symbreak_graphs::IdSpace::CUBIC, &mut rng);
+        let plan = SetupPlan::new(&g, &ids, 0.5).expect("connected input");
+        let log_n = (g.num_nodes() as f64).log2();
+        let alg2_bits = ((log_n.powi(3) / 0.5).ceil() as usize).max(64);
+        let words = plan.draw_words(alg2_bits, &mut rng);
+        assert_eq!(words.len(), 18);
+        shapes.push((
+            "danner",
+            plan.carrier().clone(),
+            ids,
+            plan.tree().clone(),
+            words,
+        ));
+        shapes
     }
 
+    #[test]
+    fn broadcast_delivers_all_words() {
+        for (name, g, ids, tree, words) in broadcast_shapes() {
+            let report = broadcast_words(&g, &ids, &tree, &words);
+            let n = g.num_nodes() as u64;
+            let w = words.len() as u64;
+            assert!(report.completed, "{name}");
+            // The last word leaves the root in round |words| − 1 and takes
+            // `height` more rounds to reach the deepest leaf.
+            assert_eq!(report.rounds, u64::from(tree.height()) + w, "{name}");
+            // Each of the n − 1 tree edges carries each word exactly once.
+            assert_eq!(report.messages, (n - 1) * w, "{name}");
+            let bits = if n > 1 { 16 + 2 * 64 } else { 0 };
+            assert_eq!(report.max_message_bits, bits, "{name}");
+            let digest = Some(words_digest(&words));
+            assert!(report.outputs.iter().all(|o| *o == digest), "{name}");
+        }
+    }
+
+    /// The one-word-per-edge-per-round rule, checked by the auditor in
+    /// this test rather than only under `CONGEST_AUDIT=1`: on the path every
+    /// node receives and forwards in the same round, on the star the root
+    /// sends down 29 edges at once.
+    #[test]
+    fn broadcast_sends_one_word_per_edge_per_round() {
+        use symbreak_congest::AuditConfig;
+        for (name, g, ids, tree, words) in broadcast_shapes() {
+            if !matches!(name, "path" | "star") {
+                continue;
+            }
+            let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
+            let (report, violations) =
+                sim.run_audited(SyncConfig::default(), &AuditConfig::collect(0), |init| {
+                    BroadcastNode::new(&tree, &words, init.node)
+                });
+            assert!(violations.is_empty(), "{name}: {violations:?}");
+            assert_eq!(report, broadcast_words(&g, &ids, &tree, &words), "{name}");
+        }
+    }
+
+    /// The round cap follows the payload: a 2-node path needs 1 + 10⁶
+    /// rounds, one more than `SyncConfig::default()` allows.
+    #[test]
+    fn broadcast_outlasting_the_default_round_cap_completes() {
+        let g = generators::path(2);
+        let ids = IdAssignment::identity(2);
+        let tree = BfsTree::rooted_at(&g, NodeId(0));
+        let words: Vec<u64> = (0..1_000_000).collect();
+        let report = broadcast_words(&g, &ids, &tree, &words);
+        assert_eq!(report.rounds, 1_000_001);
+        assert_eq!(report.messages, 1_000_000);
+    }
     #[test]
     fn broadcast_single_word_costs_n_minus_one() {
         let (g, ids, tree) = setup(20);
