@@ -5,7 +5,10 @@
 //! Δ+1 baseline — rather than raw engine message traffic (`sim_engine`).
 //! Each row runs its algorithm once untimed, checks that output
 //! (`is_proper_coloring` or `is_mis`) and records its total message cost,
-//! then keeps the best wall time of the timed runs that follow.
+//! then keeps the best wall time of the timed runs that follow. Every row
+//! also records the most engine threads its run could use: alg1 and alg2
+//! run their danner collectives at the default count and their stages on
+//! one thread; `mis` and `classic` run on one thread throughout.
 //!
 //! Graph families: cycle (Δ = 2, pure final stage), clique (dense, bucket
 //! levels engage), random d8 (the paper's sparse near-regular shape) and
@@ -98,6 +101,7 @@ struct Row {
     m: usize,
     messages: u64,
     wall_ns: f64,
+    threads: usize,
 }
 
 impl Row {
@@ -113,8 +117,8 @@ impl Row {
 
     fn json(&self) -> String {
         format!(
-            "{{\"bench\":\"alg_coloring\",\"row\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"messages\":{},\"wall_ns\":{:.0}}}",
-            self.row, self.graph_name, self.n, self.m, self.messages, self.wall_ns
+            "{{\"bench\":\"alg_coloring\",\"row\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"messages\":{},\"wall_ns\":{:.0},\"threads\":{}}}",
+            self.row, self.graph_name, self.n, self.m, self.messages, self.wall_ns, self.threads
         )
     }
 }
@@ -130,7 +134,9 @@ fn measure<T>(iters: u32, mut run: impl FnMut() -> T, check: impl FnOnce(&T) -> 
 fn alg_rows(fam: &Family) -> Vec<Row> {
     let (graph, ids) = (&fam.graph, &fam.ids);
     let mut rows = Vec::new();
-    let mut push = |row: &'static str, (wall_ns, messages): (f64, u64)| {
+    // The danner collectives of alg1 and alg2 run at the default count.
+    let collective_threads = SyncConfig::default().resolved_threads();
+    let mut push = |row: &'static str, threads: usize, (wall_ns, messages): (f64, u64)| {
         let r = Row {
             row,
             graph_name: fam.name.to_string(),
@@ -138,6 +144,7 @@ fn alg_rows(fam: &Family) -> Vec<Row> {
             m: graph.num_edges(),
             messages,
             wall_ns,
+            threads,
         };
         r.print();
         rows.push(r);
@@ -157,6 +164,7 @@ fn alg_rows(fam: &Family) -> Vec<Row> {
         };
         push(
             "alg1",
+            collective_threads,
             measure(
                 fam.iters,
                 || {
@@ -176,6 +184,7 @@ fn alg_rows(fam: &Family) -> Vec<Row> {
         };
         push(
             "alg2",
+            collective_threads,
             measure(
                 fam.iters,
                 || {
@@ -196,6 +205,7 @@ fn alg_rows(fam: &Family) -> Vec<Row> {
     };
     push(
         "mis",
+        1,
         measure(
             fam.iters,
             || {
@@ -216,6 +226,7 @@ fn alg_rows(fam: &Family) -> Vec<Row> {
     let config = SyncConfig::default().with_threads(1);
     push(
         "classic",
+        1,
         measure(
             fam.iters,
             || baseline::run(graph, ids, 0xc1a, config),

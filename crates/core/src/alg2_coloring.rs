@@ -10,6 +10,23 @@
 //! colour with exactly those `O(log² n / ε)` neighbours (Lemma 3.7) instead
 //! of all `deg(v)` of them. Ties within a phase are broken towards the
 //! smaller ID.
+//!
+//! The simulator evaluates each phase hash once per `(phase, node)` per
+//! run, not once per asking neighbour per later phase. A run-wide memo,
+//! `PhaseCandidates`, caches every value `h_j(ID_u)` the first time some
+//! automaton needs it: a node's own candidate, the Lemma 3.7 neighbour
+//! check, and the responder's priority test. Every entry is a pure
+//! function of the shared randomness and of `u`'s ID, which `u` and each
+//! of its KT-1 neighbours know, so the memo only shares a local
+//! computation that every one of them would repeat identically; messages,
+//! rounds and outputs are those of per-node evaluation. Rows are allocated
+//! per phase on first use, one 8-byte slot per node, so a run holds one
+//! `n`-slot row per phase it reaches, 0.8 MB per phase at `n = 10⁵`: a
+//! random 8-regular graph of that size needs 19–20 phases at ε = ½, about
+//! 16 MB.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,34 +83,79 @@ pub struct Alg2Outcome {
     pub max_degree: u64,
 }
 
-/// The phase automaton: the phase hashes (identical at every node — they
-/// are pure functions of the shared randomness) are derived once by the
-/// caller and borrowed, and each node borrows its row of one flat
+/// The run-wide memo of the phase hashes' values: slot `v` of row `j`
+/// holds `h_j(ID_v) + 1` once some automaton has needed it, `0` before.
+/// Rows are allocated on their phase's first use and slots filled one at a
+/// time, so late phases with few uncoloured nodes stay cheap.
+struct PhaseCandidates {
+    hashes: Vec<KWiseHash>,
+    rows: Vec<OnceLock<Box<[AtomicU64]>>>,
+    n: usize,
+}
+
+impl PhaseCandidates {
+    /// Derives the `max_phases` phase hashes of Algorithm 2 from `shared`
+    /// (on a clone, so the caller's [`SharedRandomness::consumed_bits`]
+    /// count is left untouched), with every row still unallocated.
+    fn new(shared: &SharedRandomness, n: usize, palette_size: u64, max_phases: usize) -> Self {
+        let independence = tail::log_n_independence(n);
+        let scratch = shared.clone();
+        PhaseCandidates {
+            hashes: (0..max_phases)
+                .map(|j| scratch.indexed_hash_fn("alg2.phase", j, independence, palette_size))
+                .collect(),
+            rows: (0..max_phases).map(|_| OnceLock::new()).collect(),
+            n,
+        }
+    }
+
+    /// `h_phase(id)`, the phase-`phase` candidate of node `v` whose ID is
+    /// `id`. Racing threads may both evaluate an empty slot; they store the
+    /// same pure value, so `Relaxed` suffices.
+    fn candidate(&self, phase: usize, v: NodeId, id: u64) -> u64 {
+        let row = self.rows[phase].get_or_init(|| (0..self.n).map(|_| AtomicU64::new(0)).collect());
+        let slot = &row[v.index()];
+        match slot.load(Ordering::Relaxed) {
+            0 => {
+                let c = self.hashes[phase].eval(id);
+                slot.store(c + 1, Ordering::Relaxed);
+                c
+            }
+            memo => memo - 1,
+        }
+    }
+}
+
+/// The phase automaton: the phase candidates (identical at every node —
+/// they are pure functions of the shared randomness and the IDs) come from
+/// one borrowed memo, and each node borrows its row of one flat
 /// neighbour-ID arena.
 struct FlatAlg2Node<'a> {
+    node: NodeId,
     own_id: u64,
     color: Option<u64>,
     neighbor_ids: &'a [(NodeId, u64)],
-    hashes: &'a [KWiseHash],
+    candidates: &'a PhaseCandidates,
     phase: usize,
     max_phases: usize,
     candidate: Option<u64>,
 }
 
 impl<'a> FlatAlg2Node<'a> {
-    /// Node `init.node`'s automaton over the shared phase hashes and
+    /// Node `init.node`'s automaton over the shared phase candidates and
     /// neighbour table.
     fn new(
-        hashes: &'a [KWiseHash],
+        candidates: &'a PhaseCandidates,
         neighbor_table: &'a QueryPlan,
         init: NodeInit<'_>,
         max_phases: usize,
     ) -> Self {
         FlatAlg2Node {
+            node: init.node,
             own_id: init.knowledge.own_id(),
             color: None,
             neighbor_ids: neighbor_table.neighbor_row(init.node),
-            hashes,
+            candidates,
             phase: 0,
             max_phases,
             candidate: None,
@@ -112,9 +174,12 @@ impl<'a> FlatAlg2Node<'a> {
             };
             // `phase < max_phases` whenever queries are in flight: a query
             // in round 3p+1 was sent by a node whose phase counter equals p
-            // and passed the `phase < max_phases` send gate.
+            // and passed the `phase < max_phases` send gate. The memo, not
+            // `self.candidate`, is read, so the answer never depends on
+            // whether this automaton ran the phase's first round (a
+            // crash-reset automaton is rebuilt without a candidate).
             let proposes_c_with_priority = self.color.is_none()
-                && self.hashes[phase].eval(self.own_id) == c
+                && self.candidates.candidate(phase, self.node, self.own_id) == c
                 && self.own_id < sender_id;
             let taken = u64::from(self.color == Some(c) || proposes_c_with_priority);
             ctx.send(
@@ -133,13 +198,13 @@ impl NodeAlgorithm for FlatAlg2Node<'_> {
         match ctx.round() % 3 {
             0 => {
                 if self.color.is_none() && self.phase < self.max_phases {
-                    let c = self.hashes[phase].eval(self.own_id);
+                    let c = self.candidates.candidate(phase, self.node, self.own_id);
                     self.candidate = Some(c);
                     let query = Message::tagged(TAG_QUERY)
                         .with_value(c)
                         .with_id(self.own_id);
                     for &(u, uid) in self.neighbor_ids {
-                        let could = self.hashes[..=phase].iter().any(|h| h.eval(uid) == c);
+                        let could = (0..=phase).any(|j| self.candidates.candidate(j, u, uid) == c);
                         if could {
                             ctx.send(u, query);
                         }
@@ -172,22 +237,6 @@ impl NodeAlgorithm for FlatAlg2Node<'_> {
     }
 }
 
-/// Derives the `max_phases` phase hashes of Algorithm 2 from `shared` (on a
-/// clone, so the caller's [`SharedRandomness::consumed_bits`] count is left
-/// untouched).
-fn phase_hashes(
-    shared: &SharedRandomness,
-    n: usize,
-    palette_size: u64,
-    max_phases: usize,
-) -> Vec<KWiseHash> {
-    let independence = tail::log_n_independence(n);
-    let scratch = shared.clone();
-    (0..max_phases)
-        .map(|j| scratch.indexed_hash_fn("alg2.phase", j, independence, palette_size))
-        .collect()
-}
-
 /// Runs the Algorithm 2 colouring phases given already-distributed shared
 /// randomness and a known Δ. Exposed separately so ablations can reuse it.
 pub fn run_phases(
@@ -215,13 +264,25 @@ fn run_phases_config(
     max_phases: usize,
     config: SyncConfig,
 ) -> (Vec<Option<u64>>, ExecutionReport) {
-    let hashes = phase_hashes(shared, graph.num_nodes(), palette_size, max_phases);
+    let candidates = PhaseCandidates::new(shared, graph.num_nodes(), palette_size, max_phases);
     // The history-free `QueryPlan`'s CSR rows are exactly the per-node
     // `(address, ID)` slices the automata need.
     let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
+    run_phases_on(graph, ids, &candidates, &neighbor_table, max_phases, config)
+}
+
+/// The synchronous phases over a given memo and neighbour table.
+fn run_phases_on(
+    graph: &Graph,
+    ids: &IdAssignment,
+    candidates: &PhaseCandidates,
+    neighbor_table: &QueryPlan,
+    max_phases: usize,
+    config: SyncConfig,
+) -> (Vec<Option<u64>>, ExecutionReport) {
     let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
     let mut report = sim.run(config, |init| {
-        FlatAlg2Node::new(&hashes, &neighbor_table, init, max_phases)
+        FlatAlg2Node::new(candidates, neighbor_table, init, max_phases)
     });
     assert!(report.completed, "Algorithm 2 phases did not quiesce");
     let colors = std::mem::take(&mut report.outputs);
@@ -233,7 +294,8 @@ fn run_phases_config(
 /// ([`symbreak_congest::Synchronized`]).
 ///
 /// The synchronous run ([`run_phases`]) executes first to fix the lockstep
-/// round budget and as ground truth; the returned triple is `(synchronous
+/// round budget and as ground truth; it lends its phase-candidate memo and
+/// neighbour table to the replay. The returned triple is `(synchronous
 /// colours, synchronous report, asynchronous report)`. All per-node
 /// randomness comes from `shared`, so the asynchronous replay consumes
 /// identical hash schedules: on benign, delay-only and duplicate/reorder
@@ -251,9 +313,16 @@ pub fn run_phases_async<R: Rng + ?Sized>(
     fault_plan: &FaultPlan,
     rng: &mut R,
 ) -> (Vec<Option<u64>>, ExecutionReport, AsyncReport) {
-    let (colors, sync_report) = run_phases(graph, ids, shared, palette_size, max_phases);
-    let hashes = phase_hashes(shared, graph.num_nodes(), palette_size, max_phases);
+    let candidates = PhaseCandidates::new(shared, graph.num_nodes(), palette_size, max_phases);
     let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
+    let (colors, sync_report) = run_phases_on(
+        graph,
+        ids,
+        &candidates,
+        &neighbor_table,
+        max_phases,
+        SyncConfig::default(),
+    );
     let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
     let report = run_synchronized(
         &sim,
@@ -261,7 +330,7 @@ pub fn run_phases_async<R: Rng + ?Sized>(
         fault_plan,
         sync_report.rounds,
         rng,
-        |init| FlatAlg2Node::new(&hashes, &neighbor_table, init, max_phases),
+        |init| FlatAlg2Node::new(&candidates, &neighbor_table, init, max_phases),
     );
     (colors, sync_report, report)
 }
@@ -270,7 +339,7 @@ pub fn run_phases_async<R: Rng + ?Sized>(
 /// `shared[k]` over the [`BatchSimulator`]'s shared CSR, bit-identical to
 /// [`run_phases`] with the same randomness. The flat automaton has no
 /// per-node RNG — all per-lane variation enters through the lane's shared
-/// randomness (and hence its derived phase hashes); the history-free
+/// randomness (and hence its own phase-candidate memo); the history-free
 /// neighbour table is lane-invariant and built once.
 ///
 /// # Panics
@@ -287,13 +356,13 @@ pub fn run_phases_batch_on(
     assert!(!shared.is_empty(), "batched phases need at least one lane");
     assert_eq!(sim.level(), KtLevel::KT1, "Algorithm 2 runs in KT-1");
     let n = sim.graph().num_nodes();
-    let lane_hashes: Vec<Vec<KWiseHash>> = shared
+    let lane_candidates: Vec<PhaseCandidates> = shared
         .iter()
-        .map(|s| phase_hashes(s, n, palette_size, max_phases))
+        .map(|s| PhaseCandidates::new(s, n, palette_size, max_phases))
         .collect();
     let neighbor_table = QueryPlan::new(sim.graph(), sim.ids(), Vec::new());
     let reports = sim.run_batch(config, shared.len(), |k, init| {
-        FlatAlg2Node::new(&lane_hashes[k], &neighbor_table, init, max_phases)
+        FlatAlg2Node::new(&lane_candidates[k], &neighbor_table, init, max_phases)
     });
     reports
         .into_iter()
@@ -567,6 +636,50 @@ mod tests {
             assert_eq!(lane.colors, solo.colors, "seed {seed}");
             assert_eq!(lane.palette_size, solo.palette_size, "seed {seed}");
             assert_eq!(lane.costs, solo.costs, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn phase_candidate_memo_is_exact_lazy_and_thread_invariant() {
+        let (g, ids) = instance(200, 0.5, 23);
+        let shared = SharedRandomness::from_seed(0xa162, 1 << 14);
+        let palette_size = g.max_degree() as u64 * 3 / 2 + 1;
+        let max_phases = 64;
+        let neighbor_table = QueryPlan::new(&g, &ids, Vec::new());
+        let run_at = |threads| {
+            let memo = PhaseCandidates::new(&shared, g.num_nodes(), palette_size, max_phases);
+            let config = SyncConfig::default().with_threads(threads);
+            let (colors, report) =
+                run_phases_on(&g, &ids, &memo, &neighbor_table, max_phases, config);
+            (memo, colors, report)
+        };
+        let (memo1, colors1, report1) = run_at(1);
+        let (memo4, colors4, report4) = run_at(4);
+        assert_eq!(colors1, colors4);
+        assert_eq!(report1, report4);
+        assert!(verify::is_proper_coloring(&g, &colors1));
+
+        let last_phase = (report1.rounds as usize - 1) / 3;
+        assert!(
+            last_phase + 1 < max_phases,
+            "the run must leave rows unused"
+        );
+        for memo in [&memo1, &memo4] {
+            let mut filled = 0;
+            for (j, row) in memo.rows.iter().enumerate() {
+                let Some(row) = row.get() else {
+                    continue;
+                };
+                assert!(j <= last_phase, "row {j} allocated past phase {last_phase}");
+                for v in g.nodes() {
+                    let slot = row[v.index()].load(Ordering::Relaxed);
+                    if slot != 0 {
+                        filled += 1;
+                        assert_eq!(slot - 1, memo.hashes[j].eval(ids.id_of(v)), "h_{j}({v:?})");
+                    }
+                }
+            }
+            assert!(memo.rows[0].get().is_some() && filled >= g.num_nodes());
         }
     }
 

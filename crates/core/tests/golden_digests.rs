@@ -8,6 +8,12 @@
 //! through the sequential `run` entry points of Algorithms 1–3 and the Luby
 //! and Johansson baselines.
 //!
+//! Algorithm 2's colour-trial phases are also pinned on the asynchronous
+//! executor (`run_phases_async`, through the lockstep wrapper), on the fault
+//! matrix's small-world graph under its duplicate/reorder plan and its
+//! crash-with-reset-recovery plan: the reset node's answers show up in both
+//! reports.
+//!
 //! These digests are the oracle of the stage runtime: they pin every
 //! refactor of it to bit-identical behaviour. The simulator configuration
 //! comes from the environment (`CONGEST_THREADS`, `CONGEST_SHARDS`,
@@ -18,9 +24,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::{coloring, mis};
-use symbreak_congest::{CostAccount, SyncConfig};
+use symbreak_congest::async_sim::{AsyncConfig, AsyncReport};
+use symbreak_congest::{
+    CostAccount, CrashFault, EdgeProb, ExecutionReport, FaultPlan, Recovery, SyncConfig,
+};
 use symbreak_core::{alg1_coloring, alg2_coloring, alg3_mis, Alg1Config, Alg2Config, Alg3Config};
 use symbreak_graphs::{generators, properties, Graph, IdAssignment, IdSpace};
+use symbreak_ktrand::SharedRandomness;
 
 /// FNV-1a over little-endian words.
 struct Digest(u64);
@@ -67,6 +77,35 @@ impl Digest {
             self.u64(c.charged_rounds);
         }
         self
+    }
+
+    fn sync_report(mut self, report: &ExecutionReport) -> Self {
+        self.u64(u64::from(report.completed));
+        self.u64(report.rounds);
+        self.u64(report.messages);
+        self.u64(u64::from(report.max_message_bits));
+        self.colors(&report.outputs)
+    }
+
+    fn async_report(mut self, report: &AsyncReport) -> Self {
+        self.u64(u64::from(report.completed));
+        self.u64(report.time);
+        self.u64(report.messages);
+        self.u64(u64::from(report.max_message_bits));
+        let f = &report.faults;
+        for x in [
+            f.delivered,
+            f.dropped,
+            f.duplicated,
+            f.crash_dropped,
+            f.crashes,
+            f.recoveries,
+            f.rejoin_pulses,
+            f.replayed,
+        ] {
+            self.u64(x);
+        }
+        self.colors(&report.outputs)
     }
 }
 
@@ -312,4 +351,73 @@ fn johansson_matches_golden_digests() {
         costs.charge_report("johansson", &report);
         Digest::new().colors(&colors).costs(&costs).0
     });
+}
+
+/// Asynchronous Algorithm 2 under faults: the fault matrix's alg2 cells
+/// (its `small_world(24, 3, 0.15)` graph, palette, phase budget, async
+/// configuration and default per-class seeds) under the duplicate/reorder
+/// plan and the crash-with-reset-recovery plan of its max-degree node.
+/// Each digest folds the synchronous colours and both reports.
+const ALG2_ASYNC_GOLDEN: [(&str, u64); 2] = [
+    ("dup-reorder", 0x5a67_0f6f_de38_113b),
+    ("crash-recovery", 0x4c90_8295_c270_e8d1),
+];
+
+#[test]
+fn alg2_async_under_faults_matches_golden_digests() {
+    let graph = generators::small_world(24, 3, 0.15, &mut StdRng::seed_from_u64(21));
+    let ids = IdAssignment::identity(24);
+    let palette_size = graph.max_degree() as u64 * 3 / 2 + 1;
+    let crash_node = graph
+        .nodes()
+        .max_by_key(|&v| graph.degree(v))
+        .expect("non-empty graph");
+    let async_config = AsyncConfig {
+        max_delay: 5,
+        max_time: 20_000,
+        message_bit_limit: 512,
+    };
+    // Class indices 4 and 6 of the matrix's base seed.
+    let cells = [
+        (
+            4u64,
+            FaultPlan::default()
+                .with_duplicate(EdgeProb::uniform(0.3))
+                .with_reorder(0.3),
+        ),
+        (
+            6,
+            FaultPlan::default().with_crash(CrashFault {
+                node: crash_node,
+                at: 2,
+                recovery: Some((30, Recovery::Reset)),
+            }),
+        ),
+    ];
+    let mismatches: Vec<String> = cells
+        .iter()
+        .zip(ALG2_ASYNC_GOLDEN)
+        .filter_map(|((ci, plan), (class, want))| {
+            let seed = 0xC0FF_EE42 ^ 0x4_0000 ^ ci << 8;
+            let shared = SharedRandomness::from_seed(0x5EED ^ seed, 1 << 14);
+            let (colors, sync_report, async_report) = alg2_coloring::run_phases_async(
+                &graph,
+                &ids,
+                &shared,
+                palette_size,
+                64,
+                async_config,
+                plan,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let got = Digest::new()
+                .colors(&colors)
+                .sync_report(&sync_report)
+                .async_report(&async_report)
+                .0;
+            (got != want)
+                .then(|| format!("alg2-async/{class}: got {got:#018x}, golden {want:#018x}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
