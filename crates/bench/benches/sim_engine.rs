@@ -18,24 +18,10 @@
 //! near-regular random graphs up to n = 10⁵. Each pair is measured for both
 //! engines — single-threaded, plus a multi-threaded engine pass when the
 //! host has more than one CPU (asserting ≥ 2× on the flood@random_d8 row
-//! when ≥ 4 cores are present), plus **sharded** engine rows
-//! (`SyncConfig::shards`, `shards` JSON field): shards = 1 resolves to the
-//! identity partition — asserted ≥ 0.95× the unsharded engine at full size,
-//! guarding that merely *enabling* sharding costs nothing — while
-//! shards = 4 exercises the real shard-slice/ghost-frontier machinery
-//! (reported, not gated: row translation is the price of frontier
-//! isolation). The speedups are printed and written to
-//! `BENCH_sim_engine.json` (one JSON object per line, `threads`/`shards`
-//! fields per row; the file is replaced atomically once every gate has
-//! passed, see [`symbreak_bench::artifact`]).
-//!
-//! A **trace-recording row** (`flood_trace`) runs the cycle flood at
-//! n = 10⁵ with the full message trace captured twice — once into the
-//! in-RAM `Trace` and once spilled through
-//! [`symbreak_congest::trace_store::MmapTraceObserver`] — asserts the
-//! reloaded `StoredTrace` equals the in-RAM trace, and reports both
-//! recording times plus the on-disk size. Before the spill layer this row
-//! was the scale at which full-trace recording stopped being viable.
+//! when ≥ 4 cores are present). The speedups are printed and written to
+//! `BENCH_sim_engine.json` (one JSON object per line, a `threads` field per
+//! row; the file is replaced atomically once every gate has passed, see
+//! [`symbreak_bench::artifact`]).
 //!
 //! Two **checkpoint rows** run the flood with an engine checkpoint every 8
 //! rounds: `flood_ckpt8` on the n = 10⁵ near-regular random graph gates
@@ -61,7 +47,6 @@ use rand::SeedableRng;
 use symbreak_bench::artifact::BenchArtifact;
 use symbreak_congest::async_sim::{AsyncConfig, AsyncSimulator};
 use symbreak_congest::reference::NaiveSyncSimulator;
-use symbreak_congest::trace_store::MmapTraceObserver;
 use symbreak_congest::{
     AuditConfig, CheckpointChain, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
     NodeAlgorithm, NodeInit, NoopObserver, PersistState, RoundContext, SyncConfig, SyncSimulator,
@@ -226,11 +211,9 @@ fn cases() -> Vec<Case> {
     out
 }
 
-fn run_case(case: &Case, naive: bool, threads: usize, shards: usize) -> ExecutionReport {
+fn run_case(case: &Case, naive: bool, threads: usize) -> ExecutionReport {
     let sim = SyncSimulator::new(&case.graph, &case.ids, KtLevel::KT1);
-    let config = SyncConfig::default()
-        .with_threads(threads)
-        .with_shards(shards);
+    let config = SyncConfig::default().with_threads(threads);
     match (case.workload, naive) {
         (Workload::Flood, false) => sim.run(config, |_| Flood::new()),
         (Workload::Flood, true) => NaiveSyncSimulator::new(sim).run(config, |_| Flood::new()),
@@ -252,11 +235,11 @@ fn run_case(case: &Case, naive: bool, threads: usize, shards: usize) -> Executio
 }
 
 /// Best-of-`iters` wall-clock nanoseconds for one case.
-fn measure(case: &Case, naive: bool, threads: usize, shards: usize, iters: u32) -> f64 {
+fn measure(case: &Case, naive: bool, threads: usize, iters: u32) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..iters {
         let t = Instant::now();
-        let report = run_case(case, naive, threads, shards);
+        let report = run_case(case, naive, threads);
         let ns = t.elapsed().as_nanos() as f64;
         assert!(report.completed, "workload must terminate");
         best = best.min(ns);
@@ -271,10 +254,10 @@ fn measure_pair(case: &Case, engine_iters: u32, naive_iters: u32) -> (f64, f64) 
     let (mut engine_best, mut naive_best) = (f64::INFINITY, f64::INFINITY);
     for k in 0..engine_iters.max(naive_iters) {
         if k < engine_iters {
-            engine_best = engine_best.min(measure(case, false, 1, 0, 1));
+            engine_best = engine_best.min(measure(case, false, 1, 1));
         }
         if k < naive_iters {
-            naive_best = naive_best.min(measure(case, true, 1, 0, 1));
+            naive_best = naive_best.min(measure(case, true, 1, 1));
         }
     }
     (engine_best, naive_best)
@@ -283,8 +266,6 @@ fn measure_pair(case: &Case, engine_iters: u32, naive_iters: u32) -> (f64, f64) 
 struct Row<'c> {
     case: &'c Case,
     threads: usize,
-    /// Graph shard count of the sharded stepping path; `0` = unsharded.
-    shards: usize,
     messages: u64,
     engine_ns: f64,
     naive_ns: f64,
@@ -293,11 +274,10 @@ struct Row<'c> {
 impl Row<'_> {
     fn print(&self) {
         println!(
-            "{:<22} {:<13} {:>3} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
+            "{:<22} {:<13} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
             self.case.graph_name,
             self.case.workload.name(),
             self.threads,
-            self.shards,
             self.messages,
             self.engine_ns / 1e6,
             self.naive_ns / 1e6,
@@ -307,13 +287,12 @@ impl Row<'_> {
 
     fn json(&self) -> String {
         format!(
-            "{{\"bench\":\"sim_engine\",\"graph\":\"{}\",\"workload\":\"{}\",\"n\":{},\"m\":{},\"threads\":{},\"shards\":{},\"messages\":{},\"engine_ns\":{:.0},\"naive_ns\":{:.0},\"speedup\":{:.3}}}",
+            "{{\"bench\":\"sim_engine\",\"graph\":\"{}\",\"workload\":\"{}\",\"n\":{},\"m\":{},\"threads\":{},\"messages\":{},\"engine_ns\":{:.0},\"naive_ns\":{:.0},\"speedup\":{:.3}}}",
             self.case.graph_name,
             self.case.workload.name(),
             self.case.graph.num_nodes(),
             self.case.graph.num_edges(),
             self.threads,
-            self.shards,
             self.messages,
             self.engine_ns,
             self.naive_ns,
@@ -337,18 +316,17 @@ fn compare_engines() {
         if smoke() { ", smoke" } else { "" }
     );
     println!(
-        "{:<22} {:<13} {:>3} {:>3} {:>12} {:>14} {:>14} {:>9}",
-        "graph", "workload", "thr", "shd", "messages", "engine", "naive", "speedup"
+        "{:<22} {:<13} {:>3} {:>12} {:>14} {:>14} {:>9}",
+        "graph", "workload", "thr", "messages", "engine", "naive", "speedup"
     );
     let cases = cases();
     let mut mt_flood_ratio: Option<f64> = None;
     for case in &cases {
-        let messages = run_case(case, false, 1, 0).messages;
+        let messages = run_case(case, false, 1).messages;
         let (engine_ns, naive_ns) = measure_pair(case, 7, case.naive_iters);
         let row = Row {
             case,
             threads: 1,
-            shards: 0,
             messages,
             engine_ns,
             naive_ns,
@@ -364,61 +342,11 @@ fn compare_engines() {
                 naive_ns / 1e6
             );
         }
-        // Sharded stepping rows: shards = 1 is the identity partition
-        // (must cost nothing — the ≥ 0.95× gate below), shards = 4 the
-        // shard-slice/ghost-frontier machinery. Both single-threaded,
-        // against the same naive baseline. The gate's two measurements are
-        // *interleaved* (fresh unsharded pass vs shards = 1) so slow clock
-        // drift cannot fail a ratio between code paths that are identical
-        // modulo one O(n) plan computation.
-        let (engine_again_ns, sharded1_ns) = {
-            let (mut a, mut b) = (f64::INFINITY, f64::INFINITY);
-            for _ in 0..7 {
-                a = a.min(measure(case, false, 1, 0, 1));
-                b = b.min(measure(case, false, 1, 1, 1));
-            }
-            (a, b)
-        };
-        let sharded4_ns = measure(case, false, 1, 4, 7);
-        for (shard_count, sharded_ns) in [(1usize, sharded1_ns), (4, sharded4_ns)] {
-            let sharded_row = Row {
-                case,
-                threads: 1,
-                shards: shard_count,
-                messages,
-                engine_ns: sharded_ns,
-                naive_ns,
-            };
-            sharded_row.print();
-            json.row(sharded_row.json());
-        }
-        let ratio = engine_again_ns / sharded1_ns;
-        if smoke() {
-            if ratio < 0.95 {
-                println!(
-                    "smoke: sharded@1 on {}/{} only {ratio:.2}x of the unsharded \
-                     engine (informational only at reduced n)",
-                    case.graph_name,
-                    case.workload.name()
-                );
-            }
-        } else {
-            assert!(
-                ratio >= 0.95,
-                "sharded indirection regression on {}/{}: shards=1 is {ratio:.2}x \
-                 the unsharded engine (sharded {:.2}ms vs {:.2}ms)",
-                case.graph_name,
-                case.workload.name(),
-                sharded1_ns / 1e6,
-                engine_again_ns / 1e6
-            );
-        }
         if mt_threads > 1 {
-            let mt_ns = measure(case, false, mt_threads, 0, 5);
+            let mt_ns = measure(case, false, mt_threads, 5);
             let mt_row = Row {
                 case,
                 threads: mt_threads,
-                shards: 0,
                 messages,
                 engine_ns: mt_ns,
                 naive_ns,
@@ -428,21 +356,8 @@ fn compare_engines() {
             if matches!(case.workload, Workload::Flood) && case.graph_name == "random_d8_100000" {
                 mt_flood_ratio = Some(engine_ns / mt_ns);
             }
-            // The parallel ghost-frontier path: one worker per shard.
-            let mt_sharded_ns = measure(case, false, mt_threads, mt_threads.max(2), 5);
-            let mt_sharded_row = Row {
-                case,
-                threads: mt_threads,
-                shards: mt_threads.max(2),
-                messages,
-                engine_ns: mt_sharded_ns,
-                naive_ns,
-            };
-            mt_sharded_row.print();
-            json.row(mt_sharded_row.json());
         }
     }
-    trace_row(&mut json);
     fault_seam_row(&mut json);
     checkpoint_row(&mut json);
     audit_row(&mut json, mt_threads);
@@ -468,79 +383,13 @@ fn compare_engines() {
     println!();
 }
 
-/// The trace-recording row: one flood over the 10⁵-node cycle with the
-/// complete message trace captured through both recording paths. The
-/// in-RAM `Trace` is the reference; the spilled `StoredTrace` must reload
-/// equal to it (round counts, per-round messages, byte-for-byte payloads)
-/// — the acceptance check of the spill layer at the scale that motivated
-/// it. Runs single-threaded: active observers pin runs to the sequential
-/// loop anyway.
-fn trace_row(json: &mut BenchArtifact) {
-    let shrink = if smoke() { 16 } else { 1 };
-    let n = 100_000 / shrink;
-    let graph = generators::cycle(n);
-    let ids = IdAssignment::identity(n);
-    let sim = SyncSimulator::new(&graph, &ids, KtLevel::KT1);
-
-    // In-RAM reference: the built-in `record_trace` instrumentation.
-    let t = Instant::now();
-    let ram_report = sim.run(
-        SyncConfig {
-            record_trace: true,
-            threads: 1,
-            ..SyncConfig::default()
-        },
-        |_| Flood::new(),
-    );
-    let ram_ns = t.elapsed().as_nanos() as f64;
-    let ram_trace = ram_report.trace.expect("trace requested");
-
-    // Spilled: the same (deterministic) run through the observer seam.
-    let mut obs = MmapTraceObserver::create_temp().expect("create spill file");
-    let t = Instant::now();
-    let spill_report = sim.run_observed(
-        SyncConfig::default().with_threads(1),
-        |_| Flood::new(),
-        &mut obs,
-    );
-    let stored = obs.finish().expect("seal spill file");
-    let spill_ns = t.elapsed().as_nanos() as f64;
-
-    assert_eq!(spill_report.messages, ram_report.messages);
-    assert_eq!(stored.num_messages(), ram_report.messages);
-    assert!(
-        stored.same_as(&ram_trace).expect("read stored trace"),
-        "stored trace diverged from the in-RAM trace"
-    );
-    let bytes = std::fs::metadata(stored.path()).map_or(0, |m| m.len());
-    println!(
-        "{:<22} {:<13} {:>3} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>7.1}MiB",
-        format!("cycle_{n}"),
-        "flood_trace",
-        1,
-        0,
-        ram_report.messages,
-        spill_ns / 1e6,
-        ram_ns / 1e6,
-        bytes as f64 / (1024.0 * 1024.0),
-    );
-    json.row(format_args!(
-        "{{\"bench\":\"sim_engine\",\"graph\":\"cycle_{n}\",\"workload\":\"flood_trace\",\
-         \"n\":{n},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{},\
-         \"spill_ns\":{spill_ns:.0},\"ram_ns\":{ram_ns:.0},\"spill_bytes\":{bytes}}}",
-        graph.num_edges(),
-        ram_report.messages,
-    ));
-    stored.remove().expect("spill hygiene");
-}
-
 /// The fault-seam row: the asynchronous flood at n = 10⁵ through `run`
 /// (the historical entry point) and through `run_with_faults` with an
 /// identity [`FaultPlan`]. The identity plan dispatches to the same
 /// `FAULTS = false` monomorphization, so enabling the fault seam must cost
 /// nothing — gated at ≥ 0.9× of the plain path on full-size runs
 /// (informational at smoke scale). The two measurements are interleaved,
-/// like the shards = 1 gate, so clock drift cannot fail the ratio.
+/// like the engine-vs-naive pairs, so clock drift cannot fail the ratio.
 fn fault_seam_row(json: &mut BenchArtifact) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
@@ -568,11 +417,10 @@ fn fault_seam_row(json: &mut BenchArtifact) {
     }
     let ratio = plain_ns / seam_ns;
     println!(
-        "{:<22} {:<13} {:>3} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
+        "{:<22} {:<13} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
         format!("random_d8_{n}"),
         "async_fault0",
         1,
-        0,
         messages,
         seam_ns / 1e6,
         plain_ns / 1e6,
@@ -580,7 +428,7 @@ fn fault_seam_row(json: &mut BenchArtifact) {
     );
     json.row(format_args!(
         "{{\"bench\":\"sim_engine\",\"graph\":\"random_d8_{n}\",\"workload\":\"async_fault0\",\
-         \"n\":{n},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{messages},\
+         \"n\":{n},\"m\":{},\"threads\":1,\"messages\":{messages},\
          \"seam_ns\":{seam_ns:.0},\"plain_ns\":{plain_ns:.0},\"ratio\":{ratio:.3}}}",
         graph.num_edges(),
     ));
@@ -613,8 +461,8 @@ fn fault_seam_row(json: &mut BenchArtifact) {
 ///   `AUDIT = false` loop entered without the audit-enable check. Gated:
 ///   audit-off must stay ≥ 0.95× of this at full size (informational at
 ///   smoke scale) — the monomorphized seam must stay free. Interleaved,
-///   like the shards = 1 gate, so clock drift cannot fail a ratio between
-///   near-identical code paths;
+///   like the engine-vs-naive pairs, so clock drift cannot fail a ratio
+///   between near-identical code paths;
 /// * **audit-on** — `run_audited` in collect mode: the `AUDIT = true`
 ///   loop, workers logging every send for deterministic replay through the
 ///   bandwidth/adjacency/multiplicity/race checks. Reported, not gated —
@@ -650,11 +498,10 @@ fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
     let seam_ratio = direct_ns / off_ns;
     let audit_on_ratio = off_ns / on_ns;
     println!(
-        "{:<22} {:<13} {:>3} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
+        "{:<22} {:<13} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
         format!("random_d8_{n}"),
         "flood_audit0",
         mt_threads,
-        0,
         messages,
         off_ns / 1e6,
         on_ns / 1e6,
@@ -662,7 +509,7 @@ fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
     );
     json.row(format_args!(
         "{{\"bench\":\"sim_engine\",\"graph\":\"random_d8_{n}\",\"workload\":\"flood_audit0\",\
-         \"n\":{n},\"m\":{},\"threads\":{mt_threads},\"shards\":0,\"messages\":{messages},\
+         \"n\":{n},\"m\":{},\"threads\":{mt_threads},\"messages\":{messages},\
          \"off_ns\":{off_ns:.0},\"direct_ns\":{direct_ns:.0},\"on_ns\":{on_ns:.0},\
          \"seam_ratio\":{seam_ratio:.3},\"audit_on_ratio\":{audit_on_ratio:.3}}}",
         graph.num_edges(),
@@ -734,11 +581,10 @@ fn checkpoint_row(json: &mut BenchArtifact) {
         let _ = std::fs::remove_file(&log);
         let ratio = plain_ns / ckpt_ns;
         println!(
-            "{:<22} {:<13} {:>3} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
+            "{:<22} {:<13} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
             graph_name,
             workload,
             1,
-            0,
             messages,
             ckpt_ns / 1e6,
             plain_ns / 1e6,
@@ -746,7 +592,7 @@ fn checkpoint_row(json: &mut BenchArtifact) {
         );
         json.row(format_args!(
             "{{\"bench\":\"sim_engine\",\"graph\":\"{graph_name}\",\"workload\":\"{workload}\",\
-             \"n\":{},\"m\":{},\"threads\":1,\"shards\":0,\"messages\":{messages},\
+             \"n\":{},\"m\":{},\"threads\":1,\"messages\":{messages},\
              \"ckpt_ns\":{ckpt_ns:.0},\"plain_ns\":{plain_ns:.0},\"ratio\":{ratio:.3},\
              \"log_bytes\":{log_bytes}}}",
             graph.num_nodes(),
@@ -802,13 +648,13 @@ fn bench(c: &mut Criterion) {
         naive_iters: 5,
     };
     c.bench_function("sim_engine_flood_random_d8_10000", |b| {
-        b.iter(|| run_case(&flood_case, false, 1, 0))
+        b.iter(|| run_case(&flood_case, false, 1))
     });
     c.bench_function("sim_engine_announce_random_d8_10000", |b| {
-        b.iter(|| run_case(&announce_case, false, 1, 0))
+        b.iter(|| run_case(&announce_case, false, 1))
     });
     c.bench_function("sim_naive_flood_random_d8_10000", |b| {
-        b.iter(|| run_case(&flood_case, true, 1, 0))
+        b.iter(|| run_case(&flood_case, true, 1))
     });
 }
 

@@ -247,8 +247,8 @@ pub mod parallel_greedy {
         run_checkpointed_observed(graph, ids, ranks, config, checkpoint, &mut NoopObserver)
     }
 
-    /// [`run_checkpointed`] with a [`RoundObserver`] (e.g. a trace
-    /// recorder) attached.
+    /// [`run_checkpointed`] with a [`RoundObserver`] attached; it sees every
+    /// message and round end of the run.
     ///
     /// # Errors
     ///
@@ -288,8 +288,9 @@ pub mod parallel_greedy {
         resume_observed(graph, ids, ranks, config, checkpoint, &mut NoopObserver)
     }
 
-    /// [`resume`] with a [`RoundObserver`] attached (pair with a recovered
-    /// trace recorder to continue an interrupted recording).
+    /// [`resume`] with a [`RoundObserver`] attached; it sees only the
+    /// resumed rounds, from the checkpoint boundary on. A recording the
+    /// kill cut short continues from its rounds before that boundary.
     ///
     /// # Errors
     ///
@@ -623,8 +624,8 @@ pub mod luby {
         run_checkpointed_observed(graph, ids, seed, config, checkpoint, &mut NoopObserver)
     }
 
-    /// [`run_checkpointed`] with a [`RoundObserver`] (e.g. a trace
-    /// recorder) attached.
+    /// [`run_checkpointed`] with a [`RoundObserver`] attached; it sees every
+    /// message and round end of the run.
     ///
     /// # Errors
     ///
@@ -663,8 +664,9 @@ pub mod luby {
         resume_observed(graph, ids, seed, config, checkpoint, &mut NoopObserver)
     }
 
-    /// [`resume`] with a [`RoundObserver`] attached (pair with a recovered
-    /// trace recorder to continue an interrupted recording).
+    /// [`resume`] with a [`RoundObserver`] attached; it sees only the
+    /// resumed rounds, from the checkpoint boundary on. A recording the
+    /// kill cut short continues from its rounds before that boundary.
     ///
     /// # Errors
     ///

@@ -14,7 +14,7 @@
 //!   graph.
 //! * **Multiplicity** — at most one message per edge *per direction* per
 //!   round.
-//! * **Shard windows** — the parallel loops' per-worker write windows must
+//! * **Shard windows** — the parallel loop's per-worker write windows must
 //!   be pairwise disjoint within a round (the race-freedom invariant behind
 //!   the bit-identical merge).
 //! * **Inbox disjointness** — after a delivery flip, no two nodes' inbox
@@ -27,11 +27,11 @@
 //!
 //! Wiring: the sequential loop audits through the ordinary
 //! [`crate::RoundObserver`] seam (the [`Auditor`] *is* an observer); the
-//! parallel and sharded loops are monomorphized over `const AUDIT: bool` —
-//! when on, each worker logs `(from, to, message)` triples that the main
-//! thread replays in deterministic shard order, exactly like the
-//! fault-injection and capture seams. When off, the logging branch compiles
-//! out and the fast paths are unchanged.
+//! parallel loop is monomorphized over `const AUDIT: bool` — when on, each
+//! worker logs `(from, to, message)` triples that the main thread replays
+//! in deterministic shard order, exactly like the fault-injection and
+//! capture seams. When off, the logging branch compiles out and the fast
+//! paths are unchanged.
 
 use std::fmt;
 
@@ -290,7 +290,7 @@ impl<'g> Auditor<'g> {
     }
 
     /// Stamps subsequently raised violations with a worker shard (the
-    /// parallel loops set this while replaying each shard's send log).
+    /// parallel loop sets this while replaying each shard's send log).
     pub fn set_shard(&mut self, shard: Option<usize>) {
         self.shard = shard;
     }

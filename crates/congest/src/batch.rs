@@ -27,30 +27,26 @@
 //!   delivery layout with the engine's per-round dense heuristic evaluated
 //!   on *its* active list (receiver-major buckets on all-to-all traffic,
 //!   flat sender-major otherwise — identical inboxes either way, see the
-//!   engine docs); parallel rounds always merge flat, like the sequential
-//!   engine's sharded flips. Staging order is ascending node order — the
+//!   engine docs); parallel rounds always merge flat, like the parallel
+//!   engine's shard flips. Staging order is ascending node order — the
 //!   sequential staging order.
 //!
 //! The result is the batch invariant every caller relies on: **lane k of a
 //! batched run is bit-identical to a sequential [`SyncSimulator`] run
 //! constructed with lane k's state** — same outputs, same message count,
-//! same round count, same max message bits — at every `lanes × threads ×
-//! shards` combination (asserted end-to-end by the `batch_equivalence`
-//! suite).
+//! same round count, same max message bits — at every `lanes × threads`
+//! combination (asserted end-to-end by the `batch_equivalence` suite).
 //!
-//! The existing throughput knobs compose: [`SyncConfig::threads`] splits the
-//! union frontier into degree-balanced contiguous windows stepped in
-//! parallel (shard-parallel outer loop, lane-vectorized inner loop), and
-//! [`SyncConfig::shards`] resolves adjacency rows from the per-shard local
-//! CSR slices of a (prebuilt or per-run) [`ShardedGraph`]. Instrumented
+//! The thread knob composes: [`SyncConfig::threads`] splits the union
+//! frontier into degree-balanced contiguous windows stepped in parallel
+//! (window-parallel outer loop, lane-vectorized inner loop). Instrumented
 //! configurations (trace / utilization / per-edge) fall back to per-lane
 //! sequential runs — same API, same results, without the amortization.
 
-use symbreak_graphs::sharded::{balanced_cuts, GraphShard, ShardPlan, ShardedGraph};
 use symbreak_graphs::{Graph, IdAssignment, NodeId};
 
 use crate::engine::{
-    csr_buckets_local, csr_dense_round, sharded_row, split_ranges_mut, step_node, DeliveryBuffer,
+    balanced_cuts, csr_buckets_local, csr_dense_round, split_ranges_mut, step_node, DeliveryBuffer,
     MessageArena,
 };
 use crate::sync::{next_active, MIN_ACTIVE_PER_SHARD, SHARD_OVERSUBSCRIPTION};
@@ -66,7 +62,6 @@ pub struct BatchSimulator<'g> {
     graph: &'g Graph,
     ids: &'g IdAssignment,
     level: KtLevel,
-    sharded: Option<&'g ShardedGraph>,
 }
 
 impl<'g> BatchSimulator<'g> {
@@ -97,36 +92,7 @@ impl<'g> BatchSimulator<'g> {
                 id_nodes: ids.len(),
             });
         }
-        Ok(BatchSimulator {
-            graph,
-            ids,
-            level,
-            sharded: None,
-        })
-    }
-
-    /// Attaches a prebuilt [`ShardedGraph`], exactly like
-    /// [`SyncSimulator::with_sharded_graph`]: every batched run whose
-    /// configuration engages sharded stepping reuses it instead of
-    /// rebuilding ghost tables per run — the sweep driver prebuilds one CSR
-    /// (and one sharded view) per graph of a grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sharded` does not cover exactly this simulator's graph.
-    pub fn with_sharded_graph(mut self, sharded: &'g ShardedGraph) -> Self {
-        assert_eq!(
-            sharded.num_nodes(),
-            self.graph.num_nodes(),
-            "prebuilt sharded graph covers a different node count"
-        );
-        assert_eq!(
-            sharded.num_half_edges(),
-            self.graph.degree_sum(),
-            "prebuilt sharded graph covers a different adjacency"
-        );
-        self.sharded = Some(sharded);
-        self
+        Ok(BatchSimulator { graph, ids, level })
     }
 
     /// The underlying graph.
@@ -185,10 +151,6 @@ impl<'g> BatchSimulator<'g> {
             // Instrumentation hangs off the sequential observer loop; run
             // the lanes one by one through it. Bit-identical by definition.
             let sim = SyncSimulator::new(self.graph, self.ids, self.level);
-            let sim = match self.sharded {
-                Some(sg) => sim.with_sharded_graph(sg),
-                None => sim,
-            };
             return (0..lanes)
                 .map(|k| sim.run(config, |init| make(k, init)))
                 .collect();
@@ -199,10 +161,6 @@ impl<'g> BatchSimulator<'g> {
             // shape as the instrumented path, bit-identical by the batch
             // invariant.
             let sim = SyncSimulator::new(self.graph, self.ids, self.level);
-            let sim = match self.sharded {
-                Some(sg) => sim.with_sharded_graph(sg),
-                None => sim,
-            };
             let cfg = crate::audit::AuditConfig::from_env();
             return (0..lanes)
                 .map(|k| {
@@ -211,27 +169,6 @@ impl<'g> BatchSimulator<'g> {
                 })
                 .collect();
         }
-
-        // Resolve the sharded view exactly like `SyncSimulator::run_observed`
-        // (single-shard plans are the identity partition and step unsharded).
-        let shards_cfg = config.resolved_shards();
-        let built;
-        let sharded: Option<&ShardedGraph> = if shards_cfg > 0 {
-            match self.sharded {
-                Some(pre) => (pre.num_shards() > 1).then_some(pre),
-                None => {
-                    let plan = ShardPlan::degree_balanced(self.graph, shards_cfg);
-                    if plan.num_shards() > 1 {
-                        built = ShardedGraph::with_plan(self.graph, plan);
-                        Some(&built)
-                    } else {
-                        None
-                    }
-                }
-            }
-        } else {
-            None
-        };
 
         let threads = config.resolved_threads();
         let n = self.graph.num_nodes();
@@ -298,21 +235,15 @@ impl<'g> BatchSimulator<'g> {
                 .build()
                 .expect("vendored thread pool cannot fail to build")
         });
-        let max_tasks = match sharded {
-            Some(sg) => sg.num_shards(),
-            None => threads * SHARD_OVERSUBSCRIPTION,
-        }
-        .max(1);
+        let max_tasks = (threads * SHARD_OVERSUBSCRIPTION).max(1);
         let mut task_staged: Vec<Vec<Vec<(u32, Message)>>> = (0..max_tasks)
             .map(|_| (0..lanes).map(|_| Vec::new()).collect())
             .collect();
         let mut task_undone: Vec<Vec<Vec<u32>>> = (0..max_tasks)
             .map(|_| (0..lanes).map(|_| Vec::new()).collect())
             .collect();
-        let mut task_scratch: Vec<Vec<NodeId>> = vec![Vec::new(); max_tasks];
         let mut task_pools: Vec<Vec<(NodeId, Message)>> = vec![Vec::new(); max_tasks];
         let mut outbox_pool: Vec<(NodeId, Message)> = Vec::new();
-        let mut inline_scratch: Vec<NodeId> = Vec::new();
 
         let mut rounds: u64 = 0;
 
@@ -387,29 +318,9 @@ impl<'g> BatchSimulator<'g> {
                 }
                 // Sequential walk: one pass over the union list, each row
                 // resolved once, lanes stepped in ascending lane order.
-                // When sharding is on, the ascending walk lets one forward
-                // cursor track the owning shard.
-                let mut shard_idx = 0usize;
                 for &vu in &union_active {
                     let i = vu as usize;
-                    let row: &[NodeId] = match sharded {
-                        Some(sg) => {
-                            while i >= sg.plan().range(shard_idx).1 as usize {
-                                shard_idx += 1;
-                            }
-                            let shard = sg.shard(shard_idx);
-                            sharded_row(
-                                shard,
-                                (i - shard.start_index()) as u32,
-                                &mut inline_scratch,
-                            )
-                        }
-                        None => {
-                            let lo = nbr_offsets[i] as usize;
-                            let hi = nbr_offsets[i + 1] as usize;
-                            &nbrs[lo..hi]
-                        }
-                    };
+                    let row = &nbrs[nbr_offsets[i] as usize..nbr_offsets[i + 1] as usize];
                     for w in 0..lw {
                         let mut bits = member[i * lw + w];
                         member[i * lw + w] = 0;
@@ -466,51 +377,22 @@ impl<'g> BatchSimulator<'g> {
                     }
                 }
             } else {
-                // Parallel walk: contiguous windows of the union list (one
-                // per graph shard when sharding is on, degree-balanced cuts
-                // otherwise), each stepped by one claimable task into
+                // Parallel walk: degree-balanced contiguous windows of the
+                // union list, each stepped by one claimable task into
                 // task-local per-lane staging buffers.
-                let windows: Vec<(usize, usize)> = match sharded {
-                    Some(sg) => {
-                        let plan = sg.plan();
-                        let mut windows = Vec::with_capacity(sg.num_shards());
-                        let mut lo = 0usize;
-                        for s in 0..sg.num_shards() {
-                            let end = plan.range(s).1;
-                            let hi = lo + union_active[lo..].partition_point(|&a| a < end);
-                            windows.push((lo, hi));
-                            lo = hi;
-                        }
-                        windows
-                    }
-                    None => {
-                        let cap = (threads * SHARD_OVERSUBSCRIPTION)
-                            .min(union_active.len() / MIN_ACTIVE_PER_SHARD)
-                            .max(1);
-                        balanced_cuts(union_active.len(), cap, |idx| {
-                            let i = union_active[idx] as usize;
-                            (nbr_offsets[i + 1] - nbr_offsets[i]) as u64 + 1
-                        })
-                    }
-                };
+                let cap = (threads * SHARD_OVERSUBSCRIPTION)
+                    .min(union_active.len() / MIN_ACTIVE_PER_SHARD)
+                    .max(1);
+                let windows = balanced_cuts(union_active.len(), cap, |idx| {
+                    let i = union_active[idx] as usize;
+                    (nbr_offsets[i + 1] - nbr_offsets[i]) as u64 + 1
+                });
                 // Split the lane-major automata and done flags along the
-                // windows' node ranges (scaled by the lane count). Sharded
-                // windows span their whole shard range so empty windows
-                // still consume their slice.
-                let node_bounds: Vec<(usize, usize)> = match sharded {
-                    Some(sg) => (0..sg.num_shards())
-                        .map(|s| {
-                            let (lo, hi) = sg.plan().range(s);
-                            (lo as usize, hi as usize)
-                        })
-                        .collect(),
-                    None => windows
-                        .iter()
-                        .map(|&(lo, hi)| {
-                            (union_active[lo] as usize, union_active[hi - 1] as usize + 1)
-                        })
-                        .collect(),
-                };
+                // windows' node ranges (scaled by the lane count).
+                let node_bounds: Vec<(usize, usize)> = windows
+                    .iter()
+                    .map(|&(lo, hi)| (union_active[lo] as usize, union_active[hi - 1] as usize + 1))
+                    .collect();
                 let scaled: Vec<(usize, usize)> = node_bounds
                     .iter()
                     .map(|&(lo, hi)| (lo * lanes, hi * lanes))
@@ -524,18 +406,14 @@ impl<'g> BatchSimulator<'g> {
                     let mut done_views = done_views.into_iter();
                     let mut staged_iter = task_staged.iter_mut();
                     let mut undone_iter = task_undone.iter_mut();
-                    let mut scratch_iter = task_scratch.iter_mut();
                     let mut pools_iter = task_pools.iter_mut();
-                    for (t, (&(wlo, whi), &(base, _))) in
-                        windows.iter().zip(&node_bounds).enumerate()
-                    {
+                    for (&(wlo, whi), &(base, _)) in windows.iter().zip(&node_bounds) {
                         tasks.push(BatchTask {
                             graph: self.graph,
                             ids: self.ids,
                             level: self.level,
                             nbr_offsets: &nbr_offsets,
                             nbrs: &nbrs,
-                            shard: sharded.map(|sg| sg.shard(t)),
                             nodes: node_views.next().expect("one view per window"),
                             done: done_views.next().expect("one view per window"),
                             base,
@@ -545,7 +423,6 @@ impl<'g> BatchSimulator<'g> {
                             lw,
                             staged: staged_iter.next().expect("sized max_tasks"),
                             undone: undone_iter.next().expect("sized max_tasks"),
-                            scratch: scratch_iter.next().expect("sized max_tasks"),
                             outbox_pool: pools_iter.next().expect("sized max_tasks"),
                             counts: vec![(0, 0, 0); lanes],
                         });
@@ -636,9 +513,6 @@ struct BatchTask<'a, A> {
     level: KtLevel,
     nbr_offsets: &'a [u32],
     nbrs: &'a [NodeId],
-    /// The graph shard owning this task's node range (sharded stepping
-    /// resolves rows from its local CSR slice).
-    shard: Option<&'a GraphShard>,
     /// Lane-major automata slice for nodes `[base, …)`.
     nodes: &'a mut [A],
     done: &'a mut [bool],
@@ -652,7 +526,6 @@ struct BatchTask<'a, A> {
     staged: &'a mut Vec<Vec<(u32, Message)>>,
     /// `undone[k]` — lane `k`'s not-done nodes of this window (ascending).
     undone: &'a mut Vec<Vec<u32>>,
-    scratch: &'a mut Vec<NodeId>,
     outbox_pool: &'a mut Vec<(NodeId, Message)>,
     /// Per lane: `(messages, max_bits, undone_count delta)`.
     counts: Vec<(u64, u32, i64)>,
@@ -675,14 +548,7 @@ fn run_batch_task<A: NodeAlgorithm>(
     }
     for &vu in task.active_slice {
         let i = vu as usize;
-        let row: &[NodeId] = match task.shard {
-            Some(shard) => sharded_row(shard, (i - shard.start_index()) as u32, task.scratch),
-            None => {
-                let lo = task.nbr_offsets[i] as usize;
-                let hi = task.nbr_offsets[i + 1] as usize;
-                &task.nbrs[lo..hi]
-            }
-        };
+        let row = &task.nbrs[task.nbr_offsets[i] as usize..task.nbr_offsets[i + 1] as usize];
         for w in 0..lw {
             let mut bits = task.member[i * lw + w];
             while bits != 0 {
@@ -822,14 +688,7 @@ mod tests {
 
     #[test]
     fn lanes_survive_threads_and_shards() {
-        for (threads, shards) in [(4usize, 0usize), (1, 3), (4, 3)] {
-            assert_lanes_match_sequential(
-                SyncConfig::default()
-                    .with_threads(threads)
-                    .with_shards(shards),
-                5,
-            );
-        }
+        assert_lanes_match_sequential(SyncConfig::default().with_threads(4), 5);
     }
 
     #[test]

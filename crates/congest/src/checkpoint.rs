@@ -20,10 +20,8 @@
 //! in-flight messages carry no per-message checksum — the body digest
 //! already covers them). The log is only `fsync`ed when a run finishes: a
 //! process crash mid-run can tear the final record, and
-//! [`CheckpointChain::load`] simply stops at the last valid one — exactly
-//! the recovery contract of
-//! [`crate::trace_store::MmapTraceObserver::recover`]. Resuming truncates
-//! the torn tail and appends from there.
+//! [`CheckpointChain::load`] simply stops at the last valid one. Resuming
+//! truncates the torn tail and appends from there.
 //!
 //! [`SyncSimulator::run_checkpointed`] and [`SyncSimulator::resume_from`]
 //! drive the loop; resumed runs are **bit-identical** to uninterrupted ones
@@ -43,7 +41,6 @@ use crate::engine::{DeliveryBuffer, MessageArena, NodeRuntime, NoopObserver, Rou
 use crate::message::{MAX_ID_FIELDS, MAX_VALUE_FIELDS};
 use crate::sync::next_active;
 use crate::trace::TraceMessage;
-use crate::trace_store::sync_parent_dir;
 use crate::{ExecutionReport, Message, NodeAlgorithm, NodeInit, SyncConfig, SyncSimulator};
 
 /// Environment variable naming the directory
@@ -76,6 +73,27 @@ pub fn checkpoint_dir() -> PathBuf {
         Ok(dir) if !dir.trim().is_empty() => PathBuf::from(dir),
         _ => std::env::temp_dir(),
     }
+}
+
+/// Fsyncs the directory containing `path`, making the file's directory
+/// entry durable (no-op on platforms where directories cannot be opened).
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        if let Some(parent) = path.parent() {
+            let dir = if parent.as_os_str().is_empty() {
+                Path::new(".")
+            } else {
+                parent
+            };
+            File::open(dir)?.sync_all()?;
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = path;
+    }
+    Ok(())
 }
 
 /// Where and how often a checkpointed run snapshots its state.
@@ -529,9 +547,7 @@ impl<'g> SyncSimulator<'g> {
     }
 
     /// [`SyncSimulator::run_checkpointed`] with a caller-supplied
-    /// [`RoundObserver`] (e.g. a
-    /// [`crate::trace_store::MmapTraceObserver`]) receiving every message
-    /// and round boundary.
+    /// [`RoundObserver`] receiving every message and round boundary.
     ///
     /// # Errors
     ///
@@ -578,9 +594,9 @@ impl<'g> SyncSimulator<'g> {
     }
 
     /// [`SyncSimulator::resume_from`] with a caller-supplied
-    /// [`RoundObserver`] — pair it with a trace observer recovered by
-    /// [`crate::trace_store::MmapTraceObserver::recover_to`] to continue an
-    /// interrupted recording.
+    /// [`RoundObserver`]; it sees only the resumed rounds, from the
+    /// checkpoint boundary on. A recording the crash cut short continues
+    /// from its rounds before that boundary.
     ///
     /// # Errors
     ///

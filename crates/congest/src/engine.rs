@@ -34,7 +34,6 @@
 //!   `ACTIVE = false` constant statically removes every observation branch
 //!   (including the per-message edge lookup) from the inner loop.
 
-use symbreak_graphs::sharded::{GraphShard, ShardedGraph};
 use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
 
 use crate::{KnowledgeView, KtLevel, Message, NodeAlgorithm, NodeInit, RoundContext};
@@ -306,86 +305,6 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
         )
     }
 
-    /// Like [`NodeRuntime::step`], but resolving the node's neighbour list
-    /// from `shard`'s *local* CSR slice instead of the runtime's global
-    /// neighbour table: an identity shard (single-shard plans) lends its
-    /// rows out directly, every other shard's row is translated into global
-    /// [`NodeId`]s through the ghost table into `scratch` (a reused buffer).
-    /// The activation then runs through the same [`step_node`] path as every
-    /// other loop. `i` is a global node index owned by `shard`.
-    ///
-    /// This is the sequential half of the sharded stepping seam: the graph's
-    /// adjacency is only touched through per-shard slices, which is what
-    /// out-of-core and NUMA-local placement need.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn step_sharded<S>(
-        &mut self,
-        shard: &GraphShard,
-        i: usize,
-        round: u64,
-        inbox: &[Message],
-        bit_limit: u32,
-        max_bits: &mut u32,
-        scratch: &mut Vec<NodeId>,
-        sink: &mut S,
-    ) -> bool
-    where
-        S: FnMut(NodeId, NodeId, Message),
-    {
-        let nbrs = sharded_row(shard, (i - shard.start_index()) as u32, scratch);
-        step_node(
-            self.graph,
-            self.ids,
-            self.level,
-            nbrs,
-            &mut self.nodes[i],
-            NodeId(i as u32),
-            round,
-            inbox,
-            bit_limit,
-            max_bits,
-            &mut self.outbox_pool,
-            sink,
-        )
-    }
-
-    /// Splits the automata into disjoint mutable [`ShardSliceView`]s, one
-    /// per shard of `sharded` — the multi-threaded counterpart of
-    /// [`NodeRuntime::step_sharded`]. Each view steps its own node range
-    /// against its shard's local CSR slice from a separate thread.
-    ///
-    /// Return the warm outbox pools with [`NodeRuntime::restore_pools`] once
-    /// the views are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard plan does not cover exactly the runtime's nodes.
-    pub(crate) fn shard_slice_views<'rt, 'sg>(
-        &'rt mut self,
-        sharded: &'sg ShardedGraph,
-    ) -> Vec<ShardSliceView<'rt, 'g, 'sg, A>> {
-        assert_eq!(sharded.num_nodes(), self.nodes.len());
-        let ranges: Vec<(usize, usize)> = (0..sharded.num_shards())
-            .map(|s| {
-                let (lo, hi) = sharded.plan().range(s);
-                (lo as usize, hi as usize)
-            })
-            .collect();
-        split_ranges_mut(&mut self.nodes, &ranges)
-            .into_iter()
-            .enumerate()
-            .map(|(s, nodes)| ShardSliceView {
-                graph: self.graph,
-                ids: self.ids,
-                level: self.level,
-                shard: sharded.shard(s),
-                nodes,
-                outbox_pool: self.shard_pools.pop().unwrap_or_default(),
-            })
-            .collect()
-    }
-
     /// Splits the automata into disjoint mutable [`ShardView`]s, one per
     /// entry of `node_bounds` (ascending, non-overlapping `[start, end)`
     /// node-index ranges). Each view can step its own nodes from a separate
@@ -481,91 +400,6 @@ impl<A: NodeAlgorithm> ShardView<'_, '_, A> {
     }
 }
 
-/// A disjoint mutable view over the automata of one [`GraphShard`],
-/// steppable independently of (and concurrently with) the other shards —
-/// the sharded counterpart of [`ShardView`]. Where [`ShardView`] reads
-/// neighbour lists from the runtime's *global* flat table, this view reads
-/// them from its shard's **local CSR slice**, translating ghost references
-/// back to global IDs per activation.
-pub(crate) struct ShardSliceView<'rt, 'g, 'sg, A> {
-    graph: &'g Graph,
-    ids: &'g IdAssignment,
-    level: KtLevel,
-    shard: &'sg GraphShard,
-    nodes: &'rt mut [A],
-    outbox_pool: Vec<(NodeId, Message)>,
-}
-
-impl<A: NodeAlgorithm> ShardSliceView<'_, '_, '_, A> {
-    /// Global node index of this view's first node (its shard's start).
-    #[inline]
-    pub(crate) fn base(&self) -> usize {
-        self.shard.start_index()
-    }
-
-    /// Like [`NodeRuntime::step_sharded`], for a *global* node index `i`
-    /// inside this view's shard. `scratch` is the caller's reused
-    /// row-translation buffer (one per shard, reused across rounds; kept
-    /// outside the view because the view is rebuilt every round while the
-    /// buffer's warm allocation survives).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step<S>(
-        &mut self,
-        i: usize,
-        round: u64,
-        inbox: &[Message],
-        bit_limit: u32,
-        max_bits: &mut u32,
-        scratch: &mut Vec<NodeId>,
-        sink: &mut S,
-    ) -> bool
-    where
-        S: FnMut(NodeId, NodeId, Message),
-    {
-        let base = self.shard.start_index();
-        let nbrs = sharded_row(self.shard, (i - base) as u32, scratch);
-        step_node(
-            self.graph,
-            self.ids,
-            self.level,
-            nbrs,
-            &mut self.nodes[i - base],
-            NodeId(i as u32),
-            round,
-            inbox,
-            bit_limit,
-            max_bits,
-            &mut self.outbox_pool,
-            sink,
-        )
-    }
-
-    /// Consumes the view, releasing its warm outbox pool.
-    pub(crate) fn into_pool(self) -> Vec<(NodeId, Message)> {
-        self.outbox_pool
-    }
-}
-
-/// Resolves the neighbour row of shard-local node `local` to global
-/// [`NodeId`]s: an identity shard lends its row out directly, every other
-/// shard translates through its ghost table into `scratch`. One helper
-/// shared by [`NodeRuntime::step_sharded`], [`ShardSliceView::step`] and the
-/// batch loop's sharded walk so the sharded paths cannot drift.
-#[inline]
-pub(crate) fn sharded_row<'a>(
-    shard: &'a GraphShard,
-    local: u32,
-    scratch: &'a mut Vec<NodeId>,
-) -> &'a [NodeId] {
-    match shard.global_row(local) {
-        Some(row) => row,
-        None => {
-            shard.write_global_row(local, scratch);
-            scratch
-        }
-    }
-}
-
 /// Whether per-receiver buckets are cache-friendly on a CSR snapshot.
 /// Receiver-major staging writes through one bucket per receiver, so it only
 /// pays off when those writes stay cache-resident: either the whole bucket
@@ -610,6 +444,53 @@ pub(crate) fn csr_dense_round(buckets_local: bool, nbr_offsets: &[u32], active: 
         .map(|&i| (nbr_offsets[i as usize + 1] - nbr_offsets[i as usize]) as u64)
         .sum();
     active_degrees * 2 >= dirs
+}
+
+/// Cuts `0..len` into at most `max_shards` contiguous ranges with near-equal
+/// weight sums, where `weight(i)` is the cost of item `i`.
+///
+/// This is the quantile cut behind the parallel loop's per-round
+/// active-list windows (`sync::plan_shards`) and the batch loop's
+/// union-frontier windows: walk the items accumulating weight and close
+/// shard `k` once the `k`-th quantile of the total weight is reached —
+/// early if the remaining items are only just enough to keep every later
+/// shard nonempty. Cuts depend only on `len`, `max_shards` and the weights —
+/// never on execution order — so downstream merges that walk shards in
+/// shard order are deterministic.
+///
+/// Returns exactly `min(max_shards, len)` ascending, contiguous, nonempty
+/// `[start, end)` ranges covering `0..len` (a single `(0, 0)` range when
+/// `len == 0`).
+pub(crate) fn balanced_cuts<W>(len: usize, max_shards: usize, weight: W) -> Vec<(usize, usize)>
+where
+    W: Fn(usize) -> u64,
+{
+    let max_shards = max_shards.min(len).max(1);
+    if max_shards == 1 {
+        return vec![(0, len)];
+    }
+    let total: u64 = (0..len).map(&weight).sum();
+    let mut bounds = Vec::with_capacity(max_shards);
+    let mut lo = 0usize;
+    let mut acc = 0u64;
+    let mut k = 1usize;
+    for idx in 0..len {
+        acc += weight(idx);
+        let remaining = len - (idx + 1);
+        // Close shard k at its weight quantile — or immediately when the
+        // remaining items are only just enough to hand every later shard one
+        // item, which keeps the shard count exact even under weight skew.
+        if k < max_shards
+            && (acc * max_shards as u64 >= total * k as u64 || remaining == max_shards - k)
+            && remaining >= max_shards - k
+        {
+            bounds.push((lo, idx + 1));
+            lo = idx + 1;
+            k += 1;
+        }
+    }
+    bounds.push((lo, len));
+    bounds
 }
 
 /// Splits `data` into disjoint mutable sub-slices, one per `[start, end)`
@@ -892,7 +773,7 @@ impl DeliveryBuffer {
     /// populated, sorts the receivers, carves the arena's per-receiver
     /// ranges, scatters every chunk of staged messages (chunk order = send
     /// order) and resets this buffer. Keeping one implementation is what
-    /// guarantees sequential and sharded flips produce bit-identical arenas.
+    /// guarantees sequential and shard-merging flips produce bit-identical arenas.
     fn scatter_flat(
         &mut self,
         staged_chunks: &mut [Vec<(u32, Message)>],
@@ -1125,6 +1006,34 @@ mod tests {
         par_buf.stage(NodeId(2), Message::tagged(9));
         par_buf.flip(&mut par_arena, &mut par_receivers);
         assert_eq!(par_receivers, vec![2]);
+    }
+
+    #[test]
+    fn balanced_cuts_cover_contiguously() {
+        let cuts = balanced_cuts(100, 4, |_| 1);
+        assert_eq!(cuts.len(), 4);
+        assert_eq!(cuts[0].0, 0);
+        assert_eq!(cuts.last().unwrap().1, 100);
+        for w in cuts.windows(2) {
+            assert_eq!(w[0].1, w[1].0);
+        }
+        for &(lo, hi) in &cuts {
+            assert!((20..=30).contains(&(hi - lo)), "unbalanced: {}", hi - lo);
+        }
+    }
+
+    #[test]
+    fn balanced_cuts_clamp_to_len() {
+        assert_eq!(balanced_cuts(3, 8, |_| 1).len(), 3);
+        assert_eq!(balanced_cuts(0, 4, |_| 1), vec![(0, 0)]);
+        assert_eq!(balanced_cuts(5, 1, |_| 1), vec![(0, 5)]);
+    }
+
+    #[test]
+    fn balanced_cuts_follow_weights() {
+        // One heavy item at the front: it should get its own shard.
+        let cuts = balanced_cuts(10, 2, |i| if i == 0 { 100 } else { 1 });
+        assert_eq!(cuts, vec![(0, 1), (1, 10)]);
     }
 
     #[test]

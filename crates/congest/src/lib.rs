@@ -14,11 +14,9 @@
 //!   (utilized edges, decoded representations of executions).
 //! * [`SyncSimulator`] drives [`NodeAlgorithm`] automata round by round,
 //!   metering every message, every round, per-edge traffic and utilized
-//!   edges (Definition 2.3). Throughput knobs — worker threads
-//!   ([`SyncConfig::threads`] / `CONGEST_THREADS`) and graph sharding with
-//!   ghost-node frontiers ([`SyncConfig::shards`] / `CONGEST_SHARDS`) —
-//!   never change results: reports are bit-identical at every
-//!   thread/shard combination.
+//!   edges (Definition 2.3). Its throughput knob — worker threads
+//!   ([`SyncConfig::threads`] / `CONGEST_THREADS`) — never changes
+//!   results: reports are bit-identical at every thread count.
 //! * [`CostAccount`] additionally supports *charged* costs, used when a
 //!   substrate (the danner of Theorem 1.1, the asynchronous MST of
 //!   Theorem 1.3) is invoked as a black box with published complexity.
@@ -75,7 +73,6 @@ mod node;
 pub mod reference;
 mod sync;
 pub mod trace;
-pub mod trace_store;
 
 pub use audit::{
     audit_enabled, AuditConfig, Auditor, Violation, ViolationKind, AUDIT_BUDGET_ENV, AUDIT_ENV,
@@ -101,4 +98,4 @@ pub use message::{Message, MAX_ID_FIELDS, MAX_VALUE_FIELDS};
 pub use metrics::{CostAccount, PhaseCost};
 pub use model::KtLevel;
 pub use node::{NodeAlgorithm, NodeInit, RoundContext};
-pub use sync::{ExecutionReport, SyncConfig, SyncSimulator, LANES_ENV, SHARDS_ENV, THREADS_ENV};
+pub use sync::{ExecutionReport, SyncConfig, SyncSimulator, LANES_ENV, THREADS_ENV};

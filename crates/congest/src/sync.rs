@@ -23,29 +23,14 @@
 //! contiguous slices of the ascending active list, so concatenating their
 //! staging buffers in shard order reproduces the sequential staging order
 //! exactly, for any thread count.
-//!
-//! On top of both sits **graph sharding** ([`SyncConfig::shards`] /
-//! `CONGEST_SHARDS`): the CSR adjacency arrays are partitioned into
-//! degree-balanced contiguous shards, each a self-contained local slice
-//! with a ghost table for cross-shard references
-//! ([`symbreak_graphs::sharded::ShardedGraph`]). Stepping then touches the
-//! graph only through per-shard slices — single-threaded runs walk the
-//! shards in order through the sequential loop, and multi-threaded runs
-//! step one shard per worker, routing messages through per-(source-shard,
-//! destination-shard) **frontier buffers** merged by the same deterministic
-//! counting sort. Reports stay bit-identical at any shard *and* thread
-//! count: shards are contiguous ranges of the node space, so walking the
-//! frontier matrix in source-shard-major order reproduces the sequential
-//! staging order exactly.
 
 use serde::{Deserialize, Serialize};
-use symbreak_graphs::sharded::{balanced_cuts, ShardPlan, ShardedGraph};
 use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
 
 use crate::audit::{audit_enabled, AuditConfig, Auditor, Violation};
 use crate::engine::{
-    split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, NoopObserver, RoundObserver,
-    ShardSliceView, ShardView,
+    balanced_cuts, split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, NoopObserver,
+    RoundObserver, ShardView,
 };
 use crate::model::DEFAULT_MESSAGE_BITS;
 use crate::trace::{Trace, TraceMessage};
@@ -55,11 +40,6 @@ use crate::{KnowledgeView, KtLevel, Message, NodeAlgorithm, NodeInit, SimError};
 /// [`SyncConfig::threads`]` = 0` (used by CI to exercise both the sequential
 /// and the parallel loop with one test suite).
 pub const THREADS_ENV: &str = "CONGEST_THREADS";
-
-/// Environment variable overriding the graph shard count of
-/// [`SyncConfig::shards`]` = 0` (used by CI to run whole test suites through
-/// the sharded stepping path).
-pub const SHARDS_ENV: &str = "CONGEST_SHARDS";
 
 /// Environment variable overriding the lane count of
 /// [`SyncConfig::lanes`]` = 0` — the default batch width of
@@ -101,20 +81,6 @@ pub struct SyncConfig {
     /// instrumented runs (trace/utilization/per-edge or a custom observer)
     /// always execute sequentially.
     pub threads: usize,
-    /// Graph shards for sharded stepping. `0` (the default) resolves to the
-    /// `CONGEST_SHARDS` environment variable if set, else disables sharding.
-    /// When ≥ 1, the CSR adjacency is partitioned into that many
-    /// degree-balanced contiguous shards
-    /// ([`symbreak_graphs::sharded::ShardedGraph`]; clamped to the node
-    /// count) and every activation resolves its neighbour list from its
-    /// shard's local slice. With more than one thread, workers step one
-    /// shard each and cross-shard messages travel through per-(src-shard,
-    /// dst-shard) frontier buffers; parallelism is then capped by the shard
-    /// count. A plan that resolves to a single shard is the identity
-    /// partition and runs on the unsharded fast path at zero extra cost.
-    /// Reports are bit-identical to the unsharded engine at any
-    /// shard/thread combination.
-    pub shards: usize,
     /// Execution lanes for batched multi-execution runs
     /// ([`crate::BatchSimulator`]). `0` (the default) resolves to the
     /// `CONGEST_LANES` environment variable if set, else to `1` (a single
@@ -134,7 +100,6 @@ impl Default for SyncConfig {
             track_utilization: false,
             track_per_edge: false,
             threads: 0,
-            shards: 0,
             lanes: 0,
         }
     }
@@ -165,13 +130,6 @@ impl SyncConfig {
         self
     }
 
-    /// Sets the graph shard count (`0` = disabled; see
-    /// [`SyncConfig::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Sets the batch lane count (`0` = automatic; see
     /// [`SyncConfig::lanes`]).
     pub fn with_lanes(mut self, lanes: usize) -> Self {
@@ -195,35 +153,12 @@ impl SyncConfig {
         1
     }
 
-    /// The effective shard count: an explicit setting wins, then the
-    /// `CONGEST_SHARDS` environment variable, then `0` (sharding disabled).
+    /// Always `0`: the engine does not partition the graph into shards.
+    /// Kept only because the repo benchmark's host record
+    /// (`benchmark/src/lib.rs`) prints it; delete it once that record drops
+    /// its `shards` field.
     pub fn resolved_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        if let Ok(raw) = std::env::var(SHARDS_ENV) {
-            if let Ok(v) = raw.trim().parse::<usize>() {
-                return v;
-            }
-        }
         0
-    }
-
-    /// Builds the [`ShardedGraph`] this configuration's runs would otherwise
-    /// construct **per call** — the caching seam for multi-stage algorithm
-    /// runs. Returns `Some` exactly when sharded stepping would engage (the
-    /// resolved shard count is nonzero and the degree-balanced plan has more
-    /// than one shard; single-shard plans are the identity partition and run
-    /// unsharded). Attach the result once via
-    /// [`SyncSimulator::with_sharded_graph`] and every subsequent `run` on
-    /// that simulator reuses it instead of rebuilding ghost tables.
-    pub fn prebuild_sharded(&self, graph: &Graph) -> Option<ShardedGraph> {
-        let shards = self.resolved_shards();
-        if shards == 0 {
-            return None;
-        }
-        let plan = ShardPlan::degree_balanced(graph, shards);
-        (plan.num_shards() > 1).then(|| ShardedGraph::with_plan(graph, plan))
     }
 
     /// The effective thread count: an explicit setting wins, then the
@@ -288,10 +223,6 @@ pub struct SyncSimulator<'g> {
     graph: &'g Graph,
     ids: &'g IdAssignment,
     level: KtLevel,
-    /// A caller-prebuilt sharded view of `graph`, reused across `run` calls
-    /// instead of rebuilding the ghost tables per call (see
-    /// [`SyncSimulator::with_sharded_graph`]).
-    sharded: Option<&'g ShardedGraph>,
 }
 
 impl<'g> SyncSimulator<'g> {
@@ -322,52 +253,7 @@ impl<'g> SyncSimulator<'g> {
                 id_nodes: ids.len(),
             });
         }
-        Ok(SyncSimulator {
-            graph,
-            ids,
-            level,
-            sharded: None,
-        })
-    }
-
-    /// Attaches a prebuilt [`ShardedGraph`] of this simulator's graph.
-    ///
-    /// Every `run` whose configuration engages sharded stepping then reuses
-    /// it instead of rebuilding the shard slices and ghost tables per call —
-    /// the fix for multi-stage algorithm runs (e.g. Algorithm 1's per-level
-    /// stages), which previously paid ghost-table construction once *per
-    /// stage*. Build the graph once with [`SyncConfig::prebuild_sharded`]
-    /// (which also encodes the "more than one shard" engagement rule) and
-    /// attach it here. The configuration stays the gate: a run whose
-    /// resolved shard count is `0` ignores the attachment and steps
-    /// unsharded, and an attached graph with a single shard is the identity
-    /// partition and keeps the unsharded fast path. When sharding does
-    /// engage, the attached graph's own shard count wins over the
-    /// configured one (they were planned from the same rule, but the
-    /// attachment is authoritative).
-    ///
-    /// Results are unaffected either way: reports are bit-identical at any
-    /// shard count, prebuilt or not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sharded` does not cover exactly this simulator's graph
-    /// (node count and half-edge count are checked — two different graphs
-    /// of the same shape would still step identically, but a mismatched
-    /// adjacency is caught).
-    pub fn with_sharded_graph(mut self, sharded: &'g ShardedGraph) -> Self {
-        assert_eq!(
-            sharded.num_nodes(),
-            self.graph.num_nodes(),
-            "prebuilt sharded graph covers a different node count"
-        );
-        assert_eq!(
-            sharded.num_half_edges(),
-            self.graph.degree_sum(),
-            "prebuilt sharded graph covers a different adjacency"
-        );
-        self.sharded = Some(sharded);
-        self
+        Ok(SyncSimulator { graph, ids, level })
     }
 
     /// The underlying graph.
@@ -449,9 +335,9 @@ impl<'g> SyncSimulator<'g> {
     ///
     /// Unlike [`SyncSimulator::run_observed`], auditing does *not* pin the
     /// run to the sequential loop: multi-threaded configurations take the
-    /// parallel/sharded paths monomorphized with their audit seam on, where
-    /// workers log `(from, to, message)` triples that are replayed through
-    /// the auditor in deterministic shard order. The built-in
+    /// parallel path monomorphized with its audit seam on, where workers
+    /// log `(from, to, message)` triples that are replayed through the
+    /// auditor in deterministic shard order. The built-in
     /// instrumentation fields of the report are `None` here.
     ///
     /// # Panics
@@ -470,46 +356,10 @@ impl<'g> SyncSimulator<'g> {
     {
         let mut auditor = Auditor::new(self.graph, *audit);
         let threads = config.resolved_threads();
-        let shards = config.resolved_shards();
-        let report = 'run: {
-            if shards > 0 {
-                // Same sharded-view resolution as `run_observed`.
-                let built;
-                let sharded = match self.sharded {
-                    Some(pre) => (pre.num_shards() > 1).then_some(pre),
-                    None => {
-                        let plan = ShardPlan::degree_balanced(self.graph, shards);
-                        if plan.num_shards() > 1 {
-                            built = ShardedGraph::with_plan(self.graph, plan);
-                            Some(&built)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                if let Some(sharded) = sharded {
-                    if threads > 1 {
-                        break 'run self.run_sharded_parallel::<_, _, true>(
-                            config,
-                            make,
-                            sharded,
-                            threads,
-                            Some(&mut auditor),
-                        );
-                    }
-                    break 'run self.run_sequential::<_, _, _, true>(
-                        config,
-                        make,
-                        &mut auditor,
-                        Some(sharded),
-                    );
-                }
-            }
-            if threads > 1 {
-                self.run_parallel::<_, _, true>(config, make, threads, Some(&mut auditor))
-            } else {
-                self.run_sequential::<_, _, _, false>(config, make, &mut auditor, None)
-            }
+        let report = if threads > 1 {
+            self.run_parallel::<_, _, true>(config, make, threads, Some(&mut auditor))
+        } else {
+            self.run_sequential(config, make, &mut auditor)
         };
         (report, auditor.finish())
     }
@@ -534,72 +384,25 @@ impl<'g> SyncSimulator<'g> {
         O: RoundObserver,
     {
         let threads = config.resolved_threads();
-        let shards = config.resolved_shards();
-        if shards > 0 {
-            // Sharded stepping: the adjacency is only touched through
-            // per-shard local CSR slices. The configuration is the gate
-            // (`shards == 0` steps unsharded even with an attachment); when
-            // it engages, a prebuilt sharded graph (attached via
-            // `with_sharded_graph`) is reused as-is and without one the
-            // shard slices and ghost tables are built here, once per `run`
-            // call. Single-shard plans are the *identity*
-            // partition — the one shard's local CSR slice is the global
-            // adjacency verbatim (start 0, no ghosts) — so they fall
-            // through to the unsharded loops below, which already step
-            // them optimally: sharding only costs anything from two shards
-            // up, where it buys frontier isolation.
-            let built;
-            let sharded = match self.sharded {
-                Some(pre) => (pre.num_shards() > 1).then_some(pre),
-                None => {
-                    let plan = ShardPlan::degree_balanced(self.graph, shards);
-                    if plan.num_shards() > 1 {
-                        built = ShardedGraph::with_plan(self.graph, plan);
-                        Some(&built)
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(sharded) = sharded {
-                // Multi-threaded uninstrumented runs take the
-                // frontier-buffer loop (one worker per shard); everything
-                // else walks the shards in order on the sequential loop.
-                // Reports are bit-identical either way.
-                if !O::ACTIVE && threads > 1 {
-                    return self
-                        .run_sharded_parallel::<_, _, false>(config, make, sharded, threads, None);
-                }
-                return self.run_sequential::<_, _, _, true>(config, make, observer, Some(sharded));
-            }
-        }
         if !O::ACTIVE && threads > 1 {
             self.run_parallel::<_, _, false>(config, make, threads, None)
         } else {
-            self.run_sequential::<_, _, _, false>(config, make, observer, None)
+            self.run_sequential(config, make, observer)
         }
     }
 
     /// The sequential round loop (also the only loop observers ever see).
-    /// With `SHARDED` (and the matching `sharded` graph) set, every
-    /// activation resolves its neighbour list from its shard's local CSR
-    /// slice (the shards are walked in ascending order, so one cursor tracks
-    /// the owning shard); delivery is unchanged, so the report is
-    /// bit-identical to an unsharded run. Shardedness is a compile-time
-    /// parameter so the unsharded fast path carries no dispatch branches.
-    fn run_sequential<A, F, O, const SHARDED: bool>(
+    fn run_sequential<A, F, O>(
         &self,
         config: SyncConfig,
         make: F,
         observer: &mut O,
-        sharded: Option<&ShardedGraph>,
     ) -> ExecutionReport
     where
         A: NodeAlgorithm,
         F: FnMut(NodeInit<'_>) -> A,
         O: RoundObserver,
     {
-        debug_assert_eq!(SHARDED, sharded.is_some());
         let n = self.graph.num_nodes();
         let mut runtime = NodeRuntime::new(self.graph, self.ids, self.level, make);
         let mut arena = MessageArena::new(n);
@@ -622,8 +425,6 @@ impl<'g> SyncSimulator<'g> {
         let mut receivers: Vec<u32> = Vec::new();
         let mut done = runtime.done_flags();
         let mut undone_count = done.iter().filter(|&&d| !d).count();
-        // Sharded stepping state: the reused row-translation buffer.
-        let mut scratch: Vec<NodeId> = Vec::new();
 
         loop {
             if rounds > 0 && arena.len() == 0 && undone_count == 0 {
@@ -651,9 +452,6 @@ impl<'g> SyncSimulator<'g> {
             // flip can afford one O(n) reconstruction scan (the round was
             // already Ω(n)). Sparse rounds keep the incremental push.
             let defer_undone = active_all;
-            // Activation order is ascending, so when sharding is on a single
-            // forward cursor finds each node's owning shard.
-            let mut shard_idx = 0usize;
             let mut step_one = |i: usize| {
                 let mut sink = |from: NodeId, to: NodeId, msg: Message| {
                     messages += 1;
@@ -666,31 +464,14 @@ impl<'g> SyncSimulator<'g> {
                     }
                     staging.stage(to, msg);
                 };
-                let now_done = if SHARDED {
-                    let sg = sharded.expect("SHARDED implies a sharded graph");
-                    while i >= sg.plan().range(shard_idx).1 as usize {
-                        shard_idx += 1;
-                    }
-                    runtime.step_sharded(
-                        sg.shard(shard_idx),
-                        i,
-                        rounds,
-                        arena.inbox(i),
-                        config.message_bit_limit,
-                        &mut max_bits,
-                        &mut scratch,
-                        &mut sink,
-                    )
-                } else {
-                    runtime.step(
-                        i,
-                        rounds,
-                        arena.inbox(i),
-                        config.message_bit_limit,
-                        &mut max_bits,
-                        &mut sink,
-                    )
-                };
+                let now_done = runtime.step(
+                    i,
+                    rounds,
+                    arena.inbox(i),
+                    config.message_bit_limit,
+                    &mut max_bits,
+                    &mut sink,
+                );
                 if now_done != done[i] {
                     done[i] = now_done;
                     if now_done {
@@ -915,186 +696,6 @@ impl<'g> SyncSimulator<'g> {
             trace: None,
         }
     }
-
-    /// The sharded multi-core round loop: one worker per graph shard, each
-    /// stepping its shard's window of the active list against the shard's
-    /// **local CSR slice**. Outgoing messages are routed into the round's
-    /// `shards × shards` **frontier matrix** (row = source shard, column =
-    /// destination shard); [`DeliveryBuffer::flip_shards`] then merges the
-    /// matrix in source-shard-major order with one deterministic counting
-    /// sort. Shards are contiguous ranges of the node space and each window
-    /// is stepped in ascending order, so the merged arena — and therefore
-    /// the report — is bit-identical to the unsharded engine at any
-    /// shard/thread combination.
-    fn run_sharded_parallel<A, F, const AUDIT: bool>(
-        &self,
-        config: SyncConfig,
-        make: F,
-        sharded: &ShardedGraph,
-        threads: usize,
-        mut auditor: Option<&mut Auditor<'_>>,
-    ) -> ExecutionReport
-    where
-        A: NodeAlgorithm + Send,
-        F: FnMut(NodeInit<'_>) -> A,
-    {
-        debug_assert_eq!(AUDIT, auditor.is_some());
-        let n = self.graph.num_nodes();
-        let s = sharded.num_shards();
-        let plan = sharded.plan();
-        let mut runtime = NodeRuntime::new(self.graph, self.ids, self.level, make);
-        let mut arena = MessageArena::new(n);
-        let mut staging = DeliveryBuffer::new(n);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("vendored thread pool cannot fail to build");
-
-        let mut messages: u64 = 0;
-        let mut max_bits: u32 = 0;
-        let mut rounds: u64 = 0;
-        let mut completed = false;
-
-        let mut active: Vec<u32> = (0..n as u32).collect();
-        let mut undone: Vec<u32> = Vec::new();
-        let mut receivers: Vec<u32> = Vec::new();
-        let mut done = runtime.done_flags();
-        let mut undone_count = done.iter().filter(|&&d| !d).count();
-
-        let node_ranges: Vec<(usize, usize)> = (0..s)
-            .map(|k| {
-                let (lo, hi) = plan.range(k);
-                (lo as usize, hi as usize)
-            })
-            .collect();
-        // Per-shard round state, reused across rounds: the frontier matrix
-        // (s rows of s destination buffers), per-shard undone lists (their
-        // shard-order concatenation is the ascending undone list) and the
-        // per-shard row-translation scratch buffers.
-        let mut frontiers: Vec<Vec<(u32, Message)>> = (0..s * s).map(|_| Vec::new()).collect();
-        let mut shard_undone: Vec<Vec<u32>> = (0..s).map(|_| Vec::new()).collect();
-        let mut scratches: Vec<Vec<NodeId>> = (0..s).map(|_| Vec::new()).collect();
-        // Audit send logs (empty vectors — allocation-free — when off).
-        let mut shard_sent: Vec<Vec<(NodeId, NodeId, Message)>> =
-            (0..s).map(|_| Vec::new()).collect();
-
-        loop {
-            if rounds > 0 && arena.len() == 0 && undone_count == 0 {
-                completed = true;
-                break;
-            }
-            if rounds >= config.max_rounds {
-                break;
-            }
-
-            undone.clear();
-            if !active.is_empty() {
-                // Each shard's window of the ascending active list.
-                let mut windows = Vec::with_capacity(s);
-                let mut lo = 0usize;
-                for k in 0..s {
-                    let end = plan.range(k).1;
-                    let hi = lo + active[lo..].partition_point(|&a| a < end);
-                    windows.push((lo, hi));
-                    lo = hi;
-                }
-                let views = runtime.shard_slice_views(sharded);
-                let done_slices = split_ranges_mut(&mut done, &node_ranges);
-                let mut tasks: Vec<ShardedTask<'_, '_, '_, '_, A>> = views
-                    .into_iter()
-                    .zip(&windows)
-                    .zip(frontiers.chunks_mut(s))
-                    .zip(shard_undone.iter_mut())
-                    .zip(scratches.iter_mut())
-                    .zip(shard_sent.iter_mut())
-                    .zip(done_slices)
-                    .map(
-                        |(
-                            (((((view, &(wlo, whi)), frontier_row), undone_buf), scratch), sent),
-                            ds,
-                        )| {
-                            ShardedTask {
-                                view,
-                                active_slice: &active[wlo..whi],
-                                frontier_row,
-                                undone_buf,
-                                scratch,
-                                sent,
-                                done_slice: ds,
-                                outcome: (0, 0, 0),
-                            }
-                        },
-                    )
-                    .collect();
-
-                if active.len() < MIN_ACTIVE_PER_SHARD {
-                    // Small round: step the shards inline on the caller
-                    // thread — same path, no fork-join.
-                    for task in &mut tasks {
-                        run_sharded_task::<_, AUDIT>(
-                            task,
-                            rounds,
-                            &arena,
-                            config.message_bit_limit,
-                            plan,
-                        );
-                    }
-                } else {
-                    let arena_ref = &arena;
-                    let bit_limit = config.message_bit_limit;
-                    pool.par_chunks_mut(&mut tasks, |_, chunk| {
-                        for task in chunk {
-                            run_sharded_task::<_, AUDIT>(task, rounds, arena_ref, bit_limit, plan);
-                        }
-                    });
-                }
-
-                let mut pools = Vec::with_capacity(tasks.len());
-                for (t, task) in tasks.into_iter().enumerate() {
-                    pools.push(task.view.into_pool());
-                    let (shard_messages, shard_max_bits, undone_delta) = task.outcome;
-                    messages += shard_messages;
-                    max_bits = max_bits.max(shard_max_bits);
-                    undone_count = (undone_count as i64 + undone_delta) as usize;
-                    undone.extend_from_slice(task.undone_buf);
-                    if AUDIT {
-                        // Replay in source-shard order — the frontier
-                        // matrix's merge order — with shard provenance; the
-                        // write window is the shard's node range.
-                        let aud = auditor.as_deref_mut().expect("AUDIT implies an auditor");
-                        aud.set_shard(Some(t));
-                        let (wlo, whi) = node_ranges[t];
-                        aud.record_window(t, wlo, whi);
-                        for &(from, to, msg) in task.sent.iter() {
-                            aud.on_send(from, to, &msg);
-                        }
-                        task.sent.clear();
-                    }
-                }
-                runtime.restore_pools(pools);
-            }
-
-            staging.flip_shards(&mut frontiers, &mut arena, &mut receivers);
-            if AUDIT {
-                let aud = auditor.as_deref_mut().expect("AUDIT implies an auditor");
-                aud.check_arena(&arena);
-                aud.end_round();
-            }
-            next_active(&mut receivers, &undone, &mut active, n);
-            rounds += 1;
-        }
-
-        ExecutionReport {
-            completed,
-            rounds,
-            messages,
-            max_message_bits: max_bits,
-            outputs: runtime.outputs(),
-            per_edge_messages: None,
-            utilized_edges: None,
-            trace: None,
-        }
-    }
 }
 
 /// One claimable unit of a round: a [`ShardView`] over a contiguous window
@@ -1187,84 +788,10 @@ fn step_shard<A: NodeAlgorithm, const AUDIT: bool>(
     *outcome = (local_messages, local_max_bits, undone_delta);
 }
 
-/// One claimable unit of a *sharded* round: a [`ShardSliceView`] over one
-/// graph shard's automata plus that shard's active-list window, frontier
-/// row (one staging buffer per destination shard), undone list, done window,
-/// row-translation scratch and outcome accumulator.
-struct ShardedTask<'a, 'rt, 'g, 'sg, A> {
-    view: ShardSliceView<'rt, 'g, 'sg, A>,
-    active_slice: &'a [u32],
-    /// This source shard's row of the frontier matrix: `frontier_row[d]`
-    /// stages the messages bound for destination shard `d`.
-    frontier_row: &'a mut [Vec<(u32, Message)>],
-    undone_buf: &'a mut Vec<u32>,
-    scratch: &'a mut Vec<NodeId>,
-    /// Audit send log `(from, to, message)` — only written under `AUDIT`.
-    sent: &'a mut Vec<(NodeId, NodeId, Message)>,
-    done_slice: &'a mut [bool],
-    /// `(messages, max_bits, undone_count delta)`.
-    outcome: (u64, u32, i64),
-}
-
-/// Steps one [`ShardedTask`]: the shard's window of the round's ascending
-/// active list runs through the shard-local view, and every outgoing message
-/// is routed to its destination shard's frontier buffer.
-fn run_sharded_task<A: NodeAlgorithm, const AUDIT: bool>(
-    task: &mut ShardedTask<'_, '_, '_, '_, A>,
-    round: u64,
-    arena: &MessageArena,
-    bit_limit: u32,
-    plan: &ShardPlan,
-) {
-    let ShardedTask {
-        view,
-        active_slice,
-        frontier_row,
-        undone_buf,
-        scratch,
-        sent,
-        done_slice,
-        outcome,
-    } = task;
-    let base = view.base();
-    let mut local_messages = 0u64;
-    let mut local_max_bits = 0u32;
-    let mut undone_delta = 0i64;
-    undone_buf.clear();
-    for &iu in *active_slice {
-        let i = iu as usize;
-        let now_done = view.step(
-            i,
-            round,
-            arena.inbox(i),
-            bit_limit,
-            &mut local_max_bits,
-            scratch,
-            &mut |from, to, msg| {
-                local_messages += 1;
-                if AUDIT {
-                    sent.push((from, to, msg));
-                }
-                frontier_row[plan.shard_of(to)].push((to.0, msg));
-            },
-        );
-        let flag = &mut done_slice[i - base];
-        if now_done != *flag {
-            *flag = now_done;
-            undone_delta += if now_done { -1 } else { 1 };
-        }
-        if !now_done {
-            undone_buf.push(iu);
-        }
-    }
-    *outcome = (local_messages, local_max_bits, undone_delta);
-}
-
 /// Cuts the active list into at most `shard_limit` contiguous shards with
 /// near-equal degree sums (stepping cost is dominated by inbox/outbox sizes,
-/// both bounded by degree), through the same
-/// [`balanced_cuts`](symbreak_graphs::sharded::balanced_cuts) quantile walk
-/// that plans [`ShardedGraph`] partitions. The parallel loop passes
+/// both bounded by degree), through the [`balanced_cuts`] quantile walk the
+/// batch loop also cuts its union frontier with. The parallel loop passes
 /// `threads · SHARD_OVERSUBSCRIPTION` so dynamic claiming has spare shards
 /// to rebalance with. Rounds too small to amortize a fork-join
 /// ([`MIN_ACTIVE_PER_SHARD`]) get one shard. Weight = degree + 1: the
@@ -1565,48 +1092,6 @@ mod tests {
                 id_nodes: 2
             }
         );
-    }
-
-    #[test]
-    fn prebuilt_sharded_graph_is_reused_and_bit_identical() {
-        let g = generators::cycle(64);
-        let ids = IdAssignment::identity(64);
-        let config = SyncConfig::default().with_threads(1).with_shards(4);
-        let baseline =
-            SyncSimulator::new(&g, &ids, KtLevel::KT1).run(config, |_| Announce { done: false });
-
-        let prebuilt = config.prebuild_sharded(&g).expect("4 shards engage");
-        let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1).with_sharded_graph(&prebuilt);
-        // Several runs on one simulator, all reusing the one prebuilt graph
-        // (the no-rebuild guarantee itself is asserted by the isolated
-        // `sharded_cache` regression suite in `symbreak-core`, where the
-        // process-wide construction counter cannot race other tests).
-        for _ in 0..3 {
-            let report = sim.run(config, |_| Announce { done: false });
-            assert_eq!(report, baseline);
-        }
-    }
-
-    #[test]
-    fn prebuild_sharded_encodes_the_engagement_rule() {
-        let g = generators::cycle(8);
-        // Identity-partition configs build nothing.
-        assert!(SyncConfig::default()
-            .with_shards(1)
-            .prebuild_sharded(&g)
-            .is_none());
-        let sg = SyncConfig::default().with_shards(3).prebuild_sharded(&g);
-        assert_eq!(sg.expect("3 shards engage").num_shards(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different node count")]
-    fn mismatched_prebuilt_sharded_graph_is_rejected() {
-        let g = generators::cycle(8);
-        let other = generators::cycle(9);
-        let ids = IdAssignment::identity(8);
-        let sg = ShardedGraph::build(&other, 2);
-        let _ = SyncSimulator::new(&g, &ids, KtLevel::KT1).with_sharded_graph(&sg);
     }
 
     #[test]

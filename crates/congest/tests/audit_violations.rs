@@ -172,8 +172,8 @@ fn deny_mode_panics_with_provenance() {
 }
 
 /// Audited runs are bit-identical to plain runs — with zero violations —
-/// at every thread × shard combination, including the parallel and sharded
-/// loops' replayed audit seams.
+/// at every thread count, including the parallel loop's replayed audit
+/// seam.
 #[test]
 fn audited_runs_match_plain_runs_with_zero_violations() {
     let mut rng = StdRng::seed_from_u64(0xc0ffee);
@@ -191,20 +191,13 @@ fn audited_runs_match_plain_runs_with_zero_violations() {
         },
         flood(),
     );
-    for (threads, shards) in [(1, 0), (1, 3), (4, 0), (4, 3)] {
+    for threads in [1, 4] {
         let config = SyncConfig {
             threads,
-            shards,
             ..SyncConfig::default()
         };
         let (report, violations) = sim.run_audited(config, &AuditConfig::collect(SEED), flood());
-        assert!(
-            violations.is_empty(),
-            "threads={threads} shards={shards}: {violations:?}"
-        );
-        assert_eq!(
-            report, base,
-            "audited report drifted at threads={threads} shards={shards}"
-        );
+        assert!(violations.is_empty(), "threads={threads}: {violations:?}");
+        assert_eq!(report, base, "audited report drifted at threads={threads}");
     }
 }

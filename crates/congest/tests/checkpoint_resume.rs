@@ -3,13 +3,14 @@
 //! round boundary and resumed from the surviving log. Every resumed run
 //! must reproduce the uninterrupted run bit-exactly — the full
 //! [`ExecutionReport`] (outputs, messages, rounds, per-edge metering) *and*
-//! the recorded message trace, continued at the checkpoint boundary via
-//! [`MmapTraceObserver::recover_to`].
+//! the recorded message trace: the killed run's rounds before the
+//! checkpoint boundary followed by the resumed run's rounds must be the
+//! baseline's rounds.
 //!
-//! The kill is simulated the way a real crash looks on disk: the partial
-//! run's trace observer is dropped unsealed and the checkpoint log is left
-//! wherever the round budget cut it off (including *before the first
-//! boundary*, where the chain is empty and recovery restarts from round 0).
+//! The kill is simulated the way a real crash looks on disk: the checkpoint
+//! log is left wherever the round budget cut it off (including *before the
+//! first boundary*, where the chain is empty and recovery restarts from
+//! round 0).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -18,19 +19,40 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::mis::{luby, parallel_greedy};
 use symbreak_congest::checkpoint::checkpoint_dir;
-use symbreak_congest::trace_store::{trace_dir, MmapTraceObserver};
-use symbreak_congest::{CheckpointChain, CheckpointConfig, ExecutionReport, SyncConfig};
-use symbreak_graphs::{generators, Graph, IdAssignment};
+use symbreak_congest::trace::TraceMessage;
+use symbreak_congest::{
+    CheckpointChain, CheckpointConfig, ExecutionReport, Message, RoundObserver, SyncConfig,
+};
+use symbreak_graphs::{generators, EdgeId, Graph, IdAssignment, NodeId};
 
-/// A scratch directory under `base`, which callers pick via
-/// [`checkpoint_dir`] / [`trace_dir`] so the artifacts land where
-/// `CONGEST_CHECKPOINT_DIR` / `CONGEST_TRACE_DIR` point — the CI
-/// chaos-recovery job routes both into `mktemp` dirs and fails on
-/// leftovers.
-fn scratch_dir(base: PathBuf, kind: &str) -> PathBuf {
-    let dir = base.join(format!("sbck-resume-{kind}-{}", std::process::id()));
+/// A scratch directory under [`checkpoint_dir`], so the logs land where
+/// `CONGEST_CHECKPOINT_DIR` points — the CI chaos-recovery job routes it
+/// into a `mktemp` dir and fails on leftovers.
+fn scratch_dir(kind: &str) -> PathBuf {
+    let dir = checkpoint_dir().join(format!("sbck-resume-{kind}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
+}
+
+/// Records every round's messages in RAM, one `Vec` per executed round.
+#[derive(Default)]
+struct RoundLog {
+    rounds: Vec<Vec<TraceMessage>>,
+    current: Vec<TraceMessage>,
+}
+
+impl RoundObserver for RoundLog {
+    fn on_message(&mut self, from: NodeId, to: NodeId, _edge: EdgeId, message: &Message) {
+        self.current.push(TraceMessage {
+            from,
+            to,
+            message: *message,
+        });
+    }
+
+    fn on_round_end(&mut self, _round: u64) {
+        self.rounds.push(std::mem::take(&mut self.current));
+    }
 }
 
 /// Runs the full kill matrix for one `(algorithm, graph, threads)` cell:
@@ -38,11 +60,9 @@ fn scratch_dir(base: PathBuf, kind: &str) -> PathBuf {
 /// kill round `1..rounds` replays kill → recover → resume and checks both
 /// artifacts against the baseline. Returns the baseline report so callers
 /// can also assert thread-invariance across cells.
-#[allow(clippy::too_many_arguments)]
 fn kill_everywhere<RunC, Res>(
     label: &str,
     log_dir: &Path,
-    traces: &Path,
     threads: usize,
     every: u64,
     plain: &ExecutionReport,
@@ -50,17 +70,16 @@ fn kill_everywhere<RunC, Res>(
     resume: Res,
 ) -> ExecutionReport
 where
-    RunC: Fn(SyncConfig, &CheckpointConfig, &mut MmapTraceObserver) -> io::Result<ExecutionReport>,
-    Res: Fn(SyncConfig, &CheckpointConfig, &mut MmapTraceObserver) -> io::Result<ExecutionReport>,
+    RunC: Fn(SyncConfig, &CheckpointConfig, &mut RoundLog) -> io::Result<ExecutionReport>,
+    Res: Fn(SyncConfig, &CheckpointConfig, &mut RoundLog) -> io::Result<ExecutionReport>,
 {
     let config = SyncConfig::default().with_threads(threads);
     let log = log_dir.join(format!("{label}-t{threads}.sbck"));
-    let trace_path = traces.join(format!("{label}-t{threads}.sbtrace"));
     let ckpt = CheckpointConfig::new(&log).with_every(every);
 
     // Uninterrupted baseline, trace attached.
-    let mut obs = MmapTraceObserver::create(&trace_path).expect("create baseline trace");
-    let baseline = run_ckpt(config, &ckpt, &mut obs).expect("baseline run");
+    let mut baseline_trace = RoundLog::default();
+    let baseline = run_ckpt(config, &ckpt, &mut baseline_trace).expect("baseline run");
     assert!(baseline.completed, "{label}: baseline must terminate");
     assert!(
         baseline.rounds > every,
@@ -71,36 +90,39 @@ where
         &baseline, plain,
         "{label}: checkpointing must not change the report"
     );
-    let stored = obs.finish().expect("seal baseline trace");
-    let baseline_trace = stored.to_trace().expect("read baseline trace");
-    stored.remove().expect("drop baseline trace");
+    let baseline_rounds = &baseline_trace.rounds;
+    assert_eq!(baseline_rounds.len() as u64, baseline.rounds);
 
     for kill in 1..baseline.rounds {
-        // The "kill": round budget runs out mid-run, the trace observer is
-        // dropped unsealed, the log keeps whatever boundaries were hit.
-        let mut obs = MmapTraceObserver::create(&trace_path).expect("create trace");
-        let partial = run_ckpt(config.with_max_rounds(kill), &ckpt, &mut obs).expect("partial run");
-        drop(obs);
+        // The "kill": round budget runs out mid-run, the log keeps whatever
+        // boundaries were hit.
+        let mut killed_trace = RoundLog::default();
+        let partial =
+            run_ckpt(config.with_max_rounds(kill), &ckpt, &mut killed_trace).expect("partial run");
         assert!(!partial.completed, "{label}: kill at {kill} must interrupt");
         assert_eq!(partial.rounds, kill);
 
-        // Recover: trace truncated to the boundary the log resumes at
-        // (round 0 when the kill predates the first checkpoint).
+        // Recover at the boundary the log resumes at (round 0 when the kill
+        // predates the first checkpoint).
         let chain = CheckpointChain::load(&log).expect("load killed log");
-        let boundary = chain.latest().map_or(0, |r| r.round);
-        assert!(boundary <= kill);
-        let mut obs = MmapTraceObserver::recover_to(&trace_path, boundary).expect("recover trace");
-        let resumed = resume(config, &ckpt, &mut obs).expect("resume");
+        let boundary = chain.latest().map_or(0, |r| r.round) as usize;
+        assert!(boundary as u64 <= kill);
+        assert_eq!(
+            killed_trace.rounds[..boundary],
+            baseline_rounds[..boundary],
+            "{label}: killed trace before the boundary at {boundary} diverged (kill at {kill})"
+        );
+        let mut resumed_trace = RoundLog::default();
+        let resumed = resume(config, &ckpt, &mut resumed_trace).expect("resume");
         assert_eq!(
             resumed, baseline,
             "{label}: resume after kill at {kill} must be bit-identical"
         );
-        let stored = obs.finish().expect("seal resumed trace");
-        assert!(
-            stored.same_as(&baseline_trace).expect("compare traces"),
+        assert_eq!(
+            resumed_trace.rounds,
+            baseline_rounds[boundary..],
             "{label}: resumed trace after kill at {kill} diverged"
         );
-        stored.remove().expect("drop resumed trace");
     }
     std::fs::remove_file(&log).expect("drop log");
     baseline
@@ -114,8 +136,7 @@ fn ranks(n: usize) -> Vec<u64> {
 
 #[test]
 fn kill_at_every_boundary_resumes_bit_identically() {
-    let logs = scratch_dir(checkpoint_dir(), "logs");
-    let traces = scratch_dir(trace_dir(), "traces");
+    let logs = scratch_dir("logs");
     let graphs: Vec<(&str, Graph)> = vec![
         (
             "gnp",
@@ -144,7 +165,6 @@ fn kill_at_every_boundary_resumes_bit_identically() {
             luby_reports.push(kill_everywhere(
                 &label,
                 &logs,
-                &traces,
                 threads,
                 2,
                 &luby_plain,
@@ -158,7 +178,6 @@ fn kill_at_every_boundary_resumes_bit_identically() {
             greedy_reports.push(kill_everywhere(
                 &label,
                 &logs,
-                &traces,
                 threads,
                 3,
                 &greedy_plain,
@@ -177,5 +196,4 @@ fn kill_at_every_boundary_resumes_bit_identically() {
         );
     }
     std::fs::remove_dir_all(&logs).expect("drop log scratch dir");
-    std::fs::remove_dir_all(&traces).expect("drop trace scratch dir");
 }

@@ -1,20 +1,18 @@
-//! Corruption matrix over every on-disk format of the crash-recovery
-//! subsystem: checkpoint logs (`SBCKLOG1`), trace stores (`SBTRACE2`) and
-//! graph shards + manifest (`SBSHARD2` / `SBSGDIR2`).
+//! Corruption matrix over the on-disk format of the crash-recovery
+//! subsystem: the checkpoint log (`SBCKLOG1`).
 //!
-//! For each artifact the matrix applies
+//! The matrix applies
 //!
 //! * **truncation at every byte length** `0..len` (covering every field
 //!   boundary of every record), and
 //! * **a bit flip at every byte offset**,
 //!
-//! and requires the loader to either recover (a valid prefix for
-//! append-only logs, a checksum-verified full read otherwise) or fail with
-//! a clean [`io::Error`] — `InvalidData` for detected corruption,
-//! `UnexpectedEof` only for cuts inside the fixed header. Panics and
-//! wrong-but-accepted data are the failures this matrix exists to catch:
-//! every successfully loaded artifact is re-validated against the pristine
-//! original.
+//! and requires the loader to either recover a valid prefix of the
+//! append-only log or fail with a clean [`io::Error`] — `InvalidData` for
+//! detected corruption, `UnexpectedEof` only for cuts inside the fixed
+//! header. Panics and wrong-but-accepted data are the failures this matrix
+//! exists to catch: every successfully loaded log is re-validated against
+//! the pristine original.
 
 use std::fs;
 use std::io;
@@ -24,18 +22,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::mis::luby;
 use symbreak_congest::checkpoint::checkpoint_dir;
-use symbreak_congest::trace_store::{trace_dir, MmapTraceObserver, StoredTrace};
 use symbreak_congest::{CheckpointChain, CheckpointConfig, SyncConfig};
-use symbreak_graphs::sharded::ShardedGraph;
-use symbreak_graphs::storage::{read_shard_file, save_sharded, shard_file_name, ShardStore};
 use symbreak_graphs::{generators, IdAssignment};
 
-/// A scratch directory under `base`, which each test picks via
-/// [`checkpoint_dir`] / [`trace_dir`] (the system temp dir for shard
-/// stores) so the CI chaos-recovery job's tmpdir-hygiene check covers
-/// this suite's artifacts too.
-fn scratch_dir(base: PathBuf, name: &str) -> PathBuf {
-    let dir = base.join(format!("sb-corrupt-{name}-{}", std::process::id()));
+/// A scratch directory under [`checkpoint_dir`], so the CI chaos-recovery
+/// job's tmpdir-hygiene check covers this suite's artifacts too.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = checkpoint_dir().join(format!("sb-corrupt-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("scratch dir");
     dir
@@ -75,7 +68,7 @@ fn sweep(bytes: &[u8], path: &Path, mut check: impl FnMut(&str)) {
 
 #[test]
 fn checkpoint_log_survives_truncation_and_bit_flips() {
-    let dir = scratch_dir(checkpoint_dir(), "ckpt");
+    let dir = scratch_dir("ckpt");
     let graph = generators::connected_gnp(16, 0.25, &mut StdRng::seed_from_u64(3));
     let ids = IdAssignment::identity(16);
     let log = dir.join("luby.sbck");
@@ -99,102 +92,6 @@ fn checkpoint_log_survives_truncation_and_bit_flips() {
                 }
             }
             Err(e) => acceptable_error(&e, "checkpoint log", detail),
-        }
-    });
-    fs::remove_dir_all(&dir).expect("drop scratch");
-}
-
-#[test]
-fn trace_store_survives_truncation_and_bit_flips() {
-    let dir = scratch_dir(trace_dir(), "trace");
-    let graph = generators::cycle(12);
-    let ids = IdAssignment::identity(12);
-    let log = dir.join("trace.sbck");
-    let path = dir.join("run.sbtrace");
-    let mut obs = MmapTraceObserver::create(&path).expect("create trace");
-    let ckpt = CheckpointConfig::new(&log).with_every(4);
-    luby::run_checkpointed_observed(&graph, &ids, 7, SyncConfig::default(), &ckpt, &mut obs)
-        .expect("recorded run");
-    let stored = obs.finish().expect("seal");
-    let pristine = stored.to_trace().expect("read pristine trace");
-    let rounds = pristine.num_rounds();
-
-    let bytes = fs::read(&path).expect("read trace");
-    let damaged = dir.join("damaged.sbtrace");
-    sweep(&bytes, &damaged, |detail| {
-        // The sealed-open path: all-or-nothing per round, detected on read.
-        match StoredTrace::open(&damaged) {
-            Ok(t) => {
-                for i in 0..t.num_rounds() {
-                    match t.round(i) {
-                        Ok(msgs) => {
-                            assert!(
-                                i < pristine.num_rounds(),
-                                "stored trace ({detail}) fabricated round {i}"
-                            );
-                            assert_eq!(
-                                msgs,
-                                pristine.round(i),
-                                "stored trace round {i} ({detail})"
-                            );
-                        }
-                        Err(e) => acceptable_error(&e, "stored trace read", detail),
-                    }
-                }
-            }
-            Err(e) => acceptable_error(&e, "stored trace open", detail),
-        }
-        // The crash-recovery path: longest valid round prefix.
-        match MmapTraceObserver::recover(&damaged) {
-            Ok((recovered, got)) => {
-                assert!(got <= rounds as u64, "recover grew the trace ({detail})");
-                drop(recovered);
-            }
-            Err(e) => acceptable_error(&e, "trace recover", detail),
-        }
-    });
-    fs::remove_dir_all(&dir).expect("drop scratch");
-}
-
-#[test]
-fn shard_store_survives_truncation_and_bit_flips() {
-    let dir = scratch_dir(std::env::temp_dir(), "shards");
-    let graph = generators::small_world(40, 4, 0.1, &mut StdRng::seed_from_u64(9));
-    let sharded = ShardedGraph::build(&graph, 3);
-    let store_dir = dir.join("store");
-    fs::create_dir_all(&store_dir).expect("store dir");
-    save_sharded(&sharded, &store_dir).expect("save shards");
-    let pristine = ShardStore::open(&store_dir)
-        .and_then(|s| s.load())
-        .expect("pristine store loads");
-    let shard0 = read_shard_file(&store_dir.join(shard_file_name(0))).expect("pristine shard");
-
-    // Damage the manifest: open/load must reject or reproduce the graph.
-    let manifest = store_dir.join("manifest.sbsg");
-    let bytes = fs::read(&manifest).expect("read manifest");
-    sweep(&bytes, &manifest, |detail| {
-        match ShardStore::open(&store_dir).and_then(|s| s.load()) {
-            Ok(loaded) => assert_eq!(
-                loaded.plan(),
-                pristine.plan(),
-                "manifest ({detail}) changed the plan"
-            ),
-            Err(e) => acceptable_error(&e, "shard manifest", detail),
-        }
-    });
-
-    // Damage one shard file: the per-shard read and the full load must
-    // both reject or reproduce it.
-    let shard_path = store_dir.join(shard_file_name(0));
-    let bytes = fs::read(&shard_path).expect("read shard");
-    sweep(&bytes, &shard_path, |detail| {
-        match read_shard_file(&shard_path) {
-            Ok(s) => assert_eq!(s, shard0, "shard 0 ({detail}) silently changed"),
-            Err(e) => acceptable_error(&e, "shard file", detail),
-        }
-        match ShardStore::open(&store_dir).and_then(|s| s.load()) {
-            Ok(loaded) => assert_eq!(loaded.plan(), pristine.plan()),
-            Err(e) => acceptable_error(&e, "shard store load", detail),
         }
     });
     fs::remove_dir_all(&dir).expect("drop scratch");

@@ -237,111 +237,6 @@ fn parallel_engine_matches_naive_and_instrumented_runs() {
     }
 }
 
-/// The sharded stepping path must also be a pure throughput/placement knob:
-/// for every shard count (including shard counts that do not divide the
-/// node count) and thread count, reports must be bit-identical to the
-/// unsharded sequential engine — across graph shapes with very different
-/// ghost-table profiles (a cycle has at most two ghosts per shard, a clique
-/// ghosts every non-local node, a power-law graph ghosts its hubs).
-#[test]
-fn sharded_engine_matches_unsharded_across_shard_and_thread_matrix() {
-    let graphs: Vec<(&str, Graph)> = vec![
-        ("cycle", generators::cycle(600)),
-        ("clique", generators::clique(72)),
-        (
-            "power_law",
-            generators::power_law(500, 4, &mut StdRng::seed_from_u64(21)),
-        ),
-    ];
-    for (label, graph) in graphs {
-        let n = graph.num_nodes();
-        let ids = IdAssignment::identity(n);
-        let sim = SyncSimulator::new(&graph, &ids, KtLevel::KT1);
-        let sequential = SyncConfig::default().with_threads(1);
-
-        let flood_base = sim.run(sequential, |_| Flood {
-            have: false,
-            done: false,
-        });
-        let gossip_base = sim.run(sequential, |init: NodeInit<'_>| MinGossip {
-            best: init.knowledge.own_id(),
-            rounds_left: 4,
-        });
-        assert!(flood_base.completed && gossip_base.completed);
-
-        for shards in [1, 2, 4, 7] {
-            for threads in [1, 4] {
-                let config = SyncConfig::default()
-                    .with_threads(threads)
-                    .with_shards(shards);
-                let label = format!("{label} @{shards} shards/{threads} threads");
-                let flood = sim.run(config, |_| Flood {
-                    have: false,
-                    done: false,
-                });
-                assert_reports_identical(&flood, &flood_base, &format!("{label}/flood"));
-                let gossip = sim.run(config, |init: NodeInit<'_>| MinGossip {
-                    best: init.knowledge.own_id(),
-                    rounds_left: 4,
-                });
-                assert_reports_identical(&gossip, &gossip_base, &format!("{label}/gossip"));
-            }
-        }
-    }
-}
-
-/// Instrumented sharded runs execute on the sequential loop but still step
-/// through the shard-local CSR slices; traces, per-edge counters and
-/// utilized edges must match an unsharded instrumented run bit for bit.
-#[test]
-fn sharded_instrumented_runs_match_unsharded_instrumentation() {
-    let graph = generators::random_near_regular(400, 8, &mut StdRng::seed_from_u64(5));
-    let ids = IdAssignment::identity(graph.num_nodes());
-    let sim = SyncSimulator::new(&graph, &ids, KtLevel::KT1);
-    let base = sim.run(
-        SyncConfig::instrumented().with_threads(1),
-        |init: NodeInit<'_>| MinGossip {
-            best: init.knowledge.own_id(),
-            rounds_left: 3,
-        },
-    );
-    for shards in [1, 3, 5] {
-        let config = SyncConfig::instrumented()
-            .with_threads(1)
-            .with_shards(shards);
-        let sharded = sim.run(config, |init: NodeInit<'_>| MinGossip {
-            best: init.knowledge.own_id(),
-            rounds_left: 3,
-        });
-        assert_reports_identical(&sharded, &base, &format!("instrumented @{shards} shards"));
-    }
-}
-
-/// Sharded runs must also agree with the naive nested-`Vec` oracle (not just
-/// with the arena engine they share code with).
-#[test]
-fn sharded_engine_matches_naive_oracle() {
-    let graph = generators::random_near_regular(500, 8, &mut StdRng::seed_from_u64(9));
-    let ids = IdAssignment::identity(graph.num_nodes());
-    let sim = SyncSimulator::new(&graph, &ids, KtLevel::KT1);
-    let naive = NaiveSyncSimulator::new(sim).run(SyncConfig::default(), |_| Flood {
-        have: false,
-        done: false,
-    });
-    for (shards, threads) in [(2, 1), (4, 4)] {
-        let fast = sim.run(
-            SyncConfig::default()
-                .with_threads(threads)
-                .with_shards(shards),
-            |_| Flood {
-                have: false,
-                done: false,
-            },
-        );
-        assert_reports_identical(&fast, &naive, &format!("naive-vs-{shards}x{threads}"));
-    }
-}
-
 #[test]
 fn engine_matches_reference_at_round_limit() {
     struct Chatter;

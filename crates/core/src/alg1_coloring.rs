@@ -50,13 +50,6 @@ pub struct Alg1Config {
     /// Worker threads for the simulated stages (`0` = automatic, i.e. the
     /// `CONGEST_THREADS` environment variable or the CPU count).
     pub threads: usize,
-    /// Graph shards for the simulated stages (`0` = automatic, i.e. the
-    /// `CONGEST_SHARDS` environment variable or disabled). When sharding
-    /// engages, the [`symbreak_graphs::sharded::ShardedGraph`] is built
-    /// **once per run** and shared by every per-level stage through the one
-    /// stage simulator (regression-tested in `tests/sharded_cache.rs`);
-    /// results are bit-identical at any shard count.
-    pub shards: usize,
 }
 
 impl Default for Alg1Config {
@@ -67,7 +60,6 @@ impl Default for Alg1Config {
             edge_threshold_factor: 2.0,
             stage_seed: 0x1_5eed,
             threads: 0,
-            shards: 0,
         }
     }
 }
@@ -140,18 +132,9 @@ pub fn run<R: Rng + ?Sized>(
     let mut levels_used = 0;
     let phase_limit_buckets = (4.0 * log_n).ceil() as usize + 4;
     let edge_threshold = (config.edge_threshold_factor * n as f64 * log_n).ceil() as u64;
-    let stage_config = SyncConfig::default()
-        .with_threads(config.threads)
-        .with_shards(config.shards);
-    // One simulator for every coloring stage of the run. When sharded
-    // stepping engages, the sharded view (shard slices + ghost tables) is
-    // built here exactly once and reused by each per-level stage and the
-    // final stage — stages used to rebuild it per `run` call.
-    let prebuilt_sharded = stage_config.prebuild_sharded(graph);
-    let mut stage_sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-    if let Some(sharded) = prebuilt_sharded.as_ref() {
-        stage_sim = stage_sim.with_sharded_graph(sharded);
-    }
+    let stage_config = SyncConfig::default().with_threads(config.threads);
+    // One simulator for every coloring stage of the run.
+    let stage_sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
 
     for level in 0..config.max_levels {
         // Step 4 (and its level-0 analogue): measure the uncoloured subgraph
@@ -328,14 +311,8 @@ pub fn run_batch(
     let mut broken = vec![false; lanes];
     let phase_limit_buckets = (4.0 * log_n).ceil() as usize + 4;
     let edge_threshold = (config.edge_threshold_factor * n as f64 * log_n).ceil() as u64;
-    let stage_config = SyncConfig::default()
-        .with_threads(config.threads)
-        .with_shards(config.shards);
-    let prebuilt_sharded = stage_config.prebuild_sharded(graph);
-    let mut stage_sim = BatchSimulator::new(graph, ids, KtLevel::KT1);
-    if let Some(sharded) = prebuilt_sharded.as_ref() {
-        stage_sim = stage_sim.with_sharded_graph(sharded);
-    }
+    let stage_config = SyncConfig::default().with_threads(config.threads);
+    let stage_sim = BatchSimulator::new(graph, ids, KtLevel::KT1);
 
     for level in 0..config.max_levels {
         // Each live lane measures its own uncoloured subgraph — one batched

@@ -39,7 +39,6 @@ use std::sync::Arc;
 use symbreak_classic::coloring::johansson;
 use symbreak_classic::mis::{luby, parallel_greedy};
 use symbreak_congest::{ExecutionReport, KtLevel, SyncConfig};
-use symbreak_graphs::sharded::ShardedGraph;
 use symbreak_graphs::{
     AdjacencyArena, ChurnBatch, Graph, GraphBuilder, GraphOverlay, IdAssignment, NodeId,
 };
@@ -455,23 +454,13 @@ pub fn recompute_mis(
     )
 }
 
-/// A long-lived churn session: the overlay, the ID assignment, the engine
-/// configuration and the generation-keyed caches that must be invalidated
-/// when the overlay compacts.
-///
-/// The cached [`ShardedGraph`] mirrors what the engine's sharded stepping
-/// path would prebuild for the base CSR: it is valid only while the overlay
-/// is clean (no pending deltas) *and* of the generation it was built for —
-/// [`ChurnSession::compact`] drops it eagerly, and
-/// [`ChurnSession::sharded_base`] refuses to serve a stale one.
+/// A long-lived churn session: the overlay, the ID assignment and the
+/// engine configuration repairs and recomputes run under.
 #[derive(Debug)]
 pub struct ChurnSession {
     overlay: GraphOverlay,
     ids: IdAssignment,
     config: SyncConfig,
-    /// `(generation, prebuilt)` — `None` once the overlay moves past the
-    /// generation the shards were built for.
-    sharded: Option<(u64, Option<ShardedGraph>)>,
 }
 
 impl ChurnSession {
@@ -482,7 +471,6 @@ impl ChurnSession {
             overlay: GraphOverlay::new(base),
             ids,
             config,
-            sharded: None,
         }
     }
 
@@ -508,30 +496,9 @@ impl ChurnSession {
         self.overlay.apply(batch)
     }
 
-    /// Compacts the overlay into a clean CSR and **invalidates** the cached
-    /// sharded base — the new generation must rebuild its own.
+    /// Compacts the overlay into a clean CSR and bumps its generation.
     pub fn compact(&mut self) -> &Graph {
-        self.sharded = None;
         self.overlay.compact()
-    }
-
-    /// The prebuilt sharded form of the base CSR, valid for the current
-    /// generation — or `None` while the overlay is dirty (the base lags the
-    /// live graph) or when the config's shard count does not engage.
-    /// Built lazily, cached until [`ChurnSession::compact`].
-    pub fn sharded_base(&mut self) -> Option<&ShardedGraph> {
-        if self.overlay.is_dirty() {
-            return None;
-        }
-        let generation = self.overlay.generation();
-        let stale = !matches!(&self.sharded, Some((g, _)) if *g == generation);
-        if stale {
-            self.sharded = Some((
-                generation,
-                self.config.prebuild_sharded(self.overlay.base()),
-            ));
-        }
-        self.sharded.as_ref().and_then(|(_, s)| s.as_ref())
     }
 
     /// [`repair_coloring`] against this session's overlay/IDs/config.
@@ -701,25 +668,5 @@ mod tests {
                 session.compact();
             }
         }
-    }
-
-    #[test]
-    fn session_sharded_cache_is_generation_keyed() {
-        let mut session = ChurnSession::new(
-            generators::clique(24),
-            IdAssignment::identity(24),
-            SyncConfig::default().with_shards(4),
-        );
-        assert!(session.sharded_base().is_some());
-        session.apply(&batch(&[], &[(0, 1)]));
-        assert!(
-            session.sharded_base().is_none(),
-            "dirty overlay: no sharded base"
-        );
-        session.compact();
-        assert!(
-            session.sharded_base().is_some(),
-            "rebuilt for the new generation"
-        );
     }
 }

@@ -18,7 +18,7 @@
 //! A node draws its candidate as the `r`-th free colour of its palette in
 //! ascending order, with `r` from its own seeded RNG stream, so a stage's
 //! colours, round counts and cost reports are a pure function of the spec
-//! and the seed at every thread, shard and lane count.
+//! and the seed at every thread and lane count.
 //! `tests/golden_digests.rs` pins them for every algorithm built on it.
 
 use std::sync::Arc;
@@ -386,9 +386,8 @@ impl<T: AsRef<[u64]> + AsMut<[u64]>> NodeAlgorithm for FlatStageNode<'_, T> {
 /// colours are **moved** out of the report (whose `outputs` field is left
 /// empty) instead of cloned.
 ///
-/// Builds a fresh [`SyncSimulator`] per call; multi-stage callers should
-/// build one simulator (optionally with a prebuilt sharded graph attached)
-/// and drive every stage through [`run_stage_flat_on`] instead.
+/// Builds a fresh [`SyncSimulator`] per call; multi-stage callers build one
+/// simulator and drive every stage through [`run_stage_flat_on`] instead.
 ///
 /// # Panics
 ///
@@ -405,10 +404,8 @@ pub fn run_stage_flat(
 }
 
 /// [`run_stage_flat`] on a caller-built KT-1 [`SyncSimulator`] — the
-/// multi-stage entry point: whatever the simulator carries across `run`
-/// calls (notably a prebuilt [`symbreak_graphs::sharded::ShardedGraph`]
-/// attached via [`SyncSimulator::with_sharded_graph`]) is paid for once and
-/// reused by every stage, instead of being rebuilt per stage.
+/// multi-stage entry point, where one simulator drives every stage of a
+/// run.
 ///
 /// The per-node `taken` bitsets live in **one flat `n × words` array** owned
 /// by this runtime; each automaton receives its row as a disjoint `&mut`

@@ -2,8 +2,8 @@
 //! batched run must be **bit-identical** to a sequential run with seed
 //! `seeds[k]` — same colors/MIS membership, same per-phase message and round
 //! counts — across graph families (cycle, clique, power-law), algorithms
-//! (1, 2, 3 and the classic Θ(m) baselines), lane counts {1, 3, 8}, stepping
-//! threads {1, 4} and graph shards {1, 3}.
+//! (1, 2, 3 and the classic Θ(m) baselines), lane counts {1, 3, 8} and
+//! stepping threads {1, 4}.
 //!
 //! This also pins down *lane independence*: batching any subset of seeds
 //! must not perturb any lane, even when lanes diverge structurally (Alg1
@@ -18,7 +18,6 @@ use symbreak_graphs::{generators, Graph, IdAssignment, IdSpace};
 
 const LANE_COUNTS: [usize; 3] = [1, 3, 8];
 const THREAD_COUNTS: [usize; 2] = [1, 4];
-const SHARD_COUNTS: [usize; 2] = [1, 3];
 const SEED_BASE: u64 = 40;
 
 fn instances() -> Vec<(String, Graph, IdAssignment)> {
@@ -56,8 +55,8 @@ fn assert_costs_identical(label: &str, batched: &CostAccount, sequential: &CostA
 fn alg1_lanes_match_sequential_across_threads_and_shards() {
     for (name, g, ids) in instances() {
         // The sequential oracle: one outcome per seed, computed once (Alg1
-        // outputs are thread/shard invariant, so one baseline serves every
-        // engine configuration).
+        // outputs are thread invariant, so one baseline serves every engine
+        // configuration).
         let oracle: Vec<_> = seeds(8)
             .iter()
             .map(|&s| {
@@ -66,24 +65,19 @@ fn alg1_lanes_match_sequential_across_threads_and_shards() {
             })
             .collect();
         for threads in THREAD_COUNTS {
-            for shards in SHARD_COUNTS {
-                for lanes in LANE_COUNTS {
-                    let config = Alg1Config {
-                        threads,
-                        shards,
-                        ..Alg1Config::default()
-                    };
-                    let outs = alg1_coloring::run_batch(&g, &ids, config, &seeds(lanes)).unwrap();
-                    assert_eq!(outs.len(), lanes);
-                    for (k, out) in outs.iter().enumerate() {
-                        let label = format!(
-                            "alg1 {name} threads={threads} shards={shards} lane {k}/{lanes}"
-                        );
-                        assert_eq!(out.colors, oracle[k].colors, "{label}");
-                        assert_eq!(out.levels_used, oracle[k].levels_used, "{label}");
-                        assert_eq!(out.max_degree, oracle[k].max_degree, "{label}");
-                        assert_costs_identical(&label, &out.costs, &oracle[k].costs);
-                    }
+            for lanes in LANE_COUNTS {
+                let config = Alg1Config {
+                    threads,
+                    ..Alg1Config::default()
+                };
+                let outs = alg1_coloring::run_batch(&g, &ids, config, &seeds(lanes)).unwrap();
+                assert_eq!(outs.len(), lanes);
+                for (k, out) in outs.iter().enumerate() {
+                    let label = format!("alg1 {name} threads={threads} lane {k}/{lanes}");
+                    assert_eq!(out.colors, oracle[k].colors, "{label}");
+                    assert_eq!(out.levels_used, oracle[k].levels_used, "{label}");
+                    assert_eq!(out.max_degree, oracle[k].max_degree, "{label}");
+                    assert_costs_identical(&label, &out.costs, &oracle[k].costs);
                 }
             }
         }
@@ -167,29 +161,24 @@ fn classic_baseline_lanes_match_sequential_reports() {
             .collect();
         let sim = BatchSimulator::new(&g, &ids, KtLevel::KT1);
         for threads in THREAD_COUNTS {
-            for shards in SHARD_COUNTS {
-                let config = SyncConfig::default()
-                    .with_threads(threads)
-                    .with_shards(shards);
-                for lanes in LANE_COUNTS {
-                    let luby = mis::luby::run_batch(&sim, &seeds(lanes), config);
-                    let baseline = coloring::baseline::run_batch(&sim, &seeds(lanes), config);
-                    assert_eq!(luby.len(), lanes);
-                    assert_eq!(baseline.len(), lanes);
-                    for k in 0..lanes {
-                        let label =
-                            format!("{name} threads={threads} shards={shards} lane {k}/{lanes}");
-                        assert_eq!(luby[k].0, luby_oracle[k].0, "luby MIS {label}");
-                        assert_eq!(luby[k].1, luby_oracle[k].1, "luby report {label}");
-                        assert_eq!(
-                            baseline[k].0, baseline_oracle[k].0,
-                            "baseline colors {label}"
-                        );
-                        assert_eq!(
-                            baseline[k].1, baseline_oracle[k].1,
-                            "baseline report {label}"
-                        );
-                    }
+            let config = SyncConfig::default().with_threads(threads);
+            for lanes in LANE_COUNTS {
+                let luby = mis::luby::run_batch(&sim, &seeds(lanes), config);
+                let baseline = coloring::baseline::run_batch(&sim, &seeds(lanes), config);
+                assert_eq!(luby.len(), lanes);
+                assert_eq!(baseline.len(), lanes);
+                for k in 0..lanes {
+                    let label = format!("{name} threads={threads} lane {k}/{lanes}");
+                    assert_eq!(luby[k].0, luby_oracle[k].0, "luby MIS {label}");
+                    assert_eq!(luby[k].1, luby_oracle[k].1, "luby report {label}");
+                    assert_eq!(
+                        baseline[k].0, baseline_oracle[k].0,
+                        "baseline colors {label}"
+                    );
+                    assert_eq!(
+                        baseline[k].1, baseline_oracle[k].1,
+                        "baseline report {label}"
+                    );
                 }
             }
         }

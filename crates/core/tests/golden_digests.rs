@@ -16,10 +16,10 @@
 //!
 //! These digests are the oracle of the stage runtime: they pin every
 //! refactor of it to bit-identical behaviour. The simulator configuration
-//! comes from the environment (`CONGEST_THREADS`, `CONGEST_SHARDS`,
-//! `CONGEST_AUDIT`), so the same constants also hold at every thread and
-//! shard count and under the auditor. If a change is *meant* to alter
-//! behaviour, the failure message prints the new digest to paste in.
+//! comes from the environment (`CONGEST_THREADS`, `CONGEST_AUDIT`), so the
+//! same constants also hold at every thread count and under the auditor.
+//! If a change is *meant* to alter behaviour, the failure message prints
+//! the new digest to paste in.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

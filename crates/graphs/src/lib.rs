@@ -20,15 +20,6 @@
 //!   graphs and the layered tripartite graphs that underlie the Section 2
 //!   lower-bound construction.
 //! * [`properties`] — BFS, diameter, connectivity and degree statistics.
-//! * [`sharded`] — [`sharded::ShardedGraph`]: the CSR arrays partitioned
-//!   into degree-balanced contiguous shards, each a self-contained local
-//!   CSR slice with a ghost table for cross-shard neighbour references —
-//!   the substrate of the round engine's sharded stepping path and the
-//!   seam for out-of-core / NUMA-local simulation.
-//! * [`storage`] — spill-to-disk persistence for sharded graphs: each
-//!   shard's flat buffers serialize verbatim to one append-only file
-//!   (mmap-able layout), loadable shard by shard so graphs larger than RAM
-//!   stay steppable.
 //! * [`subgraph`] — induced and edge-filtered subgraphs with index mappings
 //!   back to the parent graph.
 //! * [`ids`] — ID assignments drawn from a polynomial-size ID space, as
@@ -57,8 +48,6 @@ pub mod generators;
 pub mod ids;
 pub mod overlay;
 pub mod properties;
-pub mod sharded;
-pub mod storage;
 pub mod subgraph;
 
 pub use arena::AdjacencyArena;

@@ -1,6 +1,6 @@
 //! A mutable adjacency overlay on the immutable CSR [`Graph`].
 //!
-//! Every engine feature so far (batching, sharding, faults, checkpoints)
+//! Every engine feature so far (batching, faults, checkpoints)
 //! assumes a frozen CSR. Dynamic workloads — edge insert/delete churn
 //! against a long-lived graph — need mutation without paying a full CSR
 //! rebuild per batch. A [`GraphOverlay`] follows the classic LSM shape: the
@@ -85,8 +85,8 @@ pub struct GraphOverlay {
     /// Live (merged) undirected edge count.
     num_edges: usize,
     /// Bumped on every [`GraphOverlay::compact`]; callers caching state
-    /// derived from the base CSR (sharded graphs, setup plans, query plans)
-    /// key their caches on this and rebuild when it moves.
+    /// derived from the base CSR (setup plans, query plans) key their
+    /// caches on this and rebuild when it moves.
     generation: u64,
 }
 
@@ -325,8 +325,8 @@ impl GraphOverlay {
 
     /// Folds the deltas into a fresh base CSR, clears them, and bumps the
     /// generation counter. Returns the new base. Derived caches keyed on
-    /// [`GraphOverlay::generation`] (sharded graphs, setup plans, query
-    /// plans) are invalid after this call.
+    /// [`GraphOverlay::generation`] (setup plans, query plans) are invalid
+    /// after this call.
     pub fn compact(&mut self) -> &Graph {
         if self.is_dirty() {
             self.base = self.materialize();

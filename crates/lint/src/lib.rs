@@ -1,7 +1,7 @@
 //! `congest-lint`: a standalone invariant linter for the symbreak workspace.
 //!
 //! The workspace's two central promises — *determinism* (reports are
-//! bit-identical at every thread × shard × lane combination) and *model
+//! bit-identical at every thread × lane combination) and *model
 //! fidelity* (the CONGEST rules the reproduced theorems assume) — are
 //! re-asserted by differential test suites, but nothing catches the hazards
 //! at their *source*: an order-dependent `HashMap` iteration, a wall-clock
@@ -16,7 +16,7 @@
 //! * a catalogue of **deny-by-default diagnostics** (see [`catalogue`]):
 //!   determinism lints (`hash-iter`, `wall-clock`, `thread-id`), hygiene
 //!   lints (`forbid-unsafe`, `missing-docs`, `dbg-residue`) and doc-sync
-//!   lints (`env-knob-doc`, `bench-schema`);
+//!   lints (`env-knob-doc`, `stale-knob-doc`, `bench-schema`);
 //! * an explicit, checked-in **allowlist** (`lint.allow` at the workspace
 //!   root) for the handful of justified exceptions, each carrying a
 //!   one-line reason — with a `stale-allow` diagnostic so dead entries
@@ -424,6 +424,11 @@ pub fn catalogue() -> &'static [(&'static str, &'static str)] {
              a matching `VAR` row in the README env-knob tables",
         ),
         (
+            "stale-knob-doc",
+            "every README env-knob row (`CONGEST_*` / `*_SMOKE`) must name a knob \
+             some scanned string literal still names: a row must not outlive its knob",
+        ),
+        (
             "bench-schema",
             "every committed BENCH_*.json artifact must be traceable to a bench \
              source that names it, and every key the artifact carries must appear \
@@ -693,6 +698,7 @@ pub fn run_lints(root: &Path) -> Result<LintOutcome, String> {
             }
         }
     }
+    lint_stale_knob_rows(&readme, &knobs, &mut raw);
     lint_bench_schemas(root, &sources, &mut raw);
     raw.sort();
     raw.dedup(); // two tokens on one line are one finding
@@ -810,6 +816,32 @@ fn lint_crate_root(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             lint: "missing-docs",
             message: "crate root lacks #![warn(missing_docs)]".into(),
         });
+    }
+}
+
+/// `stale-knob-doc`: one finding per README env-knob row (a table row whose
+/// first cell is a `` `CONGEST_*` `` or `` `*_SMOKE` `` name) whose variable
+/// no scanned string literal names.
+fn lint_stale_knob_rows(
+    readme: &str,
+    knobs: &BTreeMap<String, (bool, String)>,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (i, line) in readme.lines().enumerate() {
+        let Some(rest) = line.trim_start().strip_prefix("| `") else {
+            continue;
+        };
+        let Some((var, _)) = rest.split_once('`') else {
+            continue;
+        };
+        if is_env_knob(var) && !knobs.contains_key(var) {
+            out.push(Diagnostic {
+                path: "README.md".into(),
+                line: i as u32 + 1,
+                lint: "stale-knob-doc",
+                message: format!("README row documents `{var}`, which no source names"),
+            });
+        }
     }
 }
 

@@ -69,6 +69,11 @@ fn fixture_findings_have_correct_provenance() {
     assert!(schema.message.contains("extra_key"), "{schema}");
     let stale = find("stale-allow");
     assert_eq!(stale.path, "lint.allow");
+    let vanished = format!("CONGEST_{}", "VANISHED");
+    let row = find("stale-knob-doc");
+    assert_eq!(row.path, "README.md");
+    assert!(row.message.contains(&vanished), "{row}");
+    assert!(!outcome.knobs.contains_key(&vanished));
     // The documented knob must be registered but not flagged.
     assert_eq!(
         outcome.knobs.get(&documented).map(|(doc, _)| *doc),
