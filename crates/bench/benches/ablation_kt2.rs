@@ -10,13 +10,15 @@
 //! The grid is the declarative [`sweeps::ablation_kt2_sweep`] spec and every
 //! algorithm seed comes from its per-cell seed grid (previously the loop
 //! reseeded each instance with its bare index, disconnected from the
-//! instance seed). All seeds of a cell run as lockstep lanes over the
-//! instance's one CSR via [`alg3_mis::run_batch`]; the flood-bound table
-//! uses lane 0, whose seed equals the historical single-run seed.
+//! instance seed). The flood-bound table runs each instance's lane-0 seed,
+//! which equals the historical single-run seed; the timed loop calls
+//! [`alg3_mis::run`] once per seed of a grid.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use symbreak_bench::sweeps;
 use symbreak_bench::workloads::gnp_instance;
 use symbreak_core::{alg3_mis, Alg3Config};
@@ -30,10 +32,9 @@ fn print_table() {
     let spec = sweeps::ablation_kt2_sweep(sweeps::default_lanes());
     for (g, graph_spec) in spec.graphs.iter().enumerate() {
         let inst = graph_spec.build();
-        let seeds = sweeps::seed_grid(spec.alg_seed_base + g as u64, spec.lanes);
-        let outs = alg3_mis::run_batch(&inst.graph, &inst.ids, Alg3Config::default(), &seeds)
+        let mut rng = StdRng::seed_from_u64(spec.alg_seed_base + g as u64);
+        let out = alg3_mis::run(&inst.graph, &inst.ids, Alg3Config::default(), &mut rng)
             .expect("Algorithm 3 failed on an ablation instance");
-        let out = &outs[0];
         // Naive flooding forwards every announcement over every incident
         // edge of every 1-hop neighbour: ≈ Σ_{u in MIS∩S} Σ_{v ∈ N(u)} deg(v)
         // messages. We bound it by |MIS∩S| · Δ² which is what a KT-1-only
@@ -57,7 +58,11 @@ fn bench(c: &mut Criterion) {
     let seeds = sweeps::seed_grid(7, sweeps::default_lanes());
     c.bench_function("alg3_batched_run_n96", |b| {
         b.iter(|| {
-            alg3_mis::run_batch(&inst.graph, &inst.ids, Alg3Config::default(), &seeds).unwrap()
+            let run = |seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                alg3_mis::run(&inst.graph, &inst.ids, Alg3Config::default(), &mut rng).unwrap()
+            };
+            seeds.iter().map(|&seed| run(seed)).collect::<Vec<_>>()
         })
     });
 }

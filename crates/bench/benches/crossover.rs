@@ -6,8 +6,10 @@
 //! introduction motivates.
 //!
 //! The grid is the declarative [`sweeps::crossover_sweep`] spec executed
-//! batched (lockstep lanes, sequential differential oracle); the printed
-//! table is the lane-0 slice, matching the historical single-seed rows.
+//! batched (Algorithm 1 builds its seed-independent setup once per density;
+//! the other cells run seed by seed; sequential differential oracle); the
+//! printed table is the lane-0 slice, matching the historical single-seed
+//! rows.
 
 use std::time::Duration;
 

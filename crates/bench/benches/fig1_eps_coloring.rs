@@ -3,9 +3,10 @@
 //! Sweeps both `n` (message growth ≈ linear in n) and `ε` (cost grows as ε
 //! shrinks) and prints the Figure-1-style rows.
 //!
-//! Both grids are declarative [`sweeps`] specs executed batched (lockstep
-//! lanes, sequential differential oracle); the printed tables are the
-//! lane-0 slices, matching the historical single-seed rows.
+//! Both grids are declarative [`sweeps`] specs executed batched (Algorithm
+//! 2 builds its seed-independent setup once per instance; sequential
+//! differential oracle); the printed tables are the lane-0 slices, matching
+//! the historical single-seed rows.
 
 use std::time::Duration;
 

@@ -6,9 +6,10 @@
 //! Θ(m)-message baseline, plus a fitted growth exponent.
 //!
 //! The grid is the declarative [`sweeps::fig1_kt1_sweep`] spec, executed
-//! batched (all seeds in lockstep lanes over each instance's one CSR) with
-//! the sequential runs as differential oracle; the printed table is the
-//! lane-0 slice, which matches the historical single-seed rows exactly.
+//! batched (Algorithm 1 builds its seed-independent setup once per
+//! instance; the other cells run seed by seed) with the sequential runs as
+//! differential oracle; the printed table is the lane-0 slice, which
+//! matches the historical single-seed rows exactly.
 
 use std::time::Duration;
 

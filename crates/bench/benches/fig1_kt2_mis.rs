@@ -4,8 +4,9 @@
 //! Prints Algorithm 3's message counts across an `n` sweep on dense graphs
 //! next to Luby's Θ(m)-message baseline, with fitted growth exponents.
 //!
-//! The grid is the declarative [`sweeps::fig1_kt2_sweep`] spec executed
-//! batched (lockstep lanes, sequential differential oracle); the printed
+//! The grid is the declarative [`sweeps::fig1_kt2_sweep`] spec; neither
+//! algorithm has seed-independent setup to share, so both sides of every
+//! cell run seed by seed (sequential differential oracle). The printed
 //! table is the lane-0 slice, matching the historical single-seed rows.
 
 use std::time::Duration;

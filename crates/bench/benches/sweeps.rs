@@ -1,17 +1,18 @@
 //! SWEEPS — the batched sweep registry, executed end to end.
 //!
 //! Runs every [`symbreak_bench::sweeps`] spec (the declarative form of the
-//! Figure-1 / crossover / ablation grids): each cell advances all of its
-//! seeds in **lockstep lanes** over one shared CSR, then re-runs them
-//! sequentially as the wall-clock baseline and differential oracle (the
-//! driver asserts batched rows ≡ sequential rows). The lower-bound
-//! experiment grids run afterwards as declarative, instrumented sweeps with
-//! no speedup claim.
+//! Figure-1 / crossover / ablation grids): each cell runs all of its seeds
+//! through the batched drivers, where Algorithms 1 and 2 build their
+//! seed-independent setup once per cell, then re-runs them seed by seed as
+//! the wall-clock baseline and differential oracle (the driver asserts
+//! batched rows ≡ sequential rows). The lower-bound experiment grids run
+//! afterwards as declarative, instrumented sweeps with no speedup claim.
 //!
 //! Full runs rewrite `BENCH_sweeps.json` at the workspace root (one JSON
 //! object per line), atomically once the gate below has passed. The run
-//! *gates* on amortization: at least one batched cell must reach ≥ 1.0× over
-//! sequential (≥ 0.9× under `SWEEP_SMOKE=1`, where graphs are tiny and
+//! *gates* on amortization: at least one batched cell — an Algorithm 1 or 2
+//! cell, the only ones that share work across seeds — must reach ≥ 1.0×
+//! over sequential (≥ 0.9× under `SWEEP_SMOKE=1`, where graphs are tiny and
 //! per-run overhead dominates).
 //!
 //! Run with `cargo bench --bench sweeps`; set `SWEEP_SMOKE=1` for the
@@ -27,7 +28,7 @@ use symbreak_core::experiments;
 fn run_registry() {
     let mut json = BenchArtifact::open("BENCH_sweeps.json", !sweeps::smoke());
     println!(
-        "\n=== sweeps: {} lockstep lanes vs seed-by-seed sequential{} ===",
+        "\n=== sweeps: {} seeds per cell, batched vs seed-by-seed sequential{} ===",
         sweeps::default_lanes(),
         if sweeps::smoke() { " (smoke)" } else { "" }
     );
@@ -88,9 +89,9 @@ fn run_registry() {
 
 fn bench(c: &mut Criterion) {
     run_registry();
-    // Criterion samples one batched cell so lane-engine regressions show up
-    // as per-iteration time: the crossover instance under the Θ(m) coloring
-    // baseline, all lanes in lockstep.
+    // Criterion samples two cells of the crossover instance so engine
+    // regressions show up as per-iteration time: the Θ(m) coloring baseline
+    // and Algorithm 3, every seed of the grid run in turn.
     let spec = sweeps::GraphSpec {
         n: if sweeps::smoke() { 48 } else { 192 },
         p: 0.4,

@@ -1,8 +1,9 @@
 //! The declarative sweep driver: a sweep is a *seed × algorithm × graph*
 //! grid, executed **batched** — every cell builds its instance graph once
-//! and advances all of its seeds in lockstep over that one shared CSR
-//! (`BatchSimulator` lanes) — and then re-executed sequentially, seed by
-//! seed, as both the wall-clock baseline and the **differential oracle**:
+//! and runs all of its seeds through the `measure_*_batch` drivers, where
+//! Algorithms 1 and 2 build their seed-independent setup (danner plan, Δ
+//! casts) once per cell — and then re-executed sequentially, seed by seed,
+//! as both the wall-clock baseline and the **differential oracle**:
 //! [`run_sweep`] asserts the batched rows are identical to the sequential
 //! rows before reporting a speedup.
 //!
@@ -11,8 +12,8 @@
 //! harness executes the registry and writes one JSON object per cell to
 //! `BENCH_sweeps.json`. The lower-bound experiment loops have their own
 //! declarative grids ([`CrossedSweepSpec`], [`CycleSweepSpec`]) — they run
-//! instrumented simulations (utilization/per-edge tracking), which the batch
-//! engine deliberately serialises, so their cells carry no speedup claim.
+//! instrumented simulations (utilization/per-edge tracking) one at a time,
+//! so their cells carry no speedup claim.
 //!
 //! Set `SWEEP_SMOKE=1` for the reduced grid (smaller graphs, 3 lanes) used
 //! by CI.
@@ -57,7 +58,7 @@ pub enum SweepAlgorithm {
     Alg1,
     /// The asynchronous variant of Algorithm 1. Its cost model re-charges
     /// the synchronous run, which has no batched runtime of its own — cells
-    /// run per-lane sequentially on both sides (speedup ≈ 1 by design).
+    /// run seed by seed on both sides (speedup ≈ 1 by design).
     Alg1Async,
     /// Algorithm 2, (1+ε)Δ-coloring in KT-1.
     Alg2 {
@@ -85,10 +86,12 @@ impl SweepAlgorithm {
         }
     }
 
-    /// Whether the algorithm has a true lockstep-lane runtime (everything
-    /// but the async re-charge wrapper does).
+    /// Whether the algorithm's batched run shares work across seeds:
+    /// Algorithms 1 and 2 build their seed-independent setup once per cell.
+    /// Every other cell runs identical per-seed work on both sides, so its
+    /// speedup is noise and the sweeps gate ignores it.
     pub fn is_batched(self) -> bool {
-        !matches!(self, SweepAlgorithm::Alg1Async)
+        matches!(self, SweepAlgorithm::Alg1 | SweepAlgorithm::Alg2 { .. })
     }
 
     fn measure_batch(self, inst: &Instance, seeds: &[u64]) -> Vec<MeasurementRow> {
@@ -184,7 +187,8 @@ pub struct SweepCell {
     pub m: usize,
     /// Algorithm key.
     pub algorithm: String,
-    /// Whether the algorithm ran on the true lockstep-lane runtime.
+    /// Whether the batched run shared setup across the cell's seeds
+    /// ([`SweepAlgorithm::is_batched`]).
     pub batched: bool,
     /// The cell's seed grid.
     pub seeds: Vec<u64>,
@@ -265,7 +269,7 @@ pub fn print_speedup_summary(cells: &[SweepCell]) {
         .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
     {
         println!(
-            "batched lanes: {} seeds/cell in lockstep; best amortized speedup {:.2}x \
+            "batched cells: {} seeds/cell sharing their setup; best amortized speedup {:.2}x \
              ({}/{} vs seed-by-seed sequential)\n",
             best.rows.len(),
             best.speedup(),
@@ -281,7 +285,7 @@ pub fn print_speedup_summary(cells: &[SweepCell]) {
 /// # Panics
 ///
 /// Panics if any cell's batched rows differ from its sequential rows — that
-/// would be a lane-isolation bug in the batch engine, not measurement noise.
+/// would be a bug in a batched driver, not measurement noise.
 pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepCell> {
     let mut cells = Vec::new();
     for (g, graph_spec) in spec.graphs.iter().enumerate() {
@@ -441,10 +445,10 @@ pub fn crossover_sweep(lanes: usize) -> SweepSpec {
 
 /// SPARSE: Algorithm 1 vs the Θ(m) coloring baseline on near-threshold
 /// `G(n, p)` with `p ≈ c·ln n / n`. This is the regime the KT-1 message
-/// bounds are about — `m` is barely superlinear, so the danner setup and
-/// seed distribution are a large, *lane-invariant* share of every run, and
-/// the batched engine amortizes them across the whole seed grid. These are
-/// the cells where the lockstep lanes show their largest wall-clock wins.
+/// bounds are about — `m` is barely superlinear, so the danner setup is a
+/// large, seed-independent share of every Algorithm 1 run, and the batched
+/// driver builds it once for the whole seed grid. These are the cells where
+/// sharing the setup shows its largest wall-clock wins.
 pub fn sparse_sweep(lanes: usize) -> SweepSpec {
     let grid: Vec<(usize, f64, u64)> = if smoke() {
         vec![(48, 0.08, 701), (64, 0.06, 702)]

@@ -367,8 +367,7 @@ pub mod johansson {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use symbreak_congest::{
-        BatchSimulator, ExecutionReport, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig,
-        SyncSimulator,
+        ExecutionReport, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig, SyncSimulator,
     };
     use symbreak_graphs::{Graph, IdAssignment, NodeId};
 
@@ -574,48 +573,6 @@ pub mod johansson {
         let colors = std::mem::take(&mut report.outputs);
         (colors, report)
     }
-
-    /// Runs one flat list-coloring execution per seed, in lockstep over one
-    /// shared CSR ([`BatchSimulator`]). Lane `k` is bit-identical to
-    /// [`run_flat`] with `seeds[k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty or any lane fails to terminate.
-    pub fn run_flat_batch(
-        sim: &BatchSimulator<'_>,
-        instance: &FlatListColoring,
-        seeds: &[u64],
-        config: SyncConfig,
-    ) -> Vec<(Vec<Option<u64>>, ExecutionReport)> {
-        let reports = sim.run_batch(config, seeds.len(), |k, init| {
-            let i = init.node.index();
-            FlatNode {
-                participating: instance.participating[i],
-                color: None,
-                palette: super::palette::NodePalette::from_row(
-                    instance.palettes.row(i),
-                    instance.palettes.count(i),
-                ),
-                active: instance.active.row(init.node),
-                candidate: None,
-                rng: StdRng::seed_from_u64(
-                    seeds[k] ^ 0x517cc1b727220a95u64.wrapping_mul(i as u64 + 1),
-                ),
-            }
-        });
-        reports
-            .into_iter()
-            .map(|mut report| {
-                assert!(
-                    report.completed,
-                    "Johansson list-coloring did not terminate"
-                );
-                let colors = std::mem::take(&mut report.outputs);
-                (colors, report)
-            })
-            .collect()
-    }
 }
 
 pub mod baseline {
@@ -624,7 +581,7 @@ pub mod baseline {
     //! Ω(m) coloring baseline of Figure 1 against which Algorithm 1 and
     //! Algorithm 2 are compared.
 
-    use symbreak_congest::{BatchSimulator, ExecutionReport, KtLevel, SyncConfig};
+    use symbreak_congest::{ExecutionReport, KtLevel, SyncConfig};
     use symbreak_graphs::{Graph, IdAssignment};
 
     use super::johansson::{self, FlatListColoring};
@@ -638,23 +595,6 @@ pub mod baseline {
     ) -> (Vec<Option<u64>>, ExecutionReport) {
         let instance = FlatListColoring::delta_plus_one(graph);
         johansson::run_flat(graph, ids, KtLevel::KT1, &instance, seed, config)
-    }
-
-    /// One baseline execution per seed, batched over one shared CSR. Lane
-    /// `k` is bit-identical to [`run`] with `seeds[k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sim` was built at [`KtLevel::KT1`] (the baseline's
-    /// knowledge level).
-    pub fn run_batch(
-        sim: &BatchSimulator<'_>,
-        seeds: &[u64],
-        config: SyncConfig,
-    ) -> Vec<(Vec<Option<u64>>, ExecutionReport)> {
-        assert_eq!(sim.level(), KtLevel::KT1, "the baseline runs at KT-1");
-        let instance = FlatListColoring::delta_plus_one(sim.graph());
-        johansson::run_flat_batch(sim, &instance, seeds, config)
     }
 }
 

@@ -110,8 +110,8 @@ pub mod parallel_greedy {
     use rand::Rng;
     use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
     use symbreak_congest::{
-        run_synchronized, BatchSimulator, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel,
-        Message, NodeAlgorithm, NodeInit, NoopObserver, PersistState, RoundContext, RoundObserver,
+        run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
+        NodeAlgorithm, NodeInit, NoopObserver, PersistState, RoundContext, RoundObserver,
         SyncConfig, SyncSimulator,
     };
     use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
@@ -359,59 +359,6 @@ pub mod parallel_greedy {
         (membership, report)
     }
 
-    /// One lane of a batched parallel-greedy run: the per-execution inputs
-    /// of [`run_arena`], borrowed.
-    #[derive(Debug, Clone, Copy)]
-    pub struct MisLaneSpec<'a> {
-        /// Per-node participation flags.
-        pub participating: &'a [bool],
-        /// Per-node ranks (distinct among participants).
-        pub ranks: &'a [u64],
-        /// Per-node active lists.
-        pub active: &'a AdjacencyArena,
-    }
-
-    /// Runs one parallel-greedy execution per lane spec, in lockstep over
-    /// one shared CSR. Lane `k` is bit-identical to [`run_arena`] on
-    /// `lanes[k]`'s inputs.
-    pub fn run_arena_batch(
-        sim: &BatchSimulator<'_>,
-        lanes: &[MisLaneSpec<'_>],
-        config: SyncConfig,
-    ) -> Vec<(Vec<bool>, ExecutionReport)> {
-        let n = sim.graph().num_nodes();
-        for lane in lanes {
-            assert_eq!(lane.participating.len(), n);
-            assert_eq!(lane.ranks.len(), n);
-            assert_eq!(lane.active.num_nodes(), n);
-        }
-        let reports = sim.run_batch(config, lanes.len(), |k, init| {
-            let i = init.node.index();
-            let lane = &lanes[k];
-            Node {
-                state: if lane.participating[i] {
-                    State::Undecided
-                } else {
-                    State::NotParticipating
-                },
-                rank: lane.ranks[i],
-                active: lane.active.row(init.node),
-            }
-        });
-        reports
-            .into_iter()
-            .map(|report| {
-                assert!(report.completed, "parallel greedy MIS did not terminate");
-                let membership = report
-                    .outputs
-                    .iter()
-                    .map(|o| o.expect("participants decided") == 1)
-                    .collect();
-                (membership, report)
-            })
-            .collect()
-    }
-
     /// Convenience: run on all nodes of the graph with the given ranks; the
     /// active lists are the full neighbour lists.
     pub fn run_on_whole_graph(
@@ -474,8 +421,8 @@ pub mod luby {
     use rand::{Rng, SeedableRng};
     use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
     use symbreak_congest::{
-        run_synchronized, BatchSimulator, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel,
-        Message, NodeAlgorithm, NodeInit, NoopObserver, PersistState, RoundContext, RoundObserver,
+        run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
+        NodeAlgorithm, NodeInit, NoopObserver, PersistState, RoundContext, RoundObserver,
         SyncConfig, SyncSimulator,
     };
     use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
@@ -726,87 +673,6 @@ pub mod luby {
             .map(|o| o.expect("all nodes decided") == 1)
             .collect();
         (membership, report)
-    }
-
-    /// One lane of a batched Luby run: the per-execution inputs of
-    /// [`run_restricted_arena`], borrowed.
-    #[derive(Debug, Clone, Copy)]
-    pub struct LubyLaneSpec<'a> {
-        /// Per-node participation flags.
-        pub participating: &'a [bool],
-        /// Per-node active lists.
-        pub active: &'a AdjacencyArena,
-        /// The lane's seed.
-        pub seed: u64,
-    }
-
-    /// Runs one Luby execution per lane spec, in lockstep over one shared
-    /// CSR. Lane `k` is bit-identical to [`run_restricted_arena`] on
-    /// `lanes[k]`'s inputs.
-    pub fn run_restricted_arena_batch(
-        sim: &BatchSimulator<'_>,
-        lanes: &[LubyLaneSpec<'_>],
-        config: SyncConfig,
-    ) -> Vec<(Vec<bool>, ExecutionReport)> {
-        let n = sim.graph().num_nodes();
-        for lane in lanes {
-            assert_eq!(lane.participating.len(), n);
-            assert_eq!(lane.active.num_nodes(), n);
-        }
-        let reports = sim.run_batch(config, lanes.len(), |k, init| {
-            let i = init.node.index();
-            let lane = &lanes[k];
-            Node {
-                state: if lane.participating[i] {
-                    State::Undecided
-                } else {
-                    State::NotParticipating
-                },
-                rng: StdRng::seed_from_u64(
-                    lane.seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ),
-                current: 0,
-                active: lane.active.row(init.node),
-            }
-        });
-        reports
-            .into_iter()
-            .map(|report| {
-                assert!(report.completed, "Luby's algorithm did not terminate");
-                let membership = report
-                    .outputs
-                    .iter()
-                    .map(|o| o.expect("all nodes decided") == 1)
-                    .collect();
-                (membership, report)
-            })
-            .collect()
-    }
-
-    /// One whole-graph Luby execution per seed, batched over one shared CSR
-    /// (the batched Figure-1 MIS baseline). Lane `k` is bit-identical to
-    /// [`run`] with `seeds[k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sim` was built at [`KtLevel::KT1`].
-    pub fn run_batch(
-        sim: &BatchSimulator<'_>,
-        seeds: &[u64],
-        config: SyncConfig,
-    ) -> Vec<(Vec<bool>, ExecutionReport)> {
-        assert_eq!(sim.level(), KtLevel::KT1, "the baseline runs at KT-1");
-        let participating = vec![true; sim.graph().num_nodes()];
-        let active = AdjacencyArena::from_filtered(sim.graph(), |_, _| true);
-        let lanes: Vec<LubyLaneSpec<'_>> = seeds
-            .iter()
-            .map(|&seed| LubyLaneSpec {
-                participating: &participating,
-                active: &active,
-                seed,
-            })
-            .collect();
-        run_restricted_arena_batch(sim, &lanes, config)
     }
 
     /// Runs Luby's algorithm on the whole graph (the Figure-1 MIS baseline).

@@ -20,7 +20,7 @@
 //! * **Inbox disjointness** — after a delivery flip, no two nodes' inbox
 //!   ranges may alias the same arena slots.
 //!
-//! Violations carry full provenance — `(round, edge, lane, shard)` plus the
+//! Violations carry full provenance — `(round, edge, shard)` plus the
 //! caller's replay seed — and either abort immediately
 //! ([`AuditConfig::deny`], the `CONGEST_AUDIT=1` mode CI runs whole suites
 //! under) or accumulate for inspection ([`Auditor::finish`]).
@@ -41,8 +41,8 @@ use crate::engine::{MessageArena, RoundObserver};
 use crate::Message;
 
 /// Environment variable enabling deny-mode auditing on every
-/// [`crate::SyncSimulator::run`] / [`crate::BatchSimulator`] run
-/// (`CONGEST_AUDIT=1`; empty or `0` disables). Instrumented runs
+/// [`crate::SyncSimulator::run`] (`CONGEST_AUDIT=1`; empty or `0`
+/// disables). Instrumented runs
 /// (trace / utilization / per-edge) keep their dedicated sequential
 /// observer and are not audited.
 pub const AUDIT_ENV: &str = "CONGEST_AUDIT";
@@ -78,9 +78,6 @@ pub struct AuditConfig {
     /// The caller's replay seed, stamped into every violation so a finding
     /// can be reproduced outside the audited run.
     pub seed: u64,
-    /// The batch lane this audit covers (0 for plain runs), stamped into
-    /// every violation.
-    pub lane: usize,
 }
 
 impl AuditConfig {
@@ -91,7 +88,6 @@ impl AuditConfig {
             budget_c: DEFAULT_BUDGET_C,
             deny: false,
             seed,
-            lane: 0,
         }
     }
 
@@ -121,12 +117,6 @@ impl AuditConfig {
     /// Overrides the bandwidth budget multiplier.
     pub fn with_budget(mut self, budget_c: u32) -> Self {
         self.budget_c = budget_c;
-        self
-    }
-
-    /// Stamps violations with a batch lane.
-    pub fn with_lane(mut self, lane: usize) -> Self {
-        self.lane = lane;
         self
     }
 }
@@ -182,8 +172,6 @@ pub struct Violation {
     /// The graph edge involved (`None` for adjacency violations — there is
     /// no such edge — and for window/inbox findings).
     pub edge: Option<EdgeId>,
-    /// The batch lane ([`AuditConfig::lane`]).
-    pub lane: usize,
     /// The worker shard whose replayed log raised the finding (`None` on
     /// the sequential loop).
     pub shard: Option<usize>,
@@ -226,7 +214,6 @@ impl fmt::Display for Violation {
         if let Some(edge) = self.edge {
             write!(f, ", edge {}", edge.index())?;
         }
-        write!(f, ", lane {}", self.lane)?;
         if let Some(shard) = self.shard {
             write!(f, ", shard {shard}")?;
         }
@@ -403,7 +390,6 @@ impl<'g> Auditor<'g> {
             from,
             to,
             edge,
-            lane: self.cfg.lane,
             shard: self.shard,
             seed: self.cfg.seed,
         };

@@ -88,10 +88,9 @@ impl RoundObserver for NoopObserver {
 /// automaton, validates every outgoing message against the CONGEST bit
 /// budget and feeds it to `sink`. Shared by the sequential
 /// [`NodeRuntime::step`] and the per-thread [`ShardView::step`] so the two
-/// paths cannot drift. Also the per-lane activation primitive of the
-/// lockstep batch loop ([`crate::BatchSimulator`]).
+/// paths cannot drift.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_node<A, S>(
+fn step_node<A, S>(
     graph: &Graph,
     ids: &IdAssignment,
     level: KtLevel,
@@ -179,7 +178,23 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
                 })
             })
             .collect();
-        let buckets_local = csr_buckets_local(&nbr_offsets, &nbrs);
+        // Receiver-major staging writes through one bucket per receiver, so
+        // it only pays off when those writes stay cache-resident: either the
+        // whole bucket array is small, or senders' neighbour indices are
+        // close to their own (small average edge span, e.g. cycles/grids),
+        // keeping consecutive activations on neighbouring cache lines.
+        let span_sum: u64 = (0..n)
+            .map(|i| {
+                let lo = nbr_offsets[i] as usize;
+                let hi = nbr_offsets[i + 1] as usize;
+                nbrs[lo..hi]
+                    .iter()
+                    .map(|&w| (w.0 as i64 - i as i64).unsigned_abs())
+                    .sum::<u64>()
+            })
+            .sum();
+        let buckets_local =
+            n <= DENSE_SMALL_NODES || span_sum <= nbrs.len() as u64 * DENSE_MAX_AVG_SPAN;
         NodeRuntime {
             graph,
             ids,
@@ -263,7 +278,23 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
     /// with scattered neighbourhoods the flat layout's sequential staging
     /// wins instead and this returns `false`.
     pub(crate) fn dense_round(&self, active: &[u32]) -> bool {
-        csr_dense_round(self.buckets_local, &self.nbr_offsets, active)
+        let n = self.nbr_offsets.len() - 1;
+        let dirs = self.nbrs.len() as u64;
+        if dirs == 0 || !self.buckets_local {
+            return false;
+        }
+        // The degree sum is only an upper bound on traffic; without a sender
+        // quorum a handful of hubs (one star centre) would trip it every
+        // round and make each flip's O(n) scan violate the round loop's
+        // O(active + messages) cost contract.
+        if active.len() * 4 < n {
+            return false;
+        }
+        let active_degrees: u64 = active
+            .iter()
+            .map(|&i| self.degree_of(i as usize) as u64)
+            .sum();
+        active_degrees * 2 >= dirs
     }
 
     /// Activates node `i` for one round: runs its automaton on `inbox` and
@@ -400,58 +431,12 @@ impl<A: NodeAlgorithm> ShardView<'_, '_, A> {
     }
 }
 
-/// Whether per-receiver buckets are cache-friendly on a CSR snapshot.
-/// Receiver-major staging writes through one bucket per receiver, so it only
-/// pays off when those writes stay cache-resident: either the whole bucket
-/// array is small, or senders' neighbour indices are close to their own
-/// (small average edge span, e.g. cycles/grids), keeping consecutive
-/// activations on neighbouring cache lines. Computed once per run; shared by
-/// [`NodeRuntime`] and the batch engine's per-lane layout choice.
-pub(crate) fn csr_buckets_local(nbr_offsets: &[u32], nbrs: &[NodeId]) -> bool {
-    let n = nbr_offsets.len() - 1;
-    let span_sum: u64 = (0..n)
-        .map(|i| {
-            let lo = nbr_offsets[i] as usize;
-            let hi = nbr_offsets[i + 1] as usize;
-            nbrs[lo..hi]
-                .iter()
-                .map(|&w| (w.0 as i64 - i as i64).unsigned_abs())
-                .sum::<u64>()
-        })
-        .sum();
-    n <= DENSE_SMALL_NODES || span_sum <= nbrs.len() as u64 * DENSE_MAX_AVG_SPAN
-}
-
-/// The per-round dense-delivery predicate over a CSR snapshot (see
-/// [`NodeRuntime::dense_round`] for the rationale): the active set's degree
-/// sum must cover at least half of all directed edge slots *and* the bucket
-/// access pattern must be cache-friendly.
-pub(crate) fn csr_dense_round(buckets_local: bool, nbr_offsets: &[u32], active: &[u32]) -> bool {
-    let n = nbr_offsets.len() - 1;
-    let dirs = nbr_offsets[n] as u64;
-    if dirs == 0 || !buckets_local {
-        return false;
-    }
-    // The degree sum is only an upper bound on traffic; without a sender
-    // quorum a handful of hubs (one star centre) would trip it every round
-    // and make each flip's O(n) scan violate the round loop's
-    // O(active + messages) cost contract.
-    if active.len() * 4 < n {
-        return false;
-    }
-    let active_degrees: u64 = active
-        .iter()
-        .map(|&i| (nbr_offsets[i as usize + 1] - nbr_offsets[i as usize]) as u64)
-        .sum();
-    active_degrees * 2 >= dirs
-}
-
 /// Cuts `0..len` into at most `max_shards` contiguous ranges with near-equal
 /// weight sums, where `weight(i)` is the cost of item `i`.
 ///
 /// This is the quantile cut behind the parallel loop's per-round
-/// active-list windows (`sync::plan_shards`) and the batch loop's
-/// union-frontier windows: walk the items accumulating weight and close
+/// active-list windows (`sync::plan_shards`): walk the items accumulating
+/// weight and close
 /// shard `k` once the `k`-th quantile of the total weight is reached —
 /// early if the remaining items are only just enough to keep every later
 /// shard nonempty. Cuts depend only on `len`, `max_shards` and the weights —

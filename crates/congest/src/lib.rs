@@ -59,7 +59,6 @@
 
 pub mod async_sim;
 pub mod audit;
-mod batch;
 pub mod checkpoint;
 mod engine;
 mod error;
@@ -78,7 +77,6 @@ pub use audit::{
     audit_enabled, AuditConfig, Auditor, Violation, ViolationKind, AUDIT_BUDGET_ENV, AUDIT_ENV,
     DEFAULT_BUDGET_C,
 };
-pub use batch::BatchSimulator;
 pub use checkpoint::{
     CheckpointChain, CheckpointConfig, CheckpointRecord, PersistState, CHECKPOINT_DIR_ENV,
     CHECKPOINT_EVERY_ENV,
@@ -98,4 +96,4 @@ pub use message::{Message, MAX_ID_FIELDS, MAX_VALUE_FIELDS};
 pub use metrics::{CostAccount, PhaseCost};
 pub use model::KtLevel;
 pub use node::{NodeAlgorithm, NodeInit, RoundContext};
-pub use sync::{ExecutionReport, SyncConfig, SyncSimulator, LANES_ENV, THREADS_ENV};
+pub use sync::{ExecutionReport, SyncConfig, SyncSimulator, THREADS_ENV};

@@ -41,16 +41,10 @@ use crate::{KnowledgeView, KtLevel, Message, NodeAlgorithm, NodeInit, SimError};
 /// and the parallel loop with one test suite).
 pub const THREADS_ENV: &str = "CONGEST_THREADS";
 
-/// Environment variable overriding the lane count of
-/// [`SyncConfig::lanes`]` = 0` — the default batch width of
-/// [`crate::BatchSimulator`] runs (used by CI to push whole test suites
-/// through the lockstep batch loop).
-pub const LANES_ENV: &str = "CONGEST_LANES";
-
 /// Rounds with fewer active nodes than this per shard run single-sharded
 /// (inline, no cross-thread dispatch) — fork-join overhead would dwarf the
 /// work. Exceeding it does not force parallelism; it only permits it.
-pub(crate) const MIN_ACTIVE_PER_SHARD: usize = 32;
+const MIN_ACTIVE_PER_SHARD: usize = 32;
 
 /// Shards per worker thread: the active list is cut into up to this many
 /// shards per thread, claimed dynamically (see the vendored
@@ -59,7 +53,7 @@ pub(crate) const MIN_ACTIVE_PER_SHARD: usize = 32;
 /// hub's inbox — keeps one worker busy while the others drain the rest.
 /// Shard boundaries stay deterministic, so the `flip_shards` merge order
 /// (and therefore the report) is bit-identical at any thread count.
-pub(crate) const SHARD_OVERSUBSCRIPTION: usize = 4;
+const SHARD_OVERSUBSCRIPTION: usize = 4;
 
 /// Configuration of a synchronous run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,14 +75,6 @@ pub struct SyncConfig {
     /// instrumented runs (trace/utilization/per-edge or a custom observer)
     /// always execute sequentially.
     pub threads: usize,
-    /// Execution lanes for batched multi-execution runs
-    /// ([`crate::BatchSimulator`]). `0` (the default) resolves to the
-    /// `CONGEST_LANES` environment variable if set, else to `1` (a single
-    /// lane). Plain [`SyncSimulator`] runs ignore this knob; batch runs step
-    /// this many statistically independent executions in lockstep over one
-    /// shared CSR, and lane `k` of a batched run is bit-identical to a
-    /// sequential run with that lane's seed.
-    pub lanes: usize,
 }
 
 impl Default for SyncConfig {
@@ -100,7 +86,6 @@ impl Default for SyncConfig {
             track_utilization: false,
             track_per_edge: false,
             threads: 0,
-            lanes: 0,
         }
     }
 }
@@ -130,26 +115,12 @@ impl SyncConfig {
         self
     }
 
-    /// Sets the batch lane count (`0` = automatic; see
-    /// [`SyncConfig::lanes`]).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// The effective lane count: an explicit setting wins, then the
-    /// `CONGEST_LANES` environment variable, then `1` (a single lane).
+    /// Always `1`: every run is one execution on the plain engine. Kept
+    /// only because the repo benchmark's host record
+    /// (`benchmark/src/lib.rs:209`) prints it, as for
+    /// [`SyncConfig::resolved_shards`]; delete it once that record drops
+    /// its `lanes` field.
     pub fn resolved_lanes(&self) -> usize {
-        if self.lanes > 0 {
-            return self.lanes;
-        }
-        if let Ok(raw) = std::env::var(LANES_ENV) {
-            if let Ok(v) = raw.trim().parse::<usize>() {
-                if v > 0 {
-                    return v;
-                }
-            }
-        }
         1
     }
 
@@ -790,8 +761,8 @@ fn step_shard<A: NodeAlgorithm, const AUDIT: bool>(
 
 /// Cuts the active list into at most `shard_limit` contiguous shards with
 /// near-equal degree sums (stepping cost is dominated by inbox/outbox sizes,
-/// both bounded by degree), through the [`balanced_cuts`] quantile walk the
-/// batch loop also cuts its union frontier with. The parallel loop passes
+/// both bounded by degree), through the [`balanced_cuts`] quantile walk.
+/// The parallel loop passes
 /// `threads · SHARD_OVERSUBSCRIPTION` so dynamic claiming has spare shards
 /// to rebalance with. Rounds too small to amortize a fork-join
 /// ([`MIN_ACTIVE_PER_SHARD`]) get one shard. Weight = degree + 1: the

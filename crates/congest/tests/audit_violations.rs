@@ -1,5 +1,5 @@
 //! Negative-path tests for the CONGEST compliance auditor: each injected
-//! violation must be caught with full `(round, edge, lane, shard)`
+//! violation must be caught with full `(round, edge, shard)`
 //! provenance and the caller's replay seed, and audited runs must stay
 //! bit-identical to unaudited ones with zero violations.
 
@@ -81,7 +81,6 @@ fn oversized_payload_is_caught_with_provenance() {
         )
     );
     assert_eq!(v.seed, SEED);
-    assert_eq!(v.lane, 0);
     // Every send of the run is over budget: one violation per message.
     assert_eq!(violations.len() as u64, report.messages);
 }
@@ -92,7 +91,7 @@ fn oversized_payload_is_caught_with_provenance() {
 #[test]
 fn off_adjacency_send_is_caught_with_provenance() {
     let graph = generators::cycle(8);
-    let mut auditor = Auditor::new(&graph, AuditConfig::collect(SEED).with_lane(2));
+    let mut auditor = Auditor::new(&graph, AuditConfig::collect(SEED));
     auditor.end_round(); // advance to round 1
     auditor.on_send(NodeId(0), NodeId(5), &Message::tagged(9));
     let violations = auditor.finish();
@@ -103,7 +102,6 @@ fn off_adjacency_send_is_caught_with_provenance() {
     assert_eq!(v.from, Some(NodeId(0)));
     assert_eq!(v.to, Some(NodeId(5)));
     assert_eq!(v.edge, None, "a non-edge has no edge id");
-    assert_eq!(v.lane, 2);
     assert_eq!(v.seed, SEED);
 }
 

@@ -20,19 +20,15 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use symbreak_congest::{
-    async_sim, BatchSimulator, CostAccount, KtLevel, PhaseCost, SyncConfig, SyncSimulator,
-};
+use symbreak_congest::{async_sim, CostAccount, KtLevel, PhaseCost, SyncConfig, SyncSimulator};
 use symbreak_danner::{ops, setup};
-use symbreak_graphs::{properties, Graph, IdAssignment};
-use symbreak_ktrand::SharedRandomness;
+use symbreak_graphs::{Graph, IdAssignment};
 
 use crate::error::CoreError;
 use crate::partition::ChangPartition;
+use crate::prologue::Prologue;
 use crate::query_coloring::QueryPlan;
-use crate::stage_flat::{
-    run_stage_flat_batch_lanes_on, run_stage_flat_on, FlatStageLane, FlatStageSpec,
-};
+use crate::stage_flat::{run_stage_flat_on, FlatStageSpec};
 
 /// Configuration of Algorithm 1.
 #[derive(Debug, Clone, Copy)]
@@ -92,36 +88,76 @@ pub fn run<R: Rng + ?Sized>(
     config: Alg1Config,
     rng: &mut R,
 ) -> Result<ColoringOutcome, CoreError> {
+    if graph.num_nodes() == 0 {
+        return Ok(empty_outcome());
+    }
+    let prologue = Prologue::new(graph, ids, config.delta)?;
+    run_seed(graph, ids, config, &prologue, rng)
+}
+
+/// Runs Algorithm 1 once per seed. Output `k` is **bit-identical**
+/// (colours, levels used, per-phase cost account) to [`run`] with
+/// `StdRng::seed_from_u64(seeds[k])` and the same config.
+///
+/// Everything before the first coin is built **once** per call: the
+/// danner, the leader and the broadcast tree ([`setup::SetupPlan`], a pure
+/// function of `(graph, ids, δ)`) and the Δ convergecast and broadcast,
+/// whose reports are charged to every seed's account. Each seed then draws
+/// and broadcasts its own seed words and runs its own levels and stages on
+/// the plain engine, through the calls [`run`] makes.
+///
+/// # Errors
+///
+/// Same conditions as [`run`]; the first failing seed fails the whole call.
+pub fn run_batch(
+    graph: &Graph,
+    ids: &IdAssignment,
+    config: Alg1Config,
+    seeds: &[u64],
+) -> Result<Vec<ColoringOutcome>, CoreError> {
+    if graph.num_nodes() == 0 {
+        return Ok(seeds.iter().map(|_| empty_outcome()).collect());
+    }
+    let prologue = Prologue::new(graph, ids, config.delta)?;
+    seeds
+        .iter()
+        .map(|&seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            run_seed(graph, ids, config, &prologue, &mut rng)
+        })
+        .collect()
+}
+
+/// The outcome on the empty graph.
+fn empty_outcome() -> ColoringOutcome {
+    ColoringOutcome {
+        colors: Vec::new(),
+        costs: CostAccount::new(),
+        levels_used: 0,
+        max_degree: 0,
+    }
+}
+
+/// The per-seed body of [`run`] and [`run_batch`]: the seed broadcast, the
+/// partition levels and the final stage of one execution, on a non-empty
+/// connected graph.
+fn run_seed<R: Rng + ?Sized>(
+    graph: &Graph,
+    ids: &IdAssignment,
+    config: Alg1Config,
+    prologue: &Prologue,
+    rng: &mut R,
+) -> Result<ColoringOutcome, CoreError> {
     let n = graph.num_nodes();
-    if n == 0 {
-        return Ok(ColoringOutcome {
-            colors: Vec::new(),
-            costs: CostAccount::new(),
-            levels_used: 0,
-            max_degree: 0,
-        });
-    }
-    if !properties::is_connected(graph) {
-        return Err(CoreError::Disconnected);
-    }
     let log_n = (n.max(2) as f64).log2();
-    let mut costs = CostAccount::new();
 
-    // Step 1: danner + leader + shared random bits (Θ(log² n) of them).
+    // Step 1: the leader broadcasts Θ(log² n) shared random bits over the
+    // danner; the prologue has already learned Δ.
     let seed_bits = ((log_n * log_n).ceil() as usize).max(64);
-    let setup_outcome = setup::try_shared_randomness(graph, ids, config.delta, seed_bits, rng)?;
-    costs.absorb("setup", &setup_outcome.costs);
-    let shared = setup_outcome.shared;
-    let carrier = setup_outcome.danner.subgraph();
-    let tree = setup_outcome.tree;
-
-    // Learn the global maximum degree Δ over the danner tree and broadcast it
-    // back down (real messages).
-    let degrees: Vec<u64> = graph.nodes().map(|v| graph.degree(v) as u64).collect();
-    let (max_degree, report) = ops::convergecast_max(carrier, ids, &tree, &degrees);
-    costs.charge_report("Δ convergecast", &report);
-    let report = ops::broadcast_words(carrier, ids, &tree, &[max_degree]);
-    costs.charge_report("Δ broadcast", &report);
+    let (shared, mut costs) = prologue.share(ids, seed_bits, rng);
+    let carrier = prologue.plan.carrier();
+    let tree = prologue.plan.tree();
+    let max_degree = prologue.max_degree;
     let palette_size = max_degree + 1;
 
     let mut colors: Vec<Option<u64>> = vec![None; n];
@@ -151,7 +187,7 @@ pub fn run<R: Rng + ?Sized>(
             })
             .collect();
         let (double_edges, report) =
-            ops::convergecast_sum(carrier, ids, &tree, &local_uncolored_deg);
+            ops::convergecast_sum(carrier, ids, tree, &local_uncolored_deg);
         costs.charge_report(format!("|E(G[L])| check, level {level}"), &report);
         let uncolored_edges = double_edges / 2;
         let uncolored_max_deg = *local_uncolored_deg.iter().max().unwrap_or(&0);
@@ -217,235 +253,6 @@ pub fn run<R: Rng + ?Sized>(
         levels_used,
         max_degree,
     })
-}
-
-/// Runs Algorithm 1 once per seed, stepping the coloring stages of all lanes
-/// in lockstep over one shared [`BatchSimulator`] CSR. Lane `k` is
-/// **bit-identical** (colours, levels used, per-phase cost account) to
-/// [`run`] with `StdRng::seed_from_u64(seeds[k])` and the same config.
-///
-/// The setup is amortized across the batch: the danner, the leader and the
-/// broadcast tree are pure functions of `(graph, ids, δ)` and are built
-/// **once** ([`setup::SetupPlan`]); the Δ convergecast/broadcast are
-/// lane-invariant and run once with their reports charged to every lane; and
-/// the only genuinely per-lane setup — each lane's private seed words — is
-/// distributed by one batched broadcast over the danner. The level loop then
-/// advances all lanes together: each lane measures its own uncoloured
-/// subgraph (one batched convergecast per level over the live lanes) and may
-/// drop out of the loop at its own level, and every stage invocation batches
-/// exactly the still-live lanes (lane subsets preserve per-lane
-/// bit-identity).
-///
-/// # Errors
-///
-/// Same conditions as [`run`]; the first failing lane fails the whole batch.
-pub fn run_batch(
-    graph: &Graph,
-    ids: &IdAssignment,
-    config: Alg1Config,
-    seeds: &[u64],
-) -> Result<Vec<ColoringOutcome>, CoreError> {
-    let n = graph.num_nodes();
-    let lanes = seeds.len();
-    if n == 0 {
-        return Ok(seeds
-            .iter()
-            .map(|_| ColoringOutcome {
-                colors: Vec::new(),
-                costs: CostAccount::new(),
-                levels_used: 0,
-                max_degree: 0,
-            })
-            .collect());
-    }
-    if !properties::is_connected(graph) {
-        return Err(CoreError::Disconnected);
-    }
-    let log_n = (n.max(2) as f64).log2();
-    let seed_bits = ((log_n * log_n).ceil() as usize).max(64);
-
-    // Shared setup plan (Steps 1a/1b): the danner, the leader and the
-    // broadcast tree carry no private coins — one plan serves every lane.
-    let plan = setup::SetupPlan::new(graph, ids, config.delta)?;
-    let carrier = plan.carrier();
-    let tree = plan.tree();
-
-    // Step 1c, batched: each lane draws its own seed words (exactly the
-    // sequential draw), then one lockstep broadcast distributes all lanes'
-    // words over the danner — lane k's report is bit-identical to its
-    // sequential broadcast.
-    let lane_words: Vec<Vec<u64>> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            plan.draw_words(seed_bits, &mut rng)
-        })
-        .collect();
-    let word_reports = ops::broadcast_words_batch(carrier, ids, tree, &lane_words);
-
-    // Δ convergecast + broadcast are lane-invariant (degrees and tree carry
-    // no coins): run once, charge every lane's account with the same report.
-    let degrees: Vec<u64> = graph.nodes().map(|v| graph.degree(v) as u64).collect();
-    let (max_degree, delta_up) = ops::convergecast_max(carrier, ids, tree, &degrees);
-    let delta_down = ops::broadcast_words(carrier, ids, tree, &[max_degree]);
-
-    let mut shareds: Vec<SharedRandomness> = Vec::with_capacity(lanes);
-    let mut costs: Vec<CostAccount> = Vec::with_capacity(lanes);
-    for (words, word_report) in lane_words.iter().zip(&word_reports) {
-        let mut setup_costs = plan.base_costs();
-        setup_costs.charge_report("seed broadcast over danner (simulated)", word_report);
-        let mut lane_costs = CostAccount::new();
-        lane_costs.absorb("setup", &setup_costs);
-        lane_costs.charge_report("Δ convergecast", &delta_up);
-        lane_costs.charge_report("Δ broadcast", &delta_down);
-        shareds.push(SharedRandomness::from_seed(words[0], seed_bits));
-        costs.push(lane_costs);
-    }
-    let palette_size = max_degree + 1;
-
-    let mut colors: Vec<Vec<Option<u64>>> = vec![vec![None; n]; lanes];
-    let mut plans: Vec<Arc<QueryPlan>> = (0..lanes)
-        .map(|_| Arc::new(QueryPlan::new(graph, ids, Vec::new())))
-        .collect();
-    let mut levels_used = vec![0usize; lanes];
-    let mut broken = vec![false; lanes];
-    let phase_limit_buckets = (4.0 * log_n).ceil() as usize + 4;
-    let edge_threshold = (config.edge_threshold_factor * n as f64 * log_n).ceil() as u64;
-    let stage_config = SyncConfig::default().with_threads(config.threads);
-    let stage_sim = BatchSimulator::new(graph, ids, KtLevel::KT1);
-
-    for level in 0..config.max_levels {
-        // Each live lane measures its own uncoloured subgraph — one batched
-        // convergecast over the danner serves all live lanes — and decides
-        // whether to leave the level loop; the lanes that stay compute their
-        // level partitions.
-        let live: Vec<usize> = (0..lanes).filter(|&k| !broken[k]).collect();
-        if live.is_empty() {
-            break;
-        }
-        let lane_degs: Vec<Vec<u64>> = live
-            .iter()
-            .map(|&k| {
-                let uncolored: Vec<bool> = colors[k].iter().map(Option::is_none).collect();
-                graph
-                    .nodes()
-                    .map(|v| {
-                        if uncolored[v.index()] {
-                            graph.neighbors(v).filter(|u| uncolored[u.index()]).count() as u64
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let measured = ops::convergecast_sum_batch(carrier, ids, tree, &lane_degs);
-        let mut staying: Vec<(usize, ChangPartition)> = Vec::new();
-        for ((&k, local_uncolored_deg), (double_edges, report)) in
-            live.iter().zip(&lane_degs).zip(measured)
-        {
-            costs[k].charge_report(format!("|E(G[L])| check, level {level}"), &report);
-            let uncolored_edges = double_edges / 2;
-            let uncolored_max_deg = *local_uncolored_deg.iter().max().unwrap_or(&0);
-            if uncolored_edges <= edge_threshold
-                || uncolored_max_deg * uncolored_max_deg <= (16.0 * log_n * log_n) as u64
-            {
-                broken[k] = true;
-                continue;
-            }
-            staying.push((
-                k,
-                ChangPartition::compute(&shareds[k], level, n, uncolored_max_deg as usize),
-            ));
-        }
-        if staying.is_empty() {
-            break;
-        }
-
-        // One batched stage over exactly the live lanes. The specs borrow
-        // each lane's colour vector; they are dropped before write-back.
-        let seed = config.stage_seed.wrapping_add(level as u64);
-        let specs: Vec<FlatStageSpec<'_>> = staying
-            .iter()
-            .map(|(k, partition)| {
-                let parts = partition.parts_for(ids);
-                FlatStageSpec::for_bucket_level(
-                    graph,
-                    partition,
-                    &parts,
-                    &colors[*k],
-                    palette_size,
-                    Arc::clone(&plans[*k]),
-                    phase_limit_buckets,
-                )
-            })
-            .collect();
-        let stage_lanes: Vec<FlatStageLane<'_, '_>> = specs
-            .iter()
-            .map(|spec| FlatStageLane { spec, seed })
-            .collect();
-        let results = run_stage_flat_batch_lanes_on(&stage_sim, &stage_lanes, stage_config);
-        drop(stage_lanes);
-        drop(specs);
-        for ((k, partition), (stage_colors, report)) in staying.into_iter().zip(results) {
-            costs[k].charge_report(format!("bucket coloring, level {level}"), &report);
-            colors[k] = stage_colors;
-            Arc::get_mut(&mut plans[k])
-                .expect("stage spec dropped, plan uniquely held")
-                .push_level(partition);
-            levels_used[k] += 1;
-        }
-    }
-
-    // Final stage, batched over the lanes that still have uncoloured nodes.
-    let needs_final: Vec<usize> = (0..lanes)
-        .filter(|&k| colors[k].iter().any(Option::is_none))
-        .collect();
-    if !needs_final.is_empty() {
-        let phase_limit = (16.0 * log_n).ceil() as usize + 32;
-        let seed = config.stage_seed.wrapping_add(0xffff);
-        let specs: Vec<FlatStageSpec<'_>> = needs_final
-            .iter()
-            .map(|&k| {
-                FlatStageSpec::for_final_stage(
-                    graph,
-                    &colors[k],
-                    palette_size,
-                    Arc::clone(&plans[k]),
-                    phase_limit,
-                )
-            })
-            .collect();
-        let stage_lanes: Vec<FlatStageLane<'_, '_>> = specs
-            .iter()
-            .map(|spec| FlatStageLane { spec, seed })
-            .collect();
-        let results = run_stage_flat_batch_lanes_on(&stage_sim, &stage_lanes, stage_config);
-        drop(stage_lanes);
-        drop(specs);
-        for (&k, (final_colors, report)) in needs_final.iter().zip(results) {
-            costs[k].charge_report("final-stage coloring", &report);
-            colors[k] = final_colors;
-        }
-    }
-
-    if colors.iter().any(|lane| lane.iter().any(Option::is_none)) {
-        return Err(CoreError::DidNotConverge {
-            stage: "final-stage coloring",
-        });
-    }
-
-    Ok(colors
-        .into_iter()
-        .zip(costs)
-        .zip(levels_used)
-        .map(|((colors, costs), levels_used)| ColoringOutcome {
-            colors,
-            costs,
-            levels_used,
-            max_degree,
-        })
-        .collect())
 }
 
 /// Runs the asynchronous variant of Algorithm 1 (Theorem 3.4).
@@ -594,6 +401,10 @@ mod tests {
             assert_eq!(lane.max_degree, solo.max_degree, "seed {seed}");
             assert_eq!(lane.costs, solo.costs, "seed {seed}");
         }
+        // No seeds on a connected graph: an empty answer, not a panic.
+        assert!(run_batch(&g, &ids, Alg1Config::default(), &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -32,14 +32,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
 use symbreak_congest::{
-    run_synchronized, BatchSimulator, CostAccount, ExecutionReport, FaultPlan, KtLevel, Message,
-    NodeAlgorithm, NodeInit, RoundContext, SyncConfig, SyncSimulator,
+    run_synchronized, CostAccount, ExecutionReport, FaultPlan, KtLevel, Message, NodeAlgorithm,
+    NodeInit, RoundContext, SyncConfig, SyncSimulator,
 };
-use symbreak_danner::{ops, setup};
-use symbreak_graphs::{properties, Graph, IdAssignment, NodeId};
+use symbreak_graphs::{Graph, IdAssignment, NodeId};
 use symbreak_ktrand::{tail, KWiseHash, SharedRandomness};
 
 use crate::error::CoreError;
+use crate::prologue::Prologue;
 use crate::query_coloring::QueryPlan;
 
 const TAG_QUERY: u16 = 0x60;
@@ -246,29 +246,16 @@ pub fn run_phases(
     palette_size: u64,
     max_phases: usize,
 ) -> (Vec<Option<u64>>, ExecutionReport) {
-    run_phases_config(
+    let candidates = PhaseCandidates::new(shared, graph.num_nodes(), palette_size, max_phases);
+    let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
+    run_phases_on(
         graph,
         ids,
-        shared,
-        palette_size,
+        &candidates,
+        &neighbor_table,
         max_phases,
         SyncConfig::default(),
     )
-}
-
-fn run_phases_config(
-    graph: &Graph,
-    ids: &IdAssignment,
-    shared: &SharedRandomness,
-    palette_size: u64,
-    max_phases: usize,
-    config: SyncConfig,
-) -> (Vec<Option<u64>>, ExecutionReport) {
-    let candidates = PhaseCandidates::new(shared, graph.num_nodes(), palette_size, max_phases);
-    // The history-free `QueryPlan`'s CSR rows are exactly the per-node
-    // `(address, ID)` slices the automata need.
-    let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
-    run_phases_on(graph, ids, &candidates, &neighbor_table, max_phases, config)
 }
 
 /// The synchronous phases over a given memo and neighbour table.
@@ -335,154 +322,40 @@ pub fn run_phases_async<R: Rng + ?Sized>(
     (colors, sync_report, report)
 }
 
-/// [`run_phases`], batched: lane `k` runs the colour-trial phases with
-/// `shared[k]` over the [`BatchSimulator`]'s shared CSR, bit-identical to
-/// [`run_phases`] with the same randomness. The flat automaton has no
-/// per-node RNG — all per-lane variation enters through the lane's shared
-/// randomness (and hence its own phase-candidate memo); the history-free
-/// neighbour table is lane-invariant and built once.
-///
-/// # Panics
-///
-/// Panics if `shared` is empty, the simulator is not KT-1, or any lane fails
-/// to quiesce within the round limit.
-pub fn run_phases_batch_on(
-    sim: &BatchSimulator<'_>,
-    shared: &[SharedRandomness],
-    palette_size: u64,
-    max_phases: usize,
-    config: SyncConfig,
-) -> Vec<(Vec<Option<u64>>, ExecutionReport)> {
-    assert!(!shared.is_empty(), "batched phases need at least one lane");
-    assert_eq!(sim.level(), KtLevel::KT1, "Algorithm 2 runs in KT-1");
-    let n = sim.graph().num_nodes();
-    let lane_candidates: Vec<PhaseCandidates> = shared
-        .iter()
-        .map(|s| PhaseCandidates::new(s, n, palette_size, max_phases))
-        .collect();
-    let neighbor_table = QueryPlan::new(sim.graph(), sim.ids(), Vec::new());
-    let reports = sim.run_batch(config, shared.len(), |k, init| {
-        FlatAlg2Node::new(&lane_candidates[k], &neighbor_table, init, max_phases)
-    });
-    reports
-        .into_iter()
-        .map(|mut report| {
-            assert!(report.completed, "Algorithm 2 phases did not quiesce");
-            let colors = std::mem::take(&mut report.outputs);
-            (colors, report)
-        })
-        .collect()
-}
-
-/// Runs Algorithm 2 once per seed, advancing the colour-trial phases of all
-/// lanes in lockstep over one shared CSR. Lane `k` is **bit-identical**
+/// Runs Algorithm 2 once per seed. Output `k` is **bit-identical**
 /// (colours, per-phase cost account) to [`run`] with
-/// `StdRng::seed_from_u64(seeds[k])` — the seed-independent setup (danner,
-/// leader, broadcast tree, Δ casts) is computed once and shared by every
-/// lane, the per-lane seed words travel in one batched broadcast, and the
-/// single phases stage is batched.
+/// `StdRng::seed_from_u64(seeds[k])`.
+///
+/// Everything before the first coin is built **once** per call: the
+/// danner, the leader and the broadcast tree (a pure function of
+/// `(graph, ids, δ)`), the Δ convergecast and broadcast, whose reports are
+/// charged to every seed's account, and the history-free neighbour table.
+/// Each seed then draws and broadcasts its own seed words and runs its own
+/// colour-trial phases on the plain engine, through the calls [`run`] makes.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run`]; the first failing lane fails the whole batch.
+/// Same conditions as [`run`]; the first failing seed fails the whole call.
 pub fn run_batch(
     graph: &Graph,
     ids: &IdAssignment,
     config: Alg2Config,
     seeds: &[u64],
 ) -> Result<Vec<Alg2Outcome>, CoreError> {
-    if config.epsilon <= 0.0 || config.epsilon.is_nan() {
-        return Err(CoreError::InvalidParameter {
-            name: "epsilon",
-            message: format!("epsilon = {} must be positive", config.epsilon),
-        });
-    }
+    check_epsilon(config)?;
     if seeds.is_empty() {
         return Ok(Vec::new());
     }
-    let n = graph.num_nodes();
-    if n == 0 {
-        return Ok(seeds
-            .iter()
-            .map(|_| Alg2Outcome {
-                colors: Vec::new(),
-                costs: CostAccount::new(),
-                palette_size: 1,
-                max_degree: 0,
-            })
-            .collect());
+    if graph.num_nodes() == 0 {
+        return Ok(seeds.iter().map(|_| empty_outcome()).collect());
     }
-    if !properties::is_connected(graph) {
-        return Err(CoreError::Disconnected);
-    }
-    let log_n = (n.max(2) as f64).log2();
-    let seed_bits = ((log_n.powi(3) / config.epsilon).ceil() as usize).max(64);
-    let degrees: Vec<u64> = graph.nodes().map(|v| graph.degree(v) as u64).collect();
-
-    // Shared setup plan: the danner, the leader and the broadcast tree are
-    // pure functions of `(graph, ids, δ)` — one plan serves every lane. Each
-    // lane draws its own seed words (exactly the sequential draw) and one
-    // lockstep broadcast distributes all lanes' words over the danner; the
-    // Δ convergecast/broadcast are lane-invariant and run once, with their
-    // reports charged to every lane.
-    let plan = setup::SetupPlan::new(graph, ids, config.delta)?;
-    let carrier = plan.carrier();
-    let tree = plan.tree();
-    let lane_words: Vec<Vec<u64>> = seeds
+    let prologue = Prologue::new(graph, ids, config.delta)?;
+    let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
+    seeds
         .iter()
         .map(|&seed| {
             let mut rng = StdRng::seed_from_u64(seed);
-            plan.draw_words(seed_bits, &mut rng)
-        })
-        .collect();
-    let word_reports = ops::broadcast_words_batch(carrier, ids, tree, &lane_words);
-    let (max_degree, delta_up) = ops::convergecast_max(carrier, ids, tree, &degrees);
-    let delta_down = ops::broadcast_words(carrier, ids, tree, &[max_degree]);
-
-    let mut shareds: Vec<SharedRandomness> = Vec::with_capacity(seeds.len());
-    let mut costs: Vec<CostAccount> = Vec::with_capacity(seeds.len());
-    for (words, word_report) in lane_words.iter().zip(&word_reports) {
-        let mut setup_costs = plan.base_costs();
-        setup_costs.charge_report("seed broadcast over danner (simulated)", word_report);
-        let mut lane_costs = CostAccount::new();
-        lane_costs.absorb("setup", &setup_costs);
-        lane_costs.charge_report("Δ convergecast", &delta_up);
-        lane_costs.charge_report("Δ broadcast", &delta_down);
-        shareds.push(SharedRandomness::from_seed(words[0], seed_bits));
-        costs.push(lane_costs);
-    }
-
-    let palette_size = (((1.0 + config.epsilon) * max_degree as f64).ceil() as u64)
-        .max(max_degree + 1)
-        .max(1);
-    let max_phases =
-        ((config.phase_budget_factor * log_n / config.epsilon.min(1.0)).ceil() as usize).max(8);
-
-    let sim = BatchSimulator::new(graph, ids, KtLevel::KT1);
-    let results = run_phases_batch_on(
-        &sim,
-        &shareds,
-        palette_size,
-        max_phases,
-        SyncConfig::default().with_threads(config.threads),
-    );
-
-    results
-        .into_iter()
-        .zip(costs)
-        .map(|((colors, report), mut lane_costs)| {
-            lane_costs.charge_report("colour trial phases", &report);
-            if colors.iter().any(Option::is_none) {
-                return Err(CoreError::DidNotConverge {
-                    stage: "(1+ε)Δ colour trials",
-                });
-            }
-            Ok(Alg2Outcome {
-                colors,
-                costs: lane_costs,
-                palette_size,
-                max_degree,
-            })
+            run_seed(graph, ids, config, &prologue, &neighbor_table, &mut rng)
         })
         .collect()
 }
@@ -501,41 +374,54 @@ pub fn run<R: Rng + ?Sized>(
     config: Alg2Config,
     rng: &mut R,
 ) -> Result<Alg2Outcome, CoreError> {
+    check_epsilon(config)?;
+    if graph.num_nodes() == 0 {
+        return Ok(empty_outcome());
+    }
+    let prologue = Prologue::new(graph, ids, config.delta)?;
+    let neighbor_table = QueryPlan::new(graph, ids, Vec::new());
+    run_seed(graph, ids, config, &prologue, &neighbor_table, rng)
+}
+
+fn check_epsilon(config: Alg2Config) -> Result<(), CoreError> {
     if config.epsilon <= 0.0 || config.epsilon.is_nan() {
         return Err(CoreError::InvalidParameter {
             name: "epsilon",
             message: format!("epsilon = {} must be positive", config.epsilon),
         });
     }
-    let n = graph.num_nodes();
-    if n == 0 {
-        return Ok(Alg2Outcome {
-            colors: Vec::new(),
-            costs: CostAccount::new(),
-            palette_size: 1,
-            max_degree: 0,
-        });
-    }
-    if !properties::is_connected(graph) {
-        return Err(CoreError::Disconnected);
-    }
-    let log_n = (n.max(2) as f64).log2();
-    let mut costs = CostAccount::new();
+    Ok(())
+}
 
-    // Shared randomness: (C/ε)·log³ n bits over an Õ(n)-edge danner.
+/// The outcome on the empty graph.
+fn empty_outcome() -> Alg2Outcome {
+    Alg2Outcome {
+        colors: Vec::new(),
+        costs: CostAccount::new(),
+        palette_size: 1,
+        max_degree: 0,
+    }
+}
+
+/// The per-seed body of [`run`] and [`run_batch`]: the seed broadcast and
+/// the colour-trial phases of one execution, on a non-empty connected graph.
+/// `neighbor_table` is the history-free [`QueryPlan`], whose CSR rows are
+/// exactly the per-node `(address, ID)` slices the automata need.
+fn run_seed<R: Rng + ?Sized>(
+    graph: &Graph,
+    ids: &IdAssignment,
+    config: Alg2Config,
+    prologue: &Prologue,
+    neighbor_table: &QueryPlan,
+    rng: &mut R,
+) -> Result<Alg2Outcome, CoreError> {
+    let log_n = (graph.num_nodes().max(2) as f64).log2();
+
+    // Shared randomness: (C/ε)·log³ n bits over an Õ(n)-edge danner; the
+    // prologue has already learned Δ.
     let seed_bits = ((log_n.powi(3) / config.epsilon).ceil() as usize).max(64);
-    let setup_outcome = setup::try_shared_randomness(graph, ids, config.delta, seed_bits, rng)?;
-    costs.absorb("setup", &setup_outcome.costs);
-    let carrier = setup_outcome.danner.subgraph();
-    let tree = setup_outcome.tree;
-    let shared = setup_outcome.shared;
-
-    // Learn and redistribute Δ (real messages over the danner tree).
-    let degrees: Vec<u64> = graph.nodes().map(|v| graph.degree(v) as u64).collect();
-    let (max_degree, report) = ops::convergecast_max(carrier, ids, &tree, &degrees);
-    costs.charge_report("Δ convergecast", &report);
-    let report = ops::broadcast_words(carrier, ids, &tree, &[max_degree]);
-    costs.charge_report("Δ broadcast", &report);
+    let (shared, mut costs) = prologue.share(ids, seed_bits, rng);
+    let max_degree = prologue.max_degree;
 
     let palette_size = (((1.0 + config.epsilon) * max_degree as f64).ceil() as u64)
         .max(max_degree + 1)
@@ -543,11 +429,12 @@ pub fn run<R: Rng + ?Sized>(
     let max_phases =
         ((config.phase_budget_factor * log_n / config.epsilon.min(1.0)).ceil() as usize).max(8);
 
-    let (colors, report) = run_phases_config(
+    let candidates = PhaseCandidates::new(&shared, graph.num_nodes(), palette_size, max_phases);
+    let (colors, report) = run_phases_on(
         graph,
         ids,
-        &shared,
-        palette_size,
+        &candidates,
+        neighbor_table,
         max_phases,
         SyncConfig::default().with_threads(config.threads),
     );
@@ -637,6 +524,10 @@ mod tests {
             assert_eq!(lane.palette_size, solo.palette_size, "seed {seed}");
             assert_eq!(lane.costs, solo.costs, "seed {seed}");
         }
+        // No seeds on a connected graph: an empty answer, not a panic.
+        assert!(run_batch(&g, &ids, Alg2Config::default(), &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -17,12 +17,11 @@
 
 use std::cmp::Ordering;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use symbreak_classic::mis::{luby, parallel_greedy};
 use symbreak_congest::{
-    BatchSimulator, CostAccount, KnownNeighbors, KtLevel, Message, NodeAlgorithm, RoundContext,
-    SyncConfig, SyncSimulator,
+    CostAccount, KnownNeighbors, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig,
+    SyncSimulator,
 };
 use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 use symbreak_ktrand::sampling;
@@ -297,157 +296,6 @@ pub fn run<R: Rng + ?Sized>(
     })
 }
 
-/// Runs Algorithm 3 once per seed, stepping all four simulated stages
-/// (announce, greedy MIS on `G[S]`, 2-hop inform, Luby on the remnant) of
-/// all lanes in lockstep over one shared KT-2 CSR. Lane `k` is
-/// **bit-identical** (MIS, sampled count, remnant degree, per-phase cost
-/// account) to [`run`] with `StdRng::seed_from_u64(seeds[k])`. The per-lane
-/// sampling (step 1) and pruning (step 4) are local computations and stay
-/// per-lane sequential.
-///
-/// # Errors
-///
-/// Same conditions as [`run`].
-pub fn run_batch(
-    graph: &Graph,
-    ids: &IdAssignment,
-    config: Alg3Config,
-    seeds: &[u64],
-) -> Result<Vec<MisOutcome>, CoreError> {
-    if config.sample_coefficient <= 0.0 || config.sample_coefficient.is_nan() {
-        return Err(CoreError::InvalidParameter {
-            name: "sample_coefficient",
-            message: format!("must be positive, got {}", config.sample_coefficient),
-        });
-    }
-    let n = graph.num_nodes();
-    let lanes = seeds.len();
-    if n == 0 || lanes == 0 {
-        return Ok(seeds
-            .iter()
-            .map(|_| MisOutcome {
-                in_mis: Vec::new(),
-                costs: CostAccount::new(),
-                sampled: 0,
-                remnant_max_degree: 0,
-            })
-            .collect());
-    }
-    let stage_config = SyncConfig::default().with_threads(config.threads);
-    let mut costs: Vec<CostAccount> = (0..lanes).map(|_| CostAccount::new()).collect();
-
-    // Step 1, per lane: sample S and draw ranks with lane k's private coins.
-    let p = (config.sample_coefficient / (n as f64).sqrt()).min(1.0);
-    let mut in_samples: Vec<Vec<bool>> = Vec::with_capacity(lanes);
-    let mut all_ranks: Vec<Vec<u64>> = Vec::with_capacity(lanes);
-    let mut sampled_counts: Vec<usize> = Vec::with_capacity(lanes);
-    for &seed in seeds {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sampled_indices = sampling::bernoulli_subset(n, p, &mut rng);
-        let mut in_sample = vec![false; n];
-        for &i in &sampled_indices {
-            in_sample[i] = true;
-        }
-        all_ranks.push(sampling::random_ranks(n, &mut rng));
-        sampled_counts.push(sampled_indices.len());
-        in_samples.push(in_sample);
-    }
-
-    let sim = BatchSimulator::new(graph, ids, KtLevel::KT2);
-
-    // Step 2a, batched: S-nodes announce membership and rank.
-    let reports = sim.run_batch(stage_config, lanes, |k, init| AnnounceNode {
-        in_sample: in_samples[k][init.node.index()],
-        rank: all_ranks[k][init.node.index()],
-        heard: 0,
-    });
-    for (k, report) in reports.iter().enumerate() {
-        costs[k].charge_report("S announces membership + rank", report);
-    }
-
-    // Step 2b, batched: parallel greedy MIS on each lane's G[S].
-    let s_arenas: Vec<AdjacencyArena> = in_samples
-        .iter()
-        .map(|in_sample| {
-            AdjacencyArena::from_filtered(graph, |v, u| {
-                in_sample[v.index()] && in_sample[u.index()]
-            })
-        })
-        .collect();
-    let specs: Vec<parallel_greedy::MisLaneSpec<'_>> = (0..lanes)
-        .map(|k| parallel_greedy::MisLaneSpec {
-            participating: &in_samples[k],
-            ranks: &all_ranks[k],
-            active: &s_arenas[k],
-        })
-        .collect();
-    let results = parallel_greedy::run_arena_batch(&sim, &specs, stage_config);
-    drop(specs);
-    let mut greedy: Vec<Vec<bool>> = Vec::with_capacity(lanes);
-    for (k, (mis, report)) in results.into_iter().enumerate() {
-        costs[k].charge_report("parallel greedy MIS on G[S]", &report);
-        greedy.push(mis);
-    }
-
-    // Step 3, batched: MIS members of S inform their 2-hop neighbourhoods.
-    let reports = sim.run_batch(stage_config, lanes, |k, init| InformNode {
-        in_mis_s: greedy[k][init.node.index()],
-        informed: 0,
-        pending: Vec::new(),
-    });
-    for (k, report) in reports.iter().enumerate() {
-        costs[k].charge_report("inform 2-hop neighbourhoods (KT-2 BFS trees)", report);
-    }
-
-    // Step 4, per lane: local pruning.
-    let undecideds: Vec<Vec<bool>> = greedy
-        .iter()
-        .map(|gm| {
-            graph
-                .nodes()
-                .map(|v| !(gm[v.index()] || graph.neighbors(v).any(|u| gm[u.index()])))
-                .collect()
-        })
-        .collect();
-
-    // Step 5, batched: Luby's algorithm on each lane's remnant graph.
-    let remnants: Vec<AdjacencyArena> = undecideds
-        .iter()
-        .map(|und| AdjacencyArena::from_filtered(graph, |v, u| und[v.index()] && und[u.index()]))
-        .collect();
-    let remnant_max_degrees: Vec<usize> = remnants
-        .iter()
-        .map(|r| graph.nodes().map(|v| r.row_len(v)).max().unwrap_or(0))
-        .collect();
-    let luby_specs: Vec<luby::LubyLaneSpec<'_>> = (0..lanes)
-        .map(|k| luby::LubyLaneSpec {
-            participating: &undecideds[k],
-            active: &remnants[k],
-            seed: config.luby_seed,
-        })
-        .collect();
-    let results = luby::run_restricted_arena_batch(&sim, &luby_specs, stage_config);
-    drop(luby_specs);
-
-    Ok(results
-        .into_iter()
-        .enumerate()
-        .map(|(k, (luby_mis, report))| {
-            costs[k].charge_report("Luby on remnant graph", &report);
-            let in_mis: Vec<bool> = graph
-                .nodes()
-                .map(|v| greedy[k][v.index()] || luby_mis[v.index()])
-                .collect();
-            MisOutcome {
-                in_mis,
-                costs: std::mem::take(&mut costs[k]),
-                sampled: sampled_counts[k],
-                remnant_max_degree: remnant_max_degrees[k],
-            }
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,25 +366,6 @@ mod tests {
             out.costs.total_messages(),
             baseline_report.messages
         );
-    }
-
-    #[test]
-    fn batched_lanes_match_sequential_runs() {
-        let (g, ids) = instance(80, 0.4, 19);
-        let seeds = [41u64, 42, 43];
-        let batch = run_batch(&g, &ids, Alg3Config::default(), &seeds).unwrap();
-        assert_eq!(batch.len(), seeds.len());
-        for (lane, &seed) in batch.iter().zip(&seeds) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let solo = run(&g, &ids, Alg3Config::default(), &mut rng).unwrap();
-            assert_eq!(lane.in_mis, solo.in_mis, "seed {seed}");
-            assert_eq!(lane.sampled, solo.sampled, "seed {seed}");
-            assert_eq!(
-                lane.remnant_max_degree, solo.remnant_max_degree,
-                "seed {seed}"
-            );
-            assert_eq!(lane.costs, solo.costs, "seed {seed}");
-        }
     }
 
     #[test]

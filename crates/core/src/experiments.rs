@@ -6,12 +6,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::{coloring, mis};
 use symbreak_congest::async_sim::AsyncConfig;
-use symbreak_congest::{BatchSimulator, CostAccount, FaultPlan, KtLevel, PhaseCost, SyncConfig};
+use symbreak_congest::{CostAccount, FaultPlan, PhaseCost, SyncConfig};
 use symbreak_graphs::{Graph, IdAssignment};
 
 use crate::report::MeasurementRow;
 use crate::{alg1_coloring, alg2_coloring, alg3_mis};
-use crate::{Alg1Config, Alg2Config, Alg3Config};
+use crate::{Alg1Config, Alg2Config, Alg2Outcome, Alg3Config, ColoringOutcome};
 
 /// Runs Algorithm 1 and returns its measurement row.
 ///
@@ -23,6 +23,11 @@ pub fn measure_alg1(graph: &Graph, ids: &IdAssignment, seed: u64) -> Measurement
     let mut rng = StdRng::seed_from_u64(seed);
     let out = alg1_coloring::run(graph, ids, Alg1Config::default(), &mut rng)
         .expect("Algorithm 1 failed on a benchmark instance");
+    alg1_row(graph, &out)
+}
+
+/// Algorithm 1's measurement row for one outcome.
+fn alg1_row(graph: &Graph, out: &ColoringOutcome) -> MeasurementRow {
     let valid = coloring::verify::is_proper_coloring(graph, &out.colors)
         && coloring::verify::uses_colors_below(&out.colors, graph.max_degree() as u64 + 1);
     MeasurementRow::new("Alg1 (Δ+1)-coloring KT-1", graph, &out.costs, valid)
@@ -54,6 +59,11 @@ pub fn measure_alg2(graph: &Graph, ids: &IdAssignment, epsilon: f64, seed: u64) 
     };
     let out = alg2_coloring::run(graph, ids, config, &mut rng)
         .expect("Algorithm 2 failed on a benchmark instance");
+    alg2_row(graph, epsilon, &out)
+}
+
+/// Algorithm 2's measurement row for one outcome at slack `epsilon`.
+fn alg2_row(graph: &Graph, epsilon: f64, out: &Alg2Outcome) -> MeasurementRow {
     let valid = coloring::verify::is_proper_coloring(graph, &out.colors)
         && coloring::verify::uses_colors_below(&out.colors, out.palette_size);
     MeasurementRow::new(
@@ -131,31 +141,25 @@ pub fn measure_coloring_baseline(graph: &Graph, ids: &IdAssignment, seed: u64) -
     MeasurementRow::new("Johansson coloring baseline (Θ(m))", graph, &costs, valid)
 }
 
-/// [`measure_alg1`], batched: one row per seed, all lanes advanced in
-/// lockstep over one shared CSR. Row `k` equals `measure_alg1(graph, ids,
-/// seeds[k])`.
+/// [`measure_alg1`] once per seed, through [`alg1_coloring::run_batch`]:
+/// the seed-independent setup is built once and row `k` equals
+/// `measure_alg1(graph, ids, seeds[k])`.
 ///
 /// # Panics
 ///
-/// Panics if any lane reports an error.
+/// Panics if any seed's run reports an error.
 pub fn measure_alg1_batch(graph: &Graph, ids: &IdAssignment, seeds: &[u64]) -> Vec<MeasurementRow> {
     let outs = alg1_coloring::run_batch(graph, ids, Alg1Config::default(), seeds)
         .expect("Algorithm 1 failed on a benchmark instance");
-    outs.iter()
-        .map(|out| {
-            let valid = coloring::verify::is_proper_coloring(graph, &out.colors)
-                && coloring::verify::uses_colors_below(&out.colors, graph.max_degree() as u64 + 1);
-            MeasurementRow::new("Alg1 (Δ+1)-coloring KT-1", graph, &out.costs, valid)
-        })
-        .collect()
+    outs.iter().map(|out| alg1_row(graph, out)).collect()
 }
 
-/// [`measure_alg2`], batched: row `k` equals `measure_alg2(graph, ids,
-/// epsilon, seeds[k])`.
+/// [`measure_alg2`] once per seed, through [`alg2_coloring::run_batch`]:
+/// row `k` equals `measure_alg2(graph, ids, epsilon, seeds[k])`.
 ///
 /// # Panics
 ///
-/// Panics if any lane reports an error.
+/// Panics if any seed's run reports an error.
 pub fn measure_alg2_batch(
     graph: &Graph,
     ids: &IdAssignment,
@@ -169,71 +173,46 @@ pub fn measure_alg2_batch(
     let outs = alg2_coloring::run_batch(graph, ids, config, seeds)
         .expect("Algorithm 2 failed on a benchmark instance");
     outs.iter()
-        .map(|out| {
-            let valid = coloring::verify::is_proper_coloring(graph, &out.colors)
-                && coloring::verify::uses_colors_below(&out.colors, out.palette_size);
-            MeasurementRow::new(
-                format!("Alg2 (1+{epsilon})Δ-coloring KT-1"),
-                graph,
-                &out.costs,
-                valid,
-            )
-        })
+        .map(|out| alg2_row(graph, epsilon, out))
         .collect()
 }
 
-/// [`measure_alg3`], batched: row `k` equals `measure_alg3(graph, ids,
+/// [`measure_alg3`] once per seed: row `k` equals `measure_alg3(graph, ids,
 /// seeds[k])`.
 ///
 /// # Panics
 ///
-/// Panics if any lane reports an error.
+/// Panics if any seed's run reports an error.
 pub fn measure_alg3_batch(graph: &Graph, ids: &IdAssignment, seeds: &[u64]) -> Vec<MeasurementRow> {
-    let outs = alg3_mis::run_batch(graph, ids, Alg3Config::default(), seeds)
-        .expect("Algorithm 3 failed on a benchmark instance");
-    outs.iter()
-        .map(|out| {
-            let valid = mis::verify::is_mis(graph, &out.in_mis);
-            MeasurementRow::new("Alg3 MIS KT-2", graph, &out.costs, valid)
-        })
+    seeds
+        .iter()
+        .map(|&seed| measure_alg3(graph, ids, seed))
         .collect()
 }
 
-/// [`measure_luby_baseline`], batched: row `k` equals
+/// [`measure_luby_baseline`] once per seed: row `k` equals
 /// `measure_luby_baseline(graph, ids, seeds[k])`.
 pub fn measure_luby_baseline_batch(
     graph: &Graph,
     ids: &IdAssignment,
     seeds: &[u64],
 ) -> Vec<MeasurementRow> {
-    let sim = BatchSimulator::new(graph, ids, KtLevel::KT1);
-    mis::luby::run_batch(&sim, seeds, SyncConfig::default())
-        .into_iter()
-        .map(|(in_mis, report)| {
-            let valid = mis::verify::is_mis(graph, &in_mis);
-            let mut costs = CostAccount::new();
-            costs.charge_report("luby", &report);
-            MeasurementRow::new("Luby MIS baseline (Θ(m))", graph, &costs, valid)
-        })
+    seeds
+        .iter()
+        .map(|&seed| measure_luby_baseline(graph, ids, seed))
         .collect()
 }
 
-/// [`measure_coloring_baseline`], batched: row `k` equals
+/// [`measure_coloring_baseline`] once per seed: row `k` equals
 /// `measure_coloring_baseline(graph, ids, seeds[k])`.
 pub fn measure_coloring_baseline_batch(
     graph: &Graph,
     ids: &IdAssignment,
     seeds: &[u64],
 ) -> Vec<MeasurementRow> {
-    let sim = BatchSimulator::new(graph, ids, KtLevel::KT1);
-    coloring::baseline::run_batch(&sim, seeds, SyncConfig::default())
-        .into_iter()
-        .map(|(colors, report)| {
-            let valid = coloring::verify::is_proper_coloring(graph, &colors);
-            let mut costs = CostAccount::new();
-            costs.charge_report("baseline", &report);
-            MeasurementRow::new("Johansson coloring baseline (Θ(m))", graph, &costs, valid)
-        })
+    seeds
+        .iter()
+        .map(|&seed| measure_coloring_baseline(graph, ids, seed))
         .collect()
 }
 
@@ -303,42 +282,32 @@ mod tests {
     #[test]
     fn batched_measurements_match_sequential_rows() {
         let (g, ids) = instance(50, 0.4, 13);
-        let seeds = [21u64, 22];
-        assert_eq!(
-            measure_alg1_batch(&g, &ids, &seeds),
-            seeds
-                .iter()
-                .map(|&s| measure_alg1(&g, &ids, s))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(
-            measure_alg2_batch(&g, &ids, 0.5, &seeds),
-            seeds
-                .iter()
-                .map(|&s| measure_alg2(&g, &ids, 0.5, s))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(
-            measure_alg3_batch(&g, &ids, &seeds),
-            seeds
-                .iter()
-                .map(|&s| measure_alg3(&g, &ids, s))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(
-            measure_luby_baseline_batch(&g, &ids, &seeds),
-            seeds
-                .iter()
-                .map(|&s| measure_luby_baseline(&g, &ids, s))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(
-            measure_coloring_baseline_batch(&g, &ids, &seeds),
-            seeds
-                .iter()
-                .map(|&s| measure_coloring_baseline(&g, &ids, s))
-                .collect::<Vec<_>>()
-        );
+        // The empty seed list checks that no wrapper panics without seeds.
+        for seeds in [&[21u64, 22][..], &[]] {
+            let rows = |measure: &dyn Fn(u64) -> MeasurementRow| -> Vec<MeasurementRow> {
+                seeds.iter().map(|&s| measure(s)).collect()
+            };
+            assert_eq!(
+                measure_alg1_batch(&g, &ids, seeds),
+                rows(&|s| measure_alg1(&g, &ids, s))
+            );
+            assert_eq!(
+                measure_alg2_batch(&g, &ids, 0.5, seeds),
+                rows(&|s| measure_alg2(&g, &ids, 0.5, s))
+            );
+            assert_eq!(
+                measure_alg3_batch(&g, &ids, seeds),
+                rows(&|s| measure_alg3(&g, &ids, s))
+            );
+            assert_eq!(
+                measure_luby_baseline_batch(&g, &ids, seeds),
+                rows(&|s| measure_luby_baseline(&g, &ids, s))
+            );
+            assert_eq!(
+                measure_coloring_baseline_batch(&g, &ids, seeds),
+                rows(&|s| measure_coloring_baseline(&g, &ids, s))
+            );
+        }
     }
 
     #[test]

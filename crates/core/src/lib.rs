@@ -53,6 +53,7 @@ pub mod alg3_mis;
 mod error;
 pub mod experiments;
 pub mod partition;
+mod prologue;
 pub mod query_coloring;
 pub mod repair;
 pub mod report;

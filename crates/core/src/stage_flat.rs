@@ -18,7 +18,7 @@
 //! A node draws its candidate as the `r`-th free colour of its palette in
 //! ascending order, with `r` from its own seeded RNG stream, so a stage's
 //! colours, round counts and cost reports are a pure function of the spec
-//! and the seed at every thread and lane count.
+//! and the seed at every thread count.
 //! `tests/golden_digests.rs` pins them for every algorithm built on it.
 
 use std::sync::Arc;
@@ -28,8 +28,8 @@ use rand::{Rng, SeedableRng};
 use symbreak_classic::coloring::palette::{self, PaletteBitsets};
 use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
 use symbreak_congest::{
-    run_synchronized, BatchSimulator, ExecutionReport, FaultPlan, KtLevel, Message, NodeAlgorithm,
-    NodeInit, RoundContext, SyncConfig, SyncSimulator,
+    run_synchronized, ExecutionReport, FaultPlan, KtLevel, Message, NodeAlgorithm, NodeInit,
+    RoundContext, SyncConfig, SyncSimulator,
 };
 use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
@@ -485,106 +485,6 @@ pub fn run_stage_flat_async<R: Rng + ?Sized>(
         |init| FlatStageNode::new(spec, seed, init, vec![0u64; words]),
     );
     (colors, sync_report, report)
-}
-
-/// [`run_stage_flat_on`], batched: runs one stage execution per seed in
-/// lockstep over the [`BatchSimulator`]'s shared CSR. Lane `k` is
-/// bit-identical to [`run_stage_flat_on`] with `seeds[k]` — the alg1/alg2
-/// drivers use this to advance B seeds per stage invocation.
-///
-/// The per-node `taken` bitsets of **all** lanes live in one flat
-/// `n × lanes × words` array, handed out as disjoint `&mut` windows in
-/// automaton-construction order (node-major, lane-minor on the batch path;
-/// lane-major on the instrumented fallback — the rows are identical zeroed
-/// windows, so the order is irrelevant to behaviour).
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty, the simulator is not KT-1, the spec does not
-/// cover the simulator's graph, or any lane fails to quiesce within the
-/// round limit.
-pub fn run_stage_flat_batch_on(
-    sim: &BatchSimulator<'_>,
-    spec: &FlatStageSpec<'_>,
-    seeds: &[u64],
-    config: SyncConfig,
-) -> Vec<(Vec<Option<u64>>, ExecutionReport)> {
-    let lanes: Vec<FlatStageLane<'_, '_>> = seeds
-        .iter()
-        .map(|&seed| FlatStageLane { spec, seed })
-        .collect();
-    run_stage_flat_batch_lanes_on(sim, &lanes, config)
-}
-
-/// One lane of a heterogeneous batched stage: its spec plus its RNG seed.
-/// The alg1 driver builds one per live seed — the lanes of one
-/// [`run_stage_flat_batch_lanes_on`] call may carry entirely different
-/// partitions, palettes and colour vectors.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatStageLane<'a, 's> {
-    /// The stage spec this lane steps.
-    pub spec: &'s FlatStageSpec<'a>,
-    /// Seed of the lane's per-node RNG streams.
-    pub seed: u64,
-}
-
-/// The heterogeneous-lane generalisation of [`run_stage_flat_batch_on`]:
-/// every lane brings its **own** spec (alg1's lanes diverge — per-lane shared
-/// randomness means per-lane partitions and colour states), and lane `k` is
-/// bit-identical to [`run_stage_flat_on`] with `lanes[k].spec` and
-/// `lanes[k].seed`.
-///
-/// Each lane's `taken` bitsets live in one flat `n × words_k` array (widths
-/// may differ per lane), handed out as disjoint `&mut` windows; both the
-/// batch path (node-major construction) and the instrumented fallback
-/// (lane-major) consume each lane's rows in node order.
-///
-/// # Panics
-///
-/// Panics if `lanes` is empty, the simulator is not KT-1, any spec does not
-/// cover the simulator's graph, or any lane fails to quiesce within the
-/// round limit.
-pub fn run_stage_flat_batch_lanes_on(
-    sim: &BatchSimulator<'_>,
-    lanes: &[FlatStageLane<'_, '_>],
-    config: SyncConfig,
-) -> Vec<(Vec<Option<u64>>, ExecutionReport)> {
-    assert!(!lanes.is_empty(), "batched stage needs at least one lane");
-    assert_eq!(sim.level(), KtLevel::KT1, "coloring stages run in KT-1");
-    let n = sim.graph().num_nodes();
-    for lane in lanes {
-        assert_eq!(lane.spec.participating.len(), n);
-        assert_eq!(lane.spec.existing_colors.len(), n);
-        assert_eq!(lane.spec.active.num_nodes(), n);
-    }
-    let mut taken_flats: Vec<Vec<u64>> = lanes
-        .iter()
-        .map(|lane| vec![0u64; n * lane.spec.palettes.words_per_node()])
-        .collect();
-    let mut taken_rows: Vec<_> = taken_flats
-        .iter_mut()
-        .zip(lanes)
-        .map(|(flat, lane)| flat.chunks_mut(lane.spec.palettes.words_per_node().max(1)))
-        .collect();
-    let reports = sim.run_batch(config, lanes.len(), |k, init| {
-        let spec = lanes[k].spec;
-        let taken: &mut [u64] = if spec.palettes.words_per_node() == 0 {
-            Default::default()
-        } else {
-            taken_rows[k]
-                .next()
-                .expect("one taken row per (node, lane)")
-        };
-        FlatStageNode::new(spec, lanes[k].seed, init, taken)
-    });
-    reports
-        .into_iter()
-        .map(|mut report| {
-            assert!(report.completed, "coloring stage did not quiesce");
-            let colors = std::mem::take(&mut report.outputs);
-            (colors, report)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! connected random 8-regular graph with n = 2048, sparse G(90, 0.3), dense
 //! G(60, 0.8) and a power-law graph with n = 120, two seeds each, run
 //! through the sequential `run` entry points of Algorithms 1–3 and the Luby
-//! and Johansson baselines.
+//! and Johansson baselines. The `run_batch` of Algorithms 1 and 2 runs every
+//! seed through the same per-seed body as `run`, so these constants pin it
+//! too (`batch_equivalence.rs` checks it seed by seed).
 //!
 //! Algorithm 2's colour-trial phases are also pinned on the asynchronous
 //! executor (`run_phases_async`, through the lockstep wrapper), on the fault

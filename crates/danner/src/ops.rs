@@ -34,17 +34,9 @@ const TAG_UPCAST: u16 = 0x11;
 /// FNV-1a offset basis: the digest of an empty word sequence.
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
-/// Folds one word into an FNV-1a style digest. Both a node's running fold
-/// and [`words_digest`] go through this step, so the outputs that
-/// [`broadcast_words_batch`] derives cannot drift from a simulated run.
+/// Folds one word into a node's running FNV-1a style digest.
 fn fnv_step(acc: u64, word: u64) -> u64 {
     (acc ^ word).wrapping_mul(0x100000001b3)
-}
-
-/// The digest of a full payload in index order: every node's broadcast
-/// output.
-fn words_digest(words: &[u64]) -> u64 {
-    words.iter().fold(FNV_OFFSET, |acc, &w| fnv_step(acc, w))
 }
 
 /// One node of the pipelined broadcast of `words` from the tree root.
@@ -157,53 +149,6 @@ pub fn broadcast_words(
     report
 }
 
-/// [`broadcast_words`] for `B` lanes at once: lane `k`'s report is
-/// bit-identical to `broadcast_words(carrier, ids, tree, &lane_words[k])` —
-/// this is how a batched setup distributes every lane's private seed words.
-///
-/// The broadcast automaton is *content-oblivious*: its control flow and
-/// message pattern depend only on the injection schedule (word count, tree
-/// shape), never on the word values, and [`Message::size_bits`] counts fields
-/// rather than payload bits. All `B` lanes therefore share one metered trace
-/// — the simulator runs once (for lane 0) and the remaining lanes' reports
-/// are derived exactly: everything but `outputs` is lane-invariant, and every
-/// node's output is the `words_digest` of the lane's full payload.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`broadcast_words`]; also if
-/// `lane_words` is empty or the lanes disagree on the word count (they share
-/// the root's injection schedule).
-pub fn broadcast_words_batch(
-    carrier: &Graph,
-    ids: &IdAssignment,
-    tree: &BfsTree,
-    lane_words: &[Vec<u64>],
-) -> Vec<ExecutionReport> {
-    assert!(!lane_words.is_empty(), "batched broadcast needs lanes");
-    let expected = lane_words[0].len();
-    assert!(expected > 0, "broadcast requires at least one word");
-    assert!(
-        lane_words.iter().all(|w| w.len() == expected),
-        "all lanes must broadcast the same number of words"
-    );
-    let base = broadcast_words(carrier, ids, tree, &lane_words[0]);
-    lane_words
-        .iter()
-        .enumerate()
-        .map(|(k, words)| {
-            if k == 0 {
-                base.clone()
-            } else {
-                let mut report = base.clone();
-                let digest = Some(words_digest(words));
-                report.outputs = vec![digest; report.outputs.len()];
-                report
-            }
-        })
-        .collect()
-}
-
 /// One node of a convergecast (upcast): it folds its children's results
 /// into its own value and, once every child has reported, sends the result
 /// to its parent. `fold` is `wrapping_add` for [`convergecast_sum`] and
@@ -291,68 +236,6 @@ pub fn convergecast_sum(
     upcast(carrier, ids, tree, values, u64::wrapping_add)
 }
 
-/// [`convergecast_sum`] for `B` lanes at once: lane `k`'s total and report
-/// are bit-identical to `convergecast_sum(carrier, ids, tree,
-/// &lane_values[k])` — this is how the batched Algorithm 1 measures every
-/// live lane's `|E(G[L])|` once per level.
-///
-/// Like the broadcast, the convergecast automaton is *content-oblivious*
-/// (a node fires once its child count is met, regardless of the partial
-/// sums), so one metered trace serves all lanes: the simulator runs once and
-/// the other lanes' reports are derived exactly. A node's output is its
-/// wrapping subtree sum, which `subtree_sums` recomputes locally.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`convergecast_sum`]; also if
-/// `lane_values` is empty.
-pub fn convergecast_sum_batch(
-    carrier: &Graph,
-    ids: &IdAssignment,
-    tree: &BfsTree,
-    lane_values: &[Vec<u64>],
-) -> Vec<(u64, ExecutionReport)> {
-    assert!(!lane_values.is_empty(), "batched convergecast needs lanes");
-    for values in lane_values {
-        assert_eq!(
-            values.len(),
-            carrier.num_nodes(),
-            "one value per node is required"
-        );
-    }
-    let (total0, base) = convergecast_sum(carrier, ids, tree, &lane_values[0]);
-    lane_values
-        .iter()
-        .enumerate()
-        .map(|(k, values)| {
-            if k == 0 {
-                (total0, base.clone())
-            } else {
-                let sums = subtree_sums(tree, values);
-                let mut report = base.clone();
-                report.outputs = sums.iter().map(|&s| Some(s)).collect();
-                let total = sums[tree.root().index()];
-                (total, report)
-            }
-        })
-        .collect()
-}
-
-/// Per-node wrapping subtree sums of `values` over `tree` — exactly the
-/// outputs a summing [`UpcastNode`] execution produces (wrapping addition
-/// is commutative, so child fold order is immaterial).
-fn subtree_sums(tree: &BfsTree, values: &[u64]) -> Vec<u64> {
-    let mut order: Vec<u32> = (0..values.len() as u32).collect();
-    order.sort_unstable_by_key(|&v| std::cmp::Reverse(tree.depth(NodeId(v))));
-    let mut sums = values.to_vec();
-    for &v in &order {
-        if let Some(p) = tree.parent(NodeId(v)) {
-            sums[p.index()] = sums[p.index()].wrapping_add(sums[v as usize]);
-        }
-    }
-    sums
-}
-
 /// Aggregates the maximum of `values[v]` up the tree (e.g. to learn the
 /// global maximum degree Δ) and returns `(max, report)`. Costs `n − 1`
 /// messages and `height + 1` rounds.
@@ -369,6 +252,12 @@ pub fn convergecast_max(
 mod tests {
     use super::*;
     use symbreak_graphs::generators;
+
+    /// The digest of a full payload in index order: every node's broadcast
+    /// output.
+    fn words_digest(words: &[u64]) -> u64 {
+        words.iter().fold(FNV_OFFSET, |acc, &w| fnv_step(acc, w))
+    }
 
     #[test]
     fn convergecast_max_finds_maximum() {
@@ -518,47 +407,5 @@ mod tests {
     fn convergecast_requires_matching_lengths() {
         let (g, ids, tree) = setup(4);
         let _ = convergecast_sum(&g, &ids, &tree, &[1, 2]);
-    }
-
-    /// The trace-shared batch must be indistinguishable from running each
-    /// lane through the sequential simulator on its own.
-    #[test]
-    fn batched_broadcast_matches_sequential_lanes() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = generators::connected_gnp(40, 0.1, &mut rng);
-        let ids = IdAssignment::random(&g, symbreak_graphs::IdSpace::CUBIC, &mut rng);
-        let tree = BfsTree::rooted_at(&g, NodeId(5));
-        let lane_words: Vec<Vec<u64>> = (0..4)
-            .map(|_| (0..6).map(|_| rng.gen()).collect())
-            .collect();
-        let batched = broadcast_words_batch(&g, &ids, &tree, &lane_words);
-        for (k, words) in lane_words.iter().enumerate() {
-            let solo = broadcast_words(&g, &ids, &tree, words);
-            assert_eq!(batched[k], solo, "broadcast lane {k} diverged");
-        }
-    }
-
-    #[test]
-    fn batched_convergecast_matches_sequential_lanes() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::connected_gnp(40, 0.1, &mut rng);
-        let ids = IdAssignment::random(&g, symbreak_graphs::IdSpace::CUBIC, &mut rng);
-        let tree = BfsTree::rooted_at(&g, NodeId(0));
-        let lane_values: Vec<Vec<u64>> = (0..4)
-            .map(|_| (0..40).map(|_| rng.gen_range(0..1u64 << 60)).collect())
-            .collect();
-        let batched = convergecast_sum_batch(&g, &ids, &tree, &lane_values);
-        for (k, values) in lane_values.iter().enumerate() {
-            let (total, report) = convergecast_sum(&g, &ids, &tree, values);
-            assert_eq!(batched[k].0, total, "convergecast lane {k} total diverged");
-            assert_eq!(
-                batched[k].1, report,
-                "convergecast lane {k} report diverged"
-            );
-        }
     }
 }

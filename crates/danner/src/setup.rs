@@ -1,6 +1,6 @@
 //! End-to-end shared-randomness setup (Corollary 1.2 / Theorem 1.3).
 //!
-//! This is the entry point Algorithms 1 and 2 use: build a danner, elect a
+//! This is the setup Algorithms 1 and 2 run: build a danner, elect a
 //! leader, and broadcast the leader's random bits so that every node holds
 //! the same [`SharedRandomness`]. Construction and leader election are
 //! charged per the published bounds (see `DESIGN.md`); the broadcast of the
@@ -16,12 +16,13 @@ use crate::{BfsTree, Danner, DannerError};
 
 /// The seed-independent prologue of the shared-randomness setup: the danner,
 /// the elected leader and the broadcast tree are pure functions of
-/// `(graph, ids, delta)` — no private coins touch them. A batched run
-/// computes the plan **once** and reuses it for every lane; only the random
-/// seed words (and their real broadcast) differ per lane.
-/// [`try_shared_randomness`] is exactly `SetupPlan::new` followed by one
-/// word draw and broadcast, so plan-sharing callers stay bit-identical to
-/// sequential ones (same phase labels, same charged costs, same draw order).
+/// `(graph, ids, delta)` — no private coins touch them. A caller running
+/// several seeds on one graph builds the plan **once** and calls
+/// [`SetupPlan::share`] per seed; only the random seed words (and their real
+/// broadcast) differ per seed. [`try_shared_randomness`] is exactly
+/// `SetupPlan::new` followed by one `share`, so plan-sharing callers stay
+/// bit-identical to it (same phase labels, same charged costs, same draw
+/// order).
 #[derive(Debug, Clone)]
 pub struct SetupPlan {
     danner: Danner,
@@ -85,8 +86,8 @@ impl SetupPlan {
     }
 
     /// The charged construction + election phases, in the order
-    /// [`try_shared_randomness`] records them. Each lane of a batched run
-    /// charges a copy of these (the work happened once, but every simulated
+    /// [`try_shared_randomness`] records them. Every execution sharing the
+    /// plan charges a copy of these (the work happened once, but each
     /// execution's account reflects the distributed cost it would have paid).
     pub fn base_costs(&self) -> CostAccount {
         let mut costs = CostAccount::new();
@@ -101,12 +102,29 @@ impl SetupPlan {
         costs
     }
 
-    /// Draws the `⌈budget_bits / 64⌉` seed words of one lane — exactly the
-    /// draw [`try_shared_randomness`] makes, so a lane RNG seeded the same
-    /// way yields the same words.
+    /// Draws the `⌈budget_bits / 64⌉` seed words of one execution — exactly
+    /// the draw [`SetupPlan::share`] makes, so an RNG seeded the same way
+    /// yields the same words.
     pub fn draw_words<R: Rng + ?Sized>(&self, budget_bits: usize, rng: &mut R) -> Vec<u64> {
         let num_words = budget_bits.div_ceil(64).max(1);
         (0..num_words).map(|_| rng.gen()).collect()
+    }
+
+    /// Step 1c for one execution: the leader draws its seed words with `rng`
+    /// and broadcasts them over the plan's tree (real, metered messages).
+    /// Returns the [`SharedRandomness`] every node now holds and the
+    /// setup's cost account: [`SetupPlan::base_costs`] plus the broadcast.
+    pub fn share<R: Rng + ?Sized>(
+        &self,
+        ids: &IdAssignment,
+        budget_bits: usize,
+        rng: &mut R,
+    ) -> (SharedRandomness, CostAccount) {
+        let mut costs = self.base_costs();
+        let words = self.draw_words(budget_bits, rng);
+        let report = broadcast_words(self.carrier(), ids, &self.tree, &words);
+        costs.charge_report("seed broadcast over danner (simulated)", &report);
+        (SharedRandomness::from_seed(words[0], budget_bits), costs)
     }
 }
 
@@ -159,15 +177,9 @@ pub fn try_shared_randomness<R: Rng + ?Sized>(
 ) -> Result<SharedRandomnessOutcome, DannerError> {
     // Steps 1a/1b: the seed-independent prologue (danner + leader + tree).
     let plan = SetupPlan::new(graph, ids, delta)?;
-    let mut costs = plan.base_costs();
-
     // Step 1c: the leader generates the random bits and broadcasts them over
     // a BFS tree of the danner — real, metered messages.
-    let words = plan.draw_words(budget_bits, rng);
-    let report = broadcast_words(plan.carrier(), ids, &plan.tree, &words);
-    costs.charge_report("seed broadcast over danner (simulated)", &report);
-
-    let shared = SharedRandomness::from_seed(words[0], budget_bits);
+    let (shared, costs) = plan.share(ids, budget_bits, rng);
     let SetupPlan {
         danner,
         leader,

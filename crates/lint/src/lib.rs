@@ -1,7 +1,7 @@
 //! `congest-lint`: a standalone invariant linter for the symbreak workspace.
 //!
 //! The workspace's two central promises — *determinism* (reports are
-//! bit-identical at every thread × lane combination) and *model
+//! bit-identical at every thread count) and *model
 //! fidelity* (the CONGEST rules the reproduced theorems assume) — are
 //! re-asserted by differential test suites, but nothing catches the hazards
 //! at their *source*: an order-dependent `HashMap` iteration, a wall-clock
