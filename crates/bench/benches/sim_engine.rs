@@ -452,22 +452,22 @@ fn fault_seam_row(json: &mut BenchArtifact) {
 
 /// The audit row (`flood_audit0`): the flood on the n = 10⁵ near-regular
 /// random graph through the three faces of the audit seam, multi-threaded
-/// so the const-`AUDIT` plumbing in the parallel loop is what's priced:
+/// so the round loop's claimed windows and send-log replay are what's
+/// priced:
 ///
 /// * **audit-off** — `run()` with `CONGEST_AUDIT` unset: the production
-///   path, whose round loop is the `AUDIT = false` monomorphization (the
-///   pre-audit engine, bit for bit, plus one env read per run);
+///   path, the round loop with no hooks (plus one env read per run);
 /// * **direct** — `run_observed` with a [`NoopObserver`]: the same
-///   `AUDIT = false` loop entered without the audit-enable check. Gated:
+///   hook-free loop entered without the audit-enable check. Gated:
 ///   audit-off must stay ≥ 0.95× of this at full size (informational at
-///   smoke scale) — the monomorphized seam must stay free. Interleaved,
-///   like the engine-vs-naive pairs, so clock drift cannot fail a ratio
-///   between near-identical code paths;
-/// * **audit-on** — `run_audited` in collect mode: the `AUDIT = true`
-///   loop, workers logging every send for deterministic replay through the
-///   bandwidth/adjacency/multiplicity/race checks. Reported, not gated —
-///   per-message replay has a real price — with the report asserted
-///   bit-identical to the plain run and zero violations.
+///   smoke scale) — an unaudited run must not pay for the audit hooks.
+///   Interleaved, like the engine-vs-naive pairs, so clock drift cannot
+///   fail a ratio between near-identical code paths;
+/// * **audit-on** — `run_audited` in collect mode: the auditor as loop
+///   hooks, workers logging every send for deterministic replay through
+///   the bandwidth/adjacency/multiplicity/race checks. Reported, not
+///   gated — per-message replay has a real price — with the report
+///   asserted bit-identical to the plain run and zero violations.
 fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
@@ -525,7 +525,8 @@ fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
         assert!(
             seam_ratio >= 0.95,
             "audit-seam regression: the audit-off run() path is {seam_ratio:.2}x the direct \
-             observer path (off {:.2}ms vs {:.2}ms) — the monomorphized seam must stay free",
+             observer path (off {:.2}ms vs {:.2}ms) — unaudited runs must not pay for the \
+             audit hooks",
             off_ns / 1e6,
             direct_ns / 1e6
         );
@@ -566,7 +567,7 @@ fn checkpoint_row(json: &mut BenchArtifact) {
             plain_ns = plain_ns.min(t.elapsed().as_nanos() as f64);
             let t = Instant::now();
             let checkpointed = sim
-                .run_checkpointed(config, &ckpt, |_| Flood::new())
+                .run_checkpointed(config, &ckpt, |_| Flood::new(), &mut NoopObserver)
                 .expect("checkpointed flood");
             ckpt_ns = ckpt_ns.min(t.elapsed().as_nanos() as f64);
             assert!(plain.completed && checkpointed.completed);

@@ -111,8 +111,8 @@ pub mod parallel_greedy {
     use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
     use symbreak_congest::{
         run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
-        NodeAlgorithm, NodeInit, NoopObserver, PersistState, RoundContext, RoundObserver,
-        SyncConfig, SyncSimulator,
+        NodeAlgorithm, NodeInit, PersistState, RoundContext, RoundObserver, SyncConfig,
+        SyncSimulator,
     };
     use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
@@ -228,32 +228,18 @@ pub mod parallel_greedy {
         }
     }
 
-    /// Runs whole-graph parallel greedy MIS through the checkpointed loop
+    /// Runs whole-graph parallel greedy MIS with checkpoints
     /// ([`SyncSimulator::run_checkpointed`]), snapshotting every
-    /// `checkpoint.every` rounds. Unlike [`run_on_whole_graph`], the report
-    /// is returned even when the round budget ran out (`completed ==
-    /// false`) — that is the "killed" half of a kill-and-resume cycle.
+    /// `checkpoint.every` rounds; `observer` sees every message and round
+    /// end of the run (pass [`symbreak_congest::NoopObserver`] to observe
+    /// nothing). Unlike [`run_on_whole_graph`], the report is returned even
+    /// when the round budget ran out (`completed == false`) — that is the
+    /// "killed" half of a kill-and-resume cycle.
     ///
     /// # Errors
     ///
-    /// I/O errors writing the checkpoint log.
-    pub fn run_checkpointed(
-        graph: &Graph,
-        ids: &IdAssignment,
-        ranks: &[u64],
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-    ) -> std::io::Result<ExecutionReport> {
-        run_checkpointed_observed(graph, ids, ranks, config, checkpoint, &mut NoopObserver)
-    }
-
-    /// [`run_checkpointed`] with a [`RoundObserver`] attached; it sees every
-    /// message and round end of the run.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors writing the checkpoint log.
-    pub fn run_checkpointed_observed<O: RoundObserver>(
+    /// As [`SyncSimulator::run_checkpointed`].
+    pub fn run_checkpointed<O: RoundObserver>(
         graph: &Graph,
         ids: &IdAssignment,
         ranks: &[u64],
@@ -263,7 +249,7 @@ pub mod parallel_greedy {
     ) -> std::io::Result<ExecutionReport> {
         assert_eq!(ranks.len(), graph.num_nodes());
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.run_checkpointed_observed(
+        sim.run_checkpointed(
             config,
             checkpoint,
             whole_graph_factory(graph, ranks),
@@ -273,29 +259,15 @@ pub mod parallel_greedy {
 
     /// Resumes an interrupted [`run_checkpointed`] run from the latest
     /// valid checkpoint ([`SyncSimulator::resume_from`]); the completed
-    /// resumed run is bit-identical to an uninterrupted one.
+    /// resumed run is bit-identical to an uninterrupted one. `observer`
+    /// sees only the resumed rounds, from the checkpoint boundary on: a
+    /// recording the kill cut short continues from its rounds before that
+    /// boundary.
     ///
     /// # Errors
     ///
     /// As [`SyncSimulator::resume_from`].
-    pub fn resume(
-        graph: &Graph,
-        ids: &IdAssignment,
-        ranks: &[u64],
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-    ) -> std::io::Result<ExecutionReport> {
-        resume_observed(graph, ids, ranks, config, checkpoint, &mut NoopObserver)
-    }
-
-    /// [`resume`] with a [`RoundObserver`] attached; it sees only the
-    /// resumed rounds, from the checkpoint boundary on. A recording the
-    /// kill cut short continues from its rounds before that boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncSimulator::resume_from`].
-    pub fn resume_observed<O: RoundObserver>(
+    pub fn resume<O: RoundObserver>(
         graph: &Graph,
         ids: &IdAssignment,
         ranks: &[u64],
@@ -305,7 +277,7 @@ pub mod parallel_greedy {
     ) -> std::io::Result<ExecutionReport> {
         assert_eq!(ranks.len(), graph.num_nodes());
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.resume_from_observed(
+        sim.resume_from(
             config,
             checkpoint,
             whole_graph_factory(graph, ranks),
@@ -422,8 +394,8 @@ pub mod luby {
     use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
     use symbreak_congest::{
         run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
-        NodeAlgorithm, NodeInit, NoopObserver, PersistState, RoundContext, RoundObserver,
-        SyncConfig, SyncSimulator,
+        NodeAlgorithm, NodeInit, PersistState, RoundContext, RoundObserver, SyncConfig,
+        SyncSimulator,
     };
     use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
@@ -550,34 +522,20 @@ pub mod luby {
         }
     }
 
-    /// Runs whole-graph Luby through the checkpointed loop
+    /// Runs whole-graph Luby with checkpoints
     /// ([`SyncSimulator::run_checkpointed`]), snapshotting every
     /// `checkpoint.every` rounds — per-node RNG cursors included, so a
-    /// resumed run continues the exact same random streams. Unlike [`run`],
-    /// the report is returned even when the round budget ran out
+    /// resumed run continues the exact same random streams; `observer`
+    /// sees every message and round end of the run (pass
+    /// [`symbreak_congest::NoopObserver`] to observe nothing). Unlike
+    /// [`run`], the report is returned even when the round budget ran out
     /// (`completed == false`) — the "killed" half of a kill-and-resume
     /// cycle.
     ///
     /// # Errors
     ///
-    /// I/O errors writing the checkpoint log.
-    pub fn run_checkpointed(
-        graph: &Graph,
-        ids: &IdAssignment,
-        seed: u64,
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-    ) -> std::io::Result<ExecutionReport> {
-        run_checkpointed_observed(graph, ids, seed, config, checkpoint, &mut NoopObserver)
-    }
-
-    /// [`run_checkpointed`] with a [`RoundObserver`] attached; it sees every
-    /// message and round end of the run.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors writing the checkpoint log.
-    pub fn run_checkpointed_observed<O: RoundObserver>(
+    /// As [`SyncSimulator::run_checkpointed`].
+    pub fn run_checkpointed<O: RoundObserver>(
         graph: &Graph,
         ids: &IdAssignment,
         seed: u64,
@@ -586,7 +544,7 @@ pub mod luby {
         observer: &mut O,
     ) -> std::io::Result<ExecutionReport> {
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.run_checkpointed_observed(
+        sim.run_checkpointed(
             config,
             checkpoint,
             whole_graph_factory(graph, seed),
@@ -596,29 +554,15 @@ pub mod luby {
 
     /// Resumes an interrupted [`run_checkpointed`] run from the latest
     /// valid checkpoint ([`SyncSimulator::resume_from`]); the completed
-    /// resumed run is bit-identical to an uninterrupted one.
+    /// resumed run is bit-identical to an uninterrupted one. `observer`
+    /// sees only the resumed rounds, from the checkpoint boundary on: a
+    /// recording the kill cut short continues from its rounds before that
+    /// boundary.
     ///
     /// # Errors
     ///
     /// As [`SyncSimulator::resume_from`].
-    pub fn resume(
-        graph: &Graph,
-        ids: &IdAssignment,
-        seed: u64,
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-    ) -> std::io::Result<ExecutionReport> {
-        resume_observed(graph, ids, seed, config, checkpoint, &mut NoopObserver)
-    }
-
-    /// [`resume`] with a [`RoundObserver`] attached; it sees only the
-    /// resumed rounds, from the checkpoint boundary on. A recording the
-    /// kill cut short continues from its rounds before that boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncSimulator::resume_from`].
-    pub fn resume_observed<O: RoundObserver>(
+    pub fn resume<O: RoundObserver>(
         graph: &Graph,
         ids: &IdAssignment,
         seed: u64,
@@ -627,7 +571,7 @@ pub mod luby {
         observer: &mut O,
     ) -> std::io::Result<ExecutionReport> {
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.resume_from_observed(
+        sim.resume_from(
             config,
             checkpoint,
             whole_graph_factory(graph, seed),
@@ -856,7 +800,7 @@ mod tests {
 
     #[test]
     fn luby_kill_and_resume_matches_uninterrupted_run() {
-        use symbreak_congest::CheckpointConfig;
+        use symbreak_congest::{CheckpointConfig, NoopObserver};
         let mut rng = StdRng::seed_from_u64(55);
         let g = generators::connected_gnp(30, 0.15, &mut rng);
         let ids = IdAssignment::identity(30);
@@ -866,11 +810,12 @@ mod tests {
         let ckpt = CheckpointConfig::new(dir.join("luby.sbck")).with_every(2);
         // Kill after the first boundary, then resume: Luby's per-node RNG
         // cursors must continue the exact same draw streams.
+        let killed = SyncConfig::default().with_max_rounds(2);
         let partial =
-            luby::run_checkpointed(&g, &ids, 9, SyncConfig::default().with_max_rounds(2), &ckpt)
-                .unwrap();
+            luby::run_checkpointed(&g, &ids, 9, killed, &ckpt, &mut NoopObserver).unwrap();
         assert!(!partial.completed);
-        let resumed = luby::resume(&g, &ids, 9, SyncConfig::default(), &ckpt).unwrap();
+        let resumed =
+            luby::resume(&g, &ids, 9, SyncConfig::default(), &ckpt, &mut NoopObserver).unwrap();
         assert_eq!(resumed, baseline);
         assert_eq!(verify::outputs_to_membership(&resumed.outputs), mis);
         std::fs::remove_dir_all(&dir).unwrap();

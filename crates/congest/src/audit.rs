@@ -14,9 +14,9 @@
 //!   graph.
 //! * **Multiplicity** — at most one message per edge *per direction* per
 //!   round.
-//! * **Shard windows** — the parallel loop's per-worker write windows must
-//!   be pairwise disjoint within a round (the race-freedom invariant behind
-//!   the bit-identical merge).
+//! * **Window disjointness** — the per-worker write windows of a round
+//!   split across threads must be pairwise disjoint (the race-freedom
+//!   invariant behind the bit-identical merge).
 //! * **Inbox disjointness** — after a delivery flip, no two nodes' inbox
 //!   ranges may alias the same arena slots.
 //!
@@ -25,26 +25,24 @@
 //! ([`AuditConfig::deny`], the `CONGEST_AUDIT=1` mode CI runs whole suites
 //! under) or accumulate for inspection ([`Auditor::finish`]).
 //!
-//! Wiring: the sequential loop audits through the ordinary
-//! [`crate::RoundObserver`] seam (the [`Auditor`] *is* an observer); the
-//! parallel loop is monomorphized over `const AUDIT: bool` — when on, each
-//! worker logs `(from, to, message)` triples that the main thread replays
-//! in deterministic shard order, exactly like the fault-injection and
-//! capture seams. When off, the logging branch compiles out and the fast
-//! paths are unchanged.
+//! Wiring: the auditor is one of the round loop's hooks, so it runs at any
+//! thread count, composes with instrumentation, observers and checkpoints,
+//! and sees every message in sequential send order (replayed from the
+//! workers' send logs on rounds split across threads). Unaudited runs carry
+//! no audit code at all.
 
-use std::fmt;
+use std::{fmt, io};
 
 use symbreak_graphs::{EdgeId, Graph, NodeId};
 
-use crate::engine::{MessageArena, RoundObserver};
+use crate::engine::MessageArena;
+use crate::sync::{Hooks, RoundLoop};
 use crate::Message;
 
 /// Environment variable enabling deny-mode auditing on every
-/// [`crate::SyncSimulator::run`] (`CONGEST_AUDIT=1`; empty or `0`
-/// disables). Instrumented runs
-/// (trace / utilization / per-edge) keep their dedicated sequential
-/// observer and are not audited.
+/// [`crate::SyncSimulator::run`] — instrumented runs included — and every
+/// checkpointed or resumed run (`CONGEST_AUDIT=1`; empty or `0`
+/// disables).
 pub const AUDIT_ENV: &str = "CONGEST_AUDIT";
 
 /// Environment variable overriding the bandwidth budget multiplier `c`
@@ -172,8 +170,8 @@ pub struct Violation {
     /// The graph edge involved (`None` for adjacency violations — there is
     /// no such edge — and for window/inbox findings).
     pub edge: Option<EdgeId>,
-    /// The worker shard whose replayed log raised the finding (`None` on
-    /// the sequential loop).
+    /// The window whose replayed send log raised the finding (`None` on
+    /// rounds stepped as one window).
     pub shard: Option<usize>,
     /// The caller's replay seed ([`AuditConfig::seed`]).
     pub seed: u64,
@@ -277,7 +275,7 @@ impl<'g> Auditor<'g> {
     }
 
     /// Stamps subsequently raised violations with a worker shard (the
-    /// parallel loop sets this while replaying each shard's send log).
+    /// round loop sets this while replaying each window's send log).
     pub fn set_shard(&mut self, shard: Option<usize>) {
         self.shard = shard;
     }
@@ -340,21 +338,6 @@ impl<'g> Auditor<'g> {
         self.windows.push((shard, lo, hi));
     }
 
-    /// Verifies the flipped arena's inbox ranges are pairwise disjoint.
-    pub(crate) fn check_arena(&mut self, arena: &MessageArena) {
-        if let Some((a, b)) = arena.overlapping_inboxes() {
-            self.raise(
-                ViolationKind::InboxOverlap {
-                    a: NodeId(a),
-                    b: NodeId(b),
-                },
-                None,
-                None,
-                None,
-            );
-        }
-    }
-
     /// Closes the current round: clears the multiplicity counters and the
     /// window set, advances the round counter.
     pub fn end_round(&mut self) {
@@ -410,14 +393,36 @@ impl fmt::Debug for Auditor<'_> {
     }
 }
 
-/// The sequential loop audits through the ordinary observer seam: every
-/// validated message and round boundary flows through these callbacks.
-impl RoundObserver for Auditor<'_> {
-    fn on_message(&mut self, from: NodeId, to: NodeId, _edge: EdgeId, message: &Message) {
-        self.on_send(from, to, message);
+/// The auditor as round-loop hooks: every message, every window of a round
+/// split across threads (stamping the findings of its replayed sends), and
+/// every delivery.
+impl<A> Hooks<A> for Auditor<'_> {
+    const SENDS: bool = true;
+
+    fn on_send(&mut self, from: NodeId, to: NodeId, message: &Message) {
+        Auditor::on_send(self, from, to, message);
     }
 
-    fn on_round_end(&mut self, _round: u64) {
-        self.end_round();
+    fn begin_round(&mut self, at: &RoundLoop<'_, A>) -> io::Result<bool> {
+        // Provenance names the run's own rounds, also after a resume.
+        self.round = at.round;
+        Ok(false)
+    }
+
+    fn record_window(&mut self, window: usize, lo: usize, hi: usize) {
+        self.set_shard(Some(window));
+        Auditor::record_window(self, window, lo, hi);
+    }
+
+    fn end_round(&mut self, _round: u64, arena: &MessageArena) {
+        // The flipped arena's inbox ranges must be pairwise disjoint.
+        if let Some((a, b)) = arena.overlapping_inboxes() {
+            let kind = ViolationKind::InboxOverlap {
+                a: NodeId(a),
+                b: NodeId(b),
+            };
+            self.raise(kind, None, None, None);
+        }
+        Auditor::end_round(self);
     }
 }

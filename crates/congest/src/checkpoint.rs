@@ -1,5 +1,5 @@
-//! Engine checkpoints: periodic snapshots of the sequential round loop and
-//! bit-identical resumption after a crash.
+//! Engine checkpoints: periodic snapshots of the synchronous round loop
+//! and bit-identical resumption after a crash.
 //!
 //! A checkpointed run appends one record to a single **append-only log**
 //! every [`CheckpointConfig::every`] rounds. Each record captures everything
@@ -24,22 +24,25 @@
 //! truncates the torn tail and appends from there.
 //!
 //! [`SyncSimulator::run_checkpointed`] and [`SyncSimulator::resume_from`]
-//! drive the loop; resumed runs are **bit-identical** to uninterrupted ones
-//! (same reports, outputs and traces), which the `checkpoint_resume`
-//! integration suite proves by killing a run at every checkpoint boundary.
-//! Checkpointed runs always execute on the sequential loop; since reports
-//! are bit-identical at every thread count, a sequential resume still
-//! reproduces a parallel baseline exactly.
+//! attach the checkpoint to the one synchronous round loop as hooks — a
+//! restore step, the boundary record at round start, and the in-flight
+//! capture on each boundary's preceding round — so checkpointed runs step
+//! at any thread count, and every record is a function of the execution
+//! alone: the log's bytes are the same at every thread count. Resumed runs
+//! are **bit-identical** to uninterrupted ones (same reports, outputs and
+//! traces), which the `checkpoint_resume` integration suite proves by
+//! killing a run at every checkpoint boundary.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use symbreak_graphs::{Graph, NodeId};
+use symbreak_graphs::NodeId;
 
-use crate::engine::{DeliveryBuffer, MessageArena, NodeRuntime, NoopObserver, RoundObserver};
+use crate::audit::{audit_enabled, AuditConfig, Auditor};
+use crate::engine::{NodeRuntime, RoundObserver};
 use crate::message::{MAX_ID_FIELDS, MAX_VALUE_FIELDS};
-use crate::sync::next_active;
+use crate::sync::{Hooks, Observe, Resume, RoundLoop};
 use crate::trace::TraceMessage;
 use crate::{ExecutionReport, Message, NodeAlgorithm, NodeInit, SyncConfig, SyncSimulator};
 
@@ -101,7 +104,8 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 pub struct CheckpointConfig {
     /// Path of the append-only checkpoint log file.
     pub path: PathBuf,
-    /// Rounds between checkpoints (must be ≥ 1).
+    /// Rounds between checkpoints (must be ≥ 1; the checkpointed entry
+    /// points reject `0` with [`io::ErrorKind::InvalidInput`]).
     pub every: u64,
 }
 
@@ -314,8 +318,8 @@ fn body_checksum(bytes: &[u8]) -> u64 {
 /// Appends one in-flight message in the body's compact wire form: sender,
 /// receiver, tag, field counts, then only the declared id/value words (no
 /// per-message checksum — the whole-body digest covers them). Called from
-/// the round loop's message sink on capture rounds, so boundary encoding
-/// never re-walks a staged message list.
+/// the capture hook on each boundary's preceding round, so boundary
+/// encoding never re-walks a staged message list.
 fn push_message(buf: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &Message) {
     let ids = msg.ids();
     let values = msg.values();
@@ -326,64 +330,6 @@ fn push_message(buf: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &Message) {
     buf.push(values.len() as u8);
     for &w in ids.iter().chain(values) {
         buf.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-/// Serializes one checkpoint body (everything but the length prefix and
-/// trailing checksum).
-#[allow(clippy::too_many_arguments)]
-fn encode_body<A: PersistState>(
-    body: &mut Vec<u8>,
-    round: u64,
-    messages: u64,
-    max_bits: u32,
-    active_all: bool,
-    active: &[u32],
-    in_flight_count: u32,
-    in_flight_bytes: &[u8],
-    touched_all: bool,
-    touched: &[u32],
-    runtime: &NodeRuntime<'_, A>,
-    words: &mut Vec<u64>,
-) {
-    body.clear();
-    body.extend_from_slice(&round.to_le_bytes());
-    body.extend_from_slice(&messages.to_le_bytes());
-    body.extend_from_slice(&max_bits.to_le_bytes());
-    body.push(u8::from(active_all));
-    if active_all {
-        body.extend_from_slice(&0u32.to_le_bytes());
-    } else {
-        body.extend_from_slice(&(active.len() as u32).to_le_bytes());
-        for &a in active {
-            body.extend_from_slice(&a.to_le_bytes());
-        }
-    }
-    body.extend_from_slice(&in_flight_count.to_le_bytes());
-    body.extend_from_slice(in_flight_bytes);
-    // Touched nodes are written in first-touch order (or 0..n when an
-    // all-active round fell in the window); the decoder sorts, keeping the
-    // boundary path allocation- and sort-free.
-    let mut emit = |body: &mut Vec<u8>, i: u32| {
-        words.clear();
-        runtime.node_ref(i as usize).encode_state(words);
-        body.extend_from_slice(&i.to_le_bytes());
-        body.extend_from_slice(&(words.len() as u32).to_le_bytes());
-        for &w in words.iter() {
-            body.extend_from_slice(&w.to_le_bytes());
-        }
-    };
-    if touched_all {
-        let n = runtime.num_nodes() as u32;
-        body.extend_from_slice(&n.to_le_bytes());
-        for i in 0..n {
-            emit(body, i);
-        }
-    } else {
-        body.extend_from_slice(&(touched.len() as u32).to_le_bytes());
-        for &i in touched {
-            emit(body, i);
-        }
     }
 }
 
@@ -517,42 +463,23 @@ impl CheckpointWriter {
     }
 }
 
-impl<'g> SyncSimulator<'g> {
-    /// Runs like [`SyncSimulator::run`], snapshotting the loop state to
-    /// `checkpoint.path` every `checkpoint.every` rounds. The report is
-    /// bit-identical to an uncheckpointed run at any thread count (the
-    /// checkpointed loop itself always executes sequentially, which is
-    /// already report-equivalent); the built-in instrumentation fields stay
-    /// `None` — attach an observer via
-    /// [`SyncSimulator::run_checkpointed_observed`] instead.
+impl SyncSimulator<'_> {
+    /// Runs like [`SyncSimulator::run_observed`], snapshotting the loop
+    /// state to `checkpoint.path` every `checkpoint.every` rounds; pass
+    /// [`crate::NoopObserver`] to observe nothing. The report is
+    /// bit-identical to an uncheckpointed run, and the log's bytes are the
+    /// same at every thread count. Under `CONGEST_AUDIT=1` the run is
+    /// audited in deny mode, like [`SyncSimulator::run`].
     ///
     /// # Errors
     ///
-    /// I/O errors writing the checkpoint log.
+    /// [`io::ErrorKind::InvalidInput`] for a zero cadence (before the log
+    /// is created); I/O errors writing the checkpoint log.
     ///
     /// # Panics
     ///
     /// As [`SyncSimulator::run`] (bit-budget or non-neighbour sends).
-    pub fn run_checkpointed<A, F>(
-        &self,
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-        make: F,
-    ) -> io::Result<ExecutionReport>
-    where
-        A: PersistState,
-        F: FnMut(NodeInit<'_>) -> A,
-    {
-        run_loop(self, config, checkpoint, make, &mut NoopObserver, false)
-    }
-
-    /// [`SyncSimulator::run_checkpointed`] with a caller-supplied
-    /// [`RoundObserver`] receiving every message and round boundary.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors writing the checkpoint log.
-    pub fn run_checkpointed_observed<A, F, O>(
+    pub fn run_checkpointed<A, F, O>(
         &self,
         config: SyncConfig,
         checkpoint: &CheckpointConfig,
@@ -560,11 +487,11 @@ impl<'g> SyncSimulator<'g> {
         observer: &mut O,
     ) -> io::Result<ExecutionReport>
     where
-        A: PersistState,
+        A: PersistState + Send,
         F: FnMut(NodeInit<'_>) -> A,
         O: RoundObserver,
     {
-        run_loop(self, config, checkpoint, make, observer, false)
+        self.checkpointed(config, checkpoint, false, make, observer)
     }
 
     /// Resumes an interrupted checkpointed run from the latest valid
@@ -575,33 +502,17 @@ impl<'g> SyncSimulator<'g> {
     /// [`SyncSimulator::run_checkpointed`] run. A log holding no valid
     /// checkpoint restarts the run from round 0.
     ///
+    /// The observer sees only the resumed rounds, from the checkpoint
+    /// boundary on: a recording the crash cut short continues from its
+    /// rounds before that boundary.
+    ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidData`] when the log's header is damaged or a
-    /// recorded automaton state is rejected by
+    /// [`io::ErrorKind::InvalidInput`] for a zero cadence (before the log
+    /// is touched); [`io::ErrorKind::InvalidData`] when the log's header is
+    /// damaged or a recorded automaton state is rejected by
     /// [`PersistState::decode_state`]; ordinary I/O errors otherwise.
-    pub fn resume_from<A, F>(
-        &self,
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-        make: F,
-    ) -> io::Result<ExecutionReport>
-    where
-        A: PersistState,
-        F: FnMut(NodeInit<'_>) -> A,
-    {
-        run_loop(self, config, checkpoint, make, &mut NoopObserver, true)
-    }
-
-    /// [`SyncSimulator::resume_from`] with a caller-supplied
-    /// [`RoundObserver`]; it sees only the resumed rounds, from the
-    /// checkpoint boundary on. A recording the crash cut short continues
-    /// from its rounds before that boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncSimulator::resume_from`].
-    pub fn resume_from_observed<A, F, O>(
+    pub fn resume_from<A, F, O>(
         &self,
         config: SyncConfig,
         checkpoint: &CheckpointConfig,
@@ -609,336 +520,211 @@ impl<'g> SyncSimulator<'g> {
         observer: &mut O,
     ) -> io::Result<ExecutionReport>
     where
-        A: PersistState,
+        A: PersistState + Send,
         F: FnMut(NodeInit<'_>) -> A,
         O: RoundObserver,
     {
-        run_loop(self, config, checkpoint, make, observer, true)
+        self.checkpointed(config, checkpoint, true, make, observer)
+    }
+
+    /// Drives the loop with the checkpoint hooks, the observer and — under
+    /// `CONGEST_AUDIT=1` — the deny-mode auditor, then syncs the log.
+    fn checkpointed<A, F, O>(
+        &self,
+        config: SyncConfig,
+        checkpoint: &CheckpointConfig,
+        resume: bool,
+        make: F,
+        observer: &mut O,
+    ) -> io::Result<ExecutionReport>
+    where
+        A: PersistState + Send,
+        F: FnMut(NodeInit<'_>) -> A,
+        O: RoundObserver,
+    {
+        if checkpoint.every == 0 {
+            let what = "checkpoint cadence must be at least one round";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        }
+        let checkpointing = Checkpointing {
+            config: checkpoint,
+            resume,
+            writer: None,
+            until_boundary: checkpoint.every,
+            touched: Vec::new(),
+            touched_all: false,
+            dirty: Vec::new(),
+            in_flight: Vec::new(),
+            in_flight_count: 0,
+            body: Vec::new(),
+            words: Vec::new(),
+        };
+        let observe = Observe(self.graph(), observer);
+        let (report, checkpointing) = if audit_enabled() {
+            let auditor = Auditor::new(self.graph(), AuditConfig::from_env());
+            let mut hooks = ((observe, auditor), checkpointing);
+            (self.drive(config, make, &mut hooks)?, hooks.1)
+        } else {
+            let mut hooks = (observe, checkpointing);
+            (self.drive(config, make, &mut hooks)?, hooks.1)
+        };
+        if let Some(writer) = checkpointing.writer {
+            writer.finish()?;
+        }
+        Ok(report)
     }
 }
 
-/// The mutable per-run bookkeeping [`run_loop`] shares with its stepping
-/// pass [`step_active`].
-struct LoopState {
-    messages: u64,
-    max_bits: u32,
-    /// Per-node done flags plus the count of nodes still undone.
-    done: Vec<bool>,
-    undone_count: usize,
-    /// Stepped-but-not-done nodes of the current round (ascending).
-    undone: Vec<u32>,
+/// The checkpoint hooks: the restore step, one record per boundary at
+/// round start, and the in-flight capture on each boundary's preceding
+/// round.
+struct Checkpointing<'c> {
+    config: &'c CheckpointConfig,
+    resume: bool,
+    /// Opened by the restore step.
+    writer: Option<CheckpointWriter>,
+    /// Rounds until the next checkpoint boundary — a countdown, because at
+    /// tight cadences two 64-bit modulos per round are measurable against
+    /// the event-driven loop. Both fresh and resumed runs start a full
+    /// cadence away from their next boundary (a resumed run's restart
+    /// checkpoint is already in the log and must not be appended again).
+    until_boundary: u64,
     /// The active lists of every round since the previous checkpoint,
     /// concatenated (one bulk append per round — per-step marking in the
     /// sink measurably drags the loop). The boundary dedups this into the
     /// touched set using `dirty` as scratch flags (all false in between).
-    window_nodes: Vec<u32>,
+    touched: Vec<u32>,
     /// An all-active round occurred since the previous checkpoint: the
-    /// touched set is every node, `window_nodes` is irrelevant.
-    window_all: bool,
+    /// touched set is every node, `touched` is irrelevant.
+    touched_all: bool,
     dirty: Vec<bool>,
-    /// Capture rounds encode in-flight messages straight into wire form
+    /// The capture round encodes in-flight messages straight into wire form
     /// here (count alongside, since records are count-prefixed).
-    in_flight_buf: Vec<u8>,
+    in_flight: Vec<u8>,
     in_flight_count: u32,
+    body: Vec<u8>,
+    words: Vec<u64>,
 }
 
-/// One round's stepping pass, monomorphized over whether the round feeds
-/// the next checkpoint boundary. `CAPTURE` is a const so the seven-of-
-/// eight non-capture rounds compile to a message sink with no capture
-/// code in it at all — with a runtime flag instead, the extra branch and
-/// buffer accesses in the sink measurably drag the whole loop below the
-/// plain engine (the sink is the innermost hot path).
-#[allow(clippy::too_many_arguments)]
-fn step_active<A, O, const CAPTURE: bool>(
-    graph: &Graph,
-    runtime: &mut NodeRuntime<'_, A>,
-    arena: &MessageArena,
-    staging: &mut DeliveryBuffer,
-    observer: &mut O,
-    bit_limit: u32,
-    rounds: u64,
-    active_all: bool,
-    active: &[u32],
-    st: &mut LoopState,
-) where
-    A: PersistState,
-    O: RoundObserver,
-{
-    let defer_undone = active_all;
-    let LoopState {
-        messages,
-        max_bits,
-        done,
-        undone_count,
-        undone,
-        in_flight_buf,
-        in_flight_count,
-        ..
-    } = st;
-    let mut step_one = |i: usize| {
-        let mut sink = |from: NodeId, to: NodeId, msg: Message| {
-            *messages += 1;
-            if O::ACTIVE {
-                let edge = graph
-                    .edge_between(from, to)
-                    .expect("send target verified to be a neighbour");
-                observer.on_message(from, to, edge, &msg);
-            }
-            if CAPTURE {
-                *in_flight_count += 1;
-                push_message(in_flight_buf, from, to, &msg);
-            }
-            staging.stage(to, msg);
+impl Checkpointing<'_> {
+    /// Serializes the record of the boundary `at` starts into `body`
+    /// (everything but the length prefix and trailing checksum).
+    fn encode_body<A: PersistState>(&mut self, at: &RoundLoop<'_, A>) {
+        let body = &mut self.body;
+        body.clear();
+        body.extend_from_slice(&at.round.to_le_bytes());
+        body.extend_from_slice(&at.messages.to_le_bytes());
+        body.extend_from_slice(&at.max_bits.to_le_bytes());
+        body.push(u8::from(at.active_all));
+        let active: &[u32] = if at.active_all { &[] } else { &at.active };
+        body.extend_from_slice(&(active.len() as u32).to_le_bytes());
+        for &a in active {
+            body.extend_from_slice(&a.to_le_bytes());
+        }
+        body.extend_from_slice(&self.in_flight_count.to_le_bytes());
+        body.extend_from_slice(&self.in_flight);
+        // Touched nodes are written in first-touch order (or 0..n when an
+        // all-active round fell since the previous boundary); the decoder
+        // sorts, keeping the boundary path allocation- and sort-free.
+        let n = at.runtime.num_nodes() as u32;
+        let touched = if self.touched_all {
+            n
+        } else {
+            self.touched.len() as u32
         };
-        let now_done = runtime.step(i, rounds, arena.inbox(i), bit_limit, max_bits, &mut sink);
-        if now_done != done[i] {
-            done[i] = now_done;
-            if now_done {
-                *undone_count -= 1;
+        body.extend_from_slice(&touched.to_le_bytes());
+        for k in 0..touched {
+            let i = if self.touched_all {
+                k
             } else {
-                *undone_count += 1;
+                self.touched[k as usize]
+            };
+            self.words.clear();
+            at.runtime
+                .node_ref(i as usize)
+                .encode_state(&mut self.words);
+            body.extend_from_slice(&i.to_le_bytes());
+            body.extend_from_slice(&(self.words.len() as u32).to_le_bytes());
+            for &w in &self.words {
+                body.extend_from_slice(&w.to_le_bytes());
             }
-        }
-        if !now_done && !defer_undone {
-            undone.push(i as u32);
-        }
-    };
-    if active_all {
-        for i in 0..graph.num_nodes() {
-            step_one(i);
-        }
-    } else {
-        for &iu in active {
-            step_one(iu as usize);
         }
     }
 }
 
-/// The checkpointed sequential round loop — [`crate::sync`]'s sequential
-/// loop plus dirty-node tracking, in-flight capture on pre-boundary rounds
-/// and the restore path. Event-driven exactly like the plain loop, so
-/// reports are bit-identical.
-fn run_loop<A, F, O>(
-    sim: &SyncSimulator<'_>,
-    config: SyncConfig,
-    checkpoint: &CheckpointConfig,
-    mut make: F,
-    observer: &mut O,
-    resume: bool,
-) -> io::Result<ExecutionReport>
-where
-    A: PersistState,
-    F: FnMut(NodeInit<'_>) -> A,
-    O: RoundObserver,
-{
-    assert!(
-        checkpoint.every > 0,
-        "checkpoint cadence must be at least one round"
-    );
-    let graph = sim.graph();
-    let n = graph.num_nodes();
-    let every = checkpoint.every;
-    let mut runtime = NodeRuntime::new(graph, sim.ids(), sim.level(), &mut make);
-    let mut arena = MessageArena::new(n);
-    let mut staging = DeliveryBuffer::new(n);
-
-    let mut rounds: u64 = 0;
-    let mut completed = false;
-    let mut active: Vec<u32> = (0..n as u32).collect();
-    let mut active_all = true;
-    let mut receivers: Vec<u32> = Vec::new();
-    let mut st = LoopState {
-        messages: 0,
-        max_bits: 0,
-        done: Vec::new(),
-        undone_count: 0,
-        undone: Vec::new(),
-        window_nodes: Vec::new(),
-        window_all: false,
-        dirty: vec![false; n],
-        in_flight_buf: Vec::new(),
-        in_flight_count: 0,
-    };
-
-    let mut writer = if resume {
-        let chain = CheckpointChain::load(&checkpoint.path)?;
-        if let Some(record) = chain.latest() {
-            // Fold the incremental state records, oldest first: the last
-            // record touching a node wins, untouched nodes stay
-            // factory-fresh.
-            for rec in chain.records() {
-                for (node, words) in &rec.states {
-                    let i = *node as usize;
-                    if i >= n || !runtime.node_mut(i).decode_state(words) {
-                        return Err(corrupt(
-                            "checkpointed automaton state rejected by decode_state",
-                        ));
-                    }
+impl<A: PersistState> Hooks<A> for Checkpointing<'_> {
+    fn restore(&mut self, runtime: &mut NodeRuntime<'_, A>) -> Resume {
+        let n = runtime.num_nodes();
+        self.dirty = vec![false; n];
+        let path = &self.config.path;
+        if !self.resume {
+            self.writer = Some(CheckpointWriter::create(path)?);
+            return Ok(None);
+        }
+        let mut chain = CheckpointChain::load(path)?;
+        // Fold the incremental state records, oldest first: the last
+        // record touching a node wins, untouched nodes stay factory-fresh.
+        for rec in chain.records() {
+            for (node, words) in &rec.states {
+                let i = *node as usize;
+                if i >= n || !runtime.node_mut(i).decode_state(words) {
+                    return Err(corrupt(
+                        "checkpointed automaton state rejected by decode_state",
+                    ));
                 }
             }
-            // Replay the in-flight messages through the flat counting sort;
-            // it reproduces the original arena's inboxes exactly (both
-            // delivery layouts group identically).
-            for tm in &record.in_flight {
-                staging.stage(tm.to, tm.message);
-            }
-            staging.flip(&mut arena, &mut receivers);
-            st.messages = record.messages;
-            st.max_bits = record.max_message_bits;
-            rounds = record.round;
-            active_all = record.active_all;
-            if !active_all {
-                active.clear();
-                active.extend_from_slice(&record.active);
-            }
         }
-        CheckpointWriter::append_after(&checkpoint.path, chain.valid_end())?
-    } else {
-        CheckpointWriter::create(&checkpoint.path)?
-    };
+        self.writer = Some(CheckpointWriter::append_after(path, chain.valid_end())?);
+        Ok(chain.records.pop())
+    }
 
-    st.done = runtime.done_flags();
-    st.undone_count = st.done.iter().filter(|&&d| !d).count();
-    let mut body: Vec<u8> = Vec::new();
-    let mut words: Vec<u64> = Vec::new();
-    // Rounds until the next checkpoint boundary — a countdown, because at
-    // tight cadences two 64-bit modulos per round are measurable against
-    // the event-driven loop. Both fresh and resumed runs start a full
-    // cadence away from their next boundary (a resumed run's restart
-    // checkpoint is already in the log and must not be appended again).
-    let mut until_boundary = every;
-
-    loop {
-        if rounds > 0 && arena.len() == 0 && st.undone_count == 0 {
-            completed = true;
-            break;
-        }
-        if rounds >= config.max_rounds {
-            break;
-        }
-
-        if until_boundary == 0 {
-            until_boundary = every;
-            // Dedup the window's concatenated active lists into the touched
-            // set (first-occurrence order; the decoder sorts).
-            if !st.window_all {
-                let mut keep = 0;
-                for k in 0..st.window_nodes.len() {
-                    let i = st.window_nodes[k];
-                    if !st.dirty[i as usize] {
-                        st.dirty[i as usize] = true;
-                        st.window_nodes[keep] = i;
-                        keep += 1;
-                    }
-                }
-                st.window_nodes.truncate(keep);
+    fn begin_round(&mut self, at: &RoundLoop<'_, A>) -> io::Result<bool> {
+        if self.until_boundary == 0 {
+            self.until_boundary = self.config.every;
+            // Dedup the active lists concatenated since the previous
+            // boundary into the touched set (first-occurrence order; the
+            // decoder sorts).
+            if !self.touched_all {
+                let dirty = &mut self.dirty;
+                self.touched
+                    .retain(|&i| !std::mem::replace(&mut dirty[i as usize], true));
             }
-            encode_body(
-                &mut body,
-                rounds,
-                st.messages,
-                st.max_bits,
-                active_all,
-                &active,
-                st.in_flight_count,
-                &st.in_flight_buf,
-                st.window_all,
-                &st.window_nodes,
-                &runtime,
-                &mut words,
-            );
-            writer.write_record(&body)?;
-            for &i in &st.window_nodes {
-                st.dirty[i as usize] = false;
+            self.encode_body(at);
+            let writer = self
+                .writer
+                .as_mut()
+                .expect("the restore step opens the log");
+            writer.write_record(&self.body)?;
+            for &i in &self.touched {
+                self.dirty[i as usize] = false;
             }
-            st.window_nodes.clear();
-            st.window_all = false;
+            self.touched.clear();
+            self.touched_all = false;
         }
-        st.in_flight_buf.clear();
-        st.in_flight_count = 0;
+        self.in_flight.clear();
+        self.in_flight_count = 0;
         // The stepped set is exactly this round's active set: one bulk
         // append records it for the boundary's touched-set dedup.
-        if active_all {
-            st.window_all = true;
+        if at.active_all {
+            self.touched_all = true;
         } else {
-            st.window_nodes.extend_from_slice(&active);
+            self.touched.extend_from_slice(&at.active);
         }
-
-        staging.set_dense(if active_all {
-            runtime.dense_full()
-        } else {
-            runtime.dense_round(&active)
-        });
-        st.undone.clear();
-        let defer_undone = active_all;
-        // Only the round feeding the next checkpoint boundary pays for the
-        // in-flight capture (a distinct monomorphization of the pass).
-        if until_boundary == 1 {
-            step_active::<_, _, true>(
-                graph,
-                &mut runtime,
-                &arena,
-                &mut staging,
-                observer,
-                config.message_bit_limit,
-                rounds,
-                active_all,
-                &active,
-                &mut st,
-            );
-        } else {
-            step_active::<_, _, false>(
-                graph,
-                &mut runtime,
-                &arena,
-                &mut staging,
-                observer,
-                config.message_bit_limit,
-                rounds,
-                active_all,
-                &active,
-                &mut st,
-            );
-        }
-
-        if O::ACTIVE {
-            observer.on_round_end(rounds);
-        }
-        active_all = if staging.flip(&mut arena, &mut receivers) {
-            true
-        } else {
-            if defer_undone && st.undone_count > 0 {
-                st.undone.extend(
-                    st.done
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &d)| !d)
-                        .map(|(i, _)| i as u32),
-                );
-            }
-            next_active(&mut receivers, &st.undone, &mut active, n)
-        };
-        rounds += 1;
-        until_boundary -= 1;
+        self.until_boundary -= 1;
+        // Only the round feeding the next boundary captures its sends.
+        Ok(self.until_boundary == 0)
     }
 
-    writer.finish()?;
-    Ok(ExecutionReport {
-        completed,
-        rounds,
-        messages: st.messages,
-        max_message_bits: st.max_bits,
-        outputs: runtime.outputs(),
-        per_edge_messages: None,
-        utilized_edges: None,
-        trace: None,
-    })
+    fn capture(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        self.in_flight_count += 1;
+        push_message(&mut self.in_flight, from, to, msg);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KtLevel, RoundContext};
+    use crate::{KtLevel, NoopObserver, RoundContext};
     use symbreak_graphs::{generators, IdAssignment};
 
     /// The crate-doc flooding automaton, made checkpointable.
@@ -1004,7 +790,7 @@ mod tests {
         let path = scratch_log("match");
         let ckpt = CheckpointConfig::new(&path).with_every(4);
         let report = sim
-            .run_checkpointed(SyncConfig::default(), &ckpt, fresh)
+            .run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
             .unwrap();
         assert_eq!(report, baseline);
         // The log holds one checkpoint per boundary the run crossed.
@@ -1041,12 +827,13 @@ mod tests {
                     SyncConfig::default().with_max_rounds(boundary),
                     &ckpt,
                     fresh,
+                    &mut NoopObserver,
                 )
                 .unwrap();
             assert!(!partial.completed);
             // … then resume with the full budget from the surviving log.
             let resumed = sim
-                .resume_from(SyncConfig::default(), &ckpt, fresh)
+                .resume_from(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
                 .unwrap();
             assert_eq!(resumed, baseline, "kill at round {boundary}");
             boundary += 5;
@@ -1062,7 +849,7 @@ mod tests {
         let baseline = sim.run(SyncConfig::default(), fresh);
         let path = scratch_log("torn");
         let ckpt = CheckpointConfig::new(&path).with_every(4);
-        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh)
+        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
             .unwrap();
         let full = CheckpointChain::load(&path).unwrap();
         let full_records = full.records().len();
@@ -1075,7 +862,7 @@ mod tests {
         assert_eq!(torn.records(), &full.records()[..full_records - 1]);
         // Resuming from the shortened chain still reproduces the run.
         let resumed = sim
-            .resume_from(SyncConfig::default(), &ckpt, fresh)
+            .resume_from(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
             .unwrap();
         assert_eq!(resumed, baseline);
         std::fs::remove_file(&path).unwrap();
@@ -1090,7 +877,12 @@ mod tests {
         let path = scratch_log("empty");
         std::fs::write(&path, LOG_MAGIC).unwrap();
         let resumed = sim
-            .resume_from(SyncConfig::default(), &CheckpointConfig::new(&path), fresh)
+            .resume_from(
+                SyncConfig::default(),
+                &CheckpointConfig::new(&path),
+                fresh,
+                &mut NoopObserver,
+            )
             .unwrap();
         assert_eq!(resumed, baseline);
         std::fs::remove_file(&path).unwrap();
@@ -1115,7 +907,7 @@ mod tests {
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
         let path = scratch_log("fold");
         let ckpt = CheckpointConfig::new(&path).with_every(3);
-        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh)
+        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
             .unwrap();
         let chain = CheckpointChain::load(&path).unwrap();
         let last_round = chain.latest().unwrap().round;
@@ -1138,5 +930,28 @@ mod tests {
     #[should_panic(expected = "at least one round")]
     fn zero_cadence_is_rejected() {
         let _ = CheckpointConfig::new("x").with_every(0);
+    }
+
+    #[test]
+    fn zero_cadence_entry_points_return_invalid_input() {
+        let g = generators::cycle(8);
+        let ids = IdAssignment::identity(8);
+        let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
+        let path = scratch_log("zero");
+        let _ = std::fs::remove_file(&path);
+        // The fields are public, so `with_every`'s check can be bypassed.
+        let ckpt = CheckpointConfig {
+            path: path.clone(),
+            every: 0,
+        };
+        let err = sim
+            .run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let err = sim
+            .resume_from(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!path.exists(), "a rejected run must not create its log");
     }
 }

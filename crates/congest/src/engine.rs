@@ -8,10 +8,10 @@
 //!   [`RoundContext`], call [`NodeAlgorithm::on_round`], validate the
 //!   outbox against the CONGEST bit budget and hand every message to a
 //!   caller-supplied sink. Both simulators drive their delivery policies
-//!   through this one code path. For multi-core stepping,
-//!   [`NodeRuntime::shard_views`] splits the automata into disjoint
-//!   [`ShardView`]s over contiguous node ranges, each steppable from its own
-//!   thread with no shared mutable state.
+//!   through this one code path. For rounds the synchronous loop splits
+//!   across threads, [`NodeRuntime::shard_views`] cuts the automata into
+//!   disjoint [`ShardView`]s over contiguous node ranges, each steppable
+//!   from its own thread with no shared mutable state.
 //! * [`MessageArena`] + [`DeliveryBuffer`] — the synchronous double buffer,
 //!   with two delivery layouts:
 //!   - **sender-major scatter** (the default): messages are staged in sender
@@ -26,9 +26,10 @@
 //!
 //!   Both layouts produce identical inboxes (same per-receiver contents and
 //!   order), so reports are bit-identical whichever heuristic path runs.
-//!   [`DeliveryBuffer::flip_shards`] is the multi-threaded variant: it merges
-//!   per-shard staging buffers with the same counting sort, walking shards in
-//!   shard order so the merged arena is bit-identical to a sequential run.
+//!   [`DeliveryBuffer::flip_shards`] is the multi-window variant: it merges
+//!   per-window staging buffers with the same counting sort, walking them in
+//!   window order so the merged arena is bit-identical to a one-window
+//!   round.
 //! * [`RoundObserver`] — compile-time-gated instrumentation. The
 //!   uninstrumented fast path runs with [`NoopObserver`], whose
 //!   `ACTIVE = false` constant statically removes every observation branch
@@ -54,7 +55,8 @@ const DENSE_MAX_AVG_SPAN: u64 = 64;
 /// travelled on) and a callback at the end of every round. The simulator's
 /// built-in instrumentation (traces, per-edge counters, utilized edges) is
 /// one implementation; callers can pass their own to
-/// [`crate::SyncSimulator::run_observed`].
+/// [`crate::SyncSimulator::run_observed`] and the checkpointed entry points.
+/// Messages arrive in sequential send order at every thread count.
 pub trait RoundObserver {
     /// Whether this observer wants callbacks at all. When `false`, the
     /// engine statically skips the per-message edge resolution *and* the
@@ -86,9 +88,9 @@ impl RoundObserver for NoopObserver {
 
 /// Executes one node activation: builds the [`RoundContext`], runs the
 /// automaton, validates every outgoing message against the CONGEST bit
-/// budget and feeds it to `sink`. Shared by the sequential
-/// [`NodeRuntime::step`] and the per-thread [`ShardView::step`] so the two
-/// paths cannot drift.
+/// budget and feeds it to `sink`. Shared by [`NodeRuntime::step`] (one-window
+/// rounds, the asynchronous executor) and the per-window [`ShardView::step`]
+/// so the two paths cannot drift.
 #[allow(clippy::too_many_arguments)]
 fn step_node<A, S>(
     graph: &Graph,
@@ -434,8 +436,8 @@ impl<A: NodeAlgorithm> ShardView<'_, '_, A> {
 /// Cuts `0..len` into at most `max_shards` contiguous ranges with near-equal
 /// weight sums, where `weight(i)` is the cost of item `i`.
 ///
-/// This is the quantile cut behind the parallel loop's per-round
-/// active-list windows (`sync::plan_shards`): walk the items accumulating
+/// This is the quantile cut behind the round loop's claimed windows
+/// (`sync::plan_shards`): walk the items accumulating
 /// weight and close
 /// shard `k` once the `k`-th quantile of the total weight is reached —
 /// early if the remaining items are only just enough to keep every later
@@ -801,13 +803,13 @@ impl DeliveryBuffer {
 
     /// The multi-threaded flip: merges per-shard staging vectors (each in
     /// that shard's sender order) into `arena` with one counting sort,
-    /// walking shards in shard order. Because the parallel round loop
-    /// assigns shards contiguous slices of the ascending active list, the
-    /// concatenation of the shard buffers *is* the sequential staging order,
-    /// and the merged arena is bit-identical to a sequential flip.
+    /// walking shards in shard order. Because the round loop's windows are
+    /// contiguous slices of the ascending active list, the concatenation of
+    /// their buffers *is* the one-window staging order, and the merged arena
+    /// is bit-identical to a one-window flip.
     ///
     /// All shard buffers are drained; the flat layout is always used (the
-    /// dense heuristic only drives the sequential path).
+    /// dense heuristic only drives one-window rounds).
     pub(crate) fn flip_shards(
         &mut self,
         shards: &mut [Vec<(u32, Message)>],

@@ -14,9 +14,12 @@
 //!   (utilized edges, decoded representations of executions).
 //! * [`SyncSimulator`] drives [`NodeAlgorithm`] automata round by round,
 //!   metering every message, every round, per-edge traffic and utilized
-//!   edges (Definition 2.3). Its throughput knob — worker threads
-//!   ([`SyncConfig::threads`] / `CONGEST_THREADS`) — never changes
-//!   results: reports are bit-identical at every thread count.
+//!   edges (Definition 2.3). One round loop runs every synchronous run —
+//!   observed, instrumented, audited ([`audit`]), checkpointed and resumed
+//!   ([`checkpoint`]) ones included — at any thread count. Its throughput
+//!   knob — worker threads ([`SyncConfig::threads`] / `CONGEST_THREADS`) —
+//!   never changes results: reports are bit-identical at every thread
+//!   count.
 //! * [`CostAccount`] additionally supports *charged* costs, used when a
 //!   substrate (the danner of Theorem 1.1, the asynchronous MST of
 //!   Theorem 1.3) is invoked as a black box with published complexity.

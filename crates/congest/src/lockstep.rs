@@ -587,7 +587,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::CheckpointConfig;
     use crate::faults::{CrashFault, DelayLaw, EdgeProb, Recovery};
-    use crate::{KtLevel, SyncConfig, SyncSimulator};
+    use crate::{KtLevel, NoopObserver, SyncConfig, SyncSimulator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symbreak_graphs::{generators, IdAssignment};
@@ -804,7 +804,7 @@ mod tests {
         let path = dir.join("log.sbck");
         let ckpt = CheckpointConfig::new(&path).with_every(2);
         let ck_report = sync
-            .run_checkpointed(SyncConfig::default(), &ckpt, make_max(8))
+            .run_checkpointed(SyncConfig::default(), &ckpt, make_max(8), &mut NoopObserver)
             .unwrap();
         assert_eq!(ck_report, sync_report);
         let chain = CheckpointChain::load(&path).unwrap();

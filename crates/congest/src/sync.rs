@@ -1,59 +1,69 @@
 //! The synchronous round-driven CONGEST simulator.
 //!
-//! The round loop itself lives in the [`crate::engine`] primitives: a
-//! [`NodeRuntime`] steps the automata, a [`DeliveryBuffer`]/[`MessageArena`]
-//! pair double-buffers messages through one flat allocation per round, and
-//! all instrumentation (traces, per-edge counters, utilized edges) hangs off
-//! the [`RoundObserver`] trait so the uninstrumented path pays nothing for
-//! it. A bit-identical naive implementation is kept in [`crate::reference`]
-//! for differential tests and throughput baselines.
+//! One round loop, built from the [`crate::engine`] primitives, runs every
+//! synchronous execution — plain, observed, instrumented, audited,
+//! checkpointed and resumed — at any thread count. A bit-identical naive
+//! implementation is kept in [`crate::reference`] for differential tests
+//! and throughput baselines. Only the thread count and a round's work
+//! estimate ([`plan_shards`]) decide how the round steps:
 //!
-//! Two round loops share those primitives:
+//! * **one window** — at one thread, or when a round is too small to
+//!   split: the active nodes step on the caller's thread through
+//!   [`NodeRuntime::step`] and stage straight into the [`DeliveryBuffer`],
+//!   which switches to its receiver-major dense layout on rounds predicted
+//!   to be all-to-all ([`NodeRuntime::dense_round`]);
+//! * **claimed windows** — the active list is cut into contiguous,
+//!   degree-balanced windows that worker threads claim, each staging into
+//!   its own buffer, merged by one counting sort
+//!   ([`DeliveryBuffer::flip_shards`]).
 //!
-//! * the **sequential loop** — used whenever instrumentation is active or
-//!   the resolved thread count is 1. It additionally switches the delivery
-//!   buffer into its receiver-major dense layout on rounds the engine
-//!   predicts to be all-to-all ([`NodeRuntime::dense_round`]).
-//! * the **parallel loop** — splits each round's active list into
-//!   contiguous, degree-balanced shards, steps every shard on its own thread
-//!   into a thread-local staging buffer, and merges the buffers with one
-//!   deterministic counting sort ([`DeliveryBuffer::flip_shards`]).
-//!
-//! Both produce **bit-identical** [`ExecutionReport`]s: shards are
-//! contiguous slices of the ascending active list, so concatenating their
-//! staging buffers in shard order reproduces the sequential staging order
-//! exactly, for any thread count.
+//! The windows' buffers concatenated in window order are the one-window
+//! staging order, so reports are **bit-identical** at every thread count.
+//! Observers, the built-in instrumentation, the compliance auditor and
+//! checkpoints all ride on the [`Hooks`] trait, whose per-message callbacks
+//! see that same sequential order: inline on one-window rounds, replayed
+//! from per-window send logs otherwise. The no-op hooks `()` compile to the
+//! bare loop.
+
+use std::io;
 
 use serde::{Deserialize, Serialize};
 use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
 
 use crate::audit::{audit_enabled, AuditConfig, Auditor, Violation};
+use crate::checkpoint::CheckpointRecord;
 use crate::engine::{
-    balanced_cuts, split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, NoopObserver,
-    RoundObserver, ShardView,
+    balanced_cuts, split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, RoundObserver,
+    ShardView,
 };
 use crate::model::DEFAULT_MESSAGE_BITS;
 use crate::trace::{Trace, TraceMessage};
 use crate::{KnowledgeView, KtLevel, Message, NodeAlgorithm, NodeInit, SimError};
 
 /// Environment variable overriding the automatic thread count of
-/// [`SyncConfig::threads`]` = 0` (used by CI to exercise both the sequential
-/// and the parallel loop with one test suite).
+/// [`SyncConfig::threads`]` = 0` (CI runs the suite at 1 and at 4 so every
+/// test covers both one-window and claimed-window rounds).
 pub const THREADS_ENV: &str = "CONGEST_THREADS";
 
-/// Rounds with fewer active nodes than this per shard run single-sharded
+/// Rounds with fewer active nodes than this per window run as one window
 /// (inline, no cross-thread dispatch) — fork-join overhead would dwarf the
 /// work. Exceeding it does not force parallelism; it only permits it.
 const MIN_ACTIVE_PER_SHARD: usize = 32;
 
-/// Shards per worker thread: the active list is cut into up to this many
-/// shards per thread, claimed dynamically (see the vendored
-/// `rayon::ThreadPool::par_chunks_mut`), so one skewed shard — a bucket
+/// Windows per worker thread: the active list is cut into up to this many
+/// windows per thread, claimed dynamically (see the vendored
+/// `rayon::ThreadPool::par_chunks_mut`), so one skewed window — a bucket
 /// whose coloring traffic dwarfs its degree-balanced share, a power-law
 /// hub's inbox — keeps one worker busy while the others drain the rest.
-/// Shard boundaries stay deterministic, so the `flip_shards` merge order
+/// Window boundaries stay deterministic, so the `flip_shards` merge order
 /// (and therefore the report) is bit-identical at any thread count.
 const SHARD_OVERSUBSCRIPTION: usize = 4;
+
+/// The message of the `expect` on loop results whose hooks cannot fail.
+const NO_IO: &str = "only checkpoint hooks do I/O";
+
+/// What [`Hooks::restore`] returns: the checkpoint the loop resumes at.
+pub(crate) type Resume = io::Result<Option<CheckpointRecord>>;
 
 /// Configuration of a synchronous run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,9 +81,9 @@ pub struct SyncConfig {
     pub track_per_edge: bool,
     /// Worker threads for round stepping. `0` (the default) resolves to the
     /// `CONGEST_THREADS` environment variable if set, else to the available
-    /// CPU count. Reports are bit-identical at every thread count;
-    /// instrumented runs (trace/utilization/per-edge or a custom observer)
-    /// always execute sequentially.
+    /// CPU count. Every run — observed, instrumented, audited and
+    /// checkpointed ones included — splits its large rounds across this
+    /// many workers, and reports are bit-identical at every thread count.
     pub threads: usize,
 }
 
@@ -251,15 +261,15 @@ impl<'g> SyncSimulator<'g> {
     /// Runs the algorithm produced per node by `make` until every node is
     /// done and no messages are in flight, or until the round limit.
     ///
-    /// When `config` requests no instrumentation, the run uses the
-    /// branch-free fast path ([`NoopObserver`]) — parallel across
-    /// [`SyncConfig::threads`] workers when more than one resolves;
-    /// otherwise the built-in `Instrumentation` observer collects whatever
-    /// the config asked for on the sequential loop.
+    /// The built-in instrumentation collects whatever `config` asks for
+    /// (trace, utilized edges, per-edge counters). Under `CONGEST_AUDIT=1`
+    /// the run is also audited in deny mode, as by
+    /// [`SyncSimulator::run_audited`]: any model violation panics with full
+    /// provenance, so a run that returns is certified compliant.
     ///
-    /// Automata must be [`Send`] so the round loop *may* shard them across
-    /// threads (the bound is required even for runs that resolve to one
-    /// thread — monomorphization cannot depend on the runtime thread
+    /// Automata must be [`Send`] so the round loop *may* step them on
+    /// several threads (the bound is required even for runs that resolve
+    /// to one thread — monomorphization cannot depend on the runtime thread
     /// count). A `!Send` automaton can still be driven through
     /// [`crate::reference::NaiveSyncSimulator`], which is unbounded.
     ///
@@ -272,44 +282,20 @@ impl<'g> SyncSimulator<'g> {
         A: NodeAlgorithm + Send,
         F: FnMut(NodeInit<'_>) -> A,
     {
-        if config.record_trace || config.track_utilization || config.track_per_edge {
-            let mut instr = Instrumentation::new(self.graph, self.ids, config);
-            let mut report = self.run_observed(config, make, &mut instr);
-            let Instrumentation {
-                per_edge,
-                utilized,
-                trace,
-                ..
-            } = instr;
-            report.per_edge_messages = per_edge;
-            report.utilized_edges = utilized;
-            report.trace = trace;
-            report
-        } else if audit_enabled() {
-            // `CONGEST_AUDIT=1`: deny-mode compliance auditing — any model
-            // violation panics with full provenance, so a run that returns
-            // is certified compliant. Reports are bit-identical to
-            // unaudited runs.
-            self.run_audited(config, &AuditConfig::from_env(), make).0
-        } else {
-            self.run_observed(config, make, &mut NoopObserver)
+        if audit_enabled() {
+            return self.run_audited(config, &AuditConfig::from_env(), make).0;
         }
+        self.run_instrumented(config, make, ()).0
     }
 
     /// Runs like [`SyncSimulator::run`] under a CONGEST-model compliance
     /// [`Auditor`]: every message is checked for adjacency, per-direction
-    /// multiplicity and bandwidth, every parallel round for write-window
-    /// disjointness and inbox aliasing (see [`crate::audit`]). Returns the
-    /// report — bit-identical to an unaudited run — plus the violations
-    /// (always empty when [`AuditConfig::deny`] is set: deny mode panics at
-    /// the first finding instead).
-    ///
-    /// Unlike [`SyncSimulator::run_observed`], auditing does *not* pin the
-    /// run to the sequential loop: multi-threaded configurations take the
-    /// parallel path monomorphized with its audit seam on, where workers
-    /// log `(from, to, message)` triples that are replayed through the
-    /// auditor in deterministic shard order. The built-in
-    /// instrumentation fields of the report are `None` here.
+    /// multiplicity and bandwidth, every round split across threads for
+    /// write-window disjointness, every delivery for inbox aliasing (see
+    /// [`crate::audit`]). Returns the report — bit-identical to an unaudited
+    /// run, with the instrumentation `config` asks for — plus the
+    /// violations (always empty when [`AuditConfig::deny`] is set: deny mode
+    /// panics at the first finding instead).
     ///
     /// # Panics
     ///
@@ -325,24 +311,18 @@ impl<'g> SyncSimulator<'g> {
         A: NodeAlgorithm + Send,
         F: FnMut(NodeInit<'_>) -> A,
     {
-        let mut auditor = Auditor::new(self.graph, *audit);
-        let threads = config.resolved_threads();
-        let report = if threads > 1 {
-            self.run_parallel::<_, _, true>(config, make, threads, Some(&mut auditor))
-        } else {
-            self.run_sequential(config, make, &mut auditor)
-        };
+        let auditor = Auditor::new(self.graph, *audit);
+        let (report, auditor) = self.run_instrumented(config, make, auditor);
         (report, auditor.finish())
     }
 
     /// Runs like [`SyncSimulator::run`] with a caller-supplied
-    /// [`RoundObserver`] receiving every message and round boundary.
+    /// [`RoundObserver`] receiving every message — in sequential send
+    /// order, at any thread count — and every round end.
     ///
     /// The built-in instrumentation fields of the returned
     /// [`ExecutionReport`] (`per_edge_messages`, `utilized_edges`, `trace`)
-    /// are `None` here — the observer owns whatever it recorded. An *active*
-    /// observer pins the run to the sequential loop (message callbacks are
-    /// ordered); the report is bit-identical either way.
+    /// are `None` here — the observer owns whatever it recorded.
     pub fn run_observed<A, F, O>(
         &self,
         config: SyncConfig,
@@ -354,420 +334,489 @@ impl<'g> SyncSimulator<'g> {
         F: FnMut(NodeInit<'_>) -> A,
         O: RoundObserver,
     {
-        let threads = config.resolved_threads();
-        if !O::ACTIVE && threads > 1 {
-            self.run_parallel::<_, _, false>(config, make, threads, None)
-        } else {
-            self.run_sequential(config, make, observer)
-        }
+        let mut hooks = Observe(self.graph, observer);
+        self.drive(config, make, &mut hooks).expect(NO_IO)
     }
 
-    /// The sequential round loop (also the only loop observers ever see).
-    fn run_sequential<A, F, O>(
+    /// Drives the loop with `hooks` plus the built-in instrumentation
+    /// `config` asks for, whose recordings fill the report.
+    fn run_instrumented<A, F, H>(
         &self,
         config: SyncConfig,
         make: F,
-        observer: &mut O,
-    ) -> ExecutionReport
-    where
-        A: NodeAlgorithm,
-        F: FnMut(NodeInit<'_>) -> A,
-        O: RoundObserver,
-    {
-        let n = self.graph.num_nodes();
-        let mut runtime = NodeRuntime::new(self.graph, self.ids, self.level, make);
-        let mut arena = MessageArena::new(n);
-        let mut staging = DeliveryBuffer::new(n);
-
-        let mut messages: u64 = 0;
-        let mut max_bits: u32 = 0;
-        let mut rounds: u64 = 0;
-        let mut completed = false;
-
-        // The loop is event-driven: a round only steps its *active* nodes —
-        // this round's message receivers plus every node that is not done.
-        // The `NodeAlgorithm::is_done` contract makes skipping the rest
-        // sound (a done node is only re-invoked when messages arrive), and
-        // round 0 activates everyone for initialisation. Per-round cost is
-        // O(active + messages), independent of the node count.
-        let mut active: Vec<u32> = (0..n as u32).collect();
-        let mut active_all = true;
-        let mut undone: Vec<u32> = Vec::new();
-        let mut receivers: Vec<u32> = Vec::new();
-        let mut done = runtime.done_flags();
-        let mut undone_count = done.iter().filter(|&&d| !d).count();
-
-        loop {
-            if rounds > 0 && arena.len() == 0 && undone_count == 0 {
-                completed = true;
-                break;
-            }
-            if rounds >= config.max_rounds {
-                break;
-            }
-
-            // Pick the delivery layout for this round's traffic before any
-            // message is staged (see the engine docs: both layouts yield
-            // identical inboxes, so this is purely a throughput knob). When
-            // the active list is known to be every node the density check
-            // collapses to the O(1) locality gate.
-            staging.set_dense(if active_all {
-                runtime.dense_full()
-            } else {
-                runtime.dense_round(&active)
-            });
-
-            undone.clear();
-            // When every node is being stepped anyway, defer the undone
-            // list: a full all-to-all flip never reads it, and a partial
-            // flip can afford one O(n) reconstruction scan (the round was
-            // already Ω(n)). Sparse rounds keep the incremental push.
-            let defer_undone = active_all;
-            let mut step_one = |i: usize| {
-                let mut sink = |from: NodeId, to: NodeId, msg: Message| {
-                    messages += 1;
-                    if O::ACTIVE {
-                        let edge = self
-                            .graph
-                            .edge_between(from, to)
-                            .expect("send target verified to be a neighbour");
-                        observer.on_message(from, to, edge, &msg);
-                    }
-                    staging.stage(to, msg);
-                };
-                let now_done = runtime.step(
-                    i,
-                    rounds,
-                    arena.inbox(i),
-                    config.message_bit_limit,
-                    &mut max_bits,
-                    &mut sink,
-                );
-                if now_done != done[i] {
-                    done[i] = now_done;
-                    if now_done {
-                        undone_count -= 1;
-                    } else {
-                        undone_count += 1;
-                    }
-                }
-                if !now_done && !defer_undone {
-                    // Activation order is ascending, so `undone` stays
-                    // sorted.
-                    undone.push(i as u32);
-                }
-            };
-            if active_all {
-                // The active list is the identity: iterate it implicitly.
-                for i in 0..n {
-                    step_one(i);
-                }
-            } else {
-                for &iu in &active {
-                    step_one(iu as usize);
-                }
-            }
-
-            if O::ACTIVE {
-                observer.on_round_end(rounds);
-            }
-            active_all = if staging.flip(&mut arena, &mut receivers) {
-                // Full all-to-all delivery: next round activates everyone,
-                // no receiver list or merge required.
-                true
-            } else {
-                if defer_undone && undone_count > 0 {
-                    undone.extend(
-                        done.iter()
-                            .enumerate()
-                            .filter(|&(_, &d)| !d)
-                            .map(|(i, _)| i as u32),
-                    );
-                }
-                next_active(&mut receivers, &undone, &mut active, n)
-            };
-            rounds += 1;
-        }
-
-        ExecutionReport {
-            completed,
-            rounds,
-            messages,
-            max_message_bits: max_bits,
-            outputs: runtime.outputs(),
-            per_edge_messages: None,
-            utilized_edges: None,
-            trace: None,
-        }
-    }
-
-    /// The multi-core round loop: degree-balanced contiguous shards of the
-    /// active list, thread-local staging, deterministic merge. With `AUDIT`
-    /// set (and the matching `auditor`), every worker additionally logs its
-    /// `(from, to, message)` sends; the main thread replays the logs in
-    /// shard order through the auditor, records each shard's write window
-    /// and checks the flipped arena — zero cost when off, exactly like the
-    /// fault-injection seam.
-    fn run_parallel<A, F, const AUDIT: bool>(
-        &self,
-        config: SyncConfig,
-        make: F,
-        threads: usize,
-        mut auditor: Option<&mut Auditor<'_>>,
-    ) -> ExecutionReport
+        hooks: H,
+    ) -> (ExecutionReport, H)
     where
         A: NodeAlgorithm + Send,
         F: FnMut(NodeInit<'_>) -> A,
+        H: Hooks<A>,
     {
-        debug_assert_eq!(AUDIT, auditor.is_some());
+        let mut instr = Instrumentation::new(self.graph, self.ids, config);
+        let mut both = (Observe(self.graph, &mut instr), hooks);
+        let report = if config.record_trace || config.track_utilization || config.track_per_edge {
+            self.drive(config, make, &mut both)
+        } else {
+            self.drive(config, make, &mut both.1)
+        };
+        let (_, hooks) = both;
+        (instr.fill(report.expect(NO_IO)), hooks)
+    }
+
+    /// The synchronous round loop behind every entry point (see the module
+    /// docs).
+    ///
+    /// # Errors
+    ///
+    /// Whatever the hooks' restore and round-start steps return (checkpoint
+    /// I/O).
+    pub(crate) fn drive<A, F, H>(
+        &self,
+        config: SyncConfig,
+        make: F,
+        hooks: &mut H,
+    ) -> io::Result<ExecutionReport>
+    where
+        A: NodeAlgorithm + Send,
+        F: FnMut(NodeInit<'_>) -> A,
+        H: Hooks<A>,
+    {
         let n = self.graph.num_nodes();
-        let mut runtime = NodeRuntime::new(self.graph, self.ids, self.level, make);
-        let mut arena = MessageArena::new(n);
-        let mut staging = DeliveryBuffer::new(n);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("vendored thread pool cannot fail to build");
-
-        let mut messages: u64 = 0;
-        let mut max_bits: u32 = 0;
-        let mut rounds: u64 = 0;
-        let mut completed = false;
-
-        let mut active: Vec<u32> = (0..n as u32).collect();
-        let mut undone: Vec<u32> = Vec::new();
-        let mut receivers: Vec<u32> = Vec::new();
-        let mut done = runtime.done_flags();
-        let mut undone_count = done.iter().filter(|&&d| !d).count();
-
-        // Per-shard round state, reused across rounds: staging buffers
-        // (merged by `flip_shards`) and undone lists (concatenated — shard
-        // order preserves ascending node order). Sized for the maximum shard
-        // count: the active list is oversubscribed into up to
-        // `SHARD_OVERSUBSCRIPTION` shards per thread so the pool's chunk
-        // claiming can rebalance skewed shards mid-round.
-        let max_shards = threads * SHARD_OVERSUBSCRIPTION;
-        let mut shard_staged: Vec<Vec<(u32, Message)>> =
-            (0..max_shards).map(|_| Vec::new()).collect();
-        let mut shard_undone: Vec<Vec<u32>> = (0..max_shards).map(|_| Vec::new()).collect();
-        // Audit send logs (empty vectors — allocation-free — when off).
-        let mut shard_sent: Vec<Vec<(NodeId, NodeId, Message)>> =
-            (0..max_shards).map(|_| Vec::new()).collect();
-
-        loop {
-            if rounds > 0 && arena.len() == 0 && undone_count == 0 {
-                completed = true;
-                break;
+        let threads = config.resolved_threads();
+        // Window buffers only exist where rounds can split.
+        let windows = if threads > 1 {
+            threads * SHARD_OVERSUBSCRIPTION
+        } else {
+            0
+        };
+        // Event-driven: a round steps only its *active* nodes — its message
+        // receivers plus every node that is not done. The
+        // `NodeAlgorithm::is_done` contract makes skipping the rest sound,
+        // and round 0 activates everyone for initialisation.
+        let mut run = RoundLoop {
+            runtime: NodeRuntime::new(self.graph, self.ids, self.level, make),
+            arena: MessageArena::new(n),
+            staging: DeliveryBuffer::new(n),
+            bit_limit: config.message_bit_limit,
+            round: 0,
+            messages: 0,
+            max_bits: 0,
+            active: (0..n as u32).collect(),
+            active_all: true,
+            receivers: Vec::new(),
+            done: Vec::new(),
+            undone_count: 0,
+            undone: Vec::new(),
+            pool: rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("vendored thread pool cannot fail to build"),
+            staged: (0..windows).map(|_| Vec::new()).collect(),
+            sent: (0..windows).map(|_| Vec::new()).collect(),
+        };
+        if let Some(record) = hooks.restore(&mut run.runtime)? {
+            // Replay the in-flight messages through the flat counting sort;
+            // it reproduces the original arena's inboxes exactly (both
+            // delivery layouts group identically).
+            for tm in &record.in_flight {
+                run.staging.stage(tm.to, tm.message);
             }
-            if rounds >= config.max_rounds {
-                break;
+            run.staging.flip(&mut run.arena, &mut run.receivers);
+            run.round = record.round;
+            run.messages = record.messages;
+            run.max_bits = record.max_message_bits;
+            run.active_all = record.active_all;
+            if !record.active_all {
+                run.active = record.active;
             }
-
-            undone.clear();
-            let mut shards_used = 0usize;
-            if !active.is_empty() {
-                let bounds = plan_shards(&runtime, &active, max_shards);
-                shards_used = bounds.len();
-                let node_bounds: Vec<(usize, usize)> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| (active[lo] as usize, active[hi - 1] as usize + 1))
-                    .collect();
-                let shards = runtime.shard_views(&node_bounds);
-                let done_slices = split_ranges_mut(&mut done, &node_bounds);
-                let mut tasks: Vec<ShardTask<'_, '_, A>> = shards
-                    .into_iter()
-                    .zip(&bounds)
-                    .zip(shard_staged.iter_mut())
-                    .zip(shard_undone.iter_mut())
-                    .zip(shard_sent.iter_mut())
-                    .zip(done_slices)
-                    .map(
-                        |(((((shard, &(lo, hi)), staged), undone_buf), sent), done_slice)| {
-                            ShardTask {
-                                shard,
-                                active_slice: &active[lo..hi],
-                                base: active[lo] as usize,
-                                staged,
-                                undone_buf,
-                                sent,
-                                done_slice,
-                                outcome: (0, 0, 0),
-                            }
-                        },
-                    )
-                    .collect();
-
-                if tasks.len() == 1 {
-                    // Small round: one shard, stepped inline on the caller
-                    // thread through the exact same path the workers run.
-                    run_shard_task::<_, AUDIT>(
-                        &mut tasks[0],
-                        rounds,
-                        &arena,
-                        config.message_bit_limit,
-                    );
-                } else {
-                    // Oversubscribed shards, dynamically claimed: the pool
-                    // cuts the task list into single-task chunks and its
-                    // workers claim them through one atomic cursor, so a
-                    // heavy shard no longer stalls the round (ROADMAP
-                    // "work-stealing inside rounds").
-                    let arena_ref = &arena;
-                    let bit_limit = config.message_bit_limit;
-                    pool.par_chunks_mut(&mut tasks, |_, chunk| {
-                        for task in chunk {
-                            run_shard_task::<_, AUDIT>(task, rounds, arena_ref, bit_limit);
-                        }
-                    });
-                }
-
-                let mut pools = Vec::with_capacity(tasks.len());
-                for (t, task) in tasks.into_iter().enumerate() {
-                    pools.push(task.shard.into_pool());
-                    let (shard_messages, shard_max_bits, undone_delta) = task.outcome;
-                    messages += shard_messages;
-                    max_bits = max_bits.max(shard_max_bits);
-                    undone_count = (undone_count as i64 + undone_delta) as usize;
-                    undone.extend_from_slice(task.undone_buf);
-                    if AUDIT {
-                        // Replay this shard's send log in shard order — the
-                        // deterministic merge order — with shard provenance,
-                        // and register its write window.
-                        let aud = auditor.as_deref_mut().expect("AUDIT implies an auditor");
-                        aud.set_shard(Some(t));
-                        let (wlo, whi) = node_bounds[t];
-                        aud.record_window(t, wlo, whi);
-                        for &(from, to, msg) in task.sent.iter() {
-                            aud.on_send(from, to, &msg);
-                        }
-                        task.sent.clear();
-                    }
-                }
-                runtime.restore_pools(pools);
-            }
-
-            staging.flip_shards(&mut shard_staged[..shards_used], &mut arena, &mut receivers);
-            if AUDIT {
-                let aud = auditor.as_deref_mut().expect("AUDIT implies an auditor");
-                aud.check_arena(&arena);
-                aud.end_round();
-            }
-            next_active(&mut receivers, &undone, &mut active, n);
-            rounds += 1;
         }
+        run.done = run.runtime.done_flags();
+        run.undone_count = run.done.iter().filter(|&&d| !d).count();
 
-        ExecutionReport {
+        let completed = loop {
+            if run.round > 0 && run.arena.len() == 0 && run.undone_count == 0 {
+                break true;
+            }
+            if run.round >= config.max_rounds {
+                break false;
+            }
+            // A round whose sends are in flight at the next checkpoint
+            // boundary steps through the capturing view, so no other
+            // round's message sink carries capture code.
+            if hooks.begin_round(&run)? {
+                run.step(&mut Capturing(&mut *hooks));
+            } else {
+                run.step(hooks);
+            }
+            hooks.end_round(run.round, &run.arena);
+            run.round += 1;
+        };
+        Ok(ExecutionReport {
             completed,
-            rounds,
-            messages,
-            max_message_bits: max_bits,
-            outputs: runtime.outputs(),
+            rounds: run.round,
+            messages: run.messages,
+            max_message_bits: run.max_bits,
+            outputs: run.runtime.outputs(),
             per_edge_messages: None,
             utilized_edges: None,
             trace: None,
+        })
+    }
+}
+
+/// Everything a run threads through the round loop besides stepping and
+/// delivery: observers, the built-in instrumentation, the auditor and
+/// checkpoints. The loop calls every hook at any thread count. `()` is the
+/// no-op set, and a pair runs both members' hooks.
+pub(crate) trait Hooks<A> {
+    /// Whether [`Hooks::on_send`] does anything; `false` compiles the
+    /// per-message call and the windows' send logs out of the loop.
+    const SENDS: bool = false;
+
+    /// One validated message, in sequential send order.
+    fn on_send(&mut self, _from: NodeId, _to: NodeId, _msg: &Message) {}
+
+    /// Before round 0 (or the resumed round): restores automata states into
+    /// `runtime` and returns the checkpoint the loop resumes at, if any.
+    fn restore(&mut self, _runtime: &mut NodeRuntime<'_, A>) -> Resume {
+        Ok(None)
+    }
+
+    /// Round start, before any node steps. Returns whether this round's
+    /// sends must also reach [`Hooks::capture`].
+    fn begin_round(&mut self, _at: &RoundLoop<'_, A>) -> io::Result<bool> {
+        Ok(false)
+    }
+
+    /// One send of a capture round, in sequential send order.
+    fn capture(&mut self, _from: NodeId, _to: NodeId, _msg: &Message) {}
+
+    /// Window `window` of a round split across threads stepped the nodes
+    /// `[lo, hi)`; called before its sends are replayed.
+    fn record_window(&mut self, _window: usize, _lo: usize, _hi: usize) {}
+
+    /// Round end, after delivery into `arena`.
+    fn end_round(&mut self, _round: u64, _arena: &MessageArena) {}
+}
+
+impl<A> Hooks<A> for () {}
+
+impl<A, H1: Hooks<A>, H2: Hooks<A>> Hooks<A> for (H1, H2) {
+    const SENDS: bool = H1::SENDS || H2::SENDS;
+
+    fn on_send(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        if H1::SENDS {
+            self.0.on_send(from, to, msg);
+        }
+        if H2::SENDS {
+            self.1.on_send(from, to, msg);
+        }
+    }
+
+    fn restore(&mut self, runtime: &mut NodeRuntime<'_, A>) -> Resume {
+        let first = self.0.restore(runtime)?;
+        Ok(first.or(self.1.restore(runtime)?))
+    }
+
+    fn begin_round(&mut self, at: &RoundLoop<'_, A>) -> io::Result<bool> {
+        Ok(self.0.begin_round(at)? | self.1.begin_round(at)?)
+    }
+
+    fn capture(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        self.0.capture(from, to, msg);
+        self.1.capture(from, to, msg);
+    }
+
+    fn record_window(&mut self, window: usize, lo: usize, hi: usize) {
+        self.0.record_window(window, lo, hi);
+        self.1.record_window(window, lo, hi);
+    }
+
+    fn end_round(&mut self, round: u64, arena: &MessageArena) {
+        self.0.end_round(round, arena);
+        self.1.end_round(round, arena);
+    }
+}
+
+/// The hooks a capture round steps with: every send also reaches
+/// [`Hooks::capture`]. Only the stepping hooks are ever called on it.
+struct Capturing<'h, H>(&'h mut H);
+
+impl<A, H: Hooks<A>> Hooks<A> for Capturing<'_, H> {
+    const SENDS: bool = true;
+
+    fn on_send(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        if H::SENDS {
+            self.0.on_send(from, to, msg);
+        }
+        self.0.capture(from, to, msg);
+    }
+
+    fn record_window(&mut self, window: usize, lo: usize, hi: usize) {
+        self.0.record_window(window, lo, hi);
+    }
+}
+
+/// A caller's [`RoundObserver`] as loop hooks; the graph resolves each
+/// message's edge.
+pub(crate) struct Observe<'o, 'g, O>(pub(crate) &'g Graph, pub(crate) &'o mut O);
+
+impl<A, O: RoundObserver> Hooks<A> for Observe<'_, '_, O> {
+    const SENDS: bool = O::ACTIVE;
+
+    fn on_send(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        let edge = self.0.edge_between(from, to);
+        let edge = edge.expect("send target verified to be a neighbour");
+        self.1.on_message(from, to, edge, msg);
+    }
+
+    fn end_round(&mut self, round: u64, _arena: &MessageArena) {
+        if O::ACTIVE {
+            self.1.on_round_end(round);
         }
     }
 }
 
-/// One claimable unit of a round: a [`ShardView`] over a contiguous window
-/// of the active list plus that shard's staging buffer, undone list, done
-/// window and outcome accumulator. The parallel loop builds one task per
-/// shard and lets the pool's workers claim them dynamically.
-struct ShardTask<'a, 'rt, A> {
-    shard: ShardView<'rt, 'a, A>,
-    active_slice: &'a [u32],
-    base: usize,
-    staged: &'a mut Vec<(u32, Message)>,
-    undone_buf: &'a mut Vec<u32>,
-    /// Audit send log `(from, to, message)` — only written under `AUDIT`.
-    sent: &'a mut Vec<(NodeId, NodeId, Message)>,
-    done_slice: &'a mut [bool],
-    /// `(messages, max_bits, undone_count delta)`.
-    outcome: (u64, u32, i64),
-}
-
-/// Steps one [`ShardTask`] — shared by the inline single-shard path and the
-/// claimed parallel path so the two cannot drift.
-fn run_shard_task<A: NodeAlgorithm, const AUDIT: bool>(
-    task: &mut ShardTask<'_, '_, A>,
-    round: u64,
-    arena: &MessageArena,
+/// The round loop's state; hooks see it at every round start.
+pub(crate) struct RoundLoop<'g, A> {
+    pub(crate) runtime: NodeRuntime<'g, A>,
+    arena: MessageArena,
+    staging: DeliveryBuffer,
     bit_limit: u32,
-) {
-    step_shard::<_, AUDIT>(
-        &mut task.shard,
-        task.active_slice,
-        task.base,
-        round,
-        arena,
-        bit_limit,
-        task.staged,
-        task.undone_buf,
-        task.sent,
-        task.done_slice,
-        &mut task.outcome,
-    );
+    pub(crate) round: u64,
+    pub(crate) messages: u64,
+    pub(crate) max_bits: u32,
+    /// The round's active set, ascending — stale while `active_all` holds
+    /// after a dense all-to-all delivery, which leaves it implicit.
+    pub(crate) active: Vec<u32>,
+    pub(crate) active_all: bool,
+    receivers: Vec<u32>,
+    /// Per-node done flags plus the count of nodes still undone.
+    done: Vec<bool>,
+    undone_count: usize,
+    /// Stepped-but-not-done nodes of the current round, ascending.
+    undone: Vec<u32>,
+    /// The run's workers, plus one staging buffer and one send log per
+    /// window (`SHARD_OVERSUBSCRIPTION` per thread), reused across rounds.
+    pool: rayon::ThreadPool,
+    staged: Vec<Vec<(u32, Message)>>,
+    sent: Vec<Vec<(NodeId, NodeId, Message)>>,
 }
 
-/// One thread's share of a round: steps `active_slice` (a contiguous window
-/// of the round's ascending active list) through `shard`, staging outgoing
-/// messages locally and recording done-flag transitions in the shard's
-/// window of the `done` array.
+impl<A: NodeAlgorithm + Send> RoundLoop<'_, A> {
+    /// Steps one round and delivers its messages: as claimed windows when
+    /// the run has workers and the round's work estimate splits, else as
+    /// one window on the caller's thread.
+    fn step<S: Hooks<A>>(&mut self, hooks: &mut S) {
+        let n = self.done.len();
+        let mut bounds = Vec::new();
+        if self.pool.current_num_threads() > 1 {
+            if self.active_all && self.active.len() != n {
+                self.active.clear();
+                self.active.extend(0..n as u32);
+            }
+            bounds = plan_shards(&self.runtime, &self.active, self.staged.len());
+        }
+        if bounds.len() > 1 {
+            self.step_windows(hooks, &bounds);
+        } else {
+            // One window, stepped over the loop's parts as separate borrows
+            // so the compiler sees that stepping a node cannot touch them.
+            let RoundLoop {
+                runtime,
+                arena,
+                staging,
+                active,
+                done,
+                undone,
+                ..
+            } = self;
+            let all = self.active_all;
+            let active = (!all).then_some(&active[..]);
+            let counters = (
+                &mut self.messages,
+                &mut self.max_bits,
+                &mut self.undone_count,
+            );
+            let (round, bit_limit) = (self.round, self.bit_limit);
+            step_window(
+                runtime, arena, staging, hooks, active, done, undone, round, bit_limit, counters,
+            );
+            if staging.flip(arena, &mut self.receivers) {
+                // Full all-to-all delivery: next round activates everyone,
+                // no receiver list or merge required.
+                self.active_all = true;
+                return;
+            }
+            if all && self.undone_count > 0 {
+                // An all-active round defers its undone list (an all-to-all
+                // delivery never reads it); one O(n) scan rebuilds it, the
+                // round being Ω(n) already.
+                let done = &self.done;
+                self.undone
+                    .extend((0..n as u32).filter(|&i| !done[i as usize]));
+            }
+        }
+        self.active_all = next_active(&mut self.receivers, &self.undone, &mut self.active, n);
+    }
+
+    /// Claimed windows: the active list is cut at `bounds` into windows the
+    /// pool's workers claim, each staging into its own buffer and logging
+    /// its sends when the hooks take them. The caller's thread then merges
+    /// the windows in window order — counters, window hooks, send replay —
+    /// and `flip_shards` merges the buffers.
+    fn step_windows<S: Hooks<A>>(&mut self, hooks: &mut S, bounds: &[(usize, usize)]) {
+        let active = &self.active;
+        let node_bounds: Vec<(usize, usize)> = bounds
+            .iter()
+            .map(|&(lo, hi)| (active[lo] as usize, active[hi - 1] as usize + 1))
+            .collect();
+        let views = self.runtime.shard_views(&node_bounds).into_iter();
+        let mut tasks: Vec<Window<'_, '_, A>> = views
+            .zip(split_ranges_mut(&mut self.done, &node_bounds))
+            .zip(bounds)
+            .zip(self.staged.iter_mut().zip(&mut self.sent))
+            .map(|(((nodes, done), &(lo, hi)), (staged, sent))| Window {
+                nodes,
+                active: &active[lo..hi],
+                done,
+                staged,
+                sent,
+                messages: 0,
+                max_bits: 0,
+                undone_delta: 0,
+            })
+            .collect();
+        let (round, bit_limit, arena) = (self.round, self.bit_limit, &self.arena);
+        self.pool.par_chunks_mut(&mut tasks, |_, chunk| {
+            for task in chunk {
+                task.step::<S>(round, arena, bit_limit);
+            }
+        });
+
+        let mut pools = Vec::with_capacity(tasks.len());
+        for (t, task) in tasks.into_iter().enumerate() {
+            pools.push(task.nodes.into_pool());
+            self.messages += task.messages;
+            self.max_bits = self.max_bits.max(task.max_bits);
+            self.undone_count = (self.undone_count as i64 + task.undone_delta) as usize;
+            hooks.record_window(t, node_bounds[t].0, node_bounds[t].1);
+            for (from, to, msg) in task.sent.drain(..) {
+                hooks.on_send(from, to, &msg);
+            }
+        }
+        self.runtime.restore_pools(pools);
+        let done = &self.done;
+        self.undone.clear();
+        self.undone
+            .extend(active.iter().filter(|&&i| !done[i as usize]));
+        let staged = &mut self.staged[..bounds.len()];
+        self.staging
+            .flip_shards(staged, &mut self.arena, &mut self.receivers);
+    }
+}
+
+/// One window: the nodes of `active` (every node when `None`, which also
+/// defers the undone list) step on the caller's thread and stage straight
+/// into the delivery buffer.
 #[allow(clippy::too_many_arguments)]
-fn step_shard<A: NodeAlgorithm, const AUDIT: bool>(
-    shard: &mut ShardView<'_, '_, A>,
-    active_slice: &[u32],
-    base: usize,
-    round: u64,
+fn step_window<A: NodeAlgorithm, S: Hooks<A>>(
+    runtime: &mut NodeRuntime<'_, A>,
     arena: &MessageArena,
+    staging: &mut DeliveryBuffer,
+    hooks: &mut S,
+    active: Option<&[u32]>,
+    done: &mut [bool],
+    undone: &mut Vec<u32>,
+    round: u64,
     bit_limit: u32,
-    staged: &mut Vec<(u32, Message)>,
-    undone_buf: &mut Vec<u32>,
-    sent: &mut Vec<(NodeId, NodeId, Message)>,
-    done_slice: &mut [bool],
-    outcome: &mut (u64, u32, i64),
+    (messages, max_bits, undone_count): (&mut u64, &mut u32, &mut usize),
 ) {
-    let mut local_messages = 0u64;
-    let mut local_max_bits = 0u32;
-    let mut undone_delta = 0i64;
-    undone_buf.clear();
-    for &iu in active_slice {
-        let i = iu as usize;
-        let now_done = shard.step(
-            i,
-            round,
-            arena.inbox(i),
-            bit_limit,
-            &mut local_max_bits,
-            &mut |from, to, msg| {
-                local_messages += 1;
-                if AUDIT {
-                    sent.push((from, to, msg));
-                }
-                staged.push((to.0, msg));
-            },
-        );
-        let flag = &mut done_slice[i - base];
-        if now_done != *flag {
-            *flag = now_done;
-            undone_delta += if now_done { -1 } else { 1 };
+    // Pick the delivery layout before any message is staged (both yield
+    // identical inboxes, so this is purely a throughput knob); on an
+    // all-active round the density check collapses to the O(1) locality
+    // gate.
+    staging.set_dense(match active {
+        None => runtime.dense_full(),
+        Some(active) => runtime.dense_round(active),
+    });
+    undone.clear();
+    let n = done.len();
+    let mut step_one = |i: usize| {
+        let mut sink = |from: NodeId, to: NodeId, msg: Message| {
+            *messages += 1;
+            if S::SENDS {
+                hooks.on_send(from, to, &msg);
+            }
+            staging.stage(to, msg);
+        };
+        let now_done = runtime.step(i, round, arena.inbox(i), bit_limit, max_bits, &mut sink);
+        if now_done != done[i] {
+            done[i] = now_done;
+            if now_done {
+                *undone_count -= 1;
+            } else {
+                *undone_count += 1;
+            }
         }
-        if !now_done {
-            undone_buf.push(iu);
+        if !now_done && active.is_some() {
+            // Activation order is ascending, so `undone` stays sorted.
+            undone.push(i as u32);
         }
+    };
+    match active {
+        // The active list is the identity: iterate it implicitly.
+        None => (0..n).for_each(&mut step_one),
+        Some(active) => active.iter().for_each(|&i| step_one(i as usize)),
     }
-    *outcome = (local_messages, local_max_bits, undone_delta);
 }
 
-/// Cuts the active list into at most `shard_limit` contiguous shards with
+/// One claimable window of a round: a contiguous slice of the active list,
+/// the automata and done flags of its node range, and the buffers its
+/// worker writes.
+struct Window<'a, 'g, A> {
+    nodes: ShardView<'a, 'g, A>,
+    active: &'a [u32],
+    /// Done flags of the window's node range, which starts at `active[0]`.
+    done: &'a mut [bool],
+    staged: &'a mut Vec<(u32, Message)>,
+    sent: &'a mut Vec<(NodeId, NodeId, Message)>,
+    messages: u64,
+    max_bits: u32,
+    undone_delta: i64,
+}
+
+impl<A: NodeAlgorithm> Window<'_, '_, A> {
+    fn step<S: Hooks<A>>(&mut self, round: u64, arena: &MessageArena, bit_limit: u32) {
+        let base = self.active[0] as usize;
+        for &i in self.active {
+            let mut sink = |from: NodeId, to: NodeId, msg: Message| {
+                self.messages += 1;
+                if S::SENDS {
+                    self.sent.push((from, to, msg));
+                }
+                self.staged.push((to.0, msg));
+            };
+            let (i, inbox) = (i as usize, arena.inbox(i as usize));
+            let now_done =
+                self.nodes
+                    .step(i, round, inbox, bit_limit, &mut self.max_bits, &mut sink);
+            let flag = &mut self.done[i - base];
+            if now_done != *flag {
+                *flag = now_done;
+                self.undone_delta += if now_done { -1 } else { 1 };
+            }
+        }
+    }
+}
+
+/// Cuts the active list into at most `shard_limit` contiguous windows with
 /// near-equal degree sums (stepping cost is dominated by inbox/outbox sizes,
 /// both bounded by degree), through the [`balanced_cuts`] quantile walk.
-/// The parallel loop passes
-/// `threads · SHARD_OVERSUBSCRIPTION` so dynamic claiming has spare shards
-/// to rebalance with. Rounds too small to amortize a fork-join
-/// ([`MIN_ACTIVE_PER_SHARD`]) get one shard. Weight = degree + 1: the
-/// constant covers per-activation overhead so isolated low-degree nodes
-/// still spread out.
+/// Multi-threaded runs pass `threads · SHARD_OVERSUBSCRIPTION` so dynamic
+/// claiming has spare windows to rebalance with. Rounds too small to
+/// amortize a fork-join ([`MIN_ACTIVE_PER_SHARD`]) get one window.
+/// Weight = degree + 1: the constant covers per-activation overhead so
+/// isolated low-degree nodes still spread out.
 fn plan_shards<A: NodeAlgorithm>(
     runtime: &NodeRuntime<'_, A>,
     active: &[u32],
@@ -783,7 +832,7 @@ fn plan_shards<A: NodeAlgorithm>(
 /// node received a message (all-to-all rounds) the union is trivially the
 /// receiver list, which is taken over wholesale in O(1) instead of merged.
 /// Returns whether the new active set provably covers every node.
-pub(crate) fn next_active(
+fn next_active(
     receivers: &mut Vec<u32>,
     undone: &[u32],
     active: &mut Vec<u32>,
@@ -846,6 +895,16 @@ impl<'g> Instrumentation<'g> {
             trace: config.record_trace.then(Trace::new),
             round_buf: Vec::new(),
         }
+    }
+}
+
+impl Instrumentation<'_> {
+    /// Moves the recordings into `report`'s instrumentation fields.
+    fn fill(self, mut report: ExecutionReport) -> ExecutionReport {
+        report.per_edge_messages = self.per_edge;
+        report.utilized_edges = self.utilized;
+        report.trace = self.trace;
+        report
     }
 }
 

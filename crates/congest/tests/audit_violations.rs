@@ -170,8 +170,9 @@ fn deny_mode_panics_with_provenance() {
 }
 
 /// Audited runs are bit-identical to plain runs — with zero violations —
-/// at every thread count, including the parallel loop's replayed audit
-/// seam.
+/// at every thread count, including the replayed send logs of rounds split
+/// across threads, and an audited instrumented run records the same trace,
+/// per-edge counters and utilized edges as a plain instrumented one.
 #[test]
 fn audited_runs_match_plain_runs_with_zero_violations() {
     let mut rng = StdRng::seed_from_u64(0xc0ffee);
@@ -182,20 +183,20 @@ fn audited_runs_match_plain_runs_with_zero_violations() {
         &mut StdRng::seed_from_u64(42),
     );
     let sim = SyncSimulator::new(&graph, &ids, KtLevel::KT1);
-    let base = sim.run(
-        SyncConfig {
-            threads: 1,
-            ..SyncConfig::default()
-        },
-        flood(),
-    );
-    for threads in [1, 4] {
-        let config = SyncConfig {
-            threads,
-            ..SyncConfig::default()
-        };
-        let (report, violations) = sim.run_audited(config, &AuditConfig::collect(SEED), flood());
-        assert!(violations.is_empty(), "threads={threads}: {violations:?}");
-        assert_eq!(report, base, "audited report drifted at threads={threads}");
+    for plain in [SyncConfig::default(), SyncConfig::instrumented()] {
+        let base = sim.run(
+            SyncConfig {
+                threads: 1,
+                ..plain
+            },
+            flood(),
+        );
+        for threads in [1, 4] {
+            let config = SyncConfig { threads, ..plain };
+            let (report, violations) =
+                sim.run_audited(config, &AuditConfig::collect(SEED), flood());
+            assert!(violations.is_empty(), "threads={threads}: {violations:?}");
+            assert_eq!(report, base, "audited report drifted at threads={threads}");
+        }
     }
 }

@@ -1,11 +1,13 @@
-//! Kill-and-resume differential: for two algorithms, three graph families
+//! Kill-and-resume differential: for two algorithms, four graph families
 //! and two thread settings, the checkpointed loop is killed at **every**
 //! round boundary and resumed from the surviving log. Every resumed run
 //! must reproduce the uninterrupted run bit-exactly — the full
 //! [`ExecutionReport`] (outputs, messages, rounds, per-edge metering) *and*
 //! the recorded message trace: the killed run's rounds before the
 //! checkpoint boundary followed by the resumed run's rounds must be the
-//! baseline's rounds.
+//! baseline's rounds. The 320-node input is large enough for the 4-thread
+//! cells to split rounds into claimed windows, and the log an uninterrupted
+//! run writes must be byte-identical at 1 and 4 threads.
 //!
 //! The kill is simulated the way a real crash looks on disk: the checkpoint
 //! log is left wherever the round budget cut it off (including *before the
@@ -58,8 +60,9 @@ impl RoundObserver for RoundLog {
 /// Runs the full kill matrix for one `(algorithm, graph, threads)` cell:
 /// records the uninterrupted baseline (report + trace), then for every
 /// kill round `1..rounds` replays kill → recover → resume and checks both
-/// artifacts against the baseline. Returns the baseline report so callers
-/// can also assert thread-invariance across cells.
+/// artifacts against the baseline. Returns the baseline report and the
+/// baseline's log bytes so callers can also assert thread-invariance
+/// across cells.
 fn kill_everywhere<RunC, Res>(
     label: &str,
     log_dir: &Path,
@@ -68,7 +71,7 @@ fn kill_everywhere<RunC, Res>(
     plain: &ExecutionReport,
     run_ckpt: RunC,
     resume: Res,
-) -> ExecutionReport
+) -> (ExecutionReport, Vec<u8>)
 where
     RunC: Fn(SyncConfig, &CheckpointConfig, &mut RoundLog) -> io::Result<ExecutionReport>,
     Res: Fn(SyncConfig, &CheckpointConfig, &mut RoundLog) -> io::Result<ExecutionReport>,
@@ -92,6 +95,7 @@ where
     );
     let baseline_rounds = &baseline_trace.rounds;
     assert_eq!(baseline_rounds.len() as u64, baseline.rounds);
+    let baseline_log = std::fs::read(&log).expect("read baseline log");
 
     for kill in 1..baseline.rounds {
         // The "kill": round budget runs out mid-run, the log keeps whatever
@@ -125,7 +129,7 @@ where
         );
     }
     std::fs::remove_file(&log).expect("drop log");
-    baseline
+    (baseline, baseline_log)
 }
 
 fn ranks(n: usize) -> Vec<u64> {
@@ -150,6 +154,10 @@ fn kill_at_every_boundary_resumes_bit_identically() {
             "smallworld",
             generators::small_world(24, 4, 0.2, &mut StdRng::seed_from_u64(7)),
         ),
+        (
+            "regular320",
+            generators::random_near_regular(320, 8, &mut StdRng::seed_from_u64(9)),
+        ),
     ];
 
     for (gname, graph) in &graphs {
@@ -168,8 +176,8 @@ fn kill_at_every_boundary_resumes_bit_identically() {
                 threads,
                 2,
                 &luby_plain,
-                |cfg, ck, obs| luby::run_checkpointed_observed(graph, &ids, 0xAB, cfg, ck, obs),
-                |cfg, ck, obs| luby::resume_observed(graph, &ids, 0xAB, cfg, ck, obs),
+                |cfg, ck, obs| luby::run_checkpointed(graph, &ids, 0xAB, cfg, ck, obs),
+                |cfg, ck, obs| luby::resume(graph, &ids, 0xAB, cfg, ck, obs),
             ));
 
             let (_, greedy_plain) =
@@ -181,18 +189,29 @@ fn kill_at_every_boundary_resumes_bit_identically() {
                 threads,
                 3,
                 &greedy_plain,
-                |cfg, ck, obs| {
-                    parallel_greedy::run_checkpointed_observed(graph, &ids, &ranks, cfg, ck, obs)
-                },
-                |cfg, ck, obs| parallel_greedy::resume_observed(graph, &ids, &ranks, cfg, ck, obs),
+                |cfg, ck, obs| parallel_greedy::run_checkpointed(graph, &ids, &ranks, cfg, ck, obs),
+                |cfg, ck, obs| parallel_greedy::resume(graph, &ids, &ranks, cfg, ck, obs),
             ));
         }
         // Thread-invariance: the same cell at 1 and 4 workers is the same
         // execution, so the whole kill matrix above checked one contract.
-        assert_eq!(luby_reports[0], luby_reports[1], "{gname}: luby threads");
         assert_eq!(
-            greedy_reports[0], greedy_reports[1],
+            luby_reports[0].0, luby_reports[1].0,
+            "{gname}: luby threads"
+        );
+        assert_eq!(
+            greedy_reports[0].0, greedy_reports[1].0,
             "{gname}: greedy threads"
+        );
+        // Every record is a function of the execution alone, so the logs
+        // are byte-identical too.
+        assert!(
+            luby_reports[0].1 == luby_reports[1].1,
+            "{gname}: luby log bytes differ across threads"
+        );
+        assert!(
+            greedy_reports[0].1 == greedy_reports[1].1,
+            "{gname}: greedy log bytes differ across threads"
         );
     }
     std::fs::remove_dir_all(&logs).expect("drop log scratch dir");

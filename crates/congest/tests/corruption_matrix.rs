@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::mis::luby;
 use symbreak_congest::checkpoint::checkpoint_dir;
-use symbreak_congest::{CheckpointChain, CheckpointConfig, SyncConfig};
+use symbreak_congest::{CheckpointChain, CheckpointConfig, NoopObserver, SyncConfig};
 use symbreak_graphs::{generators, IdAssignment};
 
 /// A scratch directory under [`checkpoint_dir`], so the CI chaos-recovery
@@ -73,8 +73,15 @@ fn checkpoint_log_survives_truncation_and_bit_flips() {
     let ids = IdAssignment::identity(16);
     let log = dir.join("luby.sbck");
     let ckpt = CheckpointConfig::new(&log).with_every(2);
-    let report = luby::run_checkpointed(&graph, &ids, 5, SyncConfig::default(), &ckpt)
-        .expect("checkpointed run");
+    let report = luby::run_checkpointed(
+        &graph,
+        &ids,
+        5,
+        SyncConfig::default(),
+        &ckpt,
+        &mut NoopObserver,
+    )
+    .expect("checkpointed run");
     assert!(report.completed);
 
     let bytes = fs::read(&log).expect("read log");

@@ -146,10 +146,10 @@ fn engine_matches_reference_on_random_graphs() {
     }
 }
 
-/// The parallel loop must be a pure throughput knob: identical `Report`s
+/// The thread count must be a pure throughput knob: identical `Report`s
 /// (rounds, message counts, max bits, per-node outputs) at every thread
 /// count, across workloads and graph shapes — including graphs dense enough
-/// to trigger the sequential loop's receiver-major delivery path.
+/// to trigger the one-window receiver-major delivery path.
 #[test]
 fn parallel_engine_is_deterministic_across_thread_counts() {
     let graphs: Vec<(&str, Graph)> = vec![
@@ -201,8 +201,9 @@ fn parallel_engine_is_deterministic_across_thread_counts() {
 }
 
 /// Parallel runs must also match the naive oracle, and an active observer
-/// (instrumentation) must yield the same report regardless of the requested
-/// thread count (it pins the run to the sequential loop).
+/// (instrumentation) must yield the same report — trace, per-edge counters
+/// and utilized edges included — at every thread count: on rounds split
+/// across threads it replays the windows' send logs in sequential order.
 #[test]
 fn parallel_engine_matches_naive_and_instrumented_runs() {
     let graph = generators::random_near_regular(600, 8, &mut StdRng::seed_from_u64(3));
