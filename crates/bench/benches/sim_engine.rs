@@ -31,9 +31,9 @@
 //! on near-zero per-round work. A **fault-seam row** (`async_fault0`)
 //! gates the identity-plan fault path at ≥ 0.9× of the plain asynchronous
 //! executor. An **audit row** (`flood_audit0`) gates the audit-off engine
-//! at ≥ 0.95× of the direct observer path — the const-`AUDIT`
-//! monomorphization must stay free — and reports the collect-mode
-//! audit-on cost with the report asserted bit-identical and violation-free.
+//! at ≥ 0.95× of the direct observer path — an unaudited run must not pay
+//! for the audit hooks — and reports the collect-mode audit-on cost with
+//! the report asserted bit-identical and violation-free.
 //!
 //! Set `SIM_ENGINE_SMOKE=1` to run a reduced-n regression smoke (used by
 //! CI): the same workloads and asserts at a fraction of the size, with no

@@ -360,8 +360,8 @@ pub mod johansson {
     //! [`run_flat`] runs an instance held as a [`FlatListColoring`]:
     //! palettes as fixed-width bitsets ([`super::palette`]) and active lists
     //! in one CSR arena, borrowed (not cloned) into the nodes. Build one with
-    //! [`FlatListColoring::delta_plus_one`], or flatten per-node lists with
-    //! [`FlatListColoring::from_spec`], which checks the `(deg+1)`
+    //! [`FlatListColoring::delta_plus_one`], or from per-node colour lists
+    //! with [`FlatListColoring::new`], which checks the `(deg+1)`
     //! precondition.
 
     use rand::rngs::StdRng;
@@ -369,67 +369,20 @@ pub mod johansson {
     use symbreak_congest::{
         ExecutionReport, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig, SyncSimulator,
     };
-    use symbreak_graphs::{Graph, IdAssignment, NodeId};
+    use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
     /// Proposal of a candidate colour.
     pub const TAG_PROPOSE: u16 = 0x40;
     /// Announcement of a finalised colour.
     pub const TAG_FINAL: u16 = 0x41;
 
-    /// Per-node specification of a list-coloring instance.
-    #[derive(Debug, Clone)]
-    pub struct ListColoringSpec {
-        /// `palettes[v]` — the colour list of node `v`.
-        pub palettes: Vec<Vec<u64>>,
-        /// `active[v]` — the neighbours `v` exchanges messages with (its
-        /// neighbours in the subgraph being coloured).
-        pub active: Vec<Vec<NodeId>>,
-        /// `participating[v]` — whether `v` is to be coloured in this run.
-        pub participating: Vec<bool>,
-    }
-
-    impl ListColoringSpec {
-        /// A spec that colours the whole graph with palette `{0, …, Δ}` —
-        /// the classic (Δ+1)-coloring instance.
-        pub fn delta_plus_one(graph: &Graph) -> Self {
-            let palette: Vec<u64> = (0..=graph.max_degree() as u64).collect();
-            ListColoringSpec {
-                palettes: vec![palette; graph.num_nodes()],
-                active: graph.nodes().map(|v| graph.neighbor_vec(v)).collect(),
-                participating: vec![true; graph.num_nodes()],
-            }
-        }
-
-        fn validate(&self, graph: &Graph) {
-            assert_eq!(self.palettes.len(), graph.num_nodes());
-            assert_eq!(self.active.len(), graph.num_nodes());
-            assert_eq!(self.participating.len(), graph.num_nodes());
-            for v in graph.nodes() {
-                if self.participating[v.index()] {
-                    let active_deg = self.active[v.index()]
-                        .iter()
-                        .filter(|u| self.participating[u.index()])
-                        .count();
-                    assert!(
-                        self.palettes[v.index()].len() > active_deg,
-                        "node {v} has palette of size {} but {} active participating neighbours; \
-                         (deg+1)-list-coloring needs a strictly larger palette",
-                        self.palettes[v.index()].len(),
-                        active_deg
-                    );
-                }
-            }
-        }
-    }
-
-    /// Flat specification of a list-coloring instance: bitset palettes plus
-    /// one CSR arena of active lists — two allocations where the nested
-    /// [`ListColoringSpec`] holds `2n` nested `Vec`s.
+    /// A list-coloring instance: bitset palettes plus one CSR arena of
+    /// active lists.
     #[derive(Debug, Clone)]
     pub struct FlatListColoring {
         participating: Vec<bool>,
         palettes: super::palette::PaletteBitsets,
-        active: symbreak_graphs::AdjacencyArena,
+        active: AdjacencyArena,
     }
 
     impl FlatListColoring {
@@ -447,28 +400,47 @@ pub mod johansson {
             FlatListColoring {
                 participating: vec![true; n],
                 palettes,
-                active: symbreak_graphs::AdjacencyArena::from_filtered(graph, |_, _| true),
+                active: AdjacencyArena::from_filtered(graph, |_, _| true),
             }
         }
 
-        /// Flattens a per-node spec.
+        /// An instance over per-node lists: `participating[v]` says whether
+        /// `v` is coloured in this run, `palettes[v]` is its colour list
+        /// (duplicates collapse) and `active.row(v)` the neighbours it
+        /// exchanges messages with.
         ///
         /// # Panics
         ///
-        /// Panics when the spec violates the `(deg+1)`-list-coloring
-        /// precondition (a participant with a palette not larger than its
-        /// active participating degree). Palette lists must be sorted
-        /// ascending and duplicate-free; this is checked in debug builds.
-        pub fn from_spec(graph: &Graph, spec: &ListColoringSpec) -> Self {
-            spec.validate(graph);
-            debug_assert!(spec
-                .palettes
-                .iter()
-                .all(|list| list.windows(2).all(|w| w[0] < w[1])));
+        /// Panics when the three disagree on the node count, or when the
+        /// instance violates the `(deg+1)`-list-coloring precondition: a
+        /// participant with no more distinct colours than active
+        /// participating neighbours.
+        pub fn new(
+            participating: Vec<bool>,
+            palettes: &[Vec<u64>],
+            active: AdjacencyArena,
+        ) -> Self {
+            assert_eq!(palettes.len(), participating.len());
+            assert_eq!(active.num_nodes(), participating.len());
+            let palettes = super::palette::PaletteBitsets::from_lists(palettes);
+            for i in (0..participating.len()).filter(|&i| participating[i]) {
+                let v = NodeId(i as u32);
+                let active_deg = active
+                    .row(v)
+                    .iter()
+                    .filter(|u| participating[u.index()])
+                    .count();
+                assert!(
+                    palettes.count(i) as usize > active_deg,
+                    "node {v} has {} distinct colours but {active_deg} active participating \
+                     neighbours; (deg+1)-list-coloring needs a strictly larger palette",
+                    palettes.count(i)
+                );
+            }
             FlatListColoring {
-                participating: spec.participating.clone(),
-                palettes: super::palette::PaletteBitsets::from_lists(&spec.palettes),
-                active: symbreak_graphs::AdjacencyArena::from_rows(&spec.active),
+                participating,
+                palettes,
+                active,
             }
         }
     }
@@ -541,8 +513,9 @@ pub mod johansson {
     ///
     /// # Panics
     ///
-    /// Panics if the run fails to terminate within the configured round
-    /// limit or a participant exhausts its palette.
+    /// Panics if the instance does not cover `graph`, if the run fails to
+    /// terminate within the configured round limit or if a participant
+    /// exhausts its palette.
     pub fn run_flat(
         graph: &Graph,
         ids: &IdAssignment,
@@ -551,6 +524,7 @@ pub mod johansson {
         seed: u64,
         config: SyncConfig,
     ) -> (Vec<Option<u64>>, ExecutionReport) {
+        assert_eq!(instance.participating.len(), graph.num_nodes());
         let sim = SyncSimulator::new(graph, ids, level);
         let mut report = sim.run(config, |init| {
             let i = init.node.index();
@@ -601,11 +575,10 @@ pub mod baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use johansson::ListColoringSpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symbreak_congest::{KtLevel, SyncConfig};
-    use symbreak_graphs::{generators, IdAssignment, NodeId};
+    use symbreak_graphs::{generators, AdjacencyArena, IdAssignment};
 
     #[test]
     fn verify_checks_propriety_and_bounds() {
@@ -646,8 +619,7 @@ mod tests {
         for n in [15usize, 30, 60] {
             let g = generators::connected_gnp(n, 0.2, &mut rng);
             let ids = IdAssignment::identity(n);
-            let instance =
-                johansson::FlatListColoring::from_spec(&g, &ListColoringSpec::delta_plus_one(&g));
+            let instance = johansson::FlatListColoring::delta_plus_one(&g);
             let (colors, report) =
                 johansson::run_flat(&g, &ids, KtLevel::KT1, &instance, 5, SyncConfig::default());
             assert!(verify::is_proper_coloring(&g, &colors), "n={n}");
@@ -665,12 +637,8 @@ mod tests {
         let g = generators::cycle(9);
         let ids = IdAssignment::identity(9);
         let lists: Vec<Vec<u64>> = vec![vec![10, 11, 12]; 9];
-        let spec = ListColoringSpec {
-            palettes: lists.clone(),
-            active: g.nodes().map(|v| g.neighbor_vec(v)).collect(),
-            participating: vec![true; 9],
-        };
-        let instance = johansson::FlatListColoring::from_spec(&g, &spec);
+        let active = AdjacencyArena::from_filtered(&g, |_, _| true);
+        let instance = johansson::FlatListColoring::new(vec![true; 9], &lists, active);
         let (colors, _) =
             johansson::run_flat(&g, &ids, KtLevel::KT1, &instance, 9, SyncConfig::default());
         assert!(verify::is_proper_coloring(&g, &colors));
@@ -683,21 +651,11 @@ mod tests {
         let ids = IdAssignment::identity(10);
         // Only even nodes participate, and they only talk to even nodes.
         let participating: Vec<bool> = (0..10).map(|i| i % 2 == 0).collect();
-        let active: Vec<Vec<NodeId>> = g
-            .nodes()
-            .map(|v| {
-                g.neighbors(v)
-                    .filter(|u| participating[u.index()] && participating[v.index()])
-                    .collect()
-            })
-            .collect();
+        let active = AdjacencyArena::from_filtered(&g, |v, u| {
+            participating[u.index()] && participating[v.index()]
+        });
         let palettes: Vec<Vec<u64>> = vec![(0..5).collect(); 10];
-        let spec = ListColoringSpec {
-            palettes,
-            active,
-            participating: participating.clone(),
-        };
-        let instance = johansson::FlatListColoring::from_spec(&g, &spec);
+        let instance = johansson::FlatListColoring::new(participating.clone(), &palettes, active);
         let (colors, report) =
             johansson::run_flat(&g, &ids, KtLevel::KT1, &instance, 3, SyncConfig::default());
         for v in g.nodes() {
@@ -718,22 +676,32 @@ mod tests {
     #[should_panic(expected = "strictly larger palette")]
     fn johansson_rejects_too_small_palettes() {
         let g = generators::clique(4);
-        let spec = ListColoringSpec {
-            palettes: vec![vec![0, 1]; 4],
-            active: g.nodes().map(|v| g.neighbor_vec(v)).collect(),
-            participating: vec![true; 4],
-        };
-        let _ = johansson::FlatListColoring::from_spec(&g, &spec);
+        let active = AdjacencyArena::from_filtered(&g, |_, _| true);
+        let _ = johansson::FlatListColoring::new(vec![true; 4], &vec![vec![0, 1]; 4], active);
     }
 
     #[test]
-    fn flat_delta_plus_one_builder_matches_nested_builder() {
+    #[should_panic(expected = "strictly larger palette")]
+    fn johansson_counts_distinct_colours_not_list_entries() {
+        // One edge and the lists [0, 0]: two entries, but one colour for a
+        // node with one active neighbour, so no run could ever finish.
+        let g = generators::path(2);
+        let active = AdjacencyArena::from_filtered(&g, |_, _| true);
+        let _ = johansson::FlatListColoring::new(vec![true; 2], &vec![vec![0, 0]; 2], active);
+    }
+
+    #[test]
+    fn flat_delta_plus_one_builder_matches_list_builder() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::gnp(30, 0.2, &mut rng);
         let ids = IdAssignment::identity(30);
         let from_builder = johansson::FlatListColoring::delta_plus_one(&g);
-        let from_spec =
-            johansson::FlatListColoring::from_spec(&g, &ListColoringSpec::delta_plus_one(&g));
+        let palette: Vec<u64> = (0..=g.max_degree() as u64).collect();
+        let from_lists = johansson::FlatListColoring::new(
+            vec![true; 30],
+            &vec![palette; 30],
+            AdjacencyArena::from_filtered(&g, |_, _| true),
+        );
         let (a, _) = johansson::run_flat(
             &g,
             &ids,
@@ -742,8 +710,14 @@ mod tests {
             5,
             SyncConfig::default(),
         );
-        let (b, _) =
-            johansson::run_flat(&g, &ids, KtLevel::KT1, &from_spec, 5, SyncConfig::default());
+        let (b, _) = johansson::run_flat(
+            &g,
+            &ids,
+            KtLevel::KT1,
+            &from_lists,
+            5,
+            SyncConfig::default(),
+        );
         assert_eq!(a, b);
         assert!(verify::is_proper_coloring(&g, &a));
     }

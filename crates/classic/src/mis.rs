@@ -111,8 +111,7 @@ pub mod parallel_greedy {
     use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
     use symbreak_congest::{
         run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
-        NodeAlgorithm, NodeInit, PersistState, RoundContext, RoundObserver, SyncConfig,
-        SyncSimulator,
+        NodeAlgorithm, PersistState, RoundContext, RoundObserver, SyncConfig, SyncSimulator,
     };
     use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
@@ -127,16 +126,31 @@ pub mod parallel_greedy {
         NotParticipating,
     }
 
-    /// The automaton is generic over its active-list storage: the
-    /// checkpointed and asynchronous factories give each node its own
-    /// `Vec`, the synchronous stage runtimes lend it a CSR arena row.
-    struct Node<L> {
+    /// One node's automaton. It borrows its row of an [`AdjacencyArena`]
+    /// as its active list, so building a node clones nothing.
+    struct Node<'a> {
         state: State,
         rank: u64,
-        active: L,
+        active: &'a [NodeId],
     }
 
-    impl<L: AsRef<[NodeId]>> NodeAlgorithm for Node<L> {
+    impl<'a> Node<'a> {
+        /// The automaton every run builds: plain, checkpointed, resumed and
+        /// lockstep.
+        fn new(participating: bool, rank: u64, active: &'a [NodeId]) -> Self {
+            Node {
+                state: if participating {
+                    State::Undecided
+                } else {
+                    State::NotParticipating
+                },
+                rank,
+                active,
+            }
+        }
+    }
+
+    impl NodeAlgorithm for Node<'_> {
         fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
             if self.state == State::NotParticipating {
                 return;
@@ -149,7 +163,7 @@ pub mod parallel_greedy {
                 }
                 if self.state == State::Undecided {
                     let msg = Message::tagged(TAG_RANK).with_value(self.rank);
-                    for &u in self.active.as_ref() {
+                    for &u in self.active {
                         ctx.send(u, msg);
                     }
                 }
@@ -166,7 +180,7 @@ pub mod parallel_greedy {
                 if is_local_min {
                     self.state = State::In;
                     let msg = Message::tagged(TAG_JOIN);
-                    for &u in self.active.as_ref() {
+                    for &u in self.active {
                         ctx.send(u, msg);
                     }
                 }
@@ -186,7 +200,7 @@ pub mod parallel_greedy {
         }
     }
 
-    impl<L: AsRef<[NodeId]>> PersistState for Node<L> {
+    impl PersistState for Node<'_> {
         fn encode_state(&self, out: &mut Vec<u64>) {
             // Rank and active list are factory-derived; only the decision
             // state distinguishes this node from a factory-fresh one.
@@ -211,23 +225,6 @@ pub mod parallel_greedy {
         }
     }
 
-    /// The deterministic whole-graph factory shared by the checkpointed
-    /// entry points: every node participates and talks to all neighbours.
-    fn whole_graph_factory<'a>(
-        graph: &Graph,
-        ranks: &'a [u64],
-    ) -> impl FnMut(NodeInit<'_>) -> Node<Vec<NodeId>> + 'a {
-        let active: Vec<Vec<NodeId>> = graph.nodes().map(|v| graph.neighbor_vec(v)).collect();
-        move |init| {
-            let i = init.node.index();
-            Node {
-                state: State::Undecided,
-                rank: ranks[i],
-                active: active[i].clone(),
-            }
-        }
-    }
-
     /// Runs whole-graph parallel greedy MIS with checkpoints
     /// ([`SyncSimulator::run_checkpointed`]), snapshotting every
     /// `checkpoint.every` rounds; `observer` sees every message and round
@@ -248,11 +245,12 @@ pub mod parallel_greedy {
         observer: &mut O,
     ) -> std::io::Result<ExecutionReport> {
         assert_eq!(ranks.len(), graph.num_nodes());
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
         sim.run_checkpointed(
             config,
             checkpoint,
-            whole_graph_factory(graph, ranks),
+            |init| Node::new(true, ranks[init.node.index()], active.row(init.node)),
             observer,
         )
     }
@@ -276,11 +274,12 @@ pub mod parallel_greedy {
         observer: &mut O,
     ) -> std::io::Result<ExecutionReport> {
         assert_eq!(ranks.len(), graph.num_nodes());
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
         sim.resume_from(
             config,
             checkpoint,
-            whole_graph_factory(graph, ranks),
+            |init| Node::new(true, ranks[init.node.index()], active.row(init.node)),
             observer,
         )
     }
@@ -312,15 +311,7 @@ pub mod parallel_greedy {
         let sim = SyncSimulator::new(graph, ids, level);
         let report = sim.run(config, |init| {
             let i = init.node.index();
-            Node {
-                state: if participating[i] {
-                    State::Undecided
-                } else {
-                    State::NotParticipating
-                },
-                rank: ranks[i],
-                active: active.row(init.node),
-            }
+            Node::new(participating[i], ranks[i], active.row(init.node))
         });
         assert!(report.completed, "parallel greedy MIS did not terminate");
         let membership = report
@@ -372,15 +363,10 @@ pub mod parallel_greedy {
         rng: &mut R,
     ) -> (ExecutionReport, AsyncReport) {
         let (_, sync_report) = run_on_whole_graph(graph, ids, ranks, sync_config);
-        let active: Vec<Vec<NodeId>> = graph.nodes().map(|v| graph.neighbor_vec(v)).collect();
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
         let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
         let report = run_synchronized(&sim, async_config, plan, sync_report.rounds, rng, |init| {
-            let i = init.node.index();
-            Node {
-                state: State::Undecided,
-                rank: ranks[i],
-                active: active[i].clone(),
-            }
+            Node::new(true, ranks[init.node.index()], active.row(init.node))
         });
         (sync_report, report)
     }
@@ -394,8 +380,7 @@ pub mod luby {
     use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
     use symbreak_congest::{
         run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
-        NodeAlgorithm, NodeInit, PersistState, RoundContext, RoundObserver, SyncConfig,
-        SyncSimulator,
+        NodeAlgorithm, PersistState, RoundContext, RoundObserver, SyncConfig, SyncSimulator,
     };
     use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
@@ -410,15 +395,36 @@ pub mod luby {
         NotParticipating,
     }
 
-    /// Generic over active-list storage; see `parallel_greedy::Node`.
-    struct Node<L> {
+    /// One node's automaton; like `parallel_greedy`'s, it borrows its
+    /// arena row as its active list.
+    struct Node<'a> {
         state: State,
         rng: StdRng,
         current: u64,
-        active: L,
+        active: &'a [NodeId],
     }
 
-    impl<L: AsRef<[NodeId]>> NodeAlgorithm for Node<L> {
+    impl<'a> Node<'a> {
+        /// The automaton every run builds: plain, checkpointed, resumed and
+        /// lockstep. Node `v`'s random stream is a pure function of `seed`
+        /// and `v`, so every run draws the same values.
+        fn new(participating: bool, seed: u64, v: NodeId, active: &'a [NodeId]) -> Self {
+            Node {
+                state: if participating {
+                    State::Undecided
+                } else {
+                    State::NotParticipating
+                },
+                rng: StdRng::seed_from_u64(
+                    seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(v.index() as u64 + 1)),
+                ),
+                current: 0,
+                active,
+            }
+        }
+    }
+
+    impl NodeAlgorithm for Node<'_> {
         fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
             if self.state == State::NotParticipating {
                 return;
@@ -430,7 +436,7 @@ pub mod luby {
                 if self.state == State::Undecided {
                     self.current = self.rng.gen();
                     let msg = Message::tagged(TAG_VALUE).with_value(self.current);
-                    for &u in self.active.as_ref() {
+                    for &u in self.active {
                         ctx.send(u, msg);
                     }
                 }
@@ -447,7 +453,7 @@ pub mod luby {
                 if wins {
                     self.state = State::In;
                     let msg = Message::tagged(TAG_JOIN);
-                    for &u in self.active.as_ref() {
+                    for &u in self.active {
                         ctx.send(u, msg);
                     }
                 }
@@ -467,7 +473,7 @@ pub mod luby {
         }
     }
 
-    impl<L: AsRef<[NodeId]>> PersistState for Node<L> {
+    impl PersistState for Node<'_> {
         fn encode_state(&self, out: &mut Vec<u64>) {
             // The RNG cursor is part of the state: a resumed node must
             // continue the exact same draw stream.
@@ -502,26 +508,6 @@ pub mod luby {
         }
     }
 
-    /// The deterministic whole-graph factory shared by the checkpointed
-    /// entry points (the [`run`] configuration: everyone participates).
-    fn whole_graph_factory(
-        graph: &Graph,
-        seed: u64,
-    ) -> impl FnMut(NodeInit<'_>) -> Node<Vec<NodeId>> {
-        let active: Vec<Vec<NodeId>> = graph.nodes().map(|v| graph.neighbor_vec(v)).collect();
-        move |init| {
-            let i = init.node.index();
-            Node {
-                state: State::Undecided,
-                rng: StdRng::seed_from_u64(
-                    seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ),
-                current: 0,
-                active: active[i].clone(),
-            }
-        }
-    }
-
     /// Runs whole-graph Luby with checkpoints
     /// ([`SyncSimulator::run_checkpointed`]), snapshotting every
     /// `checkpoint.every` rounds — per-node RNG cursors included, so a
@@ -543,11 +529,12 @@ pub mod luby {
         checkpoint: &CheckpointConfig,
         observer: &mut O,
     ) -> std::io::Result<ExecutionReport> {
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
         sim.run_checkpointed(
             config,
             checkpoint,
-            whole_graph_factory(graph, seed),
+            |init| Node::new(true, seed, init.node, active.row(init.node)),
             observer,
         )
     }
@@ -570,11 +557,12 @@ pub mod luby {
         checkpoint: &CheckpointConfig,
         observer: &mut O,
     ) -> std::io::Result<ExecutionReport> {
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
         let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
         sim.resume_from(
             config,
             checkpoint,
-            whole_graph_factory(graph, seed),
+            |init| Node::new(true, seed, init.node, active.row(init.node)),
             observer,
         )
     }
@@ -596,19 +584,8 @@ pub mod luby {
         assert_eq!(active.num_nodes(), graph.num_nodes());
         let sim = SyncSimulator::new(graph, ids, level);
         let report = sim.run(config, |init| {
-            let i = init.node.index();
-            Node {
-                state: if participating[i] {
-                    State::Undecided
-                } else {
-                    State::NotParticipating
-                },
-                rng: StdRng::seed_from_u64(
-                    seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ),
-                current: 0,
-                active: active.row(init.node),
-            }
+            let v = init.node;
+            Node::new(participating[v.index()], seed, v, active.row(v))
         });
         assert!(report.completed, "Luby's algorithm did not terminate");
         let membership = report
@@ -659,18 +636,10 @@ pub mod luby {
         rng: &mut R,
     ) -> (ExecutionReport, AsyncReport) {
         let (_, sync_report) = run(graph, ids, seed, sync_config);
-        let active: Vec<Vec<NodeId>> = graph.nodes().map(|v| graph.neighbor_vec(v)).collect();
+        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
         let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
         let report = run_synchronized(&sim, async_config, plan, sync_report.rounds, rng, |init| {
-            let i = init.node.index();
-            Node {
-                state: State::Undecided,
-                rng: StdRng::seed_from_u64(
-                    seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
-                ),
-                current: 0,
-                active: active[i].clone(),
-            }
+            Node::new(true, seed, init.node, active.row(init.node))
         });
         (sync_report, report)
     }

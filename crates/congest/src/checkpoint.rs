@@ -46,14 +46,9 @@ use crate::sync::{Hooks, Observe, Resume, RoundLoop};
 use crate::trace::TraceMessage;
 use crate::{ExecutionReport, Message, NodeAlgorithm, NodeInit, SyncConfig, SyncSimulator};
 
-/// Environment variable naming the directory
-/// [`CheckpointConfig::from_env`] places checkpoint logs in (system temp
-/// dir when unset or empty).
+/// Environment variable naming the directory [`checkpoint_dir`] returns
+/// (the system temp dir when unset or empty).
 pub const CHECKPOINT_DIR_ENV: &str = "CONGEST_CHECKPOINT_DIR";
-
-/// Environment variable overriding the checkpoint cadence of
-/// [`CheckpointConfig::from_env`] (rounds between checkpoints; default 8).
-pub const CHECKPOINT_EVERY_ENV: &str = "CONGEST_CHECKPOINT_EVERY";
 
 /// Default checkpoint cadence in rounds.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 8;
@@ -127,21 +122,6 @@ impl CheckpointConfig {
         assert!(every > 0, "checkpoint cadence must be at least one round");
         self.every = every;
         self
-    }
-
-    /// Configuration from the environment: the log `<stem>.sbck` inside
-    /// [`checkpoint_dir`] (`CONGEST_CHECKPOINT_DIR`), with the cadence from
-    /// `CONGEST_CHECKPOINT_EVERY` (default [`DEFAULT_CHECKPOINT_EVERY`]).
-    pub fn from_env(stem: &str) -> Self {
-        let mut config = CheckpointConfig::new(checkpoint_dir().join(format!("{stem}.sbck")));
-        if let Ok(raw) = std::env::var(CHECKPOINT_EVERY_ENV) {
-            if let Ok(every) = raw.trim().parse::<u64>() {
-                if every > 0 {
-                    config.every = every;
-                }
-            }
-        }
-        config
     }
 }
 

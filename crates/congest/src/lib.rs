@@ -82,7 +82,6 @@ pub use audit::{
 };
 pub use checkpoint::{
     CheckpointChain, CheckpointConfig, CheckpointRecord, PersistState, CHECKPOINT_DIR_ENV,
-    CHECKPOINT_EVERY_ENV,
 };
 pub use engine::{NoopObserver, RoundObserver};
 pub use error::SimError;

@@ -10,10 +10,11 @@ use crate::ExecutionReport;
 ///
 /// *Simulated* costs come from actually executed message exchanges in the
 /// simulator. *Charged* costs come from black-box substrates whose published
-/// complexity is charged without re-implementing them (see the substitution
-/// notes in `DESIGN.md`: the danner construction of Theorem 1.1 and the
-/// asynchronous MST of Theorem 1.3). Reports keep the two separate so that
-/// the substitution stays visible in every measurement.
+/// complexity is charged without re-implementing them (the README's
+/// "Charged substrates" section: the danner construction of Theorem 1.1,
+/// leader election per Corollary 1.2 and the asynchronous substrate of
+/// Theorem 1.3). Reports keep the two separate so that the substitution
+/// stays visible in every measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseCost {
     /// Messages actually exchanged in the simulator.

@@ -72,8 +72,9 @@ pub struct SyncConfig {
     pub max_rounds: u64,
     /// Per-message size budget in bits (see [`crate::Message::size_bits`]).
     pub message_bit_limit: u32,
-    /// Record the full message trace (needed by the lower-bound experiments;
-    /// costs memory proportional to the number of messages).
+    /// Record the full message trace (costs memory proportional to the
+    /// number of messages). The lower-bound experiments need only
+    /// `track_utilization` and `track_per_edge`.
     pub record_trace: bool,
     /// Track which edges are *utilized* in the sense of Definition 2.3.
     pub track_utilization: bool,
@@ -102,7 +103,7 @@ impl Default for SyncConfig {
 
 impl SyncConfig {
     /// Configuration with full instrumentation (trace + utilization +
-    /// per-edge counters); used by the lower-bound experiments.
+    /// per-edge counters).
     pub fn instrumented() -> Self {
         SyncConfig {
             record_trace: true,
@@ -832,12 +833,7 @@ fn plan_shards<A: NodeAlgorithm>(
 /// node received a message (all-to-all rounds) the union is trivially the
 /// receiver list, which is taken over wholesale in O(1) instead of merged.
 /// Returns whether the new active set provably covers every node.
-fn next_active(
-    receivers: &mut Vec<u32>,
-    undone: &[u32],
-    active: &mut Vec<u32>,
-    n: usize,
-) -> bool {
+fn next_active(receivers: &mut Vec<u32>, undone: &[u32], active: &mut Vec<u32>, n: usize) -> bool {
     if receivers.len() == n {
         std::mem::swap(receivers, active);
         true

@@ -1,12 +1,12 @@
-//! Ready-made experiment drivers used by the benches, examples and
-//! EXPERIMENTS.md: each function runs one algorithm (or baseline) on one
-//! instance and returns a [`MeasurementRow`] for the Figure-1 comparison.
+//! Ready-made experiment drivers used by the benches (the sweep registry
+//! behind `BENCH_sweeps.json` among them) and the examples: each function
+//! runs one algorithm (or baseline) on one instance and returns a
+//! [`MeasurementRow`] for the Figure-1 comparison.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::{coloring, mis};
-use symbreak_congest::async_sim::AsyncConfig;
-use symbreak_congest::{CostAccount, FaultPlan, PhaseCost, SyncConfig};
+use symbreak_congest::{CostAccount, SyncConfig};
 use symbreak_graphs::{Graph, IdAssignment};
 
 use crate::report::MeasurementRow;
@@ -94,42 +94,6 @@ pub fn measure_luby_baseline(graph: &Graph, ids: &IdAssignment, seed: u64) -> Me
     let mut costs = CostAccount::new();
     costs.charge_report("luby", &report);
     MeasurementRow::new("Luby MIS baseline (Θ(m))", graph, &costs, valid)
-}
-
-/// Runs Luby's MIS through the α-synchronizer under a fault plan and
-/// returns a row carrying the run's [`symbreak_congest::FaultStats`] —
-/// including the re-join counters (`rejoin_pulses`, `replayed`) when the
-/// plan revives a crashed node with retained state.
-///
-/// The row's `rounds` column records the asynchronous completion *time*
-/// (the natural round analogue of the α-synchronized executor), and
-/// `valid` requires both completion and the output being an MIS — a
-/// stalled run is reported, not hidden.
-pub fn measure_luby_faulty(
-    graph: &Graph,
-    ids: &IdAssignment,
-    seed: u64,
-    async_config: AsyncConfig,
-    plan: &FaultPlan,
-) -> MeasurementRow {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17);
-    let (_, report) = mis::luby::run_async(
-        graph,
-        ids,
-        seed,
-        SyncConfig::default(),
-        async_config,
-        plan,
-        &mut rng,
-    );
-    let in_mis: Vec<bool> = report.outputs.iter().map(|o| *o == Some(1)).collect();
-    let valid = report.completed && mis::verify::is_mis(graph, &in_mis);
-    let mut costs = CostAccount::new();
-    costs.charge(
-        "luby-synchronized",
-        PhaseCost::simulated(report.messages, report.time),
-    );
-    MeasurementRow::new("Luby MIS α-synchronized", graph, &costs, valid).with_faults(report.faults)
 }
 
 /// Runs the naive Θ(m)-message distributed (Δ+1)-coloring baseline.
@@ -243,40 +207,6 @@ mod tests {
             assert_eq!(row.n, 60);
             assert_eq!(row.m, g.num_edges());
         }
-    }
-
-    #[test]
-    fn faulty_measurement_surfaces_rejoin_accounting() {
-        use symbreak_congest::{CrashFault, Recovery};
-
-        let (g, ids) = instance(20, 0.3, 7);
-        let config = AsyncConfig {
-            max_delay: 5,
-            max_time: 20_000,
-            message_bit_limit: 512,
-        };
-
-        let clean = measure_luby_faulty(&g, &ids, 1, config, &FaultPlan::default());
-        assert!(clean.valid, "fault-free lockstep run must complete");
-        assert_eq!(clean.faults, Some(symbreak_congest::FaultStats::default()));
-        assert_eq!(clean.fault_cell(), "0/0/0/0/0");
-
-        // Crash a node early and hand it back with retained state deep in
-        // quiescence: the re-join protocol must finish the run, and the
-        // row must account for the pulses and replayed traffic.
-        let plan = FaultPlan::default().with_crash(CrashFault {
-            node: symbreak_graphs::NodeId(0),
-            at: 2,
-            recovery: Some((1_000, Recovery::Retain)),
-        });
-        let row = measure_luby_faulty(&g, &ids, 1, config, &plan);
-        assert!(row.valid, "retained re-join must complete with a valid MIS");
-        let stats = row.faults.expect("faulty rows carry stats");
-        assert_eq!(stats.crashes, 1);
-        assert_eq!(stats.recoveries, 1);
-        assert!(stats.rejoin_pulses > 0, "revival must broadcast REJOIN");
-        assert!(stats.replayed > 0, "neighbours must replay buffered rounds");
-        assert!(row.total_messages() > clean.total_messages());
     }
 
     #[test]

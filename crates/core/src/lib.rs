@@ -16,16 +16,17 @@
 //! * [`partition`] — the Chang et al. vertex/palette partition evaluated
 //!   from shared randomness with Θ(log n)-wise independence (Lemma 3.1).
 //! * [`repair`] — incremental repair after edge churn: dirty-frontier
-//!   extraction, frontier-induced subgraphs re-entering the flat stage
-//!   pipeline, and the generation-keyed [`ChurnSession`] caches.
+//!   extraction, frontier-induced subgraphs re-entering the Johansson and
+//!   Luby runtimes, and the [`ChurnSession`] that holds the overlay.
 //! * [`stage_flat`] — the one stage runtime of Algorithm 1's coloring
-//!   stages and the churn repair (arena-backed stage specs, bitset
-//!   palettes, borrow-threaded automata), synchronous and asynchronous;
+//!   stages (arena-backed stage specs, bitset palettes, borrow-threaded
+//!   automata), synchronous and asynchronous;
 //!   [`query_coloring`] holds its query-target oracle. The committed golden
 //!   digests in `tests/golden_digests.rs` pin the outputs and per-phase
 //!   costs of every algorithm built on it.
 //! * [`experiments`] / [`report`] — the measurement harness used by the
-//!   benches and by `EXPERIMENTS.md`.
+//!   examples and the benches (the `sweeps` bench writes its rows to
+//!   `BENCH_sweeps.json`).
 //!
 //! # Example
 //!

@@ -23,7 +23,7 @@
 //! the neighbours' IDs (KT-1), so no extra communication is needed to set
 //! the stage up.
 
-use symbreak_graphs::{Graph, GraphOverlay, IdAssignment, NodeId};
+use symbreak_graphs::{Graph, IdAssignment, NodeId};
 
 use crate::partition::{ChangPartition, Part};
 
@@ -164,37 +164,6 @@ impl QueryPlan {
         }
     }
 
-    /// Builds a plan from a [`GraphOverlay`]'s merged adjacency: the
-    /// per-node insert/delete deltas are consulted before the flat base
-    /// arrays, so after churn the plan describes the *current* graph without
-    /// compacting first. Bit-identical to [`QueryPlan::new`] on a fresh CSR
-    /// build of the mutated edge list (asserted by the churn differential
-    /// suite).
-    pub fn from_overlay(
-        overlay: &GraphOverlay,
-        ids: &IdAssignment,
-        history: Vec<ChangPartition>,
-    ) -> Self {
-        let n = overlay.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbor_ids = Vec::with_capacity(2 * overlay.num_edges());
-        offsets.push(0u32);
-        for v in (0..n as u32).map(NodeId) {
-            neighbor_ids.extend(overlay.neighbors(v).map(|u| (u, ids.id_of(u))));
-            offsets.push(neighbor_ids.len() as u32);
-        }
-        let level_index = history
-            .iter()
-            .map(|p| LevelBucketIndex::build(&offsets, &neighbor_ids, p))
-            .collect();
-        QueryPlan {
-            offsets,
-            neighbor_ids,
-            history,
-            level_index,
-        }
-    }
-
     /// Appends one finished level's partition to the history (and builds its
     /// per-(node, bucket) neighbour index — one `O(m)` pass, paid once per
     /// level instead of once per proposal). Algorithm 1 calls this between
@@ -218,14 +187,6 @@ impl QueryPlan {
         let lo = self.offsets[v.index()] as usize;
         let hi = self.offsets[v.index() + 1] as usize;
         &self.neighbor_ids[lo..hi]
-    }
-
-    /// The `(address, ID)` pairs of `v`'s neighbours, publicly readable so
-    /// the churn differential suite can assert an overlay-built plan is
-    /// entry-for-entry identical to one built on a fresh CSR.
-    #[inline]
-    pub fn neighbor_entries(&self, v: NodeId) -> &[(NodeId, u64)] {
-        self.neighbor_row(v)
     }
 
     /// The neighbours of `v` that could hold colour `c` after the earlier

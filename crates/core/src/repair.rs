@@ -15,14 +15,14 @@
 //!    flat base arrays): frontier nodes are remapped to a dense `NodeId`
 //!    range and keep their original u64 IDs, so ID-based tie-breaks agree
 //!    with the full graph.
-//! 3. **Existing pipeline** — the frontier re-enters the *same* flat stage
-//!    runtimes the from-scratch algorithms use: Johansson list-coloring
-//!    ([`johansson::run_flat`]) or the conflict-aware query stage
-//!    ([`crate::stage_flat::run_stage_flat`]) for colourings, Luby or
-//!    parallel-greedy ([`luby::run_restricted_arena`],
-//!    [`parallel_greedy::run_arena`]) for MIS.
-//! 4. **Fixpoint** — nodes that give up (query stage) or remain uncovered
-//!    re-seed the next, smaller frontier until the invariant holds again.
+//! 3. **Existing runtimes** — the frontier re-enters the *same* flat
+//!    runtimes the from-scratch baselines use: Johansson list-coloring
+//!    ([`johansson::run_flat`]) for colourings, Luby
+//!    ([`luby::run_restricted_arena`]) for MIS.
+//! 4. **Fixpoint** — the former frontier is re-scanned, and any node still
+//!    uncoloured, conflicting or uncovered would seed the next frontier.
+//!    Both runtimes decide every frontier node, so one iteration reaches
+//!    the fixpoint; the loop is the check that it did.
 //!
 //! Repaired colourings stay proper and within `Δ+1` colours of the *current*
 //! graph because each frontier node's repair palette is
@@ -34,55 +34,34 @@
 //! candidate. The differential suite (`tests/churn_equivalence.rs`) checks
 //! both invariants after every batch against a fresh CSR build.
 
-use std::sync::Arc;
-
 use symbreak_classic::coloring::johansson;
-use symbreak_classic::mis::{luby, parallel_greedy};
+use symbreak_classic::mis::luby;
 use symbreak_congest::{ExecutionReport, KtLevel, SyncConfig};
 use symbreak_graphs::{
     AdjacencyArena, ChurnBatch, Graph, GraphBuilder, GraphOverlay, IdAssignment, NodeId,
 };
 
-use crate::query_coloring::QueryPlan;
-use crate::stage_flat::{run_stage_flat, FlatStageSpec};
-
-/// Safety valve: a repair that has not reached a fixpoint after this many
-/// frontier iterations is a logic error, not bad luck (each stage decides
-/// every frontier node w.h.p.; only query-stage give-ups ever iterate).
+/// Safety valve: every repair reaches its fixpoint in one iteration (the
+/// churn differential suite asserts it), so one still iterating after this
+/// many is a logic error, not bad luck.
 const MAX_REPAIR_ITERATIONS: usize = 64;
 
-/// `splitmix64` — the salt mixer used for per-iteration stage seeds and
-/// greedy repair ranks.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Which stage runtime drives a colouring repair.
+/// Which stage runtime drives a colouring repair. Johansson is the only
+/// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ColoringRepairDriver {
-    /// Johansson list-coloring over the frontier subgraph — the classic
-    /// driver; never gives up, so it reaches the fixpoint in one iteration.
+    /// Johansson list-coloring over the frontier subgraph; it never gives
+    /// up, so it reaches the fixpoint in one iteration.
     #[default]
     Johansson,
-    /// The conflict-aware query stage of Algorithm 1
-    /// ([`crate::stage_flat::run_stage_flat`]) with a fresh empty-history
-    /// [`QueryPlan`] on the frontier subgraph; give-ups re-enter the next
-    /// iteration's frontier.
-    QueryStage,
 }
 
-/// Which stage runtime drives an MIS repair.
+/// Which stage runtime drives an MIS repair. Luby is the only one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MisRepairDriver {
     /// Luby's algorithm on the candidate subgraph.
     #[default]
     Luby,
-    /// Parallel greedy by pseudorandom distinct ranks on the candidate
-    /// subgraph.
-    Greedy,
 }
 
 /// What one incremental repair did: how many frontier iterations ran, how
@@ -181,9 +160,9 @@ fn repair_palette(overlay: &GraphOverlay, colors: &[Option<u64>], v: NodeId) -> 
 /// colouring stays `(Δ+1)`-bounded for the current maximum degree `Δ`.
 ///
 /// Only the larger-ID endpoint of each conflicting inserted edge is
-/// re-entered (deletions never break properness), and each iteration's
-/// frontier runs through the stage runtime selected by `driver` on the
-/// frontier-induced subgraph.
+/// re-entered (deletions never break properness), and the frontier runs
+/// through the stage runtime `driver` names on the frontier-induced
+/// subgraph.
 ///
 /// # Panics
 ///
@@ -238,16 +217,11 @@ pub fn repair_coloring(
         let stage_seed = seed ^ (report.iterations as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let (sub_colors, exec) = match driver {
             ColoringRepairDriver::Johansson => {
-                let spec = johansson::ListColoringSpec {
-                    palettes,
-                    active: frontier
-                        .graph
-                        .nodes()
-                        .map(|v| frontier.graph.neighbor_vec(v))
-                        .collect(),
-                    participating: vec![true; m],
-                };
-                let instance = johansson::FlatListColoring::from_spec(&frontier.graph, &spec);
+                let instance = johansson::FlatListColoring::new(
+                    vec![true; m],
+                    &palettes,
+                    AdjacencyArena::from_filtered(&frontier.graph, |_, _| true),
+                );
                 johansson::run_flat(
                     &frontier.graph,
                     &frontier.ids,
@@ -257,19 +231,6 @@ pub fn repair_coloring(
                     config,
                 )
             }
-            ColoringRepairDriver::QueryStage => {
-                let blank = vec![None; m];
-                let plan = Arc::new(QueryPlan::new(&frontier.graph, &frontier.ids, Vec::new()));
-                let phase_limit = (16.0 * (m.max(2) as f64).log2()).ceil() as usize + 32;
-                let spec = FlatStageSpec::for_repair(
-                    &frontier.graph,
-                    &blank,
-                    &palettes,
-                    plan,
-                    phase_limit,
-                );
-                run_stage_flat(&frontier.graph, &frontier.ids, &spec, stage_seed, config)
-            }
         };
         report.absorb(&exec);
         for (j, &v) in frontier.nodes.iter().enumerate() {
@@ -278,8 +239,10 @@ pub fn repair_coloring(
                 report.repaired_nodes += 1;
             }
         }
-        // Re-scan only the former frontier: give-ups stay dirty, and any
-        // residual conflict (impossible for the Johansson driver) re-enters.
+        // Re-scan only the former frontier: an uncoloured node or a residual
+        // conflict would re-enter. Neither occurs: Johansson colours every
+        // frontier node apart from its frontier neighbours, and the repair
+        // palettes exclude the colours of the clean ones.
         for &v in &frontier.nodes {
             match colors[v.index()] {
                 None => dirty.push(v),
@@ -307,7 +270,7 @@ pub fn repair_coloring(
 ///    endpoints of effective deletions — filtered to nodes with no
 ///    remaining set-neighbour (the only nodes maximality can now miss).
 /// 3. **Re-run MIS** on the candidate-induced subgraph with the runtime
-///    selected by `driver`, and add the winners to the set.
+///    `driver` names, and add the winners to the set.
 ///
 /// # Panics
 ///
@@ -377,27 +340,6 @@ pub fn repair_mis(
                 stage_seed,
                 config,
             ),
-            MisRepairDriver::Greedy => {
-                // Distinct pseudorandom ranks: random high bits, the dense
-                // subgraph index in the low bits as the tie-break.
-                let ranks: Vec<u64> = frontier
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| {
-                        (splitmix64(stage_seed ^ ids.id_of(v)) & !0xffff_ffff) | j as u64
-                    })
-                    .collect();
-                parallel_greedy::run_arena(
-                    &frontier.graph,
-                    &frontier.ids,
-                    KtLevel::KT2,
-                    &participating,
-                    &ranks,
-                    &arena,
-                    config,
-                )
-            }
         };
         report.absorb(&exec);
         for (j, &v) in frontier.nodes.iter().enumerate() {
@@ -584,23 +526,18 @@ mod tests {
         let colors: Vec<Option<u64>> = (0..8).map(|i| Some(i % 2)).collect();
         let b = batch(&[(0, 2)], &[]); // both colour 0
         session.apply(&b);
-        for driver in [
-            ColoringRepairDriver::Johansson,
-            ColoringRepairDriver::QueryStage,
-        ] {
-            let mut repaired = colors.clone();
-            let report = session.repair_coloring(&b, &mut repaired, driver, 7);
-            assert!(is_proper_coloring(
-                &session.overlay().materialize(),
-                &repaired
-            ));
-            assert_eq!(report.frontier_sizes, vec![1], "{driver:?}");
-            assert_eq!(
-                repaired[0], colors[0],
-                "smaller-ID endpoint keeps its colour"
-            );
-            assert_ne!(repaired[2], Some(0), "{driver:?}");
-        }
+        let mut repaired = colors.clone();
+        let report = session.repair_coloring(&b, &mut repaired, ColoringRepairDriver::Johansson, 7);
+        assert!(is_proper_coloring(
+            &session.overlay().materialize(),
+            &repaired
+        ));
+        assert_eq!(report.frontier_sizes, vec![1]);
+        assert_eq!(
+            repaired[0], colors[0],
+            "smaller-ID endpoint keeps its colour"
+        );
+        assert_ne!(repaired[2], Some(0));
     }
 
     #[test]
@@ -629,19 +566,13 @@ mod tests {
             IdAssignment::identity(6),
             SyncConfig::default(),
         );
-        let in_set = vec![true, false, true, false, true, false];
+        let mut in_set = vec![true, false, true, false, true, false];
         let b = batch(&[(0, 2)], &[(4, 5)]);
         session.apply(&b);
-        for driver in [MisRepairDriver::Luby, MisRepairDriver::Greedy] {
-            let mut repaired = in_set.clone();
-            let report = session.repair_mis(&b, &mut repaired, driver, 11);
-            assert!(
-                is_mis(&session.overlay().materialize(), &repaired),
-                "{driver:?}"
-            );
-            assert!(report.iterations >= 1, "{driver:?}");
-            assert!(repaired[5], "uncovered node must re-enter the set");
-        }
+        let report = session.repair_mis(&b, &mut in_set, MisRepairDriver::Luby, 11);
+        assert!(is_mis(&session.overlay().materialize(), &in_set));
+        assert!(report.iterations >= 1);
+        assert!(in_set[5], "uncovered node must re-enter the set");
     }
 
     #[test]

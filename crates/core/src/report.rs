@@ -3,7 +3,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use symbreak_congest::{CostAccount, FaultStats};
+use symbreak_congest::CostAccount;
 use symbreak_graphs::Graph;
 
 /// One row of a Figure-1-style measurement: an algorithm run on one instance.
@@ -25,11 +25,6 @@ pub struct MeasurementRow {
     pub rounds: u64,
     /// Whether the output passed its validity check.
     pub valid: bool,
-    /// Fault-injection counters when the run executed on the fault-enabled
-    /// asynchronous path; `None` for synchronous or fault-free rows. Tables
-    /// serialized before this field existed deserialize as `None`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub faults: Option<FaultStats>,
 }
 
 impl MeasurementRow {
@@ -49,25 +44,6 @@ impl MeasurementRow {
             charged_messages: costs.charged_messages(),
             rounds: costs.total_rounds(),
             valid,
-            faults: None,
-        }
-    }
-
-    /// Attaches the fault counters of an asynchronous fault-injected run.
-    pub fn with_faults(mut self, stats: FaultStats) -> Self {
-        self.faults = Some(stats);
-        self
-    }
-
-    /// Compact fault column: `drop/dup/crash/rejoin/replay`, or `-` for
-    /// rows without fault accounting.
-    pub fn fault_cell(&self) -> String {
-        match &self.faults {
-            None => "-".to_string(),
-            Some(f) => format!(
-                "{}/{}/{}/{}/{}",
-                f.dropped, f.duplicated, f.crashes, f.rejoin_pulses, f.replayed
-            ),
         }
     }
 
@@ -115,7 +91,7 @@ impl fmt::Display for MeasurementTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<34} {:>6} {:>9} {:>6} {:>12} {:>12} {:>8} {:>8} {:>9} {:>6} {:>16}",
+            "{:<34} {:>6} {:>9} {:>6} {:>12} {:>12} {:>8} {:>8} {:>9} {:>6}",
             "algorithm",
             "n",
             "m",
@@ -125,13 +101,12 @@ impl fmt::Display for MeasurementTable {
             "rounds",
             "msg/m",
             "msg/n^1.5",
-            "valid",
-            "drop/dup/cr/rj/rp"
+            "valid"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<34} {:>6} {:>9} {:>6} {:>12} {:>12} {:>8} {:>8.3} {:>9.3} {:>6} {:>16}",
+                "{:<34} {:>6} {:>9} {:>6} {:>12} {:>12} {:>8} {:>8.3} {:>9.3} {:>6}",
                 r.algorithm,
                 r.n,
                 r.m,
@@ -141,8 +116,7 @@ impl fmt::Display for MeasurementTable {
                 r.rounds,
                 r.messages_per_edge(),
                 r.messages_per_n15(),
-                r.valid,
-                r.fault_cell()
+                r.valid
             )?;
         }
         Ok(())
@@ -178,34 +152,6 @@ mod tests {
         assert!(text.contains("alg-one"));
         assert!(text.contains("alg-two"));
         assert!(text.contains("msg/m"));
-    }
-
-    #[test]
-    fn fault_column_renders_counters_or_dash() {
-        let g = generators::cycle(6);
-        let costs = CostAccount::new();
-        let plain = MeasurementRow::new("sync", &g, &costs, true);
-        assert_eq!(plain.fault_cell(), "-");
-        assert_eq!(plain.faults, None);
-
-        let stats = FaultStats {
-            dropped: 3,
-            crashes: 1,
-            recoveries: 1,
-            rejoin_pulses: 2,
-            replayed: 17,
-            ..FaultStats::default()
-        };
-        let faulty = MeasurementRow::new("async", &g, &costs, true).with_faults(stats);
-        assert_eq!(faulty.fault_cell(), "3/0/1/2/17");
-        assert_eq!(faulty.faults, Some(stats));
-
-        let mut table = MeasurementTable::new();
-        table.push(plain);
-        table.push(faulty);
-        let text = table.to_string();
-        assert!(text.contains("drop/dup/cr/rj/rp"));
-        assert!(text.contains("3/0/1/2/17"));
     }
 
     #[test]

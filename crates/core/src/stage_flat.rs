@@ -1,8 +1,8 @@
 //! The stage pipeline: arena-backed stage specs and the borrow-threaded
 //! runtime of the conflict-aware coloring stage.
 //!
-//! A [`FlatStageSpec`] holds one stage of Algorithm 1 (or of the churn
-//! repair) in three flat structures:
+//! A [`FlatStageSpec`] holds one stage of Algorithm 1 in three flat
+//! structures:
 //!
 //! * **bitset palettes** ([`PaletteBitsets`]): one flat word array, one
 //!   distinct palette row computed per *bucket* (not per node) and blitted
@@ -38,8 +38,7 @@ use crate::query_coloring::{QueryPlan, TAG_FINAL, TAG_PROPOSE, TAG_QUERY, TAG_RE
 
 /// Flat specification of one conflict-aware coloring stage. Borrows the
 /// current colour vector instead of cloning it; build one per stage with
-/// [`FlatStageSpec::for_bucket_level`], [`FlatStageSpec::for_final_stage`]
-/// or [`FlatStageSpec::for_repair`].
+/// [`FlatStageSpec::for_bucket_level`] or [`FlatStageSpec::for_final_stage`].
 #[derive(Debug, Clone)]
 pub struct FlatStageSpec<'a> {
     participating: Vec<bool>,
@@ -132,41 +131,6 @@ impl<'a> FlatStageSpec<'a> {
         FlatStageSpec {
             participating,
             palettes,
-            active,
-            existing_colors: colors,
-            plan,
-            phase_limit,
-        }
-    }
-
-    /// Builds the repair-stage spec of the churn pipeline
-    /// ([`crate::repair`]): the dirty frontier re-enters the stage as a
-    /// frontier-induced subgraph whose nodes carry caller-computed list
-    /// palettes (the colours of their clean neighbours in the full graph
-    /// already excluded), active towards their fellow frontier nodes.
-    ///
-    /// `palettes` lists must be sorted ascending and duplicate-free (checked
-    /// in debug builds).
-    pub fn for_repair(
-        graph: &Graph,
-        colors: &'a [Option<u64>],
-        palettes: &[Vec<u64>],
-        plan: Arc<QueryPlan>,
-        phase_limit: usize,
-    ) -> Self {
-        let n = graph.num_nodes();
-        assert_eq!(colors.len(), n);
-        assert_eq!(palettes.len(), n);
-        debug_assert!(palettes
-            .iter()
-            .all(|list| list.windows(2).all(|w| w[0] < w[1])));
-        let participating: Vec<bool> = colors.iter().map(Option::is_none).collect();
-        let active = AdjacencyArena::from_filtered(graph, |v, u| {
-            participating[v.index()] && participating[u.index()]
-        });
-        FlatStageSpec {
-            participating,
-            palettes: PaletteBitsets::from_lists(palettes),
             active,
             existing_colors: colors,
             plan,
@@ -513,10 +477,10 @@ mod tests {
 
     #[test]
     fn queries_prevent_conflicts_with_previously_colored_neighbors() {
-        // Star: the centre is pre-coloured with colour 0 at "level 0"; the
-        // leaves must avoid 0 purely through queries (they are pairwise
-        // non-adjacent, so their active lists are empty and no
-        // PROPOSE/FINAL traffic can save them).
+        // Star: the centre was coloured at "level 0"; the leaves must avoid
+        // its colour purely through queries (the centre does not take part
+        // and the leaves are pairwise non-adjacent, so every active list is
+        // empty and no PROPOSE/FINAL traffic can save them).
         let g = generators::star(8);
         let ids = IdAssignment::identity(8);
         let shared = SharedRandomness::from_seed(9, 1024);
@@ -533,18 +497,27 @@ mod tests {
         let mut existing = vec![None; 8];
         existing[0] = Some(centre_color);
         let plan = Arc::new(QueryPlan::new(&g, &ids, vec![partition]));
-        // Leaves may only use the centre's colour or one alternative, so
-        // without queries they would pick the centre's colour half the time.
-        let palettes = vec![vec![centre_color, centre_color + 100]; 8];
-        let spec = FlatStageSpec::for_repair(&g, &existing, &palettes, plan, 100);
+        // The palette holds the centre's colour and every smaller one plus
+        // one more, so the leaves draw the centre's colour often.
+        let palette_size = centre_color + 2;
+        let spec = FlatStageSpec::for_final_stage(&g, &existing, palette_size, plan, 100);
         assert_eq!(spec.active().total_len(), 0);
-        let (colors, report) = run_stage_flat(&g, &ids, &spec, 5, SyncConfig::default());
-        for leaf in 1..8 {
-            assert_eq!(colors[leaf], Some(centre_color + 100), "leaf {leaf}");
+        let mut retried = false;
+        for seed in 0..8 {
+            let (colors, report) = run_stage_flat(&g, &ids, &spec, seed, SyncConfig::default());
+            assert_eq!(colors[0], Some(centre_color));
+            for leaf in 1..8 {
+                let color = colors[leaf].expect("every leaf is coloured");
+                assert!(color < palette_size, "leaf {leaf}");
+                assert_ne!(color, centre_color, "leaf {leaf}, seed {seed}");
+            }
+            // Queries were actually sent (leaves had to ask the centre).
+            assert!(report.messages > 0);
+            // A second phase means some leaf drew the centre's colour and
+            // learned from a query response that it was taken.
+            retried |= report.rounds > 3;
         }
-        assert_eq!(colors[0], Some(centre_color));
-        // Queries were actually sent (leaves had to ask the centre).
-        assert!(report.messages > 0);
+        assert!(retried, "no leaf ever drew the centre's colour");
     }
 
     #[test]

@@ -6,14 +6,11 @@
 //! After **every** batch the suite asserts, against a fresh CSR built from
 //! scratch on the mutated edge list:
 //!
-//! * repaired colourings (Johansson *and* query-stage drivers) are proper
-//!   colourings of the current graph, and repaired sets (Luby *and*
-//!   parallel-greedy drivers) are maximal independent sets;
+//! * repaired colourings are proper colourings of the current graph, and
+//!   repaired sets are maximal independent sets;
+//! * every repair reaches its fixpoint in at most one frontier iteration;
 //! * the overlay's merged adjacency — neighbour rows, two-hop rows, degrees
 //!   and edge count — is **bit-identical** to the fresh build;
-//! * a [`QueryPlan`] built from the overlay is entry-for-entry identical to
-//!   one built on the fresh CSR, and answers every `targets` query
-//!   identically under a non-trivial partition history;
 //! * at compaction boundaries, the compacted base CSR equals the fresh
 //!   build by full structural equality (offsets, targets **and** edge
 //!   numbering), and repairs keep tracking across the boundary.
@@ -27,12 +24,9 @@ use rand::SeedableRng;
 use symbreak_classic::coloring::verify::is_proper_coloring;
 use symbreak_classic::mis::verify::is_mis;
 use symbreak_congest::SyncConfig;
-use symbreak_core::partition::ChangPartition;
-use symbreak_core::query_coloring::QueryPlan;
 use symbreak_core::repair::{ChurnSession, ColoringRepairDriver, MisRepairDriver};
 use symbreak_graphs::generators::{self, ChurnStream};
 use symbreak_graphs::{Graph, GraphBuilder, IdAssignment, IdSpace};
-use symbreak_ktrand::SharedRandomness;
 
 /// Env knob: replays the whole grid under a different base seed.
 const CHURN_SEED_ENV: &str = "CONGEST_CHURN_SEED";
@@ -71,11 +65,9 @@ fn scratch_build(session: &ChurnSession) -> Graph {
 }
 
 /// Asserts the overlay's merged adjacency is bit-identical to the fresh
-/// CSR, and that an overlay-built [`QueryPlan`] matches a fresh-CSR one
-/// entry for entry and answer for answer.
+/// CSR.
 fn assert_overlay_matches_fresh(session: &ChurnSession, fresh: &Graph, cell: &str) {
     let overlay = session.overlay();
-    let ids = session.ids();
     assert_eq!(overlay.num_edges(), fresh.num_edges(), "{cell} edge count");
     for v in fresh.nodes() {
         assert_eq!(
@@ -90,35 +82,6 @@ fn assert_overlay_matches_fresh(session: &ChurnSession, fresh: &Graph, cell: &st
             "{cell} two-hop row of {v}"
         );
     }
-    // QueryPlan differential: same neighbour table, same query answers under
-    // a non-trivial partition history.
-    let shared = SharedRandomness::from_seed(0xB1A5 ^ fresh.num_edges() as u64, 4096);
-    let delta = fresh.max_degree().max(1);
-    let history = vec![
-        ChangPartition::compute(&shared, 0, fresh.num_nodes(), delta),
-        ChangPartition::compute(&shared, 1, fresh.num_nodes(), delta),
-    ];
-    let from_overlay = QueryPlan::from_overlay(overlay, ids, history.clone());
-    let from_fresh = QueryPlan::new(fresh, ids, history);
-    assert_eq!(
-        from_overlay.history_len(),
-        from_fresh.history_len(),
-        "{cell}"
-    );
-    for v in fresh.nodes() {
-        assert_eq!(
-            from_overlay.neighbor_entries(v),
-            from_fresh.neighbor_entries(v),
-            "{cell} plan row of {v}"
-        );
-        for c in 0..6u64 {
-            assert_eq!(
-                from_overlay.targets(v, c),
-                from_fresh.targets(v, c),
-                "{cell} targets({v}, {c})"
-            );
-        }
-    }
 }
 
 fn run_cell(family: &str, graph_seed: u64, threads: usize) {
@@ -129,47 +92,38 @@ fn run_cell(family: &str, graph_seed: u64, threads: usize) {
     let config = SyncConfig::default().with_threads(threads);
     let mut session = ChurnSession::new(graph.clone(), ids, config);
 
-    let (mut colors_johansson, _) = session.recompute_coloring(graph_seed ^ 0xC01);
-    let mut colors_query = colors_johansson.clone();
-    let (mut mis_luby, _) = session.recompute_mis(graph_seed ^ 0x3A5);
-    let mut mis_greedy = mis_luby.clone();
+    let (mut colors, _) = session.recompute_coloring(graph_seed ^ 0xC01);
+    let (mut in_set, _) = session.recompute_mis(graph_seed ^ 0x3A5);
 
     let mut stream = ChurnStream::new(&graph, graph_seed ^ 0x5EED);
     for step in 0..10u64 {
         let batch = stream.next_batch(2, 2);
         session.apply(&batch);
         let seed = splitmix64(graph_seed ^ step);
-        session.repair_coloring(
-            &batch,
-            &mut colors_johansson,
-            ColoringRepairDriver::Johansson,
-            seed,
-        );
-        session.repair_coloring(
-            &batch,
-            &mut colors_query,
-            ColoringRepairDriver::QueryStage,
-            seed ^ 1,
-        );
-        session.repair_mis(&batch, &mut mis_luby, MisRepairDriver::Luby, seed ^ 2);
-        session.repair_mis(&batch, &mut mis_greedy, MisRepairDriver::Greedy, seed ^ 3);
+        let coloring =
+            session.repair_coloring(&batch, &mut colors, ColoringRepairDriver::Johansson, seed);
+        let mis = session.repair_mis(&batch, &mut in_set, MisRepairDriver::Luby, seed ^ 2);
 
         let fresh = scratch_build(&session);
         assert!(
-            is_proper_coloring(&fresh, &colors_johansson),
+            is_proper_coloring(&fresh, &colors),
             "{cell} step={step}: Johansson repair broke the colouring"
         );
         assert!(
-            is_proper_coloring(&fresh, &colors_query),
-            "{cell} step={step}: query-stage repair broke the colouring"
-        );
-        assert!(
-            is_mis(&fresh, &mis_luby),
+            is_mis(&fresh, &in_set),
             "{cell} step={step}: Luby repair broke the MIS"
         );
+        // Johansson colours and Luby decides every frontier node, so the
+        // re-scan after the first iteration finds nothing left to repair.
         assert!(
-            is_mis(&fresh, &mis_greedy),
-            "{cell} step={step}: greedy repair broke the MIS"
+            coloring.iterations <= 1,
+            "{cell} step={step}: colouring repair took {} iterations",
+            coloring.iterations
+        );
+        assert!(
+            mis.iterations <= 1,
+            "{cell} step={step}: MIS repair took {} iterations",
+            mis.iterations
         );
         assert_overlay_matches_fresh(&session, &fresh, &format!("{cell} step={step}"));
 

@@ -7,7 +7,8 @@
 //! (Theorem 1.1, Gmyr–Pandurangan), (2) electing a leader, and (3) having the
 //! leader broadcast `O(polylog n)` random bits over `H` (Corollary 1.2).
 //!
-//! Following the substitution documented in `DESIGN.md`, this crate
+//! Following the charged-substrate rule (the README's "Charged substrates"
+//! section), this crate
 //!
 //! * constructs a structure satisfying the danner *guarantees* (spanning,
 //!   ≤ `n − 1 + n^{1+δ}` edges, diameter ≤ `2·D(G)`) centrally and **charges**
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use symbreak_danner::{Danner, setup};
+//! use symbreak_danner::setup::SetupPlan;
 //! use symbreak_graphs::{generators, IdAssignment};
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -32,10 +33,10 @@
 //! let ids = IdAssignment::identity(60);
 //!
 //! // Build a danner with δ = 1/2 and distribute 256 shared random bits.
-//! let outcome = setup::shared_randomness(&graph, &ids, 0.5, 256, &mut rng);
-//! assert!(outcome.costs.total_messages() > 0);
+//! let plan = SetupPlan::new(&graph, &ids, 0.5).expect("connected graph");
+//! let (_shared, costs) = plan.share(&ids, 256, &mut rng);
+//! assert!(costs.total_messages() > 0);
 //! // Every node ends up with the same seed (checked internally).
-//! let _shared = outcome.shared;
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,9 +2,11 @@
 //!
 //! This is the setup Algorithms 1 and 2 run: build a danner, elect a
 //! leader, and broadcast the leader's random bits so that every node holds
-//! the same [`SharedRandomness`]. Construction and leader election are
-//! charged per the published bounds (see `DESIGN.md`); the broadcast of the
-//! seed words is executed for real in the simulator.
+//! the same [`SharedRandomness`]. [`SetupPlan::new`] builds the danner and
+//! elects the leader, and [`SetupPlan::share`] broadcasts one execution's
+//! seed words. Construction and leader election are charged per the
+//! published bounds (the README's "Charged substrates" section); the
+//! broadcast of the seed words is executed for real in the simulator.
 
 use rand::Rng;
 use symbreak_congest::{CostAccount, PhaseCost};
@@ -19,10 +21,9 @@ use crate::{BfsTree, Danner, DannerError};
 /// `(graph, ids, delta)` — no private coins touch them. A caller running
 /// several seeds on one graph builds the plan **once** and calls
 /// [`SetupPlan::share`] per seed; only the random seed words (and their real
-/// broadcast) differ per seed. [`try_shared_randomness`] is exactly
-/// `SetupPlan::new` followed by one `share`, so plan-sharing callers stay
-/// bit-identical to it (same phase labels, same charged costs, same draw
-/// order).
+/// broadcast) differ per seed, so every seed's run is bit-identical to one
+/// that builds its own plan (same phase labels, same charged costs, same
+/// draw order).
 #[derive(Debug, Clone)]
 pub struct SetupPlan {
     danner: Danner,
@@ -86,7 +87,7 @@ impl SetupPlan {
     }
 
     /// The charged construction + election phases, in the order
-    /// [`try_shared_randomness`] records them. Every execution sharing the
+    /// [`SetupPlan::share`] records them. Every execution sharing the
     /// plan charges a copy of these (the work happened once, but each
     /// execution's account reflects the distributed cost it would have paid).
     pub fn base_costs(&self) -> CostAccount {
@@ -128,77 +129,11 @@ impl SetupPlan {
     }
 }
 
-/// Result of the shared-randomness setup.
-#[derive(Debug, Clone)]
-pub struct SharedRandomnessOutcome {
-    /// The shared randomness every node now holds.
-    pub shared: SharedRandomness,
-    /// The danner that was built.
-    pub danner: Danner,
-    /// The broadcast tree rooted at the leader (a BFS tree of the danner).
-    pub tree: BfsTree,
-    /// The elected leader (the minimum-ID node).
-    pub leader: NodeId,
-    /// Message/round costs, phase by phase.
-    pub costs: CostAccount,
-}
-
-/// Runs the synchronous KT-1 shared-randomness setup of Corollary 1.2:
-/// danner construction with parameter `delta`, leader election, and a real
-/// broadcast of `⌈budget_bits / 64⌉` seed words over the danner.
-///
-/// # Panics
-///
-/// Panics if the graph is disconnected or `delta ∉ [0, 1]` (the callers in
-/// `symbreak-core` validate their inputs first); use [`try_shared_randomness`]
-/// for a fallible variant.
-pub fn shared_randomness<R: Rng + ?Sized>(
-    graph: &Graph,
-    ids: &IdAssignment,
-    delta: f64,
-    budget_bits: usize,
-    rng: &mut R,
-) -> SharedRandomnessOutcome {
-    try_shared_randomness(graph, ids, delta, budget_bits, rng)
-        .expect("shared-randomness setup requires a connected graph and delta in [0, 1]")
-}
-
-/// Fallible variant of [`shared_randomness`].
-///
-/// # Errors
-///
-/// Returns the underlying [`DannerError`] when the danner cannot be built.
-pub fn try_shared_randomness<R: Rng + ?Sized>(
-    graph: &Graph,
-    ids: &IdAssignment,
-    delta: f64,
-    budget_bits: usize,
-    rng: &mut R,
-) -> Result<SharedRandomnessOutcome, DannerError> {
-    // Steps 1a/1b: the seed-independent prologue (danner + leader + tree).
-    let plan = SetupPlan::new(graph, ids, delta)?;
-    // Step 1c: the leader generates the random bits and broadcasts them over
-    // a BFS tree of the danner — real, metered messages.
-    let (shared, costs) = plan.share(ids, budget_bits, rng);
-    let SetupPlan {
-        danner,
-        leader,
-        tree,
-        ..
-    } = plan;
-    Ok(SharedRandomnessOutcome {
-        shared,
-        danner,
-        tree,
-        leader,
-        costs,
-    })
-}
-
 /// Asynchronous shared-randomness setup (Theorem 1.3, Mashreghi–King):
 /// broadcast and leader election in the *asynchronous* KT-1 CONGEST model
 /// using `Õ(min{m, n^{1.5}})` messages and `O(n)` rounds. The substrate is
-/// charged (see `DESIGN.md`), and the per-word dissemination cost of the
+/// charged (the README's "Charged substrates" section), and the per-word
+/// dissemination cost of the
 /// seed itself is charged on top at `n − 1` messages per word.
 pub fn async_shared_randomness<R: Rng + ?Sized>(
     graph: &Graph,
@@ -237,15 +172,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::connected_gnp(70, 0.4, &mut rng);
         let ids = IdAssignment::random(&g, symbreak_graphs::IdSpace::CUBIC, &mut rng);
-        let out = shared_randomness(&g, &ids, 0.5, 256, &mut rng);
+        let plan = SetupPlan::new(&g, &ids, 0.5).unwrap();
+        let (shared, costs) = plan.share(&ids, 256, &mut rng);
         // Leader is the minimum-ID node.
         let min_id_node = g.nodes().min_by_key(|&v| ids.id_of(v)).unwrap();
-        assert_eq!(out.leader, min_id_node);
-        assert_eq!(out.tree.root(), out.leader);
+        assert_eq!(plan.leader(), min_id_node);
+        assert_eq!(plan.tree().root(), plan.leader());
         // The broadcast cost is real and the construction cost is charged.
-        assert!(out.costs.simulated_messages() >= (g.num_nodes() as u64 - 1));
-        assert!(out.costs.charged_messages() > 0);
-        assert_eq!(out.shared.budget_bits(), 256);
+        assert!(costs.simulated_messages() >= (g.num_nodes() as u64 - 1));
+        assert!(costs.charged_messages() > 0);
+        assert_eq!(shared.budget_bits(), 256);
     }
 
     #[test]
@@ -257,24 +193,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let g = generators::connected_gnp(120, 0.9, &mut rng);
         let ids = IdAssignment::identity(120);
-        let out = shared_randomness(&g, &ids, 0.5, 128, &mut rng);
+        let plan = SetupPlan::new(&g, &ids, 0.5).unwrap();
+        let (_, costs) = plan.share(&ids, 128, &mut rng);
         let log_n = (g.num_nodes() as f64).log2().ceil() as u64;
         assert!(
-            out.costs.total_messages() < g.num_edges() as u64 * log_n,
+            costs.total_messages() < g.num_edges() as u64 * log_n,
             "setup cost {} should be below m·log n = {}",
-            out.costs.total_messages(),
+            costs.total_messages(),
             g.num_edges() as u64 * log_n
         );
         // The *simulated* part (the actual seed broadcast) is tiny: O(n).
-        assert!(out.costs.simulated_messages() <= 4 * g.num_nodes() as u64);
+        assert!(costs.simulated_messages() <= 4 * g.num_nodes() as u64);
     }
 
     #[test]
     fn sync_setup_rejects_disconnected_graphs() {
         let g = generators::disjoint_union(&[generators::path(3), generators::path(3)]);
         let ids = IdAssignment::identity(6);
-        let mut rng = StdRng::seed_from_u64(13);
-        let err = try_shared_randomness(&g, &ids, 0.5, 64, &mut rng).unwrap_err();
+        let err = SetupPlan::new(&g, &ids, 0.5).unwrap_err();
         assert_eq!(err, DannerError::Disconnected);
     }
 

@@ -15,9 +15,8 @@ use crate::{Graph, NodeId};
 /// A flat per-node adjacency table: `row(v)` is a contiguous slice of
 /// `NodeId`s, stored CSR-style (one offsets array, one values array).
 ///
-/// Rows inherit the source order of whatever built them; the
-/// [`AdjacencyArena::from_filtered`] builder walks [`Graph`] rows, so its
-/// rows are sorted ascending like the graph's own.
+/// [`AdjacencyArena::from_filtered`] walks [`Graph`] rows, so every row is
+/// sorted ascending like the graph's own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdjacencyArena {
     /// Row `v` occupies `targets[offsets[v] as usize .. offsets[v+1] as usize]`.
@@ -53,42 +52,6 @@ impl AdjacencyArena {
         AdjacencyArena { offsets, targets }
     }
 
-    /// Builds the arena from a [`crate::GraphOverlay`]'s merged adjacency:
-    /// the per-node insert/delete deltas are consulted before the flat base
-    /// arrays (one sorted merge per row), keeping the neighbours `u` of each
-    /// node `v` for which `keep(v, u)` returns `true`. Rows stay sorted
-    /// ascending, so the result is bit-identical to
-    /// [`AdjacencyArena::from_filtered`] on a fresh CSR build of the mutated
-    /// edge list.
-    pub fn from_overlay_filtered<P>(overlay: &crate::GraphOverlay, mut keep: P) -> Self
-    where
-        P: FnMut(NodeId, NodeId) -> bool,
-    {
-        let n = overlay.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * overlay.num_edges());
-        offsets.push(0u32);
-        for v in (0..n as u32).map(NodeId) {
-            targets.extend(overlay.neighbors(v).filter(|&u| keep(v, u)));
-            offsets.push(targets.len() as u32);
-        }
-        AdjacencyArena { offsets, targets }
-    }
-
-    /// Flattens prebuilt per-node rows (used when converting a nested
-    /// `Vec<Vec<NodeId>>` spec into its flat equivalent).
-    pub fn from_rows(rows: &[Vec<NodeId>]) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let total: usize = rows.iter().map(Vec::len).sum();
-        let mut targets = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for row in rows {
-            targets.extend_from_slice(row);
-            offsets.push(targets.len() as u32);
-        }
-        AdjacencyArena { offsets, targets }
-    }
-
     /// Number of rows (nodes).
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -115,10 +78,8 @@ impl AdjacencyArena {
         self.targets.len()
     }
 
-    /// Whether `u` appears in row `v`. Rows built by
-    /// [`AdjacencyArena::from_filtered`] are sorted, so this is a binary
-    /// search; rows from [`AdjacencyArena::from_rows`] must be sorted by the
-    /// caller for this to be meaningful.
+    /// Whether `u` appears in row `v`: a binary search, since every row is
+    /// sorted.
     #[inline]
     pub fn row_contains(&self, v: NodeId, u: NodeId) -> bool {
         self.row(v).binary_search(&u).is_ok()
@@ -148,32 +109,6 @@ mod tests {
             arena.total_len(),
             g.nodes().map(|v| arena.row_len(v)).sum::<usize>()
         );
-    }
-
-    #[test]
-    fn from_overlay_filtered_matches_fresh_csr_build() {
-        let mut ov = crate::GraphOverlay::new(generators::cycle(6));
-        ov.insert_edge(NodeId(0), NodeId(3));
-        ov.delete_edge(NodeId(1), NodeId(2));
-        let fresh = {
-            let mut b = crate::GraphBuilder::new(6);
-            b.add_edges(ov.edge_list());
-            b.build()
-        };
-        let keep_odd = |_, u: NodeId| u.0 % 2 == 1;
-        let from_overlay = AdjacencyArena::from_overlay_filtered(&ov, keep_odd);
-        let from_fresh = AdjacencyArena::from_filtered(&fresh, keep_odd);
-        assert_eq!(from_overlay, from_fresh);
-    }
-
-    #[test]
-    fn from_rows_round_trips_nested_lists() {
-        let rows = vec![vec![NodeId(1), NodeId(2)], Vec::new(), vec![NodeId(0)]];
-        let arena = AdjacencyArena::from_rows(&rows);
-        assert_eq!(arena.num_nodes(), 3);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(arena.row(NodeId(i as u32)), row.as_slice());
-        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! overlay's merged iterators must keep agreeing after further churn).
 //!
 //! This is the contract the rest of the workspace leans on: repair
-//! frontiers, `QueryPlan::from_overlay` and the differential churn harness
-//! all assume compaction introduces no drift.
+//! frontiers and the differential churn harness both assume compaction
+//! introduces no drift.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

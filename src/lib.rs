@@ -16,8 +16,9 @@
 //! * [`lowerbounds`] — the Section 2 lower-bound constructions and
 //!   experiments.
 //!
-//! See the repository `README.md` for a quickstart and `EXPERIMENTS.md` for
-//! the reproduction of every figure/table.
+//! See the repository `README.md` for a quickstart, and the `sweeps` bench
+//! (`cargo bench -p symbreak-bench --bench sweeps`, which writes
+//! `BENCH_sweeps.json`) for the Figure 1 and ablation tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

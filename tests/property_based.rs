@@ -251,18 +251,18 @@ fn churn_repair_survives_random_streams() {
             let inserts = rng.gen_range(0..4);
             let batch = stream.next_batch(deletes, inserts);
             session.apply(&batch);
-            let coloring_driver = if step % 2 == 0 {
-                ColoringRepairDriver::Johansson
-            } else {
-                ColoringRepairDriver::QueryStage
-            };
-            let mis_driver = if step % 2 == 0 {
-                MisRepairDriver::Luby
-            } else {
-                MisRepairDriver::Greedy
-            };
-            session.repair_coloring(&batch, &mut colors, coloring_driver, seed ^ (step << 8));
-            session.repair_mis(&batch, &mut in_set, mis_driver, seed ^ (step << 16));
+            session.repair_coloring(
+                &batch,
+                &mut colors,
+                ColoringRepairDriver::Johansson,
+                seed ^ (step << 8),
+            );
+            session.repair_mis(
+                &batch,
+                &mut in_set,
+                MisRepairDriver::Luby,
+                seed ^ (step << 16),
+            );
             let current = session.overlay().materialize();
             assert!(
                 coloring::verify::is_proper_coloring(&current, &colors),
