@@ -1,19 +1,20 @@
 //! The declarative sweep driver: a sweep is a *seed × algorithm × graph*
-//! grid, executed **batched** — every cell builds its instance graph once
-//! and runs all of its seeds through the `measure_*_batch` drivers, where
-//! Algorithms 1 and 2 build their seed-independent setup (danner plan, Δ
-//! casts) once per cell — and then re-executed sequentially, seed by seed,
-//! as both the wall-clock baseline and the **differential oracle**:
-//! [`run_sweep`] asserts the batched rows are identical to the sequential
+//! grid. Every cell builds its instance graph once and runs each of its
+//! seeds once through the `measure_*` drivers. Algorithm 1 and 2 cells run
+//! **batched**: their drivers build the seed-independent setup (danner
+//! plan, Δ casts) once per cell. Only those cells are re-executed seed by
+//! seed, as both the wall-clock baseline and the **differential oracle**:
+//! [`run_sweep`] asserts their batched rows are identical to the sequential
 //! rows before reporting a speedup.
 //!
-//! The figure/ablation benches declare their tables as [`SweepSpec`]s (see
-//! [`standard_sweeps`]) instead of hand-rolled loops; the `sweeps` bench
-//! harness executes the registry and writes one JSON object per cell to
-//! `BENCH_sweeps.json`. The lower-bound experiment loops have their own
-//! declarative grids ([`CrossedSweepSpec`], [`CycleSweepSpec`]) — they run
-//! instrumented simulations (utilization/per-edge tracking) one at a time,
-//! so their cells carry no speedup claim.
+//! The Figure 1, crossover and ablation grids are declared here as
+//! [`SweepSpec`]s (see [`standard_sweeps`]). The `sweeps` bench executes the
+//! registry, writes one JSON object per cell to `BENCH_sweeps.json` and
+//! prints every figure table from those cells. The lower-bound experiment
+//! loops have their own declarative grids ([`CrossedSweepSpec`],
+//! [`CycleSweepSpec`]) — they run instrumented simulations
+//! (utilization/per-edge tracking) one at a time, so their cells carry no
+//! speedup claim.
 //!
 //! Set `SWEEP_SMOKE=1` for the reduced grid (smaller graphs, 3 lanes) used
 //! by CI.
@@ -58,7 +59,7 @@ pub enum SweepAlgorithm {
     Alg1,
     /// The asynchronous variant of Algorithm 1. Its cost model re-charges
     /// the synchronous run, which has no batched runtime of its own — cells
-    /// run seed by seed on both sides (speedup ≈ 1 by design).
+    /// run seed by seed.
     Alg1Async,
     /// Algorithm 2, (1+ε)Δ-coloring in KT-1.
     Alg2 {
@@ -88,31 +89,26 @@ impl SweepAlgorithm {
 
     /// Whether the algorithm's batched run shares work across seeds:
     /// Algorithms 1 and 2 build their seed-independent setup once per cell.
-    /// Every other cell runs identical per-seed work on both sides, so its
-    /// speedup is noise and the sweeps gate ignores it.
+    /// Every other algorithm has no batched driver; its cells run seed by
+    /// seed, once.
     pub fn is_batched(self) -> bool {
         matches!(self, SweepAlgorithm::Alg1 | SweepAlgorithm::Alg2 { .. })
     }
 
+    /// Every seed's row: through the batched driver for Algorithms 1 and 2,
+    /// seed by seed for the rest.
     fn measure_batch(self, inst: &Instance, seeds: &[u64]) -> Vec<MeasurementRow> {
         let (g, ids) = (&inst.graph, &inst.ids);
         match self {
             SweepAlgorithm::Alg1 => experiments::measure_alg1_batch(g, ids, seeds),
-            SweepAlgorithm::Alg1Async => seeds
-                .iter()
-                .map(|&s| experiments::measure_alg1_async(g, ids, s))
-                .collect(),
             SweepAlgorithm::Alg2 { epsilon } => {
                 experiments::measure_alg2_batch(g, ids, epsilon, seeds)
             }
-            SweepAlgorithm::Alg3 => experiments::measure_alg3_batch(g, ids, seeds),
-            SweepAlgorithm::LubyBaseline => experiments::measure_luby_baseline_batch(g, ids, seeds),
-            SweepAlgorithm::ColoringBaseline => {
-                experiments::measure_coloring_baseline_batch(g, ids, seeds)
-            }
+            _ => self.measure_sequential(inst, seeds),
         }
     }
 
+    /// Every seed's row, one `measure_*` run per seed.
     fn measure_sequential(self, inst: &Instance, seeds: &[u64]) -> Vec<MeasurementRow> {
         let (g, ids) = (&inst.graph, &inst.ids);
         seeds
@@ -173,8 +169,8 @@ pub struct SweepSpec {
     pub lanes: usize,
 }
 
-/// One executed sweep cell: the batched rows (one per seed) plus the
-/// batched/sequential wall-clock pair.
+/// One executed sweep cell: its rows (one per seed) plus their wall-clock
+/// time, and for a batched cell the time of its sequential re-run.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Sweep name.
@@ -187,24 +183,24 @@ pub struct SweepCell {
     pub m: usize,
     /// Algorithm key.
     pub algorithm: String,
-    /// Whether the batched run shared setup across the cell's seeds
-    /// ([`SweepAlgorithm::is_batched`]).
-    pub batched: bool,
     /// The cell's seed grid.
     pub seeds: Vec<u64>,
-    /// One measurement row per seed (batched execution; asserted identical
+    /// One measurement row per seed (for a batched cell, asserted identical
     /// to the sequential rows).
     pub rows: Vec<MeasurementRow>,
-    /// Wall-clock nanoseconds of the batched execution of all seeds.
+    /// Wall-clock nanoseconds of the cell's run over all of its seeds
+    /// (batched for Algorithms 1 and 2, seed by seed for the rest).
     pub batched_ns: f64,
-    /// Wall-clock nanoseconds of the seed-by-seed sequential execution.
-    pub sequential_ns: f64,
+    /// Wall-clock nanoseconds of a batched cell's seed-by-seed re-run
+    /// ([`SweepAlgorithm::is_batched`]); `None` for every other cell, which
+    /// runs once.
+    pub sequential_ns: Option<f64>,
 }
 
 impl SweepCell {
-    /// Amortized batched-over-sequential speedup.
-    pub fn speedup(&self) -> f64 {
-        self.sequential_ns / self.batched_ns
+    /// Amortized batched-over-sequential speedup of a batched cell.
+    pub fn speedup(&self) -> Option<f64> {
+        self.sequential_ns.map(|ns| ns / self.batched_ns)
     }
 
     /// One JSON object (a line of `BENCH_sweeps.json`).
@@ -214,36 +210,44 @@ impl SweepCell {
             .iter()
             .map(|r| r.total_messages().to_string())
             .collect();
+        let sequential = match self.sequential_ns.zip(self.speedup()) {
+            Some((ns, speedup)) => format!("\"sequential_ns\":{ns:.0},\"speedup\":{speedup:.3},"),
+            None => String::new(),
+        };
         format!(
             "{{\"bench\":\"sweeps\",\"sweep\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},\
-             \"algorithm\":\"{}\",\"batched\":{},\"lanes\":{},\"batched_ns\":{:.0},\
-             \"sequential_ns\":{:.0},\"speedup\":{:.3},\"total_messages\":[{}],\"valid\":{}}}",
+             \"algorithm\":\"{}\",\"batched\":{},\"lanes\":{},\"batched_ns\":{:.0},{}\
+             \"total_messages\":[{}],\"valid\":{}}}",
             self.sweep,
             self.graph,
             self.n,
             self.m,
             self.algorithm,
-            self.batched,
+            self.sequential_ns.is_some(),
             self.rows.len(),
             self.batched_ns,
-            self.sequential_ns,
-            self.speedup(),
+            sequential,
             messages.join(","),
             self.rows.iter().all(|r| r.valid),
         )
     }
 
-    /// Human-readable one-liner.
+    /// Human-readable one-liner (`-` in the sequential and speedup columns
+    /// of a cell that runs once).
     pub fn print(&self) {
+        let (sequential, speedup) = match self.sequential_ns.zip(self.speedup()) {
+            Some((ns, speedup)) => (format!("{:.2}ms", ns / 1e6), format!("{speedup:.2}x")),
+            None => ("-".into(), "-".into()),
+        };
         println!(
-            "{:<16} {:<18} {:<22} {:>3} {:>12.2}ms {:>12.2}ms {:>7.2}x",
+            "{:<16} {:<18} {:<22} {:>3} {:>12.2}ms {:>14} {:>8}",
             self.sweep,
             self.graph,
             self.algorithm,
             self.rows.len(),
             self.batched_ns / 1e6,
-            self.sequential_ns / 1e6,
-            self.speedup(),
+            sequential,
+            speedup,
         );
     }
 }
@@ -260,31 +264,13 @@ pub fn lane0_table(cells: &[SweepCell]) -> MeasurementTable {
     table
 }
 
-/// Prints the amortization footer for a cell list: lanes per cell and the
-/// best batched-over-sequential speedup.
-pub fn print_speedup_summary(cells: &[SweepCell]) {
-    if let Some(best) = cells
-        .iter()
-        .filter(|c| c.batched)
-        .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
-    {
-        println!(
-            "batched cells: {} seeds/cell sharing their setup; best amortized speedup {:.2}x \
-             ({}/{} vs seed-by-seed sequential)\n",
-            best.rows.len(),
-            best.speedup(),
-            best.graph,
-            best.algorithm,
-        );
-    }
-}
-
-/// Executes a sweep: per cell, the batched run (timed), the sequential
-/// oracle run (timed), and the bit-identity assertion between the two.
+/// Executes a sweep: per cell, one timed run of every seed. A batched cell
+/// (Algorithm 1 or 2) is then re-run seed by seed as the sequential oracle
+/// (timed), and its rows are asserted bit-identical to the batched ones.
 ///
 /// # Panics
 ///
-/// Panics if any cell's batched rows differ from its sequential rows — that
+/// Panics if any batched cell's rows differ from its sequential rows — that
 /// would be a bug in a batched driver, not measurement noise.
 pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepCell> {
     let mut cells = Vec::new();
@@ -295,24 +281,26 @@ pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepCell> {
             let t = Instant::now();
             let rows = alg.measure_batch(&inst, &seeds);
             let batched_ns = t.elapsed().as_nanos() as f64;
-            let t = Instant::now();
-            let sequential_rows = alg.measure_sequential(&inst, &seeds);
-            let sequential_ns = t.elapsed().as_nanos() as f64;
-            assert_eq!(
-                rows,
-                sequential_rows,
-                "sweep {} cell ({}, {}): batched rows diverged from the sequential oracle",
-                spec.name,
-                graph_spec.label(),
-                alg.key(),
-            );
+            let sequential_ns = alg.is_batched().then(|| {
+                let t = Instant::now();
+                let sequential_rows = alg.measure_sequential(&inst, &seeds);
+                let sequential_ns = t.elapsed().as_nanos() as f64;
+                assert_eq!(
+                    rows,
+                    sequential_rows,
+                    "sweep {} cell ({}, {}): batched rows diverged from the sequential oracle",
+                    spec.name,
+                    graph_spec.label(),
+                    alg.key(),
+                );
+                sequential_ns
+            });
             cells.push(SweepCell {
                 sweep: spec.name,
                 graph: graph_spec.label(),
                 n: inst.graph.num_nodes(),
                 m: inst.graph.num_edges(),
                 algorithm: alg.key(),
-                batched: alg.is_batched(),
                 seeds,
                 rows,
                 batched_ns,
@@ -710,7 +698,8 @@ mod tests {
 
     #[test]
     fn sweep_cells_match_their_grid_and_pass_the_oracle() {
-        // A tiny sweep: run_sweep itself asserts batched ≡ sequential rows.
+        // A tiny sweep: run_sweep itself asserts batched ≡ sequential rows
+        // on the Algorithm 1 cell, the only one here that shares setup.
         let spec = SweepSpec {
             name: "test",
             graphs: vec![GraphSpec {
@@ -718,13 +707,20 @@ mod tests {
                 p: 0.3,
                 instance_seed: 1,
             }],
-            algorithms: vec![SweepAlgorithm::ColoringBaseline, SweepAlgorithm::Alg3],
+            algorithms: vec![
+                SweepAlgorithm::ColoringBaseline,
+                SweepAlgorithm::Alg3,
+                SweepAlgorithm::Alg1,
+            ],
             alg_seed_base: 10,
             lanes: 2,
         };
         let cells = run_sweep(&spec);
-        assert_eq!(cells.len(), 2);
+        assert_eq!(cells.len(), 3);
         for cell in &cells {
+            let shares_setup = cell.algorithm == "alg1";
+            assert_eq!(cell.sequential_ns.is_some(), shares_setup);
+            assert_eq!(cell.json().contains("\"speedup\""), shares_setup);
             assert_eq!(cell.rows.len(), 2);
             assert_eq!(cell.seeds, vec![10, 11]);
             assert!(cell.rows.iter().all(|r| r.valid));

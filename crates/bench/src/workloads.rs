@@ -22,11 +22,6 @@ pub fn gnp_instance(n: usize, p: f64, seed: u64) -> Instance {
     Instance { graph, ids }
 }
 
-/// The standard `n` sweep used by the Figure-1 benches.
-pub fn standard_n_sweep() -> Vec<usize> {
-    vec![64, 128, 256, 384]
-}
-
 /// Fits an exponent `b` such that `y ≈ a·x^b` by least squares in log-log
 /// space. Used to report how measured message counts scale with `n`.
 pub fn fit_exponent(points: &[(f64, f64)]) -> f64 {

@@ -259,11 +259,6 @@ impl<A: NodeAlgorithm> Synchronized<A> {
         &self.inner
     }
 
-    /// How many inner rounds have been executed so far.
-    pub fn rounds_executed(&self) -> u64 {
-        self.round
-    }
-
     fn slot_of(&self, sender_id: u64) -> usize {
         let at = self
             .slot_by_id

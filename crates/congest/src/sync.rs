@@ -38,7 +38,7 @@ use crate::engine::{
 };
 use crate::model::DEFAULT_MESSAGE_BITS;
 use crate::trace::{Trace, TraceMessage};
-use crate::{KnowledgeView, KtLevel, Message, NodeAlgorithm, NodeInit, SimError};
+use crate::{KtLevel, Message, NodeAlgorithm, NodeInit, SimError};
 
 /// Environment variable overriding the automatic thread count of
 /// [`SyncConfig::threads`]` = 0` (CI runs the suite at 1 and at 4 so every
@@ -251,12 +251,6 @@ impl<'g> SyncSimulator<'g> {
     /// The KT level.
     pub fn level(&self) -> KtLevel {
         self.level
-    }
-
-    /// The knowledge view of a single node (useful for centrally-coordinated
-    /// orchestration code that still wants to respect KT-ρ limits).
-    pub fn knowledge_of(&self, v: NodeId) -> KnowledgeView<'g> {
-        KnowledgeView::new(self.graph, self.ids, self.level, v)
     }
 
     /// Runs the algorithm produced per node by `make` until every node is

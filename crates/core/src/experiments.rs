@@ -142,7 +142,9 @@ pub fn measure_alg2_batch(
 }
 
 /// [`measure_alg3`] once per seed: row `k` equals `measure_alg3(graph, ids,
-/// seeds[k])`.
+/// seeds[k])`. Kept only because the repo benchmark
+/// (`benchmark/src/workloads.rs`) calls it; delete it once that benchmark
+/// calls [`measure_alg3`] once per seed.
 ///
 /// # Panics
 ///
@@ -155,7 +157,10 @@ pub fn measure_alg3_batch(graph: &Graph, ids: &IdAssignment, seeds: &[u64]) -> V
 }
 
 /// [`measure_luby_baseline`] once per seed: row `k` equals
-/// `measure_luby_baseline(graph, ids, seeds[k])`.
+/// `measure_luby_baseline(graph, ids, seeds[k])`. Kept only because the
+/// repo benchmark (`benchmark/src/workloads.rs`, `benchmark/src/probes.rs`)
+/// calls it; delete it once that benchmark calls [`measure_luby_baseline`]
+/// once per seed.
 pub fn measure_luby_baseline_batch(
     graph: &Graph,
     ids: &IdAssignment,
@@ -168,7 +173,10 @@ pub fn measure_luby_baseline_batch(
 }
 
 /// [`measure_coloring_baseline`] once per seed: row `k` equals
-/// `measure_coloring_baseline(graph, ids, seeds[k])`.
+/// `measure_coloring_baseline(graph, ids, seeds[k])`. Kept only because the
+/// repo benchmark (`benchmark/src/workloads.rs`, `benchmark/src/probes.rs`)
+/// calls it; delete it once that benchmark calls
+/// [`measure_coloring_baseline`] once per seed.
 pub fn measure_coloring_baseline_batch(
     graph: &Graph,
     ids: &IdAssignment,

@@ -138,11 +138,6 @@ impl<'a> FlatStageSpec<'a> {
         }
     }
 
-    /// Whether node `i` participates in this stage.
-    pub fn is_participating(&self, i: usize) -> bool {
-        self.participating[i]
-    }
-
     /// The stage palettes (bitset form).
     pub fn palettes(&self) -> &PaletteBitsets {
         &self.palettes

@@ -89,12 +89,6 @@ impl InducedSubgraph {
     pub fn to_local(&self, parent: NodeId) -> Option<NodeId> {
         self.to_local.get(&parent).copied()
     }
-
-    /// Iterates over the parent identifiers of the subgraph's nodes in local
-    /// order.
-    pub fn parent_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.to_parent.iter().copied()
-    }
 }
 
 /// Counts the edges of `graph` with both endpoints in `nodes` without

@@ -41,8 +41,8 @@ fn figure1_upper_bound_rows_are_valid_and_sublinear_in_m() {
 fn message_scaling_with_n_has_the_right_shape() {
     // Measured exponents: baseline messages grow like m ≈ n² on dense
     // G(n, p); Algorithm 3's messages grow markedly slower. With only two
-    // sizes this is a sanity check of the trend, not a fit — the benches do
-    // the multi-point fits.
+    // sizes this is a sanity check of the trend, not a fit — the sweeps
+    // bench does the multi-point fits.
     let (g1, ids1) = dense_instance(80, 11);
     let (g2, ids2) = dense_instance(160, 12);
 
