@@ -14,6 +14,10 @@
 //!   path in `congest::engine`). The harness *asserts* the engine is at
 //!   least as fast as the naive loop on these rows.
 //!
+//! Every timing is the median of [`SAMPLES`] runs, and every gated
+//! comparison interleaves its two sides run by run, so slow clock drift
+//! and one-off stalls on a shared machine move neither side's median.
+//!
 //! Graph families: cycle (long thin rounds), clique (one hot round),
 //! near-regular random graphs up to n = 10⁵. Each pair is measured for both
 //! engines — single-threaded, plus a multi-threaded engine pass when the
@@ -55,6 +59,10 @@ use symbreak_graphs::{generators, Graph, IdAssignment, NodeId};
 
 /// Rounds of all-to-all traffic in the `dense_rounds` workload.
 const DENSE_ROUNDS: u32 = 8;
+
+/// Timed runs per side of every measurement; each reported time is their
+/// median.
+const SAMPLES: usize = 7;
 
 /// Token flood from node 0: broadcast once on first contact.
 ///
@@ -164,9 +172,9 @@ struct Case {
     /// Timing iterations for the naive engine. The event-driven arena
     /// engine only touches the flood frontier, but the naive loop sweeps
     /// all n nodes every one of the ~n/2 rounds of a 100k-cycle flood —
-    /// tens of seconds — so the huge high-diameter case gets one naive
-    /// iteration instead of five.
-    naive_iters: u32,
+    /// tens of seconds — so the huge high-diameter case, which no gate
+    /// reads, gets one naive iteration instead of [`SAMPLES`].
+    naive_iters: usize,
 }
 
 /// Whether this run is the reduced-size CI smoke.
@@ -204,7 +212,7 @@ fn cases() -> Vec<Case> {
                 workload,
                 graph: graph.clone(),
                 ids: IdAssignment::identity(n),
-                naive_iters: if slow_naive { 1 } else { 5 },
+                naive_iters: if slow_naive { 1 } else { SAMPLES },
             });
         }
     }
@@ -234,33 +242,46 @@ fn run_case(case: &Case, naive: bool, threads: usize) -> ExecutionReport {
     }
 }
 
-/// Best-of-`iters` wall-clock nanoseconds for one case.
-fn measure(case: &Case, naive: bool, threads: usize, iters: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let t = Instant::now();
-        let report = run_case(case, naive, threads);
-        let ns = t.elapsed().as_nanos() as f64;
-        assert!(report.completed, "workload must terminate");
-        best = best.min(ns);
+/// The median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len() % 2 == 1 {
+        samples[mid]
+    } else {
+        (samples[mid - 1] + samples[mid]) / 2.0
     }
-    best
 }
 
-/// Best-of measurements for engine and naive, *interleaved* so slow clock
-/// drift (thermal throttling, noisy-neighbour VMs) hits both loops equally
+/// Runs `f` once and returns its wall-clock nanoseconds with its result.
+fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed().as_nanos() as f64, out)
+}
+
+/// Wall-clock nanoseconds of one run of a case.
+fn time_case(case: &Case, naive: bool, threads: usize) -> f64 {
+    let (ns, report) = timed(|| run_case(case, naive, threads));
+    assert!(report.completed, "workload must terminate");
+    ns
+}
+
+/// Median engine and naive times over [`SAMPLES`] engine runs and
+/// `case.naive_iters` naive runs, *interleaved* so slow clock drift
+/// (thermal throttling, noisy-neighbour VMs) hits both loops equally
 /// instead of skewing whichever happened to run second.
-fn measure_pair(case: &Case, engine_iters: u32, naive_iters: u32) -> (f64, f64) {
-    let (mut engine_best, mut naive_best) = (f64::INFINITY, f64::INFINITY);
-    for k in 0..engine_iters.max(naive_iters) {
-        if k < engine_iters {
-            engine_best = engine_best.min(measure(case, false, 1, 1));
+fn measure_pair(case: &Case) -> (f64, f64) {
+    let (mut engine, mut naive) = (Vec::new(), Vec::new());
+    for k in 0..SAMPLES.max(case.naive_iters) {
+        if k < SAMPLES {
+            engine.push(time_case(case, false, 1));
         }
-        if k < naive_iters {
-            naive_best = naive_best.min(measure(case, true, 1, 1));
+        if k < case.naive_iters {
+            naive.push(time_case(case, true, 1));
         }
     }
-    (engine_best, naive_best)
+    (median(engine), median(naive))
 }
 
 struct Row<'c> {
@@ -323,7 +344,7 @@ fn compare_engines() {
     let mut mt_flood_ratio: Option<f64> = None;
     for case in &cases {
         let messages = run_case(case, false, 1).messages;
-        let (engine_ns, naive_ns) = measure_pair(case, 7, case.naive_iters);
+        let (engine_ns, naive_ns) = measure_pair(case);
         let row = Row {
             case,
             threads: 1,
@@ -343,7 +364,11 @@ fn compare_engines() {
             );
         }
         if mt_threads > 1 {
-            let mt_ns = measure(case, false, mt_threads, 5);
+            let mt_ns = median(
+                (0..SAMPLES)
+                    .map(|_| time_case(case, false, mt_threads))
+                    .collect(),
+            );
             let mt_row = Row {
                 case,
                 threads: mt_threads,
@@ -388,8 +413,8 @@ fn compare_engines() {
 /// identity [`FaultPlan`]. The identity plan dispatches to the same
 /// `FAULTS = false` monomorphization, so enabling the fault seam must cost
 /// nothing — gated at ≥ 0.9× of the plain path on full-size runs
-/// (informational at smoke scale). The two measurements are interleaved,
-/// like the engine-vs-naive pairs, so clock drift cannot fail the ratio.
+/// (informational at smoke scale). The two sides' runs are interleaved,
+/// like the engine-vs-naive pairs, and the ratio is of their medians.
 fn fault_seam_row(json: &mut BenchArtifact) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
@@ -400,21 +425,23 @@ fn fault_seam_row(json: &mut BenchArtifact) {
     let plan = FaultPlan::default();
     assert!(plan.is_identity());
 
-    let (mut plain_ns, mut seam_ns) = (f64::INFINITY, f64::INFINITY);
+    let (mut plain_ns, mut seam_ns) = (Vec::new(), Vec::new());
     let mut messages = 0;
-    for k in 0..7u64 {
-        let t = Instant::now();
-        let plain = sim.run(config, &mut StdRng::seed_from_u64(k), |_| Flood::new());
-        plain_ns = plain_ns.min(t.elapsed().as_nanos() as f64);
-        let t = Instant::now();
-        let seam = sim.run_with_faults(config, &plan, &mut StdRng::seed_from_u64(k), |_| {
-            Flood::new()
+    for k in 0..SAMPLES as u64 {
+        let (ns, plain) =
+            timed(|| sim.run(config, &mut StdRng::seed_from_u64(k), |_| Flood::new()));
+        plain_ns.push(ns);
+        let (ns, seam) = timed(|| {
+            sim.run_with_faults(config, &plan, &mut StdRng::seed_from_u64(k), |_| {
+                Flood::new()
+            })
         });
-        seam_ns = seam_ns.min(t.elapsed().as_nanos() as f64);
+        seam_ns.push(ns);
         assert!(plain.completed && seam.completed);
         assert_eq!(plain, seam, "identity plan must be bit-identical to run()");
         messages = plain.messages;
     }
+    let (plain_ns, seam_ns) = (median(plain_ns), median(seam_ns));
     let ratio = plain_ns / seam_ns;
     println!(
         "{:<22} {:<13} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
@@ -461,8 +488,9 @@ fn fault_seam_row(json: &mut BenchArtifact) {
 ///   hook-free loop entered without the audit-enable check. Gated:
 ///   audit-off must stay ≥ 0.95× of this at full size (informational at
 ///   smoke scale) — an unaudited run must not pay for the audit hooks.
-///   Interleaved, like the engine-vs-naive pairs, so clock drift cannot
-///   fail a ratio between near-identical code paths;
+///   Interleaved, like the engine-vs-naive pairs, and compared by medians,
+///   so neither clock drift nor one stalled run can fail a ratio between
+///   near-identical code paths;
 /// * **audit-on** — `run_audited` in collect mode: the auditor as loop
 ///   hooks, workers logging every send for deterministic replay through
 ///   the bandwidth/adjacency/multiplicity/race checks. Reported, not
@@ -477,24 +505,23 @@ fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
     let config = SyncConfig::default().with_threads(mt_threads);
     let audit = AuditConfig::collect(42);
 
-    let (mut off_ns, mut direct_ns, mut on_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut off_ns, mut direct_ns, mut on_ns) = (Vec::new(), Vec::new(), Vec::new());
     let mut messages = 0;
-    for _ in 0..7 {
-        let t = Instant::now();
-        let off = sim.run(config, |_| Flood::new());
-        off_ns = off_ns.min(t.elapsed().as_nanos() as f64);
-        let t = Instant::now();
-        let direct = sim.run_observed(config, |_| Flood::new(), &mut NoopObserver);
-        direct_ns = direct_ns.min(t.elapsed().as_nanos() as f64);
-        let t = Instant::now();
-        let (audited, violations) = sim.run_audited(config, &audit, |_| Flood::new());
-        on_ns = on_ns.min(t.elapsed().as_nanos() as f64);
+    for _ in 0..SAMPLES {
+        let (ns, off) = timed(|| sim.run(config, |_| Flood::new()));
+        off_ns.push(ns);
+        let (ns, direct) = timed(|| sim.run_observed(config, |_| Flood::new(), &mut NoopObserver));
+        direct_ns.push(ns);
+        let (ns, (audited, violations)) =
+            timed(|| sim.run_audited(config, &audit, |_| Flood::new()));
+        on_ns.push(ns);
         assert!(off.completed);
         assert_eq!(off, direct);
         assert_eq!(off, audited, "audited report must be bit-identical");
         assert!(violations.is_empty(), "the flood is model-compliant");
         messages = off.messages;
     }
+    let (off_ns, direct_ns, on_ns) = (median(off_ns), median(direct_ns), median(on_ns));
     let seam_ratio = direct_ns / off_ns;
     let audit_on_ratio = off_ns / on_ns;
     println!(
@@ -534,8 +561,8 @@ fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
 }
 
 /// The checkpoint rows: [`SyncSimulator::run_checkpointed`] with a
-/// boundary every 8 rounds against the plain engine, interleaved best-of-5
-/// with the reports asserted bit-identical.
+/// boundary every 8 rounds against the plain engine, interleaved, compared
+/// by their medians, with the reports asserted bit-identical.
 ///
 /// * **`flood_ckpt8`** (gated) — the flood on the near-regular random
 ///   graph at n = 10⁵, the same row the engine-speedup gate measures. The
@@ -559,17 +586,16 @@ fn checkpoint_row(json: &mut BenchArtifact) {
     let mut measure = |graph_name: String, workload: &str, graph: &Graph| {
         let ids = IdAssignment::identity(graph.num_nodes());
         let sim = SyncSimulator::new(graph, &ids, KtLevel::KT1);
-        let (mut plain_ns, mut ckpt_ns) = (f64::INFINITY, f64::INFINITY);
+        let (mut plain_ns, mut ckpt_ns) = (Vec::new(), Vec::new());
         let mut messages = 0;
-        for _ in 0..5 {
-            let t = Instant::now();
-            let plain = sim.run(config, |_| Flood::new());
-            plain_ns = plain_ns.min(t.elapsed().as_nanos() as f64);
-            let t = Instant::now();
-            let checkpointed = sim
-                .run_checkpointed(config, &ckpt, |_| Flood::new(), &mut NoopObserver)
-                .expect("checkpointed flood");
-            ckpt_ns = ckpt_ns.min(t.elapsed().as_nanos() as f64);
+        for _ in 0..SAMPLES {
+            let (ns, plain) = timed(|| sim.run(config, |_| Flood::new()));
+            plain_ns.push(ns);
+            let (ns, checkpointed) = timed(|| {
+                sim.run_checkpointed(config, &ckpt, |_| Flood::new(), &mut NoopObserver)
+                    .expect("checkpointed flood")
+            });
+            ckpt_ns.push(ns);
             assert!(plain.completed && checkpointed.completed);
             assert_eq!(
                 plain, checkpointed,
@@ -577,6 +603,7 @@ fn checkpoint_row(json: &mut BenchArtifact) {
             );
             messages = plain.messages;
         }
+        let (plain_ns, ckpt_ns) = (median(plain_ns), median(ckpt_ns));
         let records = CheckpointChain::load(&log).map_or(0, |c| c.records().len());
         let log_bytes = std::fs::metadata(&log).map_or(0, |m| m.len());
         let _ = std::fs::remove_file(&log);
@@ -639,14 +666,14 @@ fn bench(c: &mut Criterion) {
         workload: Workload::Flood,
         graph: graph.clone(),
         ids: ids.clone(),
-        naive_iters: 5,
+        naive_iters: SAMPLES,
     };
     let announce_case = Case {
         graph_name: "random_d8_10000",
         workload: Workload::Announce,
         graph,
         ids,
-        naive_iters: 5,
+        naive_iters: SAMPLES,
     };
     c.bench_function("sim_engine_flood_random_d8_10000", |b| {
         b.iter(|| run_case(&flood_case, false, 1))

@@ -441,6 +441,7 @@ impl<'g> AsyncSimulator<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::tests::{BadSend, BAD_SEND_BITS};
     use crate::RoundContext;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -530,6 +531,32 @@ mod tests {
         let report = sim.run(config, &mut rng, |_| Chatter);
         assert!(!report.completed);
         assert_eq!(report.time, 20);
+    }
+
+    fn run_bad_send(oversize: bool) {
+        let g = generators::cycle(256);
+        let ids = IdAssignment::identity(256);
+        let sim = AsyncSimulator::new(&g, &ids, KtLevel::KT1);
+        let config = AsyncConfig {
+            message_bit_limit: BAD_SEND_BITS,
+            ..AsyncConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(8);
+        let _ = sim.run(config, &mut rng, |_| BadSend { oversize });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_send_panics() {
+        run_bad_send(true);
+    }
+
+    #[test]
+    #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
+    fn non_neighbour_send_panics() {
+        run_bad_send(false);
     }
 
     #[test]

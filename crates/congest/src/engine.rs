@@ -4,14 +4,17 @@
 //! Three pieces, all allocation-frugal:
 //!
 //! * [`NodeRuntime`] — owns the node automata plus a flat (CSR-style)
-//!   neighbour array, and runs single-node activations: build the
-//!   [`RoundContext`], call [`NodeAlgorithm::on_round`], validate the
-//!   outbox against the CONGEST bit budget and hand every message to a
-//!   caller-supplied sink. Both simulators drive their delivery policies
-//!   through this one code path. For rounds the synchronous loop splits
-//!   across threads, [`NodeRuntime::shard_views`] cuts the automata into
-//!   disjoint [`ShardView`]s over contiguous node ranges, each steppable
-//!   from its own thread with no shared mutable state.
+//!   neighbour array, and runs single-node activations: call
+//!   [`NodeAlgorithm::on_round`] with a [`RoundContext`] whose sink checks
+//!   each send against the CONGEST bit budget and hands it on to a
+//!   caller-supplied sink at once. No outbox buffers sends in between: the
+//!   synchronous loop's sink writes each one once, into the
+//!   [`DeliveryBuffer`] or into its window's staging vector. Both
+//!   simulators drive their delivery policies through this one code path.
+//!   For rounds the synchronous loop splits across threads,
+//!   [`NodeRuntime::shard_views`] cuts the automata into disjoint
+//!   [`ShardView`]s over contiguous node ranges, each steppable from its
+//!   own thread with no shared mutable state.
 //! * [`MessageArena`] + [`DeliveryBuffer`] — the synchronous double buffer,
 //!   with two delivery layouts:
 //!   - **sender-major scatter** (the default): messages are staged in sender
@@ -86,11 +89,11 @@ impl RoundObserver for NoopObserver {
     fn on_round_end(&mut self, _round: u64) {}
 }
 
-/// Executes one node activation: builds the [`RoundContext`], runs the
-/// automaton, validates every outgoing message against the CONGEST bit
-/// budget and feeds it to `sink`. Shared by [`NodeRuntime::step`] (one-window
-/// rounds, the asynchronous executor) and the per-window [`ShardView::step`]
-/// so the two paths cannot drift.
+/// Executes one node activation: runs the automaton with a [`RoundContext`]
+/// whose sends are checked against the CONGEST bit budget, folded into
+/// `max_bits` and fed to `sink` as they happen. Shared by
+/// [`NodeRuntime::step`] (one-window rounds, the asynchronous executor) and
+/// the per-window [`ShardView::step`] so the two paths cannot drift.
 #[allow(clippy::too_many_arguments)]
 fn step_node<A, S>(
     graph: &Graph,
@@ -103,18 +106,13 @@ fn step_node<A, S>(
     inbox: &[Message],
     bit_limit: u32,
     max_bits: &mut u32,
-    outbox_pool: &mut Vec<(NodeId, Message)>,
     sink: &mut S,
 ) -> bool
 where
     A: NodeAlgorithm,
     S: FnMut(NodeId, NodeId, Message),
 {
-    let knowledge = KnowledgeView::new(graph, ids, level, v);
-    let mut ctx = RoundContext::with_buffer(v, round, knowledge, nbrs, std::mem::take(outbox_pool));
-    node.on_round(&mut ctx, inbox);
-    let mut outbox = ctx.take_outbox();
-    for (to, msg) in outbox.drain(..) {
+    let mut send = |to: NodeId, msg: Message| {
         let bits = msg.size_bits();
         assert!(
             bits <= bit_limit,
@@ -122,8 +120,12 @@ where
         );
         *max_bits = (*max_bits).max(bits);
         sink(v, to, msg);
-    }
-    *outbox_pool = outbox;
+    };
+    let knowledge = KnowledgeView::new(graph, ids, level, v);
+    node.on_round(
+        &mut RoundContext::new(v, round, knowledge, nbrs, &mut send),
+        inbox,
+    );
     node.is_done()
 }
 
@@ -140,12 +142,6 @@ pub(crate) struct NodeRuntime<'g, A> {
     /// All neighbour lists, flattened into one allocation (the old code
     /// cloned the adjacency structure into a `Vec<Vec<NodeId>>` per run).
     nbrs: Vec<NodeId>,
-    /// Pooled outbox storage, swapped into each [`RoundContext`] so sender
-    /// activations allocate nothing in steady state.
-    outbox_pool: Vec<(NodeId, Message)>,
-    /// Warm outbox pools handed to [`ShardView`]s and taken back between
-    /// rounds, so parallel stepping also allocates nothing in steady state.
-    shard_pools: Vec<Vec<(NodeId, Message)>>,
     /// Whether per-receiver buckets are cache-friendly on this graph (see
     /// [`NodeRuntime::dense_round`]); computed once at construction.
     buckets_local: bool,
@@ -204,8 +200,6 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
             nodes,
             nbr_offsets,
             nbrs,
-            outbox_pool: Vec::new(),
-            shard_pools: Vec::new(),
             buckets_local,
         }
     }
@@ -301,8 +295,8 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
 
     /// Activates node `i` for one round: runs its automaton on `inbox` and
     /// feeds every outgoing message — after validating the CONGEST bit
-    /// budget and updating `max_bits` — to `sink`. Returns the automaton's
-    /// done flag after the activation.
+    /// budget and updating `max_bits` — to `sink` at the moment it is sent.
+    /// Returns the automaton's done flag after the activation.
     ///
     /// # Panics
     ///
@@ -333,7 +327,6 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
             inbox,
             bit_limit,
             max_bits,
-            &mut self.outbox_pool,
             sink,
         )
     }
@@ -342,9 +335,6 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
     /// entry of `node_bounds` (ascending, non-overlapping `[start, end)`
     /// node-index ranges). Each view can step its own nodes from a separate
     /// thread; immutable state (graph, IDs, neighbour table) is shared.
-    ///
-    /// Return the warm outbox pools with [`NodeRuntime::restore_pools`] once
-    /// the shards are dropped.
     ///
     /// # Panics
     ///
@@ -365,17 +355,8 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
                 nbrs: &self.nbrs,
                 base: start,
                 nodes,
-                outbox_pool: self.shard_pools.pop().unwrap_or_default(),
             })
             .collect()
-    }
-
-    /// Takes back the outbox pools of consumed shards for reuse next round.
-    pub(crate) fn restore_pools<I>(&mut self, pools: I)
-    where
-        I: IntoIterator<Item = Vec<(NodeId, Message)>>,
-    {
-        self.shard_pools.extend(pools);
     }
 }
 
@@ -391,7 +372,6 @@ pub(crate) struct ShardView<'rt, 'g, A> {
     /// Node index of `nodes[0]`.
     base: usize,
     nodes: &'rt mut [A],
-    outbox_pool: Vec<(NodeId, Message)>,
 }
 
 impl<A: NodeAlgorithm> ShardView<'_, '_, A> {
@@ -422,14 +402,8 @@ impl<A: NodeAlgorithm> ShardView<'_, '_, A> {
             inbox,
             bit_limit,
             max_bits,
-            &mut self.outbox_pool,
             sink,
         )
-    }
-
-    /// Consumes the shard, releasing its warm outbox pool.
-    pub(crate) fn into_pool(self) -> Vec<(NodeId, Message)> {
-        self.outbox_pool
     }
 }
 

@@ -31,6 +31,7 @@ pub struct KnowledgeView<'a> {
 
 impl<'a> KnowledgeView<'a> {
     /// Creates the knowledge view of node `me`.
+    #[inline]
     pub fn new(graph: &'a Graph, ids: &'a IdAssignment, level: KtLevel, me: NodeId) -> Self {
         KnowledgeView {
             graph,
@@ -41,11 +42,13 @@ impl<'a> KnowledgeView<'a> {
     }
 
     /// The node whose knowledge this is.
+    #[inline]
     pub fn me(&self) -> NodeId {
         self.me
     }
 
     /// The knowledge level ρ.
+    #[inline]
     pub fn level(&self) -> KtLevel {
         self.level
     }
@@ -53,16 +56,19 @@ impl<'a> KnowledgeView<'a> {
     /// Total number of nodes `n` (all algorithms in the paper may assume
     /// knowledge of `n`; see e.g. Theorem 2.10 "even if the vertices know the
     /// size of the network").
+    #[inline]
     pub fn num_nodes(&self) -> usize {
         self.graph.num_nodes()
     }
 
     /// This node's own ID (always known).
+    #[inline]
     pub fn own_id(&self) -> u64 {
         self.ids.id_of(self.me)
     }
 
     /// This node's degree (always known — ports are visible even in KT-0).
+    #[inline]
     pub fn degree(&self) -> usize {
         self.graph.degree(self.me)
     }
@@ -75,6 +81,7 @@ impl<'a> KnowledgeView<'a> {
     }
 
     /// Whether `v` lies within `radius` hops of this node.
+    #[inline]
     fn within(&self, v: NodeId, radius: u32) -> bool {
         match radius {
             0 => v == self.me,
@@ -86,6 +93,7 @@ impl<'a> KnowledgeView<'a> {
 
     /// Whether this node and `v` have a common neighbour: one merge of the
     /// two sorted CSR rows.
+    #[inline]
     fn shares_neighbor_with(&self, v: NodeId) -> bool {
         if v.index() >= self.graph.num_nodes() {
             return false;
@@ -140,6 +148,7 @@ impl<'a> KnowledgeView<'a> {
     ///
     /// Panics if `v` is farther than ρ hops from this node — KT-ρ does not
     /// permit knowing that ID initially.
+    #[inline]
     pub fn id_of(&self, v: NodeId) -> u64 {
         assert!(
             self.within(v, self.level.radius()),
@@ -174,6 +183,7 @@ impl<'a> KnowledgeView<'a> {
     /// Panics if `v` is farther than ρ − 1 hops from this node; KT-ρ only
     /// reveals the neighbourhood of nodes within radius ρ − 1. (The IDs of
     /// those neighbours are then within radius ρ, so they are known too.)
+    #[inline]
     pub fn known_neighbors(&self, v: NodeId) -> KnownNeighbors<'a> {
         let r = self.level.radius();
         assert!(
@@ -211,6 +221,7 @@ impl<'a> KnowledgeView<'a> {
     /// Whether the edge `{a, b}` is visible in this node's initial knowledge,
     /// i.e. at least one endpoint lies within radius ρ − 1 of this node and
     /// the edge exists.
+    #[inline]
     pub fn knows_edge(&self, a: NodeId, b: NodeId) -> bool {
         let r = self.level.radius();
         if r == 0 {
@@ -235,6 +246,7 @@ impl<'a> KnowledgeView<'a> {
 
     /// Looks up a node by ID among the nodes whose IDs this node knows
     /// initially (those within radius ρ). Returns `None` for unknown IDs.
+    #[inline]
     pub fn known_node_with_id(&self, id: u64) -> Option<NodeId> {
         let v = self.ids.node_with_id(id)?;
         self.within(v, self.level.radius()).then_some(v)
@@ -259,6 +271,7 @@ impl Iterator for KnownNeighbors<'_> {
         self.row.next().map(|&(w, _)| (w, self.ids.id_of(w)))
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.row.size_hint()
     }

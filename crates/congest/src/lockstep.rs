@@ -76,6 +76,7 @@ use symbreak_graphs::NodeId;
 use crate::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
 use crate::checkpoint::{CheckpointChain, PersistState};
 use crate::faults::FaultPlan;
+use crate::node::collect_sends;
 use crate::{Message, NodeAlgorithm, NodeInit, RoundContext};
 
 /// Reserved tag of synchronizer pulse messages. Inner algorithms must not
@@ -278,9 +279,8 @@ impl<A: NodeAlgorithm> Synchronized<A> {
         let outbox = if skip {
             Vec::new()
         } else {
-            let mut ictx = RoundContext::new(ctx.node(), k, *ctx.knowledge(), &self.neighbors);
-            self.inner.on_round(&mut ictx, inbox);
-            ictx.take_outbox()
+            let (v, knowledge) = (ctx.node(), *ctx.knowledge());
+            collect_sends(&mut self.inner, v, k, knowledge, &self.neighbors, inbox)
         };
         self.round = k + 1;
         if self.round >= self.total_rounds {

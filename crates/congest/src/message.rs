@@ -49,6 +49,7 @@ pub struct Message {
 
 impl Message {
     /// Creates an empty message with the given algorithm-defined tag.
+    #[inline]
     pub fn tagged(tag: u16) -> Self {
         Message {
             tag,
@@ -65,6 +66,7 @@ impl Message {
     ///
     /// Panics if the message already carries [`MAX_ID_FIELDS`] IDs — that
     /// would exceed the `O(log n)`-bit budget of the CONGEST model.
+    #[inline]
     pub fn with_id(mut self, id: u64) -> Self {
         assert!(
             (self.num_ids as usize) < MAX_ID_FIELDS,
@@ -80,6 +82,7 @@ impl Message {
     /// # Panics
     ///
     /// Panics if the message already carries [`MAX_VALUE_FIELDS`] values.
+    #[inline]
     pub fn with_value(mut self, value: u64) -> Self {
         assert!(
             (self.num_values as usize) < MAX_VALUE_FIELDS,
@@ -109,11 +112,13 @@ impl Message {
     }
 
     /// First ID field, if present.
+    #[inline]
     pub fn id(&self) -> Option<u64> {
         self.ids().first().copied()
     }
 
     /// First value field, if present.
+    #[inline]
     pub fn value(&self) -> Option<u64> {
         self.values().first().copied()
     }
@@ -121,6 +126,7 @@ impl Message {
     /// Size of the message in bits, assuming IDs and values are `O(log n)`
     /// quantities encoded in 64-bit words plus the 16-bit tag. Used by the
     /// simulator to enforce the per-message budget.
+    #[inline]
     pub fn size_bits(&self) -> u32 {
         16 + 64 * (u32::from(self.num_ids) + u32::from(self.num_values))
     }

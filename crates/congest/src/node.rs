@@ -22,90 +22,89 @@ pub struct NodeInit<'a> {
 
 /// The context handed to a node on every round.
 ///
-/// It exposes the node's initial knowledge, the current round number and the
-/// outgoing-message buffer. Sending is only permitted to direct neighbours,
-/// as in the CONGEST model.
-#[derive(Debug)]
+/// It exposes the node's initial knowledge and the current round number,
+/// and it carries the activation's message sink: [`RoundContext::send`]
+/// hands each message straight to the simulator, which validates it and
+/// writes it once into next round's delivery staging. Sending is only
+/// permitted to direct neighbours, as in the CONGEST model.
 pub struct RoundContext<'a> {
     node: NodeId,
     round: u64,
     knowledge: KnowledgeView<'a>,
     neighbors: &'a [NodeId],
-    outbox: Vec<(NodeId, Message)>,
+    sink: &'a mut dyn FnMut(NodeId, Message),
 }
 
 impl<'a> RoundContext<'a> {
+    /// A context whose sends (after the neighbour check) go to `sink`.
+    #[inline]
     pub(crate) fn new(
         node: NodeId,
         round: u64,
         knowledge: KnowledgeView<'a>,
         neighbors: &'a [NodeId],
+        sink: &'a mut dyn FnMut(NodeId, Message),
     ) -> Self {
-        Self::with_buffer(node, round, knowledge, neighbors, Vec::new())
-    }
-
-    /// Like [`RoundContext::new`], but reusing an existing (empty) outbox
-    /// allocation. The engine pools one buffer across activations so the
-    /// inner loop allocates nothing for senders.
-    pub(crate) fn with_buffer(
-        node: NodeId,
-        round: u64,
-        knowledge: KnowledgeView<'a>,
-        neighbors: &'a [NodeId],
-        outbox: Vec<(NodeId, Message)>,
-    ) -> Self {
-        debug_assert!(outbox.is_empty());
         RoundContext {
             node,
             round,
             knowledge,
             neighbors,
-            outbox,
+            sink,
         }
     }
 
     /// This node's simulator address.
+    #[inline]
     pub fn node(&self) -> NodeId {
         self.node
     }
 
     /// The current round number (0-based).
+    #[inline]
     pub fn round(&self) -> u64 {
         self.round
     }
 
     /// Number of nodes in the network.
+    #[inline]
     pub fn num_nodes(&self) -> usize {
         self.knowledge.num_nodes()
     }
 
     /// This node's KT-ρ initial knowledge.
+    #[inline]
     pub fn knowledge(&self) -> &KnowledgeView<'a> {
         &self.knowledge
     }
 
     /// This node's own ID.
+    #[inline]
     pub fn own_id(&self) -> u64 {
         self.knowledge.own_id()
     }
 
     /// The node's neighbours (simulator addresses), sorted.
+    #[inline]
     pub fn neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.neighbors.iter().copied()
     }
 
     /// The node's degree.
+    #[inline]
     pub fn degree(&self) -> usize {
         self.neighbors.len()
     }
 
-    /// Queues `message` for delivery to neighbour `to` at the start of the
+    /// Sends `message` to neighbour `to`, for delivery at the start of the
     /// next round.
     ///
     /// # Panics
     ///
     /// Panics if `to` is not a neighbour of this node — CONGEST only allows
-    /// communication along edges of the input graph.
+    /// communication along edges of the input graph. The simulators also
+    /// panic on a message over their bit budget.
+    #[inline]
     pub fn send(&mut self, to: NodeId, message: Message) {
         assert!(
             self.neighbors.binary_search(&to).is_ok(),
@@ -113,20 +112,47 @@ impl<'a> RoundContext<'a> {
             self.node,
             to
         );
-        self.outbox.push((to, message));
+        (self.sink)(to, message);
     }
 
     /// Sends a copy of `message` to every neighbour.
+    #[inline]
     pub fn broadcast(&mut self, message: &Message) {
-        for i in 0..self.neighbors.len() {
-            let to = self.neighbors[i];
-            self.outbox.push((to, *message));
+        for &to in self.neighbors {
+            (self.sink)(to, *message);
         }
     }
+}
 
-    pub(crate) fn take_outbox(self) -> Vec<(NodeId, Message)> {
-        self.outbox
+impl std::fmt::Debug for RoundContext<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoundContext")
+            .field("node", &self.node)
+            .field("round", &self.round)
+            .field("knowledge", &self.knowledge)
+            .field("neighbors", &self.neighbors)
+            .finish_non_exhaustive()
     }
+}
+
+/// Runs one activation of `node` and returns its sends in send order. The
+/// naive oracles validate them after the call, independently of the
+/// engine's sink; the lockstep wrapper re-sends them wrapped.
+pub(crate) fn collect_sends<A: NodeAlgorithm + ?Sized>(
+    node: &mut A,
+    v: NodeId,
+    round: u64,
+    knowledge: KnowledgeView<'_>,
+    neighbors: &[NodeId],
+    inbox: &[Message],
+) -> Vec<(NodeId, Message)> {
+    let mut outbox = Vec::new();
+    let mut push = |to, msg| outbox.push((to, msg));
+    node.on_round(
+        &mut RoundContext::new(v, round, knowledge, neighbors, &mut push),
+        inbox,
+    );
+    outbox
 }
 
 /// A per-node automaton executed by the simulators.
@@ -164,27 +190,29 @@ mod tests {
     use symbreak_graphs::{generators, IdAssignment};
 
     #[test]
-    fn send_to_neighbor_is_queued() {
+    fn sends_reach_the_sink_in_send_order() {
         let g = generators::path(3);
         let ids = IdAssignment::identity(3);
         let k = KnowledgeView::new(&g, &ids, KtLevel::KT1, NodeId(1));
         let nbrs = vec![NodeId(0), NodeId(2)];
-        let mut ctx = RoundContext::new(NodeId(1), 0, k, &nbrs);
+        let mut out = Vec::new();
+        let mut sink = |to, msg| out.push((to, msg));
+        let mut ctx = RoundContext::new(NodeId(1), 0, k, &nbrs, &mut sink);
         ctx.send(NodeId(0), Message::tagged(1));
         ctx.broadcast(&Message::tagged(2));
-        let out = ctx.take_outbox();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].0, NodeId(0));
+        let tags: Vec<(NodeId, u16)> = out.iter().map(|(to, m)| (*to, m.tag())).collect();
+        assert_eq!(tags, [(NodeId(0), 1), (NodeId(0), 2), (NodeId(2), 2)]);
     }
 
     #[test]
-    #[should_panic(expected = "non-neighbour")]
+    #[should_panic(expected = "node v0 attempted to send to non-neighbour v2")]
     fn send_to_non_neighbor_panics() {
         let g = generators::path(3);
         let ids = IdAssignment::identity(3);
         let k = KnowledgeView::new(&g, &ids, KtLevel::KT1, NodeId(0));
         let nbrs = vec![NodeId(1)];
-        let mut ctx = RoundContext::new(NodeId(0), 0, k, &nbrs);
+        let mut sink = |_, _| panic!("a rejected send must not reach the sink");
+        let mut ctx = RoundContext::new(NodeId(0), 0, k, &nbrs, &mut sink);
         ctx.send(NodeId(2), Message::tagged(1));
     }
 
@@ -194,7 +222,8 @@ mod tests {
         let ids = IdAssignment::from_vec(vec![9, 8, 7, 6]);
         let k = KnowledgeView::new(&g, &ids, KtLevel::KT1, NodeId(0));
         let nbrs: Vec<NodeId> = g.neighbor_vec(NodeId(0));
-        let ctx = RoundContext::new(NodeId(0), 5, k, &nbrs);
+        let mut sink = |_, _| {};
+        let ctx = RoundContext::new(NodeId(0), 5, k, &nbrs, &mut sink);
         assert_eq!(ctx.node(), NodeId(0));
         assert_eq!(ctx.round(), 5);
         assert_eq!(ctx.num_nodes(), 4);

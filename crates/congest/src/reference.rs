@@ -21,11 +21,11 @@ use symbreak_graphs::NodeId;
 
 use crate::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
 use crate::faults::{FaultPlan, FaultSession, FaultStats};
+use crate::node::collect_sends;
 use crate::sync::mark_utilized;
 use crate::trace::{Trace, TraceMessage};
 use crate::{
-    ExecutionReport, KnowledgeView, Message, NodeAlgorithm, NodeInit, RoundContext, SyncConfig,
-    SyncSimulator,
+    ExecutionReport, KnowledgeView, Message, NodeAlgorithm, NodeInit, SyncConfig, SyncSimulator,
 };
 
 /// The naive round loop, wrapped around the same simulator handle.
@@ -102,9 +102,9 @@ impl<'g> NaiveSyncSimulator<'g> {
                 let v = NodeId(i as u32);
                 let inbox = std::mem::take(&mut inboxes[i]);
                 let knowledge = KnowledgeView::new(graph, ids, level, v);
-                let mut ctx = RoundContext::new(v, rounds, knowledge, &neighbor_lists[i]);
-                nodes[i].on_round(&mut ctx, &inbox);
-                for (to, msg) in ctx.take_outbox() {
+                let nbrs = &neighbor_lists[i];
+                let sends = collect_sends(&mut nodes[i], v, rounds, knowledge, nbrs, &inbox);
+                for (to, msg) in sends {
                     let bits = msg.size_bits();
                     assert!(
                         bits <= config.message_bit_limit,
@@ -233,9 +233,10 @@ impl<'g> NaiveAsyncSimulator<'g> {
                 in_flight -= inbox.len() as u64;
                 let v = NodeId(i as u32);
                 let knowledge = KnowledgeView::new(graph, ids, level, v);
-                let mut ctx = RoundContext::new(v, activations[i], knowledge, &neighbor_lists[i]);
-                nodes[i].on_round(&mut ctx, &inbox);
-                for (to, msg) in ctx.take_outbox() {
+                let nbrs = &neighbor_lists[i];
+                let sends =
+                    collect_sends(&mut nodes[i], v, activations[i], knowledge, nbrs, &inbox);
+                for (to, msg) in sends {
                     let bits = msg.size_bits();
                     assert!(
                         bits <= config.message_bit_limit,
@@ -371,9 +372,10 @@ impl<'g> NaiveAsyncSimulator<'g> {
                 session.note_delivered(inbox.len() as u64);
                 let v = NodeId(i as u32);
                 let knowledge = KnowledgeView::new(graph, ids, level, v);
-                let mut ctx = RoundContext::new(v, activations[i], knowledge, &neighbor_lists[i]);
-                nodes[i].on_round(&mut ctx, &inbox);
-                for (to, msg) in ctx.take_outbox() {
+                let nbrs = &neighbor_lists[i];
+                let sends =
+                    collect_sends(&mut nodes[i], v, activations[i], knowledge, nbrs, &inbox);
+                for (to, msg) in sends {
                     let bits = msg.size_bits();
                     assert!(
                         bits <= config.message_bit_limit,

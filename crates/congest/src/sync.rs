@@ -688,9 +688,7 @@ impl<A: NodeAlgorithm + Send> RoundLoop<'_, A> {
             }
         });
 
-        let mut pools = Vec::with_capacity(tasks.len());
         for (t, task) in tasks.into_iter().enumerate() {
-            pools.push(task.nodes.into_pool());
             self.messages += task.messages;
             self.max_bits = self.max_bits.max(task.max_bits);
             self.undone_count = (self.undone_count as i64 + task.undone_delta) as usize;
@@ -699,7 +697,6 @@ impl<A: NodeAlgorithm + Send> RoundLoop<'_, A> {
                 hooks.on_send(from, to, &msg);
             }
         }
-        self.runtime.restore_pools(pools);
         let done = &self.done;
         self.undone.clear();
         self.undone
@@ -805,7 +802,7 @@ impl<A: NodeAlgorithm> Window<'_, '_, A> {
 }
 
 /// Cuts the active list into at most `shard_limit` contiguous windows with
-/// near-equal degree sums (stepping cost is dominated by inbox/outbox sizes,
+/// near-equal degree sums (stepping cost is dominated by inbox and send counts,
 /// both bounded by degree), through the [`balanced_cuts`] quantile walk.
 /// Multi-threaded runs pass `threads · SHARD_OVERSUBSCRIPTION` so dynamic
 /// claiming has spare windows to rebalance with. Rounds too small to
@@ -950,7 +947,7 @@ pub(crate) fn mark_utilized(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::RoundContext;
     use symbreak_graphs::generators;
@@ -1070,34 +1067,83 @@ mod tests {
         assert_eq!(trace.num_messages(), 1);
     }
 
-    #[test]
-    #[should_panic(expected = "exceeding the CONGEST budget")]
-    fn oversized_messages_panic() {
-        struct Oversize;
-        impl NodeAlgorithm for Oversize {
-            fn on_round(&mut self, ctx: &mut RoundContext<'_>, _inbox: &[Message]) {
-                if ctx.round() == 0 {
-                    let msg = Message::tagged(0)
-                        .with_id(1)
-                        .with_id(2)
-                        .with_value(3)
-                        .with_value(4)
-                        .with_value(5);
-                    ctx.broadcast(&msg);
-                }
+    /// Node [`BAD_SENDER`] sends one invalid message in round 0 — over a
+    /// 64-bit budget, or to a non-neighbour — while every other node sends
+    /// valid ones, so each stepping path meets exactly one bad send.
+    pub(crate) struct BadSend {
+        pub(crate) oversize: bool,
+    }
+
+    const BAD_SENDER: NodeId = NodeId(200);
+
+    /// The bit budget the [`BadSend`] runs use: a bare tag (16 bits) fits,
+    /// a tag plus one value (80 bits) does not.
+    pub(crate) const BAD_SEND_BITS: u32 = 64;
+
+    impl NodeAlgorithm for BadSend {
+        fn on_round(&mut self, ctx: &mut RoundContext<'_>, _inbox: &[Message]) {
+            if ctx.round() > 0 {
+                return;
             }
-            fn is_done(&self) -> bool {
-                true
+            if ctx.node() != BAD_SENDER {
+                ctx.broadcast(&Message::tagged(1));
+            } else if self.oversize {
+                ctx.send(NodeId(201), Message::tagged(1).with_value(2));
+            } else {
+                ctx.send(NodeId(72), Message::tagged(1));
             }
         }
-        let g = generators::path(2);
-        let ids = IdAssignment::identity(2);
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// Runs [`BadSend`] on a 256-cycle at `threads`: one thread steps
+    /// round 0 as one window, and at more threads the round is large
+    /// enough to split, which is asserted first.
+    fn run_bad_send(threads: usize, oversize: bool) {
+        let g = generators::cycle(256);
+        let ids = IdAssignment::identity(256);
+        if threads > 1 {
+            let runtime = NodeRuntime::new(&g, &ids, KtLevel::KT1, |_| Silent);
+            let round0: Vec<u32> = (0..256).collect();
+            let windows = threads * SHARD_OVERSUBSCRIPTION;
+            assert!(plan_shards(&runtime, &round0, windows).len() > 1);
+        }
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
         let config = SyncConfig {
-            message_bit_limit: 64,
-            ..SyncConfig::default()
+            message_bit_limit: BAD_SEND_BITS,
+            ..SyncConfig::default().with_threads(threads)
         };
-        let _ = sim.run(config, |_| Oversize);
+        let _ = sim.run(config, |_| BadSend { oversize });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_send_panics_on_a_one_window_round() {
+        run_bad_send(1, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
+    fn non_neighbour_send_panics_on_a_one_window_round() {
+        run_bad_send(1, false);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_send_panics_on_a_claimed_window_round() {
+        run_bad_send(4, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
+    fn non_neighbour_send_panics_on_a_claimed_window_round() {
+        run_bad_send(4, false);
     }
 
     #[test]

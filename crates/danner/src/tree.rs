@@ -3,11 +3,16 @@
 use symbreak_graphs::{properties, Graph, NodeId};
 
 /// A rooted BFS tree of a connected graph.
+///
+/// The children lists are stored CSR-style in one allocation: node `v`'s
+/// children, ascending, are
+/// `children[child_offsets[v] as usize..child_offsets[v + 1] as usize]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BfsTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    child_offsets: Vec<u32>,
+    children: Vec<NodeId>,
     depth: Vec<u32>,
 }
 
@@ -21,19 +26,33 @@ impl BfsTree {
         let parents = properties::bfs_parents(graph, root);
         let depths = properties::bfs_distances(graph, root);
         let n = graph.num_nodes();
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        // Count each node's children, prefix-sum the counts into row starts,
+        // then place the children in ascending order behind their cursors.
+        let mut child_offsets = vec![0u32; n + 1];
         for v in graph.nodes() {
             let p = parents[v.index()]
                 .unwrap_or_else(|| panic!("node {v} is unreachable from the root {root}"));
             if v != root {
                 parent[v.index()] = Some(p);
-                children[p.index()].push(v);
+                child_offsets[p.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            child_offsets[i + 1] += child_offsets[i];
+        }
+        let mut cursor = child_offsets[..n].to_vec();
+        let mut children = vec![root; n.saturating_sub(1)];
+        for (v, p) in parent.iter().enumerate() {
+            if let Some(p) = p {
+                children[cursor[p.index()] as usize] = NodeId(v as u32);
+                cursor[p.index()] += 1;
             }
         }
         BfsTree {
             root,
             parent,
+            child_offsets,
             children,
             depth: depths,
         }
@@ -54,9 +73,10 @@ impl BfsTree {
         self.parent[v.index()]
     }
 
-    /// Children of `v`.
+    /// Children of `v`, ascending.
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v.index()]
+        let i = v.index();
+        &self.children[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
     }
 
     /// Depth of `v` (0 for the root).
@@ -86,6 +106,7 @@ impl BfsTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use symbreak_graphs::generators;
 
     #[test]
@@ -110,6 +131,21 @@ mod tests {
             assert!(g.has_edge(child, parent));
         }
         assert_eq!(t.edges().count(), 5);
+    }
+
+    #[test]
+    fn children_rows_list_each_parents_children_ascending() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let g = generators::connected_gnp(60, 0.05, &mut rng);
+        let t = BfsTree::rooted_at(&g, NodeId(17));
+        assert!(t.height() >= 3, "the tree has inner levels");
+        let mut seen = 0;
+        for p in g.nodes() {
+            let expected: Vec<NodeId> = g.nodes().filter(|&v| t.parent(v) == Some(p)).collect();
+            assert_eq!(t.children(p), expected.as_slice(), "children of {p}");
+            seen += expected.len();
+        }
+        assert_eq!(seen, t.num_edges());
     }
 
     #[test]
