@@ -49,6 +49,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_bench::artifact::BenchArtifact;
+use symbreak_bench::workloads::median;
 use symbreak_congest::async_sim::{AsyncConfig, AsyncSimulator};
 use symbreak_congest::reference::NaiveSyncSimulator;
 use symbreak_congest::{
@@ -239,17 +240,6 @@ fn run_case(case: &Case, naive: bool, threads: usize) -> ExecutionReport {
         (Workload::DenseRounds, true) => {
             NaiveSyncSimulator::new(sim).run(config, |_| DenseChatter { left: DENSE_ROUNDS })
         }
-    }
-}
-
-/// The median of `samples`.
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
     }
 }
 

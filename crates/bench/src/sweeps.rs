@@ -28,7 +28,7 @@ use symbreak_lowerbounds::experiments::{
     crossed_utilization_experiment, cycle_message_experiment, CrossedStats, CycleStats, Problem,
 };
 
-use crate::workloads::{gnp_instance, Instance};
+use crate::workloads::{gnp_instance, median, Instance};
 
 /// Whether this run is the reduced-grid CI smoke (`SWEEP_SMOKE=1`).
 pub fn smoke() -> bool {
@@ -309,6 +309,39 @@ pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepCell> {
         }
     }
     cells
+}
+
+/// Re-times batched cell `cell` of `spec` with `runs` alternating batched
+/// and seed-by-seed sequential runs per side, through the same drivers
+/// [`run_sweep`] timed it with, and returns the median wall-clock
+/// nanoseconds of each side, `(batched, sequential)`.
+///
+/// # Panics
+///
+/// Panics if `cell` is not a batched cell of `spec`.
+pub fn retime(spec: &SweepSpec, cell: &SweepCell, runs: usize) -> (f64, f64) {
+    let graph = spec
+        .graphs
+        .iter()
+        .find(|g| g.label() == cell.graph)
+        .expect("the cell's graph belongs to its sweep");
+    let alg = spec
+        .algorithms
+        .iter()
+        .find(|a| a.key() == cell.algorithm && a.is_batched())
+        .expect("the cell is a batched cell of its sweep");
+    let inst = graph.build();
+    let time = |measure: &dyn Fn() -> Vec<MeasurementRow>| {
+        let t = Instant::now();
+        std::hint::black_box(measure());
+        t.elapsed().as_nanos() as f64
+    };
+    let (mut batched, mut sequential) = (Vec::new(), Vec::new());
+    for _ in 0..runs {
+        batched.push(time(&|| alg.measure_batch(&inst, &cell.seeds)));
+        sequential.push(time(&|| alg.measure_sequential(&inst, &cell.seeds)));
+    }
+    (median(batched), median(sequential))
 }
 
 /// The Figure-1 `n` grid at the current scale.

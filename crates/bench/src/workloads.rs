@@ -22,6 +22,17 @@ pub fn gnp_instance(n: usize, p: f64, seed: u64) -> Instance {
     Instance { graph, ids }
 }
 
+/// The median of `samples`.
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len() % 2 == 1 {
+        samples[mid]
+    } else {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    }
+}
+
 /// Fits an exponent `b` such that `y ≈ a·x^b` by least squares in log-log
 /// space. Used to report how measured message counts scale with `n`.
 pub fn fit_exponent(points: &[(f64, f64)]) -> f64 {

@@ -3,11 +3,13 @@
 //! These are the well-known building blocks the paper composes and compares
 //! against:
 //!
-//! * [`mis::luby`] — Luby's randomized MIS (the Õ(m)-message KT-1 baseline in
-//!   Figure 1).
-//! * [`mis::greedy`] — sequential randomized greedy MIS, and
-//!   [`mis::parallel_greedy`] — its parallel, rank-based CONGEST counterpart
-//!   (Blelloch et al. / Fischer–Noever), used by Step 2 of Algorithm 3.
+//! * [`mis::run_arena`] — one MIS automaton with two [`mis::Priority`]
+//!   rules: Luby's randomized MIS (the Õ(m)-message KT-1 baseline in
+//!   Figure 1, also [`mis::luby::run`], and Step 5 of Algorithm 3) and
+//!   parallel rank-based greedy (Blelloch et al. / Fischer–Noever), used by
+//!   Step 2 of Algorithm 3.
+//! * [`mis::greedy`] — sequential randomized greedy MIS, the reference the
+//!   rank rule must agree with.
 //! * [`coloring::johansson`] — Johansson's randomized (deg+1)-list-coloring,
 //!   used inside Algorithm 1 on each part `B_i` and on the leftover set `L`.
 //! * [`coloring::baseline`] — the naive Θ(m)-message distributed

@@ -1,5 +1,15 @@
-//! Maximal-independent-set algorithms: verification, sequential greedy,
-//! parallel randomized greedy and Luby's algorithm.
+//! Maximal-independent-set algorithms: verification, sequential greedy, and
+//! one CONGEST automaton that runs parallel randomized greedy and Luby's
+//! algorithm as its two [`Priority`] rules.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
+use symbreak_congest::{
+    run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
+    NodeAlgorithm, PersistState, RoundContext, RoundObserver, SyncConfig, SyncSimulator,
+};
+use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
 pub mod verify {
     //! MIS solution checkers.
@@ -97,561 +107,423 @@ pub mod greedy {
     }
 }
 
-pub mod parallel_greedy {
-    //! Parallel rank-based greedy MIS as a CONGEST automaton.
-    //!
-    //! Each participating node holds a rank; in every phase, an undecided
-    //! node whose rank is a local minimum among its undecided participating
-    //! neighbours joins the MIS and announces it. This computes exactly the
-    //! same MIS as the sequential greedy algorithm on the same ranks
-    //! (Blelloch et al.), and finishes in `O(log n)` phases w.h.p.
-    //! (Fischer–Noever).
+/// How the nodes of an MIS run rank themselves in each two-round phase of
+/// the one MIS automaton ([`run_arena`] and the runs built on it). In the
+/// first round of a phase every undecided node announces its value to its
+/// active neighbours; in the second, a node whose value beats every value it
+/// heard joins the set and tells its neighbours, who drop out at the start
+/// of the next phase.
+#[derive(Debug, Clone, Copy)]
+pub enum Priority<'a> {
+    /// Parallel greedy: node `v` announces the fixed rank `ranks[v]` every
+    /// phase and the lowest rank wins. This computes exactly the set that
+    /// sequential greedy computes on the same ranks (Blelloch et al.), in
+    /// `O(log n)` phases w.h.p. (Fischer–Noever). Ranks must be distinct
+    /// among participating neighbours.
+    Rank(&'a [u64]),
+    /// Luby's algorithm: node `v` draws a fresh value each phase from a
+    /// random stream that is a pure function of the seed and `v`, and the
+    /// highest draw wins.
+    Luby(u64),
+}
 
-    use rand::Rng;
-    use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
-    use symbreak_congest::{
-        run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
-        NodeAlgorithm, PersistState, RoundContext, RoundObserver, SyncConfig, SyncSimulator,
+/// A priority rule of the MIS automaton: the value a node announces each
+/// phase, which value wins, and the state a checkpoint must keep.
+trait Rule {
+    /// Tag of a value announcement.
+    const VALUE: u16;
+    /// Tag of a join announcement.
+    const JOIN: u16;
+
+    /// The value this node announces in the phase that starts now.
+    fn announce(&mut self) -> u64;
+
+    /// Whether this node's current value beats a neighbour's `value`.
+    fn beats(&self, value: u64) -> bool;
+
+    /// Appends the words, after the decision word, that distinguish this
+    /// node's rule from a factory-fresh one: none by default.
+    fn encode(&self, _out: &mut Vec<u64>) {}
+
+    /// Restores words written by [`Rule::encode`]; `false` if `words` is
+    /// not such a state.
+    fn decode(&mut self, words: &[u64]) -> bool {
+        words.is_empty()
+    }
+}
+
+/// [`Priority::Rank`]'s rule. The rank is factory-derived, so the
+/// decision word is a node's whole checkpointed state.
+struct Rank(u64);
+
+impl Rule for Rank {
+    const VALUE: u16 = 0x20;
+    const JOIN: u16 = 0x21;
+
+    #[inline]
+    fn announce(&mut self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn beats(&self, value: u64) -> bool {
+        self.0 < value
+    }
+}
+
+/// [`Priority::Luby`]'s rule.
+struct Luby {
+    rng: StdRng,
+    current: u64,
+}
+
+impl Luby {
+    /// Node `v`'s random stream is a pure function of `seed` and `v`, so
+    /// every run draws the same values.
+    fn new(seed: u64, v: NodeId) -> Self {
+        Luby {
+            rng: StdRng::seed_from_u64(
+                seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(v.index() as u64 + 1)),
+            ),
+            current: 0,
+        }
+    }
+}
+
+impl Rule for Luby {
+    const VALUE: u16 = 0x30;
+    const JOIN: u16 = 0x31;
+
+    #[inline]
+    fn announce(&mut self) -> u64 {
+        self.current = self.rng.gen();
+        self.current
+    }
+
+    #[inline]
+    fn beats(&self, value: u64) -> bool {
+        self.current > value
+    }
+
+    // The RNG cursor is part of the state: a resumed node must continue
+    // the exact same draw stream.
+    fn encode(&self, out: &mut Vec<u64>) {
+        out.push(self.current);
+        out.extend_from_slice(&self.rng.state());
+    }
+
+    fn decode(&mut self, words: &[u64]) -> bool {
+        let &[current, s0, s1, s2, s3] = words else {
+            return false;
+        };
+        let s = [s0, s1, s2, s3];
+        if s == [0; 4] {
+            return false; // Not a reachable xoshiro256** state.
+        }
+        self.current = current;
+        self.rng = StdRng::from_state(s);
+        true
+    }
+}
+
+/// A node's decision; the discriminant is its checkpointed word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    Undecided = 0,
+    In = 1,
+    Out = 2,
+    NotParticipating = 3,
+}
+
+/// One node's automaton, generic over its rule so that each rule's runs
+/// are compiled apart and a node holds only its own rule's words. It
+/// borrows its row of an [`AdjacencyArena`] as its active list, so building
+/// a node clones nothing.
+struct Node<'a, R> {
+    state: State,
+    rule: R,
+    active: &'a [NodeId],
+}
+
+impl<'a, R: Rule> Node<'a, R> {
+    /// The automaton every run builds: plain, checkpointed, resumed and
+    /// lockstep.
+    fn new(participating: bool, rule: R, active: &'a [NodeId]) -> Self {
+        Node {
+            state: if participating {
+                State::Undecided
+            } else {
+                State::NotParticipating
+            },
+            rule,
+            active,
+        }
+    }
+}
+
+impl<R: Rule> NodeAlgorithm for Node<'_, R> {
+    fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
+        if self.state == State::NotParticipating {
+            return;
+        }
+        if ctx.round() % 2 == 0 {
+            // Process JOIN announcements from the previous phase, then (if
+            // still undecided) announce this phase's value.
+            if self.state == State::Undecided && inbox.iter().any(|m| m.tag() == R::JOIN) {
+                self.state = State::Out;
+            }
+            if self.state == State::Undecided {
+                let msg = Message::tagged(R::VALUE).with_value(self.rule.announce());
+                for &u in self.active {
+                    ctx.send(u, msg);
+                }
+            }
+        } else if self.state == State::Undecided {
+            let wins = inbox
+                .iter()
+                .filter(|m| m.tag() == R::VALUE)
+                .all(|m| self.rule.beats(m.values()[0]));
+            if wins {
+                self.state = State::In;
+                let msg = Message::tagged(R::JOIN);
+                for &u in self.active {
+                    ctx.send(u, msg);
+                }
+            }
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.state != State::Undecided
+    }
+
+    fn output(&self) -> Option<u64> {
+        match self.state {
+            State::In => Some(1),
+            State::Out | State::NotParticipating => Some(0),
+            State::Undecided => None,
+        }
+    }
+}
+
+impl<R: Rule> PersistState for Node<'_, R> {
+    fn encode_state(&self, out: &mut Vec<u64>) {
+        out.push(self.state as u64);
+        self.rule.encode(out);
+    }
+
+    fn decode_state(&mut self, words: &[u64]) -> bool {
+        let Some((&disc, rule)) = words.split_first() else {
+            return false;
+        };
+        self.state = match disc {
+            0 => State::Undecided,
+            1 => State::In,
+            2 => State::Out,
+            3 => State::NotParticipating,
+            _ => return false,
+        };
+        self.rule.decode(rule)
+    }
+}
+
+/// Evaluates `$run` once per rule of `$priority`, with `$rule` bound to
+/// that rule's per-node constructor (`NodeId -> R`), so each arm builds its
+/// own monomorphized automaton. `$n` is the node count a rank list must
+/// cover.
+macro_rules! with_rule {
+    ($priority:expr, $n:expr, |$rule:ident| $run:expr) => {
+        match $priority {
+            Priority::Rank(ranks) => {
+                assert_eq!(ranks.len(), $n, "one rank per node required");
+                let $rule = |v: NodeId| Rank(ranks[v.index()]);
+                $run
+            }
+            Priority::Luby(seed) => {
+                let $rule = |v: NodeId| Luby::new(seed, v);
+                $run
+            }
+        }
     };
-    use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
+}
 
-    const TAG_RANK: u16 = 0x20;
-    const TAG_JOIN: u16 = 0x21;
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum State {
-        Undecided,
-        In,
-        Out,
-        NotParticipating,
-    }
-
-    /// One node's automaton. It borrows its row of an [`AdjacencyArena`]
-    /// as its active list, so building a node clones nothing.
-    struct Node<'a> {
-        state: State,
-        rank: u64,
-        active: &'a [NodeId],
-    }
-
-    impl<'a> Node<'a> {
-        /// The automaton every run builds: plain, checkpointed, resumed and
-        /// lockstep.
-        fn new(participating: bool, rank: u64, active: &'a [NodeId]) -> Self {
-            Node {
-                state: if participating {
-                    State::Undecided
-                } else {
-                    State::NotParticipating
-                },
-                rank,
-                active,
-            }
+/// Runs the MIS automaton over the participating nodes.
+///
+/// * `participating[v]` — whether `v` takes part (e.g. membership in the
+///   sampled set `S` of Algorithm 3); non-participants output 0.
+/// * `active.row(v)` — the participating neighbours of `v` it communicates
+///   with (normally its participating neighbours in `graph`), in one flat
+///   CSR arena: each node borrows its row, so stage setup is two
+///   allocations total and per-node initialisation clones nothing.
+/// * `priority` — parallel greedy on fixed ranks, or Luby's algorithm.
+///
+/// Returns the per-node MIS membership and the execution report.
+///
+/// # Panics
+///
+/// Panics if the run does not terminate within `config.max_rounds`.
+pub fn run_arena(
+    graph: &Graph,
+    ids: &IdAssignment,
+    level: KtLevel,
+    participating: &[bool],
+    active: &AdjacencyArena,
+    priority: Priority<'_>,
+    config: SyncConfig,
+) -> (Vec<bool>, ExecutionReport) {
+    assert_eq!(participating.len(), graph.num_nodes());
+    assert_eq!(active.num_nodes(), graph.num_nodes());
+    let sim = SyncSimulator::new(graph, ids, level);
+    let report = with_rule!(priority, graph.num_nodes(), |rule| sim.run(
+        config,
+        |init| {
+            let v = init.node;
+            Node::new(participating[v.index()], rule(v), active.row(v))
         }
-    }
+    ));
+    assert!(report.completed, "MIS did not terminate");
+    let membership = report
+        .outputs
+        .iter()
+        .map(|o| o.expect("every node decided") == 1)
+        .collect();
+    (membership, report)
+}
 
-    impl NodeAlgorithm for Node<'_> {
-        fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-            if self.state == State::NotParticipating {
-                return;
-            }
-            if ctx.round() % 2 == 0 {
-                // Process JOIN announcements from the previous phase, then
-                // (if still undecided) announce our rank.
-                if self.state == State::Undecided && inbox.iter().any(|m| m.tag() == TAG_JOIN) {
-                    self.state = State::Out;
-                }
-                if self.state == State::Undecided {
-                    let msg = Message::tagged(TAG_RANK).with_value(self.rank);
-                    for &u in self.active {
-                        ctx.send(u, msg);
-                    }
-                }
-            } else if self.state == State::Undecided {
-                let min_neighbor_rank = inbox
-                    .iter()
-                    .filter(|m| m.tag() == TAG_RANK)
-                    .map(|m| m.values()[0])
-                    .min();
-                let is_local_min = match min_neighbor_rank {
-                    None => true,
-                    Some(r) => self.rank < r,
-                };
-                if is_local_min {
-                    self.state = State::In;
-                    let msg = Message::tagged(TAG_JOIN);
-                    for &u in self.active {
-                        ctx.send(u, msg);
-                    }
-                }
-            }
-        }
+/// Runs the MIS automaton on every node of the graph at KT-1, over the full
+/// neighbour lists.
+pub fn run(
+    graph: &Graph,
+    ids: &IdAssignment,
+    priority: Priority<'_>,
+    config: SyncConfig,
+) -> (Vec<bool>, ExecutionReport) {
+    let participating = vec![true; graph.num_nodes()];
+    let active = AdjacencyArena::from_filtered(graph, |_, _| true);
+    run_arena(
+        graph,
+        ids,
+        KtLevel::KT1,
+        &participating,
+        &active,
+        priority,
+        config,
+    )
+}
 
-        fn is_done(&self) -> bool {
-            self.state != State::Undecided
-        }
+/// Runs whole-graph MIS as [`run`] does, with checkpoints
+/// ([`SyncSimulator::run_checkpointed`]) every `checkpoint.every` rounds —
+/// Luby's per-node RNG cursors included, so a resumed run continues the
+/// exact same random streams; `observer` sees every message and round end
+/// of the run (pass [`symbreak_congest::NoopObserver`] to observe nothing).
+/// Unlike [`run`], the report is returned even when the round budget ran
+/// out (`completed == false`) — the "killed" half of a kill-and-resume
+/// cycle.
+///
+/// # Errors
+///
+/// As [`SyncSimulator::run_checkpointed`].
+pub fn run_checkpointed<O: RoundObserver>(
+    graph: &Graph,
+    ids: &IdAssignment,
+    priority: Priority<'_>,
+    config: SyncConfig,
+    checkpoint: &CheckpointConfig,
+    observer: &mut O,
+) -> std::io::Result<ExecutionReport> {
+    let active = AdjacencyArena::from_filtered(graph, |_, _| true);
+    let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
+    with_rule!(priority, graph.num_nodes(), |rule| sim.run_checkpointed(
+        config,
+        checkpoint,
+        |init| Node::new(true, rule(init.node), active.row(init.node)),
+        observer,
+    ))
+}
 
-        fn output(&self) -> Option<u64> {
-            match self.state {
-                State::In => Some(1),
-                State::Out | State::NotParticipating => Some(0),
-                State::Undecided => None,
-            }
-        }
-    }
+/// Resumes an interrupted [`run_checkpointed`] run from the latest valid
+/// checkpoint ([`SyncSimulator::resume_from`]); the completed resumed run
+/// is bit-identical to an uninterrupted one. `observer` sees only the
+/// resumed rounds, from the checkpoint boundary on: a recording the kill
+/// cut short continues from its rounds before that boundary.
+///
+/// # Errors
+///
+/// As [`SyncSimulator::resume_from`]: a log written under another priority
+/// rule or on another graph is [`std::io::ErrorKind::InvalidData`].
+pub fn resume<O: RoundObserver>(
+    graph: &Graph,
+    ids: &IdAssignment,
+    priority: Priority<'_>,
+    config: SyncConfig,
+    checkpoint: &CheckpointConfig,
+    observer: &mut O,
+) -> std::io::Result<ExecutionReport> {
+    let active = AdjacencyArena::from_filtered(graph, |_, _| true);
+    let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
+    with_rule!(priority, graph.num_nodes(), |rule| sim.resume_from(
+        config,
+        checkpoint,
+        |init| Node::new(true, rule(init.node), active.row(init.node)),
+        observer,
+    ))
+}
 
-    impl PersistState for Node<'_> {
-        fn encode_state(&self, out: &mut Vec<u64>) {
-            // Rank and active list are factory-derived; only the decision
-            // state distinguishes this node from a factory-fresh one.
-            out.push(match self.state {
-                State::Undecided => 0,
-                State::In => 1,
-                State::Out => 2,
-                State::NotParticipating => 3,
-            });
-        }
-
-        fn decode_state(&mut self, words: &[u64]) -> bool {
-            let &[disc] = words else { return false };
-            self.state = match disc {
-                0 => State::Undecided,
-                1 => State::In,
-                2 => State::Out,
-                3 => State::NotParticipating,
-                _ => return false,
-            };
-            true
-        }
-    }
-
-    /// Runs whole-graph parallel greedy MIS with checkpoints
-    /// ([`SyncSimulator::run_checkpointed`]), snapshotting every
-    /// `checkpoint.every` rounds; `observer` sees every message and round
-    /// end of the run (pass [`symbreak_congest::NoopObserver`] to observe
-    /// nothing). Unlike [`run_on_whole_graph`], the report is returned even
-    /// when the round budget ran out (`completed == false`) — that is the
-    /// "killed" half of a kill-and-resume cycle.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncSimulator::run_checkpointed`].
-    pub fn run_checkpointed<O: RoundObserver>(
-        graph: &Graph,
-        ids: &IdAssignment,
-        ranks: &[u64],
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-        observer: &mut O,
-    ) -> std::io::Result<ExecutionReport> {
-        assert_eq!(ranks.len(), graph.num_nodes());
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.run_checkpointed(
-            config,
-            checkpoint,
-            |init| Node::new(true, ranks[init.node.index()], active.row(init.node)),
-            observer,
-        )
-    }
-
-    /// Resumes an interrupted [`run_checkpointed`] run from the latest
-    /// valid checkpoint ([`SyncSimulator::resume_from`]); the completed
-    /// resumed run is bit-identical to an uninterrupted one. `observer`
-    /// sees only the resumed rounds, from the checkpoint boundary on: a
-    /// recording the kill cut short continues from its rounds before that
-    /// boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncSimulator::resume_from`].
-    pub fn resume<O: RoundObserver>(
-        graph: &Graph,
-        ids: &IdAssignment,
-        ranks: &[u64],
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-        observer: &mut O,
-    ) -> std::io::Result<ExecutionReport> {
-        assert_eq!(ranks.len(), graph.num_nodes());
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.resume_from(
-            config,
-            checkpoint,
-            |init| Node::new(true, ranks[init.node.index()], active.row(init.node)),
-            observer,
-        )
-    }
-
-    /// Runs parallel greedy MIS over the participating nodes.
-    ///
-    /// * `participating[v]` — whether `v` takes part (e.g. membership in the
-    ///   sampled set `S` of Algorithm 3); non-participants output 0.
-    /// * `ranks[v]` — the node's rank (must be distinct among participants).
-    /// * `active.row(v)` — the participating neighbours of `v` it
-    ///   communicates with (normally its participating neighbours in
-    ///   `graph`), in one flat CSR arena: each node borrows its row, so
-    ///   stage setup is two allocations total and per-node initialisation
-    ///   clones nothing.
-    ///
-    /// Returns the per-node MIS membership and the execution report.
-    pub fn run_arena(
-        graph: &Graph,
-        ids: &IdAssignment,
-        level: KtLevel,
-        participating: &[bool],
-        ranks: &[u64],
-        active: &AdjacencyArena,
-        config: SyncConfig,
-    ) -> (Vec<bool>, ExecutionReport) {
-        assert_eq!(participating.len(), graph.num_nodes());
-        assert_eq!(ranks.len(), graph.num_nodes());
-        assert_eq!(active.num_nodes(), graph.num_nodes());
-        let sim = SyncSimulator::new(graph, ids, level);
-        let report = sim.run(config, |init| {
-            let i = init.node.index();
-            Node::new(participating[i], ranks[i], active.row(init.node))
-        });
-        assert!(report.completed, "parallel greedy MIS did not terminate");
-        let membership = report
-            .outputs
-            .iter()
-            .map(|o| o.expect("participants decided") == 1)
-            .collect();
-        (membership, report)
-    }
-
-    /// Convenience: run on all nodes of the graph with the given ranks; the
-    /// active lists are the full neighbour lists.
-    pub fn run_on_whole_graph(
-        graph: &Graph,
-        ids: &IdAssignment,
-        ranks: &[u64],
-        config: SyncConfig,
-    ) -> (Vec<bool>, ExecutionReport) {
-        let participating = vec![true; graph.num_nodes()];
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        run_arena(
-            graph,
-            ids,
-            KtLevel::KT1,
-            &participating,
-            ranks,
-            &active,
-            config,
-        )
-    }
-
-    /// Runs the whole-graph parallel greedy MIS on the **asynchronous**
-    /// executor under a fault plan, via the α-synchronizer lockstep wrapper
-    /// ([`symbreak_congest::Synchronized`]).
-    ///
-    /// The synchronous run is executed first to fix the round budget (and
-    /// as the ground truth); the asynchronous replay then runs the same
-    /// automata for exactly that many lockstep rounds. On benign,
-    /// delay-only and duplicate/reorder schedules the asynchronous outputs
-    /// equal the synchronous outputs; under loss or crashes the run stalls
-    /// (`completed == false`) instead of emitting a wrong set.
-    pub fn run_async<R: Rng + ?Sized>(
-        graph: &Graph,
-        ids: &IdAssignment,
-        ranks: &[u64],
-        sync_config: SyncConfig,
-        async_config: AsyncConfig,
-        plan: &FaultPlan,
-        rng: &mut R,
-    ) -> (ExecutionReport, AsyncReport) {
-        let (_, sync_report) = run_on_whole_graph(graph, ids, ranks, sync_config);
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
-        let report = run_synchronized(&sim, async_config, plan, sync_report.rounds, rng, |init| {
-            Node::new(true, ranks[init.node.index()], active.row(init.node))
-        });
-        (sync_report, report)
-    }
+/// Runs whole-graph MIS on the **asynchronous** executor under a fault
+/// plan, via the α-synchronizer lockstep wrapper
+/// ([`symbreak_congest::Synchronized`]).
+///
+/// The synchronous run ([`run`]) executes first to fix the round budget
+/// (and as the ground truth); the asynchronous replay then runs the same
+/// automata — Luby's per-node RNG streams included — for exactly that many
+/// lockstep rounds. On benign, delay-only and duplicate/reorder schedules
+/// the asynchronous outputs equal the synchronous outputs; under loss or
+/// crashes the run stalls (`completed == false`) instead of emitting a
+/// wrong set.
+pub fn run_async<R: Rng + ?Sized>(
+    graph: &Graph,
+    ids: &IdAssignment,
+    priority: Priority<'_>,
+    sync_config: SyncConfig,
+    async_config: AsyncConfig,
+    plan: &FaultPlan,
+    rng: &mut R,
+) -> (ExecutionReport, AsyncReport) {
+    let (_, sync_report) = run(graph, ids, priority, sync_config);
+    let active = AdjacencyArena::from_filtered(graph, |_, _| true);
+    let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
+    let report = with_rule!(priority, graph.num_nodes(), |rule| run_synchronized(
+        &sim,
+        async_config,
+        plan,
+        sync_report.rounds,
+        rng,
+        |init| Node::new(true, rule(init.node), active.row(init.node)),
+    ));
+    (sync_report, report)
 }
 
 pub mod luby {
     //! Luby's randomized MIS algorithm — the Õ(m)-message KT-1 baseline.
 
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
-    use symbreak_congest::{
-        run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
-        NodeAlgorithm, PersistState, RoundContext, RoundObserver, SyncConfig, SyncSimulator,
-    };
-    use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
+    use super::{ExecutionReport, Graph, IdAssignment, Priority, SyncConfig};
 
-    const TAG_VALUE: u16 = 0x30;
-    const TAG_JOIN: u16 = 0x31;
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum State {
-        Undecided,
-        In,
-        Out,
-        NotParticipating,
-    }
-
-    /// One node's automaton; like `parallel_greedy`'s, it borrows its
-    /// arena row as its active list.
-    struct Node<'a> {
-        state: State,
-        rng: StdRng,
-        current: u64,
-        active: &'a [NodeId],
-    }
-
-    impl<'a> Node<'a> {
-        /// The automaton every run builds: plain, checkpointed, resumed and
-        /// lockstep. Node `v`'s random stream is a pure function of `seed`
-        /// and `v`, so every run draws the same values.
-        fn new(participating: bool, seed: u64, v: NodeId, active: &'a [NodeId]) -> Self {
-            Node {
-                state: if participating {
-                    State::Undecided
-                } else {
-                    State::NotParticipating
-                },
-                rng: StdRng::seed_from_u64(
-                    seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(v.index() as u64 + 1)),
-                ),
-                current: 0,
-                active,
-            }
-        }
-    }
-
-    impl NodeAlgorithm for Node<'_> {
-        fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
-            if self.state == State::NotParticipating {
-                return;
-            }
-            if ctx.round() % 2 == 0 {
-                if self.state == State::Undecided && inbox.iter().any(|m| m.tag() == TAG_JOIN) {
-                    self.state = State::Out;
-                }
-                if self.state == State::Undecided {
-                    self.current = self.rng.gen();
-                    let msg = Message::tagged(TAG_VALUE).with_value(self.current);
-                    for &u in self.active {
-                        ctx.send(u, msg);
-                    }
-                }
-            } else if self.state == State::Undecided {
-                let max_neighbor = inbox
-                    .iter()
-                    .filter(|m| m.tag() == TAG_VALUE)
-                    .map(|m| m.values()[0])
-                    .max();
-                let wins = match max_neighbor {
-                    None => true,
-                    Some(v) => self.current > v,
-                };
-                if wins {
-                    self.state = State::In;
-                    let msg = Message::tagged(TAG_JOIN);
-                    for &u in self.active {
-                        ctx.send(u, msg);
-                    }
-                }
-            }
-        }
-
-        fn is_done(&self) -> bool {
-            self.state != State::Undecided
-        }
-
-        fn output(&self) -> Option<u64> {
-            match self.state {
-                State::In => Some(1),
-                State::Out | State::NotParticipating => Some(0),
-                State::Undecided => None,
-            }
-        }
-    }
-
-    impl PersistState for Node<'_> {
-        fn encode_state(&self, out: &mut Vec<u64>) {
-            // The RNG cursor is part of the state: a resumed node must
-            // continue the exact same draw stream.
-            out.push(match self.state {
-                State::Undecided => 0,
-                State::In => 1,
-                State::Out => 2,
-                State::NotParticipating => 3,
-            });
-            out.push(self.current);
-            out.extend_from_slice(&self.rng.state());
-        }
-
-        fn decode_state(&mut self, words: &[u64]) -> bool {
-            let &[disc, current, s0, s1, s2, s3] = words else {
-                return false;
-            };
-            self.state = match disc {
-                0 => State::Undecided,
-                1 => State::In,
-                2 => State::Out,
-                3 => State::NotParticipating,
-                _ => return false,
-            };
-            let s = [s0, s1, s2, s3];
-            if s == [0; 4] {
-                return false; // Not a reachable xoshiro256** state.
-            }
-            self.current = current;
-            self.rng = StdRng::from_state(s);
-            true
-        }
-    }
-
-    /// Runs whole-graph Luby with checkpoints
-    /// ([`SyncSimulator::run_checkpointed`]), snapshotting every
-    /// `checkpoint.every` rounds — per-node RNG cursors included, so a
-    /// resumed run continues the exact same random streams; `observer`
-    /// sees every message and round end of the run (pass
-    /// [`symbreak_congest::NoopObserver`] to observe nothing). Unlike
-    /// [`run`], the report is returned even when the round budget ran out
-    /// (`completed == false`) — the "killed" half of a kill-and-resume
-    /// cycle.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncSimulator::run_checkpointed`].
-    pub fn run_checkpointed<O: RoundObserver>(
-        graph: &Graph,
-        ids: &IdAssignment,
-        seed: u64,
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-        observer: &mut O,
-    ) -> std::io::Result<ExecutionReport> {
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.run_checkpointed(
-            config,
-            checkpoint,
-            |init| Node::new(true, seed, init.node, active.row(init.node)),
-            observer,
-        )
-    }
-
-    /// Resumes an interrupted [`run_checkpointed`] run from the latest
-    /// valid checkpoint ([`SyncSimulator::resume_from`]); the completed
-    /// resumed run is bit-identical to an uninterrupted one. `observer`
-    /// sees only the resumed rounds, from the checkpoint boundary on: a
-    /// recording the kill cut short continues from its rounds before that
-    /// boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncSimulator::resume_from`].
-    pub fn resume<O: RoundObserver>(
-        graph: &Graph,
-        ids: &IdAssignment,
-        seed: u64,
-        config: SyncConfig,
-        checkpoint: &CheckpointConfig,
-        observer: &mut O,
-    ) -> std::io::Result<ExecutionReport> {
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
-        sim.resume_from(
-            config,
-            checkpoint,
-            |init| Node::new(true, seed, init.node, active.row(init.node)),
-            observer,
-        )
-    }
-
-    /// Runs Luby's algorithm restricted to the nodes with
-    /// `participating[v] = true`, communicating over the `active.row(v)`
-    /// lists of one flat CSR arena: each node borrows its arena row instead
-    /// of cloning a `Vec`.
-    pub fn run_restricted_arena(
-        graph: &Graph,
-        ids: &IdAssignment,
-        level: KtLevel,
-        participating: &[bool],
-        active: &AdjacencyArena,
-        seed: u64,
-        config: SyncConfig,
-    ) -> (Vec<bool>, ExecutionReport) {
-        assert_eq!(participating.len(), graph.num_nodes());
-        assert_eq!(active.num_nodes(), graph.num_nodes());
-        let sim = SyncSimulator::new(graph, ids, level);
-        let report = sim.run(config, |init| {
-            let v = init.node;
-            Node::new(participating[v.index()], seed, v, active.row(v))
-        });
-        assert!(report.completed, "Luby's algorithm did not terminate");
-        let membership = report
-            .outputs
-            .iter()
-            .map(|o| o.expect("all nodes decided") == 1)
-            .collect();
-        (membership, report)
-    }
-
-    /// Runs Luby's algorithm on the whole graph (the Figure-1 MIS baseline).
+    /// Runs Luby's algorithm on the whole graph (the Figure-1 MIS
+    /// baseline): [`super::run`] under [`Priority::Luby`].
     pub fn run(
         graph: &Graph,
         ids: &IdAssignment,
         seed: u64,
         config: SyncConfig,
     ) -> (Vec<bool>, ExecutionReport) {
-        let participating = vec![true; graph.num_nodes()];
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        run_restricted_arena(
-            graph,
-            ids,
-            KtLevel::KT1,
-            &participating,
-            &active,
-            seed,
-            config,
-        )
-    }
-
-    /// Runs whole-graph Luby on the **asynchronous** executor under a fault
-    /// plan, via the α-synchronizer lockstep wrapper
-    /// ([`symbreak_congest::Synchronized`]).
-    ///
-    /// The synchronous baseline runs first to fix the round budget (and as
-    /// ground truth); the asynchronous replay then runs the same per-node
-    /// RNG schedules for exactly that many lockstep rounds. On benign,
-    /// delay-only and duplicate/reorder schedules the outputs equal the
-    /// synchronous outputs; loss or crashes stall the run instead of
-    /// producing a wrong set.
-    pub fn run_async<R: Rng + ?Sized>(
-        graph: &Graph,
-        ids: &IdAssignment,
-        seed: u64,
-        sync_config: SyncConfig,
-        async_config: AsyncConfig,
-        plan: &FaultPlan,
-        rng: &mut R,
-    ) -> (ExecutionReport, AsyncReport) {
-        let (_, sync_report) = run(graph, ids, seed, sync_config);
-        let active = AdjacencyArena::from_filtered(graph, |_, _| true);
-        let sim = AsyncSimulator::new(graph, ids, KtLevel::KT1);
-        let report = run_synchronized(&sim, async_config, plan, sync_report.rounds, rng, |init| {
-            Node::new(true, seed, init.node, active.row(init.node))
-        });
-        (sync_report, report)
+        super::run(graph, ids, Priority::Luby(seed), config)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use symbreak_congest::SyncConfig;
-    use symbreak_graphs::{generators, AdjacencyArena, IdAssignment};
+    use symbreak_graphs::generators;
 
     #[test]
     fn verify_detects_non_independence_and_non_maximality() {
@@ -706,8 +578,7 @@ mod tests {
                 .map(|i| (i as u64 * 7919 + trial) % 1000 + 1)
                 .collect();
             let sequential = greedy::greedy_mis_by_rank(&g, &ranks);
-            let (parallel, report) =
-                parallel_greedy::run_on_whole_graph(&g, &ids, &ranks, SyncConfig::default());
+            let (parallel, report) = run(&g, &ids, Priority::Rank(&ranks), SyncConfig::default());
             assert_eq!(parallel, sequential, "trial {trial}");
             assert!(verify::is_mis(&g, &parallel));
             assert!(report.messages > 0);
@@ -721,13 +592,13 @@ mod tests {
         let participating: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
         let ranks: Vec<u64> = (0..8).map(|i| 100 - i as u64).collect();
         let active = AdjacencyArena::from_filtered(&g, |_, u| participating[u.index()]);
-        let (mis, _) = parallel_greedy::run_arena(
+        let (mis, _) = run_arena(
             &g,
             &ids,
-            symbreak_congest::KtLevel::KT1,
+            KtLevel::KT1,
             &participating,
-            &ranks,
             &active,
+            Priority::Rank(&ranks),
             SyncConfig::default(),
         );
         // Non-participants never join; exactly one participant joins (clique).
@@ -769,7 +640,7 @@ mod tests {
 
     #[test]
     fn luby_kill_and_resume_matches_uninterrupted_run() {
-        use symbreak_congest::{CheckpointConfig, NoopObserver};
+        use symbreak_congest::NoopObserver;
         let mut rng = StdRng::seed_from_u64(55);
         let g = generators::connected_gnp(30, 0.15, &mut rng);
         let ids = IdAssignment::identity(30);
@@ -780,11 +651,18 @@ mod tests {
         // Kill after the first boundary, then resume: Luby's per-node RNG
         // cursors must continue the exact same draw streams.
         let killed = SyncConfig::default().with_max_rounds(2);
-        let partial =
-            luby::run_checkpointed(&g, &ids, 9, killed, &ckpt, &mut NoopObserver).unwrap();
+        let luby = Priority::Luby(9);
+        let partial = run_checkpointed(&g, &ids, luby, killed, &ckpt, &mut NoopObserver).unwrap();
         assert!(!partial.completed);
-        let resumed =
-            luby::resume(&g, &ids, 9, SyncConfig::default(), &ckpt, &mut NoopObserver).unwrap();
+        let resumed = resume(
+            &g,
+            &ids,
+            luby,
+            SyncConfig::default(),
+            &ckpt,
+            &mut NoopObserver,
+        )
+        .unwrap();
         assert_eq!(resumed, baseline);
         assert_eq!(verify::outputs_to_membership(&resumed.outputs), mis);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -42,35 +42,6 @@ pub fn alpha_synchronizer_overhead(rounds: u64, active_edges: u64) -> u64 {
         .saturating_mul(active_edges)
 }
 
-/// Cost of an asynchronous simulation derived from a synchronous execution:
-/// the original messages plus the α-synchronizer overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AsyncCostEstimate {
-    /// Messages of the synchronous execution.
-    pub base_messages: u64,
-    /// Additional synchronizer messages.
-    pub synchronizer_messages: u64,
-    /// Rounds (time units) of the asynchronous execution; the α-synchronizer
-    /// preserves the round count.
-    pub rounds: u64,
-}
-
-impl AsyncCostEstimate {
-    /// Builds the estimate from a synchronous cost.
-    pub fn from_sync(messages: u64, rounds: u64, active_edges: u64) -> Self {
-        AsyncCostEstimate {
-            base_messages: messages,
-            synchronizer_messages: alpha_synchronizer_overhead(rounds, active_edges),
-            rounds,
-        }
-    }
-
-    /// Total messages of the asynchronous execution.
-    pub fn total_messages(&self) -> u64 {
-        self.base_messages + self.synchronizer_messages
-    }
-}
-
 /// Configuration of the randomized-delay executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AsyncConfig {
@@ -463,14 +434,6 @@ mod tests {
         assert_eq!(alpha_synchronizer_overhead(u64::MAX, u64::MAX), u64::MAX);
         // A product just under the edge stays exact.
         assert_eq!(alpha_synchronizer_overhead(0, u64::MAX / 2), u64::MAX - 1);
-    }
-
-    #[test]
-    fn async_estimate_totals() {
-        let est = AsyncCostEstimate::from_sync(50, 4, 10);
-        assert_eq!(est.synchronizer_messages, 100);
-        assert_eq!(est.total_messages(), 150);
-        assert_eq!(est.rounds, 4);
     }
 
     /// Asynchronous flooding: forward the token the first time it arrives.

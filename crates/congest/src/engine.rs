@@ -579,6 +579,15 @@ impl MessageArena {
 /// * **dense**: per-receiver buckets written once at stage time and swapped
 ///   into the arena on flip (one write per message plus a pointer swap per
 ///   receiver) — the receiver-major gather path for all-to-all rounds.
+///
+/// The dense layout is kept because it pays on the rounds that select it.
+/// With the flat layout forced on every round (every check kept), the
+/// benchmark's `dense-fig1` workload at seed 1 read `pass_ref_s` 3.05 s
+/// against 2.84 s over 6 interleaved pairs on a 2-CPU VM, flat slower in 5
+/// of 6, and `peak_rss_mb` 78.0 against 62.1 MB. Where it would not pay,
+/// [`NodeRuntime::dense_round`] never selects it: on the `sparse-1e5`
+/// workload's n = 10⁵ random graph, too many nodes and too scattered
+/// neighbourhoods keep its bucket writes out of cache.
 pub(crate) struct DeliveryBuffer {
     staged: Vec<(u32, Message)>,
     /// Per-receiver message counts; nonzero only at indices listed in

@@ -254,12 +254,6 @@ impl<A: NodeAlgorithm> Synchronized<A> {
         self
     }
 
-    /// The wrapped automaton (its outputs are also forwarded by
-    /// [`NodeAlgorithm::output`]).
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
     fn slot_of(&self, sender_id: u64) -> usize {
         let at = self
             .slot_by_id

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use symbreak_classic::mis::{luby, parallel_greedy};
+use symbreak_classic::mis::{self, Priority};
 use symbreak_congest::checkpoint::checkpoint_dir;
 use symbreak_congest::trace::TraceMessage;
 use symbreak_congest::{
@@ -168,7 +168,8 @@ fn kill_at_every_boundary_resumes_bit_identically() {
         let mut greedy_reports = Vec::new();
         for threads in [1usize, 4] {
             let config = SyncConfig::default().with_threads(threads);
-            let (_, luby_plain) = luby::run(graph, &ids, 0xAB, config);
+            let luby = Priority::Luby(0xAB);
+            let (_, luby_plain) = mis::run(graph, &ids, luby, config);
             let label = format!("luby-{gname}");
             luby_reports.push(kill_everywhere(
                 &label,
@@ -176,12 +177,12 @@ fn kill_at_every_boundary_resumes_bit_identically() {
                 threads,
                 2,
                 &luby_plain,
-                |cfg, ck, obs| luby::run_checkpointed(graph, &ids, 0xAB, cfg, ck, obs),
-                |cfg, ck, obs| luby::resume(graph, &ids, 0xAB, cfg, ck, obs),
+                |cfg, ck, obs| mis::run_checkpointed(graph, &ids, luby, cfg, ck, obs),
+                |cfg, ck, obs| mis::resume(graph, &ids, luby, cfg, ck, obs),
             ));
 
-            let (_, greedy_plain) =
-                parallel_greedy::run_on_whole_graph(graph, &ids, &ranks, config);
+            let greedy = Priority::Rank(&ranks);
+            let (_, greedy_plain) = mis::run(graph, &ids, greedy, config);
             let label = format!("greedy-{gname}");
             greedy_reports.push(kill_everywhere(
                 &label,
@@ -189,8 +190,8 @@ fn kill_at_every_boundary_resumes_bit_identically() {
                 threads,
                 3,
                 &greedy_plain,
-                |cfg, ck, obs| parallel_greedy::run_checkpointed(graph, &ids, &ranks, cfg, ck, obs),
-                |cfg, ck, obs| parallel_greedy::resume(graph, &ids, &ranks, cfg, ck, obs),
+                |cfg, ck, obs| mis::run_checkpointed(graph, &ids, greedy, cfg, ck, obs),
+                |cfg, ck, obs| mis::resume(graph, &ids, greedy, cfg, ck, obs),
             ));
         }
         // Thread-invariance: the same cell at 1 and 4 workers is the same

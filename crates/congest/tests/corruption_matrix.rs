@@ -12,7 +12,9 @@
 //! detected corruption, `UnexpectedEof` only for cuts inside the fixed
 //! header. Panics and wrong-but-accepted data are the failures this matrix
 //! exists to catch: every successfully loaded log is re-validated against
-//! the pristine original.
+//! the pristine original. Intact logs that another run wrote — under the
+//! other MIS priority rule, or on a larger graph — must be refused on
+//! resume with `InvalidData`.
 
 use std::fs;
 use std::io;
@@ -20,10 +22,10 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use symbreak_classic::mis::luby;
+use symbreak_classic::mis::{self, Priority};
 use symbreak_congest::checkpoint::checkpoint_dir;
 use symbreak_congest::{CheckpointChain, CheckpointConfig, NoopObserver, SyncConfig};
-use symbreak_graphs::{generators, IdAssignment};
+use symbreak_graphs::{generators, Graph, IdAssignment};
 
 /// A scratch directory under [`checkpoint_dir`], so the CI chaos-recovery
 /// job's tmpdir-hygiene check covers this suite's artifacts too.
@@ -73,10 +75,10 @@ fn checkpoint_log_survives_truncation_and_bit_flips() {
     let ids = IdAssignment::identity(16);
     let log = dir.join("luby.sbck");
     let ckpt = CheckpointConfig::new(&log).with_every(2);
-    let report = luby::run_checkpointed(
+    let report = mis::run_checkpointed(
         &graph,
         &ids,
-        5,
+        Priority::Luby(5),
         SyncConfig::default(),
         &ckpt,
         &mut NoopObserver,
@@ -101,5 +103,63 @@ fn checkpoint_log_survives_truncation_and_bit_flips() {
             Err(e) => acceptable_error(&e, "checkpoint log", detail),
         }
     });
+    fs::remove_dir_all(&dir).expect("drop scratch");
+}
+
+#[test]
+fn foreign_checkpoint_logs_are_refused_on_resume() {
+    let dir = scratch_dir("foreign");
+    let instance = |n: usize| {
+        let graph = generators::connected_gnp(n, 0.25, &mut StdRng::seed_from_u64(3));
+        (graph, IdAssignment::identity(n))
+    };
+    let (small, small_ids) = instance(30);
+    let (large, large_ids) = instance(40);
+    let ranks: Vec<u64> = (0..30).map(|i| (i * 7919) % 1000).collect();
+    let (luby, rank) = (Priority::Luby(5), Priority::Rank(&ranks));
+    let write = |name: &str, graph: &Graph, ids: &IdAssignment, priority| {
+        let ckpt = CheckpointConfig::new(dir.join(name)).with_every(2);
+        let report = mis::run_checkpointed(
+            graph,
+            ids,
+            priority,
+            SyncConfig::default(),
+            &ckpt,
+            &mut NoopObserver,
+        )
+        .expect("checkpointed run");
+        assert!(report.completed, "{name}");
+        ckpt
+    };
+    let cases = [
+        (
+            "luby log under rank",
+            write("luby.sbck", &small, &small_ids, luby),
+            rank,
+        ),
+        (
+            "rank log under luby",
+            write("rank.sbck", &small, &small_ids, rank),
+            luby,
+        ),
+        (
+            "40-node log on 30 nodes",
+            write("large.sbck", &large, &large_ids, luby),
+            luby,
+        ),
+    ];
+    for (what, ckpt, priority) in &cases {
+        let err = mis::resume(
+            &small,
+            &small_ids,
+            *priority,
+            SyncConfig::default(),
+            ckpt,
+            &mut NoopObserver,
+        )
+        .expect_err(what);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains("decode_state"), "{what}: {err}");
+    }
     fs::remove_dir_all(&dir).expect("drop scratch");
 }

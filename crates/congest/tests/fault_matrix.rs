@@ -33,7 +33,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use symbreak_classic::mis::{luby, parallel_greedy, verify};
+use symbreak_classic::mis::{self, verify, Priority};
 use symbreak_congest::async_sim::{
     alpha_synchronizer_overhead, AsyncConfig, AsyncReport, AsyncSimulator,
 };
@@ -343,10 +343,10 @@ fn scenario_matrix() {
             let seed = base_seed ^ 0x1_0000 ^ (ci as u64) << 8;
             let row = run_cell("luby", true, &graph, class, seed, |plan, seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let (sync_report, report) = luby::run_async(
+                let (sync_report, report) = mis::run_async(
                     &graph,
                     &ids,
-                    0xD1CE ^ seed,
+                    Priority::Luby(0xD1CE ^ seed),
                     SyncConfig::default(),
                     async_config(),
                     plan,
@@ -386,10 +386,10 @@ fn scenario_matrix() {
             let seed = base_seed ^ 0x5_0000 ^ (ci as u64) << 8;
             let row = run_cell("luby-sparse", true, &graph, class, seed, |plan, seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let (sync_report, report) = luby::run_async(
+                let (sync_report, report) = mis::run_async(
                     &graph,
                     &ids,
-                    0x5AB0 ^ seed,
+                    Priority::Luby(0x5AB0 ^ seed),
                     SyncConfig::default(),
                     async_config(),
                     plan,
@@ -422,10 +422,10 @@ fn scenario_matrix() {
             let seed = base_seed ^ 0x2_0000 ^ (ci as u64) << 8;
             let row = run_cell("greedy-mis", true, &graph, class, seed, |plan, seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let (sync_report, report) = parallel_greedy::run_async(
+                let (sync_report, report) = mis::run_async(
                     &graph,
                     &ids,
-                    &ranks,
+                    Priority::Rank(&ranks),
                     SyncConfig::default(),
                     async_config(),
                     plan,

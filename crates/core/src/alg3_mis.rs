@@ -18,7 +18,7 @@
 use std::cmp::Ordering;
 
 use rand::Rng;
-use symbreak_classic::mis::{luby, parallel_greedy};
+use symbreak_classic::mis::{self, Priority};
 use symbreak_congest::{
     CostAccount, KnownNeighbors, KtLevel, Message, NodeAlgorithm, RoundContext, SyncConfig,
     SyncSimulator,
@@ -239,13 +239,13 @@ pub fn run<R: Rng + ?Sized>(
     // in a single pass over the graph's rows.
     let s_neighbors =
         AdjacencyArena::from_filtered(graph, |v, u| in_sample[v.index()] && in_sample[u.index()]);
-    let (greedy_mis, report) = parallel_greedy::run_arena(
+    let (greedy_mis, report) = mis::run_arena(
         graph,
         ids,
         KtLevel::KT2,
         &in_sample,
-        &ranks,
         &s_neighbors,
+        Priority::Rank(&ranks),
         stage_config,
     );
     costs.charge_report("parallel greedy MIS on G[S]", &report);
@@ -272,13 +272,13 @@ pub fn run<R: Rng + ?Sized>(
     let remnant =
         AdjacencyArena::from_filtered(graph, |v, u| undecided[v.index()] && undecided[u.index()]);
     let remnant_max_degree = graph.nodes().map(|v| remnant.row_len(v)).max().unwrap_or(0);
-    let (luby_mis, report) = luby::run_restricted_arena(
+    let (luby_mis, report) = mis::run_arena(
         graph,
         ids,
         KtLevel::KT2,
         &undecided,
         &remnant,
-        config.luby_seed,
+        Priority::Luby(config.luby_seed),
         stage_config,
     );
     costs.charge_report("Luby on remnant graph", &report);

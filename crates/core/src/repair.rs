@@ -17,8 +17,8 @@
 //!    with the full graph.
 //! 3. **Existing runtimes** — the frontier re-enters the *same* flat
 //!    runtimes the from-scratch baselines use: Johansson list-coloring
-//!    ([`johansson::run_flat`]) for colourings, Luby
-//!    ([`luby::run_restricted_arena`]) for MIS.
+//!    ([`johansson::run_flat`]) for colourings, Luby ([`mis::run_arena`]
+//!    under [`Priority::Luby`]) for MIS.
 //! 4. **Fixpoint** — the former frontier is re-scanned, and any node still
 //!    uncoloured, conflicting or uncovered would seed the next frontier.
 //!    Both runtimes decide every frontier node, so one iteration reaches
@@ -35,7 +35,7 @@
 //! both invariants after every batch against a fresh CSR build.
 
 use symbreak_classic::coloring::johansson;
-use symbreak_classic::mis::luby;
+use symbreak_classic::mis::{self, Priority};
 use symbreak_congest::{ExecutionReport, KtLevel, SyncConfig};
 use symbreak_graphs::{
     AdjacencyArena, ChurnBatch, Graph, GraphBuilder, GraphOverlay, IdAssignment, NodeId,
@@ -152,250 +152,6 @@ fn repair_palette(overlay: &GraphOverlay, colors: &[Option<u64>], v: NodeId) -> 
         .collect()
 }
 
-/// Repairs a proper colouring after `batch` was applied to `overlay`.
-///
-/// `colors` must be a proper colouring of the pre-batch graph; on return it
-/// is a proper colouring of the current (post-batch) graph, with every
-/// repaired node coloured from `{0, …, deg(v)}` — so a `(Δ+1)`-bounded
-/// colouring stays `(Δ+1)`-bounded for the current maximum degree `Δ`.
-///
-/// Only the larger-ID endpoint of each conflicting inserted edge is
-/// re-entered (deletions never break properness), and the frontier runs
-/// through the stage runtime `driver` names on the frontier-induced
-/// subgraph.
-///
-/// # Panics
-///
-/// Panics if a stage fails to quiesce or the fixpoint is not reached within
-/// `MAX_REPAIR_ITERATIONS` (64) — both indicate a corrupted input colouring.
-pub fn repair_coloring(
-    overlay: &GraphOverlay,
-    ids: &IdAssignment,
-    batch: &ChurnBatch,
-    colors: &mut [Option<u64>],
-    driver: ColoringRepairDriver,
-    seed: u64,
-    config: SyncConfig,
-) -> RepairReport {
-    assert_eq!(colors.len(), overlay.num_nodes());
-    let mut dirty: Vec<NodeId> = Vec::new();
-    for &(u, v) in &batch.inserts {
-        if u == v || !overlay.has_edge(u, v) {
-            continue; // cancelled or no-op insert: nothing changed
-        }
-        match (colors[u.index()], colors[v.index()]) {
-            (Some(a), Some(b)) if a == b => {
-                dirty.push(if ids.id_of(u) > ids.id_of(v) { u } else { v });
-            }
-            (cu, cv) => {
-                if cu.is_none() {
-                    dirty.push(u);
-                }
-                if cv.is_none() {
-                    dirty.push(v);
-                }
-            }
-        }
-    }
-
-    let mut report = RepairReport::default();
-    while !dirty.is_empty() {
-        assert!(
-            report.iterations < MAX_REPAIR_ITERATIONS,
-            "colouring repair did not reach a fixpoint"
-        );
-        for &v in &dirty {
-            colors[v.index()] = None;
-        }
-        let frontier = Frontier::build(overlay, ids, std::mem::take(&mut dirty));
-        let m = frontier.nodes.len();
-        let palettes: Vec<Vec<u64>> = frontier
-            .nodes
-            .iter()
-            .map(|&v| repair_palette(overlay, colors, v))
-            .collect();
-        let stage_seed = seed ^ (report.iterations as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let (sub_colors, exec) = match driver {
-            ColoringRepairDriver::Johansson => {
-                let instance = johansson::FlatListColoring::new(
-                    vec![true; m],
-                    &palettes,
-                    AdjacencyArena::from_filtered(&frontier.graph, |_, _| true),
-                );
-                johansson::run_flat(
-                    &frontier.graph,
-                    &frontier.ids,
-                    KtLevel::KT1,
-                    &instance,
-                    stage_seed,
-                    config,
-                )
-            }
-        };
-        report.absorb(&exec);
-        for (j, &v) in frontier.nodes.iter().enumerate() {
-            if let Some(c) = sub_colors[j] {
-                colors[v.index()] = Some(c);
-                report.repaired_nodes += 1;
-            }
-        }
-        // Re-scan only the former frontier: an uncoloured node or a residual
-        // conflict would re-enter. Neither occurs: Johansson colours every
-        // frontier node apart from its frontier neighbours, and the repair
-        // palettes exclude the colours of the clean ones.
-        for &v in &frontier.nodes {
-            match colors[v.index()] {
-                None => dirty.push(v),
-                Some(c) => {
-                    if overlay.neighbors(v).any(|u| colors[u.index()] == Some(c)) {
-                        dirty.push(v);
-                    }
-                }
-            }
-        }
-        report.iterations += 1;
-        report.frontier_sizes.push(m);
-    }
-    report
-}
-
-/// Repairs a maximal independent set after `batch` was applied to `overlay`.
-///
-/// `in_set` must be an MIS of the pre-batch graph; on return it is an MIS of
-/// the current graph. The repair is three local steps:
-///
-/// 1. **Evict** the larger-ID endpoint of every conflicting inserted edge
-///    (one simultaneous pass — independence is restored immediately).
-/// 2. **Collect candidates**: evicted nodes, their neighbours, and the
-///    endpoints of effective deletions — filtered to nodes with no
-///    remaining set-neighbour (the only nodes maximality can now miss).
-/// 3. **Re-run MIS** on the candidate-induced subgraph with the runtime
-///    `driver` names, and add the winners to the set.
-///
-/// # Panics
-///
-/// Panics if a stage fails to quiesce or the fixpoint is not reached within
-/// `MAX_REPAIR_ITERATIONS` (64) — both indicate a corrupted input set.
-pub fn repair_mis(
-    overlay: &GraphOverlay,
-    ids: &IdAssignment,
-    batch: &ChurnBatch,
-    in_set: &mut [bool],
-    driver: MisRepairDriver,
-    seed: u64,
-    config: SyncConfig,
-) -> RepairReport {
-    assert_eq!(in_set.len(), overlay.num_nodes());
-    let mut evicted: Vec<NodeId> = Vec::new();
-    for &(u, v) in &batch.inserts {
-        if u == v || !overlay.has_edge(u, v) || !(in_set[u.index()] && in_set[v.index()]) {
-            continue;
-        }
-        evicted.push(if ids.id_of(u) > ids.id_of(v) { u } else { v });
-    }
-    evicted.sort_unstable();
-    evicted.dedup();
-    let mut report = RepairReport::default();
-    report.repaired_nodes += evicted.len();
-    for &v in &evicted {
-        in_set[v.index()] = false;
-    }
-
-    let mut candidates: Vec<NodeId> = Vec::new();
-    for &v in &evicted {
-        candidates.push(v);
-        candidates.extend(overlay.neighbors(v));
-    }
-    for &(u, v) in &batch.deletes {
-        if u == v || overlay.has_edge(u, v) {
-            continue; // cancelled or no-op deletion: coverage unchanged
-        }
-        candidates.push(u);
-        candidates.push(v);
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-    fn uncovered(overlay: &GraphOverlay, in_set: &[bool], v: NodeId) -> bool {
-        !in_set[v.index()] && !overlay.neighbors(v).any(|u| in_set[u.index()])
-    }
-    candidates.retain(|&v| uncovered(overlay, in_set, v));
-
-    while !candidates.is_empty() {
-        assert!(
-            report.iterations < MAX_REPAIR_ITERATIONS,
-            "MIS repair did not reach a fixpoint"
-        );
-        let frontier = Frontier::build(overlay, ids, std::mem::take(&mut candidates));
-        let m = frontier.nodes.len();
-        let participating = vec![true; m];
-        let arena = AdjacencyArena::from_filtered(&frontier.graph, |_, _| true);
-        let stage_seed = seed ^ (report.iterations as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let (membership, exec) = match driver {
-            MisRepairDriver::Luby => luby::run_restricted_arena(
-                &frontier.graph,
-                &frontier.ids,
-                KtLevel::KT2,
-                &participating,
-                &arena,
-                stage_seed,
-                config,
-            ),
-        };
-        report.absorb(&exec);
-        for (j, &v) in frontier.nodes.iter().enumerate() {
-            if membership[j] {
-                in_set[v.index()] = true;
-                report.repaired_nodes += 1;
-            }
-        }
-        candidates = frontier
-            .nodes
-            .iter()
-            .copied()
-            .filter(|&v| uncovered(overlay, in_set, v))
-            .collect();
-        report.iterations += 1;
-        report.frontier_sizes.push(m);
-    }
-    report
-}
-
-/// Full-recompute colouring oracle: a fresh Johansson `(Δ+1)`-coloring of
-/// the overlay's **current** graph (materialized to a clean CSR). The
-/// differential suite and the churn bench compare repairs against this.
-pub fn recompute_coloring(
-    overlay: &GraphOverlay,
-    ids: &IdAssignment,
-    seed: u64,
-    config: SyncConfig,
-) -> (Vec<Option<u64>>, ExecutionReport) {
-    let graph = overlay.materialize();
-    let instance = johansson::FlatListColoring::delta_plus_one(&graph);
-    johansson::run_flat(&graph, ids, KtLevel::KT1, &instance, seed, config)
-}
-
-/// Full-recompute MIS oracle: Luby's algorithm from scratch on the overlay's
-/// **current** graph (materialized to a clean CSR).
-pub fn recompute_mis(
-    overlay: &GraphOverlay,
-    ids: &IdAssignment,
-    seed: u64,
-    config: SyncConfig,
-) -> (Vec<bool>, ExecutionReport) {
-    let graph = overlay.materialize();
-    let participating = vec![true; graph.num_nodes()];
-    let arena = AdjacencyArena::from_filtered(&graph, |_, _| true);
-    luby::run_restricted_arena(
-        &graph,
-        ids,
-        KtLevel::KT2,
-        &participating,
-        &arena,
-        seed,
-        config,
-    )
-}
-
 /// A long-lived churn session: the overlay, the ID assignment and the
 /// engine configuration repairs and recomputes run under.
 #[derive(Debug)]
@@ -443,8 +199,23 @@ impl ChurnSession {
         self.overlay.compact()
     }
 
-    /// [`repair_coloring`] against this session's overlay/IDs/config.
+    /// Repairs a proper colouring after `batch` was applied to the overlay.
     /// `batch` must be the batch most recently [`ChurnSession::apply`]ed.
+    ///
+    /// `colors` must be a proper colouring of the pre-batch graph; on return it
+    /// is a proper colouring of the current (post-batch) graph, with every
+    /// repaired node coloured from `{0, …, deg(v)}` — so a `(Δ+1)`-bounded
+    /// colouring stays `(Δ+1)`-bounded for the current maximum degree `Δ`.
+    ///
+    /// Only the larger-ID endpoint of each conflicting inserted edge is
+    /// re-entered (deletions never break properness), and the frontier runs
+    /// through the stage runtime `driver` names on the frontier-induced
+    /// subgraph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stage fails to quiesce or the fixpoint is not reached within
+    /// `MAX_REPAIR_ITERATIONS` (64) — both indicate a corrupted input colouring.
     pub fn repair_coloring(
         &self,
         batch: &ChurnBatch,
@@ -452,19 +223,108 @@ impl ChurnSession {
         driver: ColoringRepairDriver,
         seed: u64,
     ) -> RepairReport {
-        repair_coloring(
-            &self.overlay,
-            &self.ids,
-            batch,
-            colors,
-            driver,
-            seed,
-            self.config,
-        )
+        let (overlay, ids) = (&self.overlay, &self.ids);
+        assert_eq!(colors.len(), overlay.num_nodes());
+        let mut dirty: Vec<NodeId> = Vec::new();
+        for &(u, v) in &batch.inserts {
+            if u == v || !overlay.has_edge(u, v) {
+                continue; // cancelled or no-op insert: nothing changed
+            }
+            match (colors[u.index()], colors[v.index()]) {
+                (Some(a), Some(b)) if a == b => {
+                    dirty.push(if ids.id_of(u) > ids.id_of(v) { u } else { v });
+                }
+                (cu, cv) => {
+                    if cu.is_none() {
+                        dirty.push(u);
+                    }
+                    if cv.is_none() {
+                        dirty.push(v);
+                    }
+                }
+            }
+        }
+
+        let mut report = RepairReport::default();
+        while !dirty.is_empty() {
+            assert!(
+                report.iterations < MAX_REPAIR_ITERATIONS,
+                "colouring repair did not reach a fixpoint"
+            );
+            for &v in &dirty {
+                colors[v.index()] = None;
+            }
+            let frontier = Frontier::build(overlay, ids, std::mem::take(&mut dirty));
+            let m = frontier.nodes.len();
+            let palettes: Vec<Vec<u64>> = frontier
+                .nodes
+                .iter()
+                .map(|&v| repair_palette(overlay, colors, v))
+                .collect();
+            let stage_seed = seed ^ (report.iterations as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let (sub_colors, exec) = match driver {
+                ColoringRepairDriver::Johansson => {
+                    let instance = johansson::FlatListColoring::new(
+                        vec![true; m],
+                        &palettes,
+                        AdjacencyArena::from_filtered(&frontier.graph, |_, _| true),
+                    );
+                    johansson::run_flat(
+                        &frontier.graph,
+                        &frontier.ids,
+                        KtLevel::KT1,
+                        &instance,
+                        stage_seed,
+                        self.config,
+                    )
+                }
+            };
+            report.absorb(&exec);
+            for (j, &v) in frontier.nodes.iter().enumerate() {
+                if let Some(c) = sub_colors[j] {
+                    colors[v.index()] = Some(c);
+                    report.repaired_nodes += 1;
+                }
+            }
+            // Re-scan only the former frontier: an uncoloured node or a residual
+            // conflict would re-enter. Neither occurs: Johansson colours every
+            // frontier node apart from its frontier neighbours, and the repair
+            // palettes exclude the colours of the clean ones.
+            for &v in &frontier.nodes {
+                match colors[v.index()] {
+                    None => dirty.push(v),
+                    Some(c) => {
+                        if overlay.neighbors(v).any(|u| colors[u.index()] == Some(c)) {
+                            dirty.push(v);
+                        }
+                    }
+                }
+            }
+            report.iterations += 1;
+            report.frontier_sizes.push(m);
+        }
+        report
     }
 
-    /// [`repair_mis`] against this session's overlay/IDs/config. `batch`
-    /// must be the batch most recently [`ChurnSession::apply`]ed.
+    /// Repairs a maximal independent set after `batch` was applied to the
+    /// overlay. `batch` must be the batch most recently
+    /// [`ChurnSession::apply`]ed.
+    ///
+    /// `in_set` must be an MIS of the pre-batch graph; on return it is an MIS of
+    /// the current graph. The repair is three local steps:
+    ///
+    /// 1. **Evict** the larger-ID endpoint of every conflicting inserted edge
+    ///    (one simultaneous pass — independence is restored immediately).
+    /// 2. **Collect candidates**: evicted nodes, their neighbours, and the
+    ///    endpoints of effective deletions — filtered to nodes with no
+    ///    remaining set-neighbour (the only nodes maximality can now miss).
+    /// 3. **Re-run MIS** on the candidate-induced subgraph with the runtime
+    ///    `driver` names, and add the winners to the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stage fails to quiesce or the fixpoint is not reached within
+    /// `MAX_REPAIR_ITERATIONS` (64) — both indicate a corrupted input set.
     pub fn repair_mis(
         &self,
         batch: &ChurnBatch,
@@ -472,25 +332,113 @@ impl ChurnSession {
         driver: MisRepairDriver,
         seed: u64,
     ) -> RepairReport {
-        repair_mis(
-            &self.overlay,
+        let (overlay, ids) = (&self.overlay, &self.ids);
+        assert_eq!(in_set.len(), overlay.num_nodes());
+        let mut evicted: Vec<NodeId> = Vec::new();
+        for &(u, v) in &batch.inserts {
+            if u == v || !overlay.has_edge(u, v) || !(in_set[u.index()] && in_set[v.index()]) {
+                continue;
+            }
+            evicted.push(if ids.id_of(u) > ids.id_of(v) { u } else { v });
+        }
+        evicted.sort_unstable();
+        evicted.dedup();
+        let mut report = RepairReport::default();
+        report.repaired_nodes += evicted.len();
+        for &v in &evicted {
+            in_set[v.index()] = false;
+        }
+
+        let mut candidates: Vec<NodeId> = Vec::new();
+        for &v in &evicted {
+            candidates.push(v);
+            candidates.extend(overlay.neighbors(v));
+        }
+        for &(u, v) in &batch.deletes {
+            if u == v || overlay.has_edge(u, v) {
+                continue; // cancelled or no-op deletion: coverage unchanged
+            }
+            candidates.push(u);
+            candidates.push(v);
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        fn uncovered(overlay: &GraphOverlay, in_set: &[bool], v: NodeId) -> bool {
+            !in_set[v.index()] && !overlay.neighbors(v).any(|u| in_set[u.index()])
+        }
+        candidates.retain(|&v| uncovered(overlay, in_set, v));
+
+        while !candidates.is_empty() {
+            assert!(
+                report.iterations < MAX_REPAIR_ITERATIONS,
+                "MIS repair did not reach a fixpoint"
+            );
+            let frontier = Frontier::build(overlay, ids, std::mem::take(&mut candidates));
+            let m = frontier.nodes.len();
+            let participating = vec![true; m];
+            let arena = AdjacencyArena::from_filtered(&frontier.graph, |_, _| true);
+            let stage_seed = seed ^ (report.iterations as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let (membership, exec) = match driver {
+                MisRepairDriver::Luby => mis::run_arena(
+                    &frontier.graph,
+                    &frontier.ids,
+                    KtLevel::KT2,
+                    &participating,
+                    &arena,
+                    Priority::Luby(stage_seed),
+                    self.config,
+                ),
+            };
+            report.absorb(&exec);
+            for (j, &v) in frontier.nodes.iter().enumerate() {
+                if membership[j] {
+                    in_set[v.index()] = true;
+                    report.repaired_nodes += 1;
+                }
+            }
+            candidates = frontier
+                .nodes
+                .iter()
+                .copied()
+                .filter(|&v| uncovered(overlay, in_set, v))
+                .collect();
+            report.iterations += 1;
+            report.frontier_sizes.push(m);
+        }
+        report
+    }
+
+    /// Full-recompute colouring oracle: a fresh Johansson `(Δ+1)`-coloring of
+    /// the overlay's **current** graph (materialized to a clean CSR). The
+    /// differential suite and the churn bench compare repairs against this.
+    pub fn recompute_coloring(&self, seed: u64) -> (Vec<Option<u64>>, ExecutionReport) {
+        let graph = self.overlay.materialize();
+        let instance = johansson::FlatListColoring::delta_plus_one(&graph);
+        johansson::run_flat(
+            &graph,
             &self.ids,
-            batch,
-            in_set,
-            driver,
+            KtLevel::KT1,
+            &instance,
             seed,
             self.config,
         )
     }
 
-    /// [`recompute_coloring`] against this session's overlay/IDs/config.
-    pub fn recompute_coloring(&self, seed: u64) -> (Vec<Option<u64>>, ExecutionReport) {
-        recompute_coloring(&self.overlay, &self.ids, seed, self.config)
-    }
-
-    /// [`recompute_mis`] against this session's overlay/IDs/config.
+    /// Full-recompute MIS oracle: Luby's algorithm from scratch on the overlay's
+    /// **current** graph (materialized to a clean CSR).
     pub fn recompute_mis(&self, seed: u64) -> (Vec<bool>, ExecutionReport) {
-        recompute_mis(&self.overlay, &self.ids, seed, self.config)
+        let graph = self.overlay.materialize();
+        let participating = vec![true; graph.num_nodes()];
+        let arena = AdjacencyArena::from_filtered(&graph, |_, _| true);
+        mis::run_arena(
+            &graph,
+            &self.ids,
+            KtLevel::KT2,
+            &participating,
+            &arena,
+            Priority::Luby(seed),
+            self.config,
+        )
     }
 }
 

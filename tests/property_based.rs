@@ -111,8 +111,12 @@ fn luby_and_parallel_greedy_are_valid_on_arbitrary_graphs() {
             "luby failed for seed {seed}"
         );
         let ranks: Vec<u64> = (0..n as u64).map(|i| i * 2654435761 % 10007).collect();
-        let (pg, _) =
-            mis::parallel_greedy::run_on_whole_graph(&graph, &ids, &ranks, SyncConfig::default());
+        let (pg, _) = mis::run(
+            &graph,
+            &ids,
+            mis::Priority::Rank(&ranks),
+            SyncConfig::default(),
+        );
         assert!(
             mis::verify::is_mis(&graph, &pg),
             "parallel greedy failed for seed {seed}"
