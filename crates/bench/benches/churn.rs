@@ -18,6 +18,11 @@
 //! a wide margin because frontier subgraphs are delta-sized while the
 //! recompute pays Θ(n + m) per batch.
 //!
+//! After the last batch, a `compact` row per family times
+//! [`ChurnSession::compact`], which folds every pending delta into a fresh
+//! CSR through `GraphBuilder`, and asserts that the compacted base equals
+//! the overlay's `materialize()` taken just before.
+//!
 //! Results are printed and written to `BENCH_churn.json` (one JSON object
 //! per line; replaced atomically once every gate has passed). Set
 //! `CHURN_SMOKE=1` for the reduced-size CI smoke (same rows and asserts, no
@@ -126,10 +131,43 @@ impl Row {
     }
 }
 
+/// One family's compaction of the overlay after the stream's batches.
+struct CompactRow {
+    graph_name: &'static str,
+    n: usize,
+    /// Live edges after the batches.
+    m: usize,
+    batches: usize,
+    churn_per_batch: usize,
+    compact_ns: f64,
+}
+
+impl CompactRow {
+    fn print(&self) {
+        println!(
+            "{:<9} {:<18} {:>7}n {:>8}m {:>4}ops/b {:>18.2}ms (one compaction)",
+            "compact",
+            self.graph_name,
+            self.n,
+            self.m,
+            self.churn_per_batch,
+            self.compact_ns / 1e6
+        );
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"bench\":\"churn\",\"row\":\"compact\",\"graph\":\"{}\",\"n\":{},\"m\":{},\"batches\":{},\"churn_per_batch\":{},\"compact_ns\":{:.0}}}",
+            self.graph_name, self.n, self.m, self.batches, self.churn_per_batch, self.compact_ns
+        )
+    }
+}
+
 /// Runs one family's coloring and MIS rows: `batches` low-churn batches,
 /// repair and recompute interleaved per batch on identical post-batch
-/// graphs, validity asserted on both sides.
-fn family_rows(fam: &Family, batches: usize) -> Vec<Row> {
+/// graphs, validity asserted on both sides. Then compacts the overlay once
+/// for the family's `compact` row.
+fn family_rows(fam: &Family, batches: usize) -> (Vec<Row>, CompactRow) {
     let n = fam.graph.num_nodes();
     let m = fam.graph.num_edges();
     // ≤ 1% of the edges per batch: 0.5% deletes + 0.5% inserts, at least
@@ -203,7 +241,25 @@ fn family_rows(fam: &Family, batches: usize) -> Vec<Row> {
             fam.name
         );
     }
-    vec![coloring, mis]
+
+    let expected = session.overlay().materialize();
+    let t = Instant::now();
+    let base = session.compact();
+    let compact_ns = t.elapsed().as_nanos() as f64;
+    assert_eq!(
+        *base, expected,
+        "{}: the compacted base differs from materialize()",
+        fam.name
+    );
+    let compact = CompactRow {
+        graph_name: fam.name,
+        n,
+        m: base.num_edges(),
+        batches,
+        churn_per_batch: 2 * half,
+        compact_ns,
+    };
+    (vec![coloring, mis], compact)
 }
 
 fn run_grid() {
@@ -218,7 +274,8 @@ fn run_grid() {
     );
     let batches = if smoke() { 4 } else { 6 };
     for fam in families() {
-        for row in family_rows(&fam, batches) {
+        let (rows, compact) = family_rows(&fam, batches);
+        for row in rows {
             row.print();
             // The repair-faster gate: incremental repair must beat the
             // from-scratch oracle on every low-churn row.
@@ -237,6 +294,8 @@ fn run_grid() {
             );
             json.row(row.json());
         }
+        compact.print();
+        json.row(compact.json());
     }
     json.commit().expect("write BENCH_churn.json");
 }

@@ -364,6 +364,20 @@ mod tests {
             run(&g, &ids, Alg1Config::default(), &mut rng).unwrap_err(),
             CoreError::Disconnected
         );
+        // Disconnection outranks a bad δ; on a connected graph δ is reported.
+        let bad_delta = Alg1Config {
+            delta: 1.5,
+            ..Alg1Config::default()
+        };
+        assert_eq!(
+            run_batch(&g, &ids, bad_delta, &[1]).unwrap_err(),
+            CoreError::Disconnected
+        );
+        let g = generators::clique(4);
+        assert!(matches!(
+            run(&g, &IdAssignment::identity(4), bad_delta, &mut rng).unwrap_err(),
+            CoreError::InvalidParameter { .. }
+        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use symbreak_congest::{CostAccount, ExecutionReport};
-use symbreak_danner::{ops, setup::SetupPlan};
+use symbreak_danner::{ops, setup::SetupPlan, DannerError};
 use symbreak_graphs::{properties, Graph, IdAssignment};
 use symbreak_ktrand::SharedRandomness;
 
@@ -29,12 +29,17 @@ impl Prologue {
     /// # Errors
     ///
     /// [`CoreError::Disconnected`] for disconnected inputs and
-    /// [`CoreError::InvalidParameter`] for δ outside `[0, 1]`.
+    /// [`CoreError::InvalidParameter`] for δ outside `[0, 1]`; a
+    /// disconnected input with a bad δ is [`CoreError::Disconnected`].
     pub(crate) fn new(graph: &Graph, ids: &IdAssignment, delta: f64) -> Result<Self, CoreError> {
-        if !properties::is_connected(graph) {
-            return Err(CoreError::Disconnected);
-        }
-        let plan = SetupPlan::new(graph, ids, delta)?;
+        // The danner's BFS is the connectivity check; only a rejected δ,
+        // which stops the danner before its BFS, needs a walk of its own.
+        let plan = SetupPlan::new(graph, ids, delta).map_err(|e| match e {
+            DannerError::InvalidDelta { .. } if !properties::is_connected(graph) => {
+                CoreError::Disconnected
+            }
+            e => e.into(),
+        })?;
         let degrees: Vec<u64> = graph.nodes().map(|v| graph.degree(v) as u64).collect();
         let (max_degree, delta_up) =
             ops::convergecast_max(plan.carrier(), ids, plan.tree(), &degrees);

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use symbreak_congest::PhaseCost;
-use symbreak_graphs::{properties, Graph, GraphBuilder, IdAssignment, NodeId};
+use symbreak_graphs::{properties, EdgeId, Graph, GraphBuilder, IdAssignment, NodeId};
 
 /// Errors from danner construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,41 +55,61 @@ impl Danner {
     /// The construction takes the union of a BFS spanning tree rooted at the
     /// minimum-ID node with, for every node, its `⌈n^δ⌉` lowest-ID incident
     /// edges (which each node can identify without communication thanks to
-    /// KT-1).
+    /// KT-1). `H`'s edges are numbered tree edges first, in child order,
+    /// then the other kept edges in node order and, per node, ID order.
     ///
     /// # Errors
     ///
-    /// Returns [`DannerError::Disconnected`] if `graph` is not connected and
-    /// [`DannerError::InvalidDelta`] if `delta` is outside `[0, 1]`.
+    /// Returns [`DannerError::InvalidDelta`] if `delta` is outside `[0, 1]`
+    /// and otherwise [`DannerError::Disconnected`] if `graph` is empty or
+    /// not connected.
     pub fn build(graph: &Graph, ids: &IdAssignment, delta: f64) -> Result<Self, DannerError> {
         if !(0.0..=1.0).contains(&delta) || delta.is_nan() {
             return Err(DannerError::InvalidDelta { delta });
-        }
-        if !properties::is_connected(graph) || graph.num_nodes() == 0 {
-            return Err(DannerError::Disconnected);
         }
         let n = graph.num_nodes();
         let root = graph
             .nodes()
             .min_by_key(|&v| ids.id_of(v))
-            .expect("non-empty graph");
+            .ok_or(DannerError::Disconnected)?;
 
+        // Bit `e` of `in_h` marks G's edge `e` as fed to the builder, so
+        // each edge of H is fed once.
+        let mut in_h = vec![0u64; graph.num_edges().div_ceil(64)];
         let mut builder = GraphBuilder::new(n);
-        // BFS spanning tree: guarantees spanning and diameter ≤ 2·D(G).
+        // BFS spanning tree: guarantees spanning and diameter ≤ 2·D(G). A
+        // node the walk leaves unreached means G is disconnected.
         let parents = properties::bfs_parents(graph, root);
         for v in graph.nodes() {
             if v != root {
-                let p = parents[v.index()].expect("graph verified connected");
+                let p = parents[v.index()].ok_or(DannerError::Disconnected)?;
+                let e = graph
+                    .edge_between(v, p)
+                    .expect("BFS parents are neighbours");
+                first_mark(&mut in_h, e);
                 builder.add_edge(v, p);
             }
         }
         // Each node keeps its ⌈n^δ⌉ lowest-ID incident edges (local, KT-1).
         let keep = (n as f64).powf(delta).ceil() as usize;
+        let mut lowest: Vec<(u64, NodeId, EdgeId)> = Vec::new();
         for v in graph.nodes() {
-            let mut nbrs: Vec<NodeId> = graph.neighbor_vec(v);
-            nbrs.sort_by_key(|&u| ids.id_of(u));
-            for &u in nbrs.iter().take(keep) {
-                builder.add_edge(v, u);
+            lowest.clear();
+            lowest.extend(
+                graph
+                    .neighbor_slice(v)
+                    .iter()
+                    .map(|&(u, e)| (ids.id_of(u), u, e)),
+            );
+            if keep < lowest.len() {
+                lowest.select_nth_unstable(keep);
+                lowest.truncate(keep);
+            }
+            lowest.sort_unstable();
+            for &(_, u, e) in &lowest {
+                if first_mark(&mut in_h, e) {
+                    builder.add_edge(v, u);
+                }
             }
         }
         let subgraph = builder.build();
@@ -134,6 +154,14 @@ impl Danner {
         let n = self.subgraph.num_nodes() as f64;
         (n - 1.0 + n.powf(1.0 + self.delta)).ceil() as usize
     }
+}
+
+/// Sets bit `e` of `bits`; returns whether it was clear.
+fn first_mark(bits: &mut [u64], e: EdgeId) -> bool {
+    let (word, bit) = (e.index() / 64, 1 << (e.index() % 64));
+    let clear = bits[word] & bit == 0;
+    bits[word] |= bit;
+    clear
 }
 
 #[cfg(test)]
@@ -216,10 +244,24 @@ mod tests {
             Danner::build(&g, &ids, 0.5).unwrap_err(),
             DannerError::Disconnected
         );
+        // A bad δ is reported before connectivity is looked at.
+        assert!(matches!(
+            Danner::build(&g, &ids, 1.5).unwrap_err(),
+            DannerError::InvalidDelta { .. }
+        ));
         let g = generators::path(3);
         let ids = IdAssignment::identity(3);
         assert!(matches!(
             Danner::build(&g, &ids, 1.5).unwrap_err(),
+            DannerError::InvalidDelta { .. }
+        ));
+        let empty = generators::empty(0);
+        assert_eq!(
+            Danner::build(&empty, &IdAssignment::identity(0), 0.5).unwrap_err(),
+            DannerError::Disconnected
+        );
+        assert!(matches!(
+            Danner::build(&empty, &IdAssignment::identity(0), f64::NAN).unwrap_err(),
             DannerError::InvalidDelta { .. }
         ));
     }

@@ -1,8 +1,23 @@
 //! Incremental construction of [`Graph`] values.
-
-use std::collections::BTreeSet;
+//!
+//! [`GraphBuilder`] only records each fed pair, normalized to `u < v`;
+//! duplicates are dropped once, by [`GraphBuilder::build`]. Its counting
+//! sort lays every fed pair into both endpoints' CSR rows, and sorting a
+//! row by `(neighbour, input index)` puts all copies of a pair side by
+//! side, first copy first. The build keeps that first copy and drops every
+//! later one, then renumbers the kept pairs in input order. The result
+//! equals what a builder that rejected each duplicate on arrival would
+//! produce, [`EdgeId`]s included.
+//!
+//! Memory: 8 bytes per fed pair while collecting. The build holds the
+//! pairs, the CSR's `n + 1` offsets and 16 bytes of row entries per fed
+//! pair; only when some pair was fed twice does it add a 4-byte renumbering
+//! slot per fed pair.
 
 use crate::{EdgeId, Graph, NodeId};
+
+/// Marks a dropped copy in [`GraphBuilder::build`]'s renumbering table.
+const DROPPED: u32 = u32::MAX;
 
 /// Builder for [`Graph`].
 ///
@@ -17,14 +32,14 @@ use crate::{EdgeId, Graph, NodeId};
 ///
 /// let mut b = GraphBuilder::new(4);
 /// b.add_edge(NodeId(0), NodeId(1));
-/// b.add_edge(NodeId(1), NodeId(0)); // duplicate, ignored
+/// b.add_edge(NodeId(1), NodeId(0)); // duplicate, dropped by `build`
 /// let g = b.build();
 /// assert_eq!(g.num_edges(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     num_nodes: usize,
-    seen: BTreeSet<(NodeId, NodeId)>,
+    /// Every fed pair as `(min, max)`, duplicates included, in input order.
     edges: Vec<(NodeId, NodeId)>,
 }
 
@@ -33,7 +48,6 @@ impl GraphBuilder {
     pub fn new(n: usize) -> Self {
         GraphBuilder {
             num_nodes: n,
-            seen: BTreeSet::new(),
             edges: Vec::new(),
         }
     }
@@ -43,38 +57,20 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of (deduplicated) edges added so far.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Ensures the graph has at least `n` nodes.
-    pub fn grow_to(&mut self, n: usize) -> &mut Self {
-        if n > self.num_nodes {
-            self.num_nodes = n;
-        }
-        self
-    }
-
-    /// Adds the undirected edge `{u, v}`. Returns `true` if the edge is new.
+    /// Adds the undirected edge `{u, v}`. Feeding an edge again, in either
+    /// orientation, is allowed; [`GraphBuilder::build`] keeps its first copy.
     ///
     /// # Panics
     ///
     /// Panics if `u == v` (self-loop) or if either endpoint is out of range.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+    pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
         assert!(u != v, "self-loop {u} is not allowed in a simple graph");
         assert!(
             u.index() < self.num_nodes && v.index() < self.num_nodes,
             "edge {{{u}, {v}}} has an endpoint outside 0..{}",
             self.num_nodes
         );
-        let key = if u < v { (u, v) } else { (v, u) };
-        if self.seen.insert(key) {
-            self.edges.push(key);
-            true
-        } else {
-            false
-        }
+        self.edges.push(if u < v { (u, v) } else { (v, u) });
     }
 
     /// Adds every edge from an iterator of `(u, v)` pairs.
@@ -88,30 +84,26 @@ impl GraphBuilder {
         self
     }
 
-    /// Returns `true` if the edge `{u, v}` has already been added.
-    pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.seen.contains(&key)
-    }
-
     /// Finalises the builder into an immutable [`Graph`].
     ///
     /// The CSR arrays are assembled directly with a counting sort over the
-    /// edge list — two passes and two allocations, no per-node `Vec`s.
+    /// fed pairs, and the sorted rows expose the duplicates (see the module
+    /// docs); no per-node `Vec`s.
     ///
     /// # Panics
     ///
-    /// Panics if the graph has `2³¹` or more edges — the CSR offsets index
-    /// `2m` half-edges with `u32`s.
+    /// Panics if `2³¹` or more pairs were fed, duplicates included — the
+    /// CSR offsets index the fed pairs' half-edges with `u32`s.
     pub fn build(self) -> Graph {
         let n = self.num_nodes;
+        let mut edges = self.edges;
         assert!(
-            2 * self.edges.len() <= u32::MAX as usize,
-            "graph has {} edges; the CSR u32 offsets support at most 2^31 - 1",
-            self.edges.len()
+            2 * edges.len() <= u32::MAX as usize,
+            "{} edges were fed; the CSR u32 offsets support at most 2^31 - 1",
+            edges.len()
         );
         let mut offsets = vec![0u32; n + 1];
-        for &(u, v) in &self.edges {
+        for &(u, v) in &edges {
             offsets[u.index() + 1] += 1;
             offsets[v.index() + 1] += 1;
         }
@@ -119,19 +111,66 @@ impl GraphBuilder {
             offsets[i + 1] += offsets[i];
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![(NodeId(0), EdgeId(0)); 2 * self.edges.len()];
-        for (i, &(u, v)) in self.edges.iter().enumerate() {
+        let mut targets = vec![(NodeId(0), EdgeId(0)); 2 * edges.len()];
+        for (i, &(u, v)) in edges.iter().enumerate() {
             let e = EdgeId(i as u32);
             targets[cursor[u.index()] as usize] = (v, e);
             cursor[u.index()] += 1;
             targets[cursor[v.index()] as usize] = (u, e);
             cursor[v.index()] += 1;
         }
+        // `renumber[i]` is the final id of fed pair `i`, or `DROPPED`;
+        // allocated on the first duplicate found.
+        let mut renumber: Vec<u32> = Vec::new();
         for i in 0..n {
-            targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable_by_key(|&(w, _)| w);
+            let row = &mut targets[offsets[i] as usize..offsets[i + 1] as usize];
+            row.sort_unstable();
+            for w in row.windows(2) {
+                if w[0].0 == w[1].0 {
+                    if renumber.is_empty() {
+                        renumber = vec![0; edges.len()];
+                    }
+                    renumber[w[1].1.index()] = DROPPED;
+                }
+            }
         }
-        Graph::from_csr(offsets, targets, self.edges)
+        if !renumber.is_empty() {
+            drop_later_copies(&mut offsets, &mut targets, &mut edges, &mut renumber);
+        }
+        Graph::from_csr(offsets, targets, edges)
     }
+}
+
+/// Removes the pairs `renumber` marks `DROPPED` from the edge list and the
+/// CSR rows, renumbering the kept ones `0..` in input order. Rows shrink in
+/// place and stay sorted.
+fn drop_later_copies(
+    offsets: &mut [u32],
+    targets: &mut Vec<(NodeId, EdgeId)>,
+    edges: &mut Vec<(NodeId, NodeId)>,
+    renumber: &mut [u32],
+) {
+    for (next, id) in renumber.iter_mut().filter(|id| **id != DROPPED).enumerate() {
+        *id = next as u32;
+    }
+    let mut write = 0;
+    let mut start = 0;
+    for offset in &mut offsets[1..] {
+        let end = *offset as usize;
+        for read in start..end {
+            let (w, e) = targets[read];
+            let id = renumber[e.index()];
+            if id != DROPPED {
+                targets[write] = (w, EdgeId(id));
+                write += 1;
+            }
+        }
+        start = end;
+        *offset = write as u32;
+    }
+    targets.truncate(write);
+    let mut ids = renumber.iter();
+    edges.retain(|_| ids.next() != Some(&DROPPED));
 }
 
 impl FromIterator<(NodeId, NodeId)> for GraphBuilder {
@@ -151,17 +190,122 @@ impl FromIterator<(NodeId, NodeId)> for GraphBuilder {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
+
+    /// The builder as it was before duplicates moved to `build`: a
+    /// `BTreeSet` rejects each duplicate on arrival, and the CSR is
+    /// assembled from the surviving pairs.
+    fn btree_build(n: usize, pairs: &[(NodeId, NodeId)]) -> Graph {
+        let mut seen = BTreeSet::new();
+        let mut edges = Vec::new();
+        for &(u, v) in pairs {
+            let key = if u < v { (u, v) } else { (v, u) };
+            if seen.insert(key) {
+                edges.push(key);
+            }
+        }
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in &edges {
+            offsets[u.index() + 1] += 1;
+            offsets[v.index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut targets = vec![(NodeId(0), EdgeId(0)); 2 * edges.len()];
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            let e = EdgeId(i as u32);
+            targets[cursor[u.index()] as usize] = (v, e);
+            cursor[u.index()] += 1;
+            targets[cursor[v.index()] as usize] = (u, e);
+            cursor[v.index()] += 1;
+        }
+        for i in 0..n {
+            targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable_by_key(|&(w, _)| w);
+        }
+        Graph::from_csr(offsets, targets, edges)
+    }
+
+    fn build(n: usize, pairs: &[(NodeId, NodeId)]) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        b.add_edges(pairs.iter().copied());
+        b.build()
+    }
+
+    /// `len` random pairs over `n` nodes; about half repeat an earlier pair,
+    /// in a random orientation.
+    fn random_pairs(n: usize, len: usize, rng: &mut StdRng) -> Vec<(NodeId, NodeId)> {
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(len);
+        while pairs.len() < len {
+            let (u, v) = if !pairs.is_empty() && rng.gen_bool(0.5) {
+                pairs[rng.gen_range(0..pairs.len())]
+            } else {
+                (
+                    NodeId(rng.gen_range(0..n as u32)),
+                    NodeId(rng.gen_range(0..n as u32)),
+                )
+            };
+            if u != v {
+                pairs.push(if rng.gen_bool(0.5) { (u, v) } else { (v, u) });
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn build_matches_the_btree_builder() {
+        let mut rng = StdRng::seed_from_u64(0xb17d);
+        for &(n, len) in &[(2, 1), (2, 9), (5, 12), (30, 200), (200, 600), (1000, 5000)] {
+            for _ in 0..4 {
+                let pairs = random_pairs(n, len, &mut rng);
+                assert_eq!(build(n, &pairs), btree_build(n, &pairs), "n={n} len={len}");
+            }
+        }
+        for n in [0, 1, 7] {
+            assert_eq!(build(n, &[]), btree_build(n, &[]), "n={n}, no pairs");
+        }
+    }
+
+    #[test]
+    fn all_duplicates_keep_the_first_copy() {
+        let pairs: Vec<(NodeId, NodeId)> = (0..50)
+            .map(|i| {
+                if i % 2 == 0 {
+                    (NodeId(4), NodeId(1))
+                } else {
+                    (NodeId(1), NodeId(4))
+                }
+            })
+            .collect();
+        let g = build(6, &pairs);
+        assert_eq!(g, btree_build(6, &pairs));
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.endpoints(EdgeId(0)), (NodeId(1), NodeId(4)));
+    }
 
     #[test]
     fn dedup_edges() {
         let mut b = GraphBuilder::new(3);
-        assert!(b.add_edge(NodeId(0), NodeId(1)));
-        assert!(!b.add_edge(NodeId(1), NodeId(0)));
-        assert!(b.add_edge(NodeId(1), NodeId(2)));
-        assert_eq!(b.num_edges(), 2);
+        b.add_edge(NodeId(1), NodeId(2));
+        b.add_edge(NodeId(0), NodeId(1));
+        b.add_edge(NodeId(2), NodeId(1));
+        b.add_edge(NodeId(1), NodeId(0));
+        b.add_edge(NodeId(0), NodeId(2));
         let g = b.build();
-        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.endpoints(EdgeId(0)), (NodeId(1), NodeId(2)));
+        assert_eq!(g.endpoints(EdgeId(1)), (NodeId(0), NodeId(1)));
+        assert_eq!(g.endpoints(EdgeId(2)), (NodeId(0), NodeId(2)));
+        assert_eq!(
+            g.neighbor_slice(NodeId(1)),
+            &[(NodeId(0), EdgeId(1)), (NodeId(2), EdgeId(0))]
+        );
     }
 
     #[test]
@@ -179,14 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_to_extends_node_count() {
-        let mut b = GraphBuilder::new(2);
-        b.grow_to(10);
-        b.add_edge(NodeId(0), NodeId(9));
-        assert_eq!(b.build().num_nodes(), 10);
-    }
-
-    #[test]
     fn from_iterator_sizes_to_max_endpoint() {
         let b: GraphBuilder = vec![(NodeId(0), NodeId(3)), (NodeId(2), NodeId(1))]
             .into_iter()
@@ -194,14 +330,5 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_nodes(), 4);
         assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn contains_edge_is_order_insensitive() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(NodeId(2), NodeId(0));
-        assert!(b.contains_edge(NodeId(0), NodeId(2)));
-        assert!(b.contains_edge(NodeId(2), NodeId(0)));
-        assert!(!b.contains_edge(NodeId(1), NodeId(2)));
     }
 }

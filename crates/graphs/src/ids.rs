@@ -5,8 +5,11 @@
 //! Section 2 construct *specific* ID assignments, while the algorithms of
 //! Sections 3 and 4 only hash or compare IDs. [`IdAssignment`] separates the
 //! simulator's dense node indices from these algorithm-visible IDs.
-
-use std::collections::BTreeMap;
+//!
+//! An assignment stores its IDs twice: `ids[v]` for [`IdAssignment::id_of`]
+//! and one `(id, node)` array sorted by ID, which
+//! [`IdAssignment::node_with_id`] binary-searches. That is 8 + 16 bytes per
+//! node (the `(u64, NodeId)` pair pads to 16), in two allocations.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -67,7 +70,8 @@ impl Default for IdSpace {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IdAssignment {
     ids: Vec<u64>,
-    reverse: BTreeMap<u64, NodeId>,
+    /// Every `(id, node)` pair, sorted by ID.
+    reverse: Vec<(u64, NodeId)>,
 }
 
 impl IdAssignment {
@@ -78,10 +82,19 @@ impl IdAssignment {
     ///
     /// Panics if two nodes share an ID.
     pub fn from_vec(ids: Vec<u64>) -> Self {
-        let mut reverse = BTreeMap::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let prev = reverse.insert(id, NodeId(i as u32));
-            assert!(prev.is_none(), "duplicate ID {id} assigned to two nodes");
+        let mut reverse: Vec<(u64, NodeId)> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, NodeId(i as u32)))
+            .collect();
+        reverse.sort_unstable();
+        // Name the ID whose second holder comes first in node order.
+        if let Some(w) = reverse
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .min_by_key(|w| w[1].1)
+        {
+            panic!("duplicate ID {} assigned to two nodes", w[0].0);
         }
         IdAssignment { ids, reverse }
     }
@@ -97,13 +110,37 @@ impl IdAssignment {
     }
 
     /// Samples distinct IDs uniformly from the given space for `n` nodes.
+    ///
+    /// Draws one ID at a time until `n` distinct values have come up, then
+    /// shuffles them. A space of at most 64 IDs per node tracks the values
+    /// seen in a bitmap (at most 8 bytes per node). A larger space draws in
+    /// rounds instead: each round draws exactly the missing count, then
+    /// sorts and dedups. The distinct count can only reach `n` on a round's
+    /// last draw, so the rounds make the same draws; few draws collide in a
+    /// space that sparse, so few rounds are needed.
     pub fn random_for_n<R: Rng + ?Sized>(n: usize, space: IdSpace, rng: &mut R) -> Self {
         let size = space.size(n);
-        let mut chosen = std::collections::BTreeSet::new();
-        while chosen.len() < n {
-            chosen.insert(rng.gen_range(0..size));
+        let mut ids: Vec<u64> = Vec::with_capacity(n);
+        if size <= 64 * n as u64 {
+            let mut seen = vec![0u64; size.div_ceil(64) as usize];
+            while ids.len() < n {
+                let id = rng.gen_range(0..size);
+                let (word, bit) = ((id / 64) as usize, 1 << (id % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    ids.push(id);
+                }
+            }
+            ids.sort_unstable();
+        } else {
+            while ids.len() < n {
+                for _ in ids.len()..n {
+                    ids.push(rng.gen_range(0..size));
+                }
+                ids.sort_unstable();
+                ids.dedup();
+            }
         }
-        let mut ids: Vec<u64> = chosen.into_iter().collect();
         // Shuffle so that ID order is independent of node index order.
         for i in (1..ids.len()).rev() {
             let j = rng.gen_range(0..=i);
@@ -134,7 +171,8 @@ impl IdAssignment {
 
     /// The node carrying `id`, if any.
     pub fn node_with_id(&self, id: u64) -> Option<NodeId> {
-        self.reverse.get(&id).copied()
+        let i = self.reverse.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        Some(self.reverse[i].1)
     }
 
     /// Iterates over `(node, id)` pairs in node order.
@@ -184,9 +222,70 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate ID")]
+    #[should_panic(expected = "duplicate ID 1 assigned to two nodes")]
     fn duplicate_ids_rejected() {
         let _ = IdAssignment::from_vec(vec![1, 2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate ID 5 assigned to two nodes")]
+    fn duplicate_panic_names_the_first_repeat_in_node_order() {
+        // 3 repeats at node 3, 5 already at node 2.
+        let _ = IdAssignment::from_vec(vec![5, 3, 5, 3]);
+    }
+
+    #[test]
+    fn node_with_id_misses_ids_outside_and_between() {
+        let ids = IdAssignment::from_vec(vec![40, 10, 30, 20]);
+        for (v, id) in [(1, 10), (3, 20), (2, 30), (0, 40)] {
+            assert_eq!(ids.node_with_id(id), Some(NodeId(v)));
+        }
+        for id in [0, 9, 11, 25, 39, 41, u64::MAX] {
+            assert_eq!(ids.node_with_id(id), None, "id {id}");
+        }
+        assert_eq!(IdAssignment::identity(0).node_with_id(0), None);
+    }
+
+    /// The sampler as it was before the sorted-array rewrite: one draw at a
+    /// time into a `BTreeSet` until it holds `n` IDs, then a shuffle.
+    fn btree_random_for_n(n: usize, space: IdSpace, rng: &mut StdRng) -> Vec<u64> {
+        let size = space.size(n);
+        let mut chosen = std::collections::BTreeSet::new();
+        while chosen.len() < n {
+            chosen.insert(rng.gen_range(0..size));
+        }
+        let mut ids: Vec<u64> = chosen.into_iter().collect();
+        for i in (1..ids.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            ids.swap(i, j);
+        }
+        ids
+    }
+
+    #[test]
+    fn random_for_n_matches_the_btree_sampler() {
+        // 64 IDs per node is the largest bitmap-tracked space, 65 the
+        // smallest one drawn in rounds.
+        let edge = |factor| IdSpace {
+            exponent: 1,
+            factor,
+        };
+        for space in [IdSpace::MINIMAL, edge(64), edge(65), IdSpace::CUBIC] {
+            for n in [0, 1, 2, 10, 257, 5000] {
+                for seed in [1, 7, 2021] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut reference = StdRng::seed_from_u64(seed);
+                    let ids = IdAssignment::random_for_n(n, space, &mut rng);
+                    let expected = btree_random_for_n(n, space, &mut reference);
+                    assert_eq!(ids.as_slice(), &expected[..], "{space:?} n={n} seed={seed}");
+                    // Both consumed the same draws.
+                    assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+                    for (v, id) in ids.iter() {
+                        assert_eq!(ids.node_with_id(id), Some(v));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

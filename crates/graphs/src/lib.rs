@@ -20,8 +20,6 @@
 //!   graphs and the layered tripartite graphs that underlie the Section 2
 //!   lower-bound construction.
 //! * [`properties`] — BFS, diameter, connectivity and degree statistics.
-//! * [`subgraph`] — induced and edge-filtered subgraphs with index mappings
-//!   back to the parent graph.
 //! * [`ids`] — ID assignments drawn from a polynomial-size ID space, as
 //!   required by the KT-ρ CONGEST model of Section 1.4.
 //!
@@ -48,7 +46,6 @@ pub mod generators;
 pub mod ids;
 pub mod overlay;
 pub mod properties;
-pub mod subgraph;
 
 pub use arena::AdjacencyArena;
 pub use builder::GraphBuilder;
