@@ -21,9 +21,8 @@
 //! a fraction of the size, no JSON artifact).
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_bench::artifact::BenchArtifact;
@@ -240,7 +239,7 @@ fn alg_rows(fam: &Family) -> Vec<Row> {
     rows
 }
 
-fn run_rows() {
+fn main() {
     let mut json = BenchArtifact::open("BENCH_alg_coloring.json", !smoke());
     println!(
         "\n=== alg_coloring: end-to-end algorithm wall time{} ===",
@@ -257,32 +256,3 @@ fn run_rows() {
     }
     json.commit().expect("write BENCH_alg_coloring.json");
 }
-
-fn bench(c: &mut Criterion) {
-    run_rows();
-    // Criterion samples a mid-size alg1 run so per-iteration regressions in
-    // the full pipeline show up without the row table's long tail.
-    let graph = generators::random_near_regular(10_000, 8, &mut StdRng::seed_from_u64(48));
-    let ids = IdAssignment::random(&graph, IdSpace::CUBIC, &mut StdRng::seed_from_u64(49));
-    if properties::is_connected(&graph) {
-        c.bench_function("alg1_random_d8_10000", |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(50);
-                alg1_coloring::run(&graph, &ids, Alg1Config::default(), &mut rng).unwrap()
-            })
-        });
-    }
-    c.bench_function("classic_random_d8_10000", |b| {
-        b.iter(|| baseline::run(&graph, &ids, 51, SyncConfig::default().with_threads(1)))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench
-}
-criterion_main!(benches);

@@ -28,9 +28,8 @@
 //! `CHURN_SMOKE=1` for the reduced-size CI smoke (same rows and asserts, no
 //! JSON artifact).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_bench::artifact::BenchArtifact;
@@ -262,7 +261,7 @@ fn family_rows(fam: &Family, batches: usize) -> (Vec<Row>, CompactRow) {
     (vec![coloring, mis], compact)
 }
 
-fn run_grid() {
+fn main() {
     let mut json = BenchArtifact::open("BENCH_churn.json", !smoke());
     println!(
         "\n=== churn: incremental repair vs full recompute, ≤1% edges per batch{} ===",
@@ -299,49 +298,3 @@ fn run_grid() {
     }
     json.commit().expect("write BENCH_churn.json");
 }
-
-fn bench(c: &mut Criterion) {
-    run_grid();
-    // Criterion samples one small repair cell so frontier-pipeline
-    // regressions show up as per-iteration time: one batch of churn on a
-    // gnp instance, coloring repair only (state is reset every iteration
-    // by cloning the session's colours).
-    let graph = generators::connected_gnp(600, 0.02, &mut StdRng::seed_from_u64(3));
-    let mut rng = StdRng::seed_from_u64(0x1d5);
-    let ids = IdAssignment::random(&graph, IdSpace::CUBIC, &mut rng);
-    let mut session = ChurnSession::new(graph.clone(), ids, SyncConfig::default());
-    let (mut colors, _) = session.recompute_coloring(1);
-    let mut stream = ChurnStream::new(&graph, 9);
-    // Advance the stream until a batch actually dirties the colouring, so
-    // the sampled cell measures a real frontier repair rather than just the
-    // conflict scan. Accepted batches fold into `colors` to keep it valid.
-    let mut batch = stream.next_batch(4, 4);
-    session.apply(&batch);
-    let mut probe = colors.clone();
-    while session
-        .repair_coloring(&batch, &mut probe, ColoringRepairDriver::Johansson, 5)
-        .iterations
-        == 0
-    {
-        colors = probe;
-        batch = stream.next_batch(4, 4);
-        session.apply(&batch);
-        probe = colors.clone();
-    }
-    c.bench_function("churn_coloring_repair_one_batch", |b| {
-        b.iter(|| {
-            let mut fresh = colors.clone();
-            session.repair_coloring(&batch, &mut fresh, ColoringRepairDriver::Johansson, 5)
-        })
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench
-}
-criterion_main!(benches);

@@ -43,9 +43,8 @@
 //! CI): the same workloads and asserts at a fraction of the size, with no
 //! JSON artifact.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_bench::artifact::BenchArtifact;
@@ -312,7 +311,7 @@ impl Row<'_> {
     }
 }
 
-fn compare_engines() {
+fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -643,45 +642,3 @@ fn checkpoint_row(json: &mut BenchArtifact) {
     let graph = generators::cycle(n);
     measure(format!("cycle_{n}"), "flood_ckpt8_cycle", &graph);
 }
-
-fn bench(c: &mut Criterion) {
-    compare_engines();
-    // Criterion samples on a mid-size instance so regressions show up in
-    // per-iteration time without the comparison table's long tail.
-    let graph = generators::random_near_regular(10_000, 8, &mut StdRng::seed_from_u64(7));
-    let n = graph.num_nodes();
-    let ids = IdAssignment::identity(n);
-    let flood_case = Case {
-        graph_name: "random_d8_10000",
-        workload: Workload::Flood,
-        graph: graph.clone(),
-        ids: ids.clone(),
-        naive_iters: SAMPLES,
-    };
-    let announce_case = Case {
-        graph_name: "random_d8_10000",
-        workload: Workload::Announce,
-        graph,
-        ids,
-        naive_iters: SAMPLES,
-    };
-    c.bench_function("sim_engine_flood_random_d8_10000", |b| {
-        b.iter(|| run_case(&flood_case, false, 1))
-    });
-    c.bench_function("sim_engine_announce_random_d8_10000", |b| {
-        b.iter(|| run_case(&announce_case, false, 1))
-    });
-    c.bench_function("sim_naive_flood_random_d8_10000", |b| {
-        b.iter(|| run_case(&flood_case, true, 1))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3))
-        .warm_up_time(Duration::from_millis(500));
-    targets = bench
-}
-criterion_main!(benches);

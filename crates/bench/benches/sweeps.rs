@@ -18,11 +18,11 @@
 //!
 //! Full runs rewrite `BENCH_sweeps.json` at the workspace root (one JSON
 //! object per line), atomically once the gate below has passed. The run
-//! *gates* on amortization: the batched cell with the best single-sample
-//! speedup is re-timed with [`GATE_RUNS`] alternating batched and
-//! sequential runs per side, and the ratio of the two medians must reach
-//! ≥ 1.0× (≥ 0.9× under `SWEEP_SMOKE=1`, where graphs are tiny and per-run
-//! overhead dominates).
+//! *gates* on amortization: the [`GATE_CELLS`] batched cells with the best
+//! single-sample speedups are each re-timed with [`GATE_RUNS`] alternating
+//! batched and sequential runs per side, and the best ratio of the two
+//! medians must reach ≥ 1.0× (≥ 0.9× under `SWEEP_SMOKE=1`, where graphs
+//! are tiny and per-run overhead dominates).
 //!
 //! Run with `cargo bench --bench sweeps`; set `SWEEP_SMOKE=1` for the
 //! reduced CI grid (no artifact is written).
@@ -43,8 +43,12 @@ use symbreak_lowerbounds::cycles::{find_failing_assignment, rank_mod3_rule, Cycl
 /// One executed sweep of the registry: its spec and its cells.
 type Run = (SweepSpec, Vec<SweepCell>);
 
-/// Timed runs per side when the amortization gate re-times its cell.
+/// Timed runs per side when the amortization gate re-times a cell.
 const GATE_RUNS: usize = 5;
+
+/// How many cells, best single-sample speedup first, the amortization gate
+/// re-times.
+const GATE_CELLS: usize = 3;
 
 fn main() {
     let mut json = BenchArtifact::open("BENCH_sweeps.json", !sweeps::smoke());
@@ -91,31 +95,42 @@ fn main() {
     json.commit().expect("write BENCH_sweeps.json");
 }
 
-/// The amortization gate. The batched cell with the best single-sample
-/// speedup is re-timed with [`GATE_RUNS`] alternating batched and
-/// sequential runs per side, and the gate reads the ratio of the medians:
-/// the best of many single samples is noise as often as it is a win. Tiny
+/// The amortization gate. The [`GATE_CELLS`] batched cells with the best
+/// single-sample speedups are each re-timed with [`GATE_RUNS`] alternating
+/// batched and sequential runs per side, and the gate reads the best ratio
+/// of medians: a single sample is noise as often as it is a win, so the
+/// single-sample winner alone is often a cell with little to amortize. Tiny
 /// smoke graphs leave little shared work to amortize, so CI only requires
 /// near-parity there; full-size runs must show a real win.
 fn amortization_gate(runs: &[Run]) {
-    let (spec, cell, single) = runs
+    let mut candidates: Vec<(&SweepSpec, &SweepCell, f64)> = runs
         .iter()
         .flat_map(|(spec, cells)| cells.iter().map(move |c| (spec, c)))
         .filter_map(|(spec, c)| c.speedup().map(|s| (spec, c, s)))
-        .max_by(|a, b| a.2.total_cmp(&b.2))
+        .collect();
+    candidates.sort_by(|a, b| b.2.total_cmp(&a.2));
+    println!();
+    let (speedup, name) = candidates
+        .iter()
+        .take(GATE_CELLS)
+        .map(|&(spec, cell, single)| {
+            let (batched_ns, sequential_ns) = sweeps::retime(spec, cell, GATE_RUNS);
+            let speedup = sequential_ns / batched_ns;
+            let name = format!("{}/{}/{}", cell.sweep, cell.graph, cell.algorithm);
+            println!(
+                "batched speedup: {speedup:.2}x median of {GATE_RUNS} runs per side, \
+                 {single:.2}x single sample ({name})"
+            );
+            (speedup, name)
+        })
+        .max_by(|a, b| a.0.total_cmp(&b.0))
         .expect("the registry has batched cells");
-    let (batched_ns, sequential_ns) = sweeps::retime(spec, cell, GATE_RUNS);
-    let speedup = sequential_ns / batched_ns;
-    let name = format!("{}/{}/{}", cell.sweep, cell.graph, cell.algorithm);
-    println!(
-        "\nbest batched speedup: {speedup:.2}x median of {GATE_RUNS} runs per side, \
-         {single:.2}x single sample ({name})"
-    );
+    println!("best batched speedup: {speedup:.2}x median ({name})");
     let floor = if sweeps::smoke() { 0.9 } else { 1.0 };
     assert!(
         speedup >= floor,
-        "no batched sweep cell reached {floor:.1}x over sequential (best: {name}, \
-         {speedup:.2}x median of {GATE_RUNS} runs per side, {single:.2}x single sample)"
+        "no batched sweep cell reached {floor:.1}x over sequential (best of the top \
+         {GATE_CELLS} re-timed: {name}, {speedup:.2}x median of {GATE_RUNS} runs per side)"
     );
 }
 

@@ -1,5 +1,5 @@
-//! Vertex-coloring algorithms: verification, sequential greedy, Johansson's
-//! randomized list coloring, and the Θ(m)-message distributed baseline.
+//! Vertex-coloring algorithms: verification, Johansson's randomized list
+//! coloring, and the Θ(m)-message distributed baseline.
 
 pub mod verify {
     //! Coloring solution checkers.
@@ -32,47 +32,6 @@ pub mod verify {
             .iter()
             .zip(lists)
             .all(|(c, list)| c.map(|c| list.contains(&c)).unwrap_or(false))
-    }
-
-    /// Number of distinct colours used.
-    pub fn num_colors_used(colors: &[Option<u64>]) -> usize {
-        let set: std::collections::BTreeSet<u64> = colors.iter().flatten().copied().collect();
-        set.len()
-    }
-}
-
-pub mod greedy {
-    //! Sequential greedy coloring (centralized reference and baseline).
-
-    use symbreak_graphs::{Graph, NodeId};
-
-    /// Greedy colours nodes in the given order with the smallest colour not
-    /// used by an already-coloured neighbour; uses at most `Δ + 1` colours.
-    pub fn greedy_coloring_in_order(graph: &Graph, order: &[NodeId]) -> Vec<Option<u64>> {
-        assert_eq!(
-            order.len(),
-            graph.num_nodes(),
-            "order must list every node once"
-        );
-        let mut colors: Vec<Option<u64>> = vec![None; graph.num_nodes()];
-        for &v in order {
-            let taken: std::collections::BTreeSet<u64> = graph
-                .neighbors(v)
-                .filter_map(|u| colors[u.index()])
-                .collect();
-            let mut c = 0u64;
-            while taken.contains(&c) {
-                c += 1;
-            }
-            colors[v.index()] = Some(c);
-        }
-        colors
-    }
-
-    /// Greedy coloring in node-index order.
-    pub fn greedy_coloring(graph: &Graph) -> Vec<Option<u64>> {
-        let order: Vec<NodeId> = graph.nodes().collect();
-        greedy_coloring_in_order(graph, &order)
     }
 }
 
@@ -591,26 +550,11 @@ mod tests {
         assert!(!verify::is_proper_coloring(&g, &partial));
         assert!(verify::uses_colors_below(&good, 2));
         assert!(!verify::uses_colors_below(&good, 1));
-        assert_eq!(verify::num_colors_used(&good), 2);
         assert!(verify::respects_lists(
             &good,
             &[vec![0], vec![1, 2], vec![0]]
         ));
         assert!(!verify::respects_lists(&good, &[vec![1], vec![1], vec![0]]));
-    }
-
-    #[test]
-    fn greedy_coloring_is_proper_and_within_delta_plus_one() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..5 {
-            let g = generators::gnp(40, 0.2, &mut rng);
-            let colors = greedy::greedy_coloring(&g);
-            assert!(verify::is_proper_coloring(&g, &colors));
-            assert!(verify::uses_colors_below(
-                &colors,
-                g.max_degree() as u64 + 1
-            ));
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   Figure 1, also [`mis::luby::run`], and Step 5 of Algorithm 3) and
 //!   parallel rank-based greedy (Blelloch et al. / Fischer–Noever), used by
 //!   Step 2 of Algorithm 3.
-//! * [`mis::greedy`] — sequential randomized greedy MIS, the reference the
+//! * [`mis::greedy`] — sequential greedy MIS by rank, the reference the
 //!   rank rule must agree with.
 //! * [`coloring::johansson`] — Johansson's randomized (deg+1)-list-coloring,
 //!   used inside Algorithm 1 on each part `B_i` and on the leftover set `L`.

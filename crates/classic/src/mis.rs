@@ -60,10 +60,9 @@ pub mod verify {
 }
 
 pub mod greedy {
-    //! Sequential (randomized) greedy MIS — the reference implementation that
+    //! Sequential greedy MIS by rank — the reference implementation that
     //! the parallel variant must agree with (Blelloch, Fineman, Shun).
 
-    use rand::Rng;
     use symbreak_graphs::{Graph, NodeId};
 
     /// Greedy MIS processing nodes in the order given by `ranks` (ascending;
@@ -72,30 +71,6 @@ pub mod greedy {
     pub fn greedy_mis_by_rank(graph: &Graph, ranks: &[u64]) -> Vec<bool> {
         assert_eq!(ranks.len(), graph.num_nodes(), "one rank per node required");
         let mut order: Vec<NodeId> = graph.nodes().collect();
-        order.sort_by_key(|&v| (ranks[v.index()], v));
-        let mut in_set = vec![false; graph.num_nodes()];
-        for &v in &order {
-            if !graph.neighbors(v).any(|u| in_set[u.index()]) {
-                in_set[v.index()] = true;
-            }
-        }
-        in_set
-    }
-
-    /// Randomized greedy MIS: uniformly random processing order.
-    pub fn randomized_greedy_mis<R: Rng + ?Sized>(graph: &Graph, rng: &mut R) -> Vec<bool> {
-        let ranks: Vec<u64> = (0..graph.num_nodes()).map(|_| rng.gen()).collect();
-        greedy_mis_by_rank(graph, &ranks)
-    }
-
-    /// Greedy MIS restricted to the sub-universe `members`: nodes outside
-    /// `members` never join and do not block anyone. This is "running the
-    /// sequential randomized greedy algorithm for |S| iterations" in Step 2
-    /// of Algorithm 3.
-    pub fn greedy_mis_on_subset(graph: &Graph, members: &[bool], ranks: &[u64]) -> Vec<bool> {
-        assert_eq!(members.len(), graph.num_nodes());
-        assert_eq!(ranks.len(), graph.num_nodes());
-        let mut order: Vec<NodeId> = graph.nodes().filter(|v| members[v.index()]).collect();
         order.sort_by_key(|&v| (ranks[v.index()], v));
         let mut in_set = vec![false; graph.num_nodes()];
         for &v in &order {
@@ -536,36 +511,12 @@ mod tests {
     }
 
     #[test]
-    fn greedy_mis_is_valid_on_random_graphs() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for _ in 0..5 {
-            let g = generators::gnp(40, 0.15, &mut rng);
-            let mis = greedy::randomized_greedy_mis(&g, &mut rng);
-            assert!(verify::is_mis(&g, &mis));
-        }
-    }
-
-    #[test]
     fn greedy_rank_order_determines_output() {
         let g = generators::path(3);
         // Rank order 1 < 0 < 2: node 1 joins first, blocking 0 and 2? No:
         // node 2 is not adjacent to 1? It is (path 0-1-2). So MIS = {1}.
         let mis = greedy::greedy_mis_by_rank(&g, &[5, 1, 9]);
         assert_eq!(mis, vec![false, true, false]);
-    }
-
-    #[test]
-    fn greedy_on_subset_only_selects_members() {
-        let g = generators::clique(6);
-        let members = vec![true, false, true, false, true, false];
-        let ranks = vec![3, 0, 1, 0, 2, 0];
-        let mis = greedy::greedy_mis_on_subset(&g, &members, &ranks);
-        // In a clique only the best-ranked member joins.
-        assert_eq!(mis.iter().filter(|&&b| b).count(), 1);
-        assert!(mis[2]);
-        for v in [1usize, 3, 5] {
-            assert!(!mis[v]);
-        }
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! [`crate::reference::NaiveAsyncSimulator`], the differential oracle).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use symbreak_graphs::{Graph, IdAssignment, NodeId};
 
 use crate::engine::NodeRuntime;
@@ -43,7 +42,7 @@ pub fn alpha_synchronizer_overhead(rounds: u64, active_edges: u64) -> u64 {
 }
 
 /// Configuration of the randomized-delay executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsyncConfig {
     /// Maximum (inclusive) delivery delay of a message, in time units.
     pub max_delay: u64,
@@ -64,7 +63,7 @@ impl Default for AsyncConfig {
 }
 
 /// Outcome of an asynchronous run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsyncReport {
     /// Whether every node terminated before the time limit.
     pub completed: bool,

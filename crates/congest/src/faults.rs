@@ -33,7 +33,6 @@
 //! the benign path nothing (the `sim_engine` bench gates this).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use symbreak_graphs::NodeId;
 
 use crate::async_sim::AsyncConfig;
@@ -75,7 +74,7 @@ pub fn scenario_enabled(name: &str) -> bool {
 /// Every law produces delays in `1..=d` time units where `d` is the plan's
 /// effective maximum delay ([`FaultPlan::max_effective_delay`]); the
 /// executors size their delay wheels from that bound.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DelayLaw {
     /// The benign law of the fault-free executor: uniform in
     /// `1..=max_delay`, drawn from the run RNG. This is the identity law —
@@ -113,7 +112,7 @@ pub enum DelayLaw {
 ///
 /// The probability of a (directed) edge is the last matching override, or
 /// the global default. All probabilities must lie in `[0, 1]`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EdgeProb {
     /// The global probability applied to every edge without an override.
     pub default: f64,
@@ -172,7 +171,7 @@ impl EdgeProb {
 }
 
 /// What a crashed node's state looks like when it comes back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
     /// The automaton is rebuilt from the node factory and its local round
     /// counter restarts at 0 (a clean reboot losing all volatile state).
@@ -191,7 +190,7 @@ pub enum Recovery {
 /// in flight. With a recovery `(t, r)` the node rejoins at time `t > at`:
 /// it is spontaneously activated that tick (with whatever messages arrive at
 /// exactly `t`) and its state follows `r`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashFault {
     /// The crashing node.
     pub node: NodeId,
@@ -208,7 +207,7 @@ pub struct CrashFault {
 /// duplication, no reordering jitter, no crashes — runs with it are
 /// bit-identical to the fault-free
 /// [`crate::async_sim::AsyncSimulator::run`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The delay law applied to every delivered copy.
     pub delay: DelayLaw,
@@ -322,7 +321,7 @@ impl FaultPlan {
 
 /// Counters of what a fault-enabled run actually did. All zero on the
 /// fault-free path (identity plans do not pay for the bookkeeping).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Message copies handed to an automaton.
     pub delivered: u64,

@@ -1,7 +1,5 @@
 //! CONGEST messages with separate ID-type and ordinary fields.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of ID-type fields per message.
 ///
 /// Comparison-based algorithms (Section 1.4.2) may send ID-type variables in
@@ -38,7 +36,7 @@ pub const MAX_VALUE_FIELDS: usize = 3;
 /// so the simulator's hot loop clones, moves and drops messages as plain
 /// memory copies. Unused slots are always zero, which keeps the derived
 /// `Eq`/`Hash` consistent with the visible fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Message {
     tag: u16,
     num_ids: u8,

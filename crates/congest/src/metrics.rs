@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ExecutionReport;
 
 /// Message/round costs of one phase of an algorithm.
@@ -15,7 +13,7 @@ use crate::ExecutionReport;
 /// leader election per Corollary 1.2 and the asynchronous substrate of
 /// Theorem 1.3). Reports keep the two separate so that the substitution
 /// stays visible in every measurement.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseCost {
     /// Messages actually exchanged in the simulator.
     pub simulated_messages: u64,
@@ -71,7 +69,7 @@ impl PhaseCost {
 /// assert_eq!(acc.simulated_messages(), 250);
 /// assert_eq!(acc.total_rounds(), 22);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostAccount {
     phases: Vec<(String, PhaseCost)>,
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The initial-knowledge radius ρ of the KT-ρ CONGEST model.
 ///
 /// In KT-ρ, every node `v` initially knows (i) the IDs of all nodes at
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `KT0` is the clean network model, `KT1` gives knowledge of neighbours'
 /// IDs, and `KT2` additionally gives knowledge of the two-hop neighbourhood.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KtLevel(pub u32);
 
 impl KtLevel {

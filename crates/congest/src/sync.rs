@@ -27,7 +27,6 @@
 
 use std::io;
 
-use serde::{Deserialize, Serialize};
 use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
 
 use crate::audit::{audit_enabled, AuditConfig, Auditor, Violation};
@@ -66,7 +65,7 @@ const NO_IO: &str = "only checkpoint hooks do I/O";
 pub(crate) type Resume = io::Result<Option<CheckpointRecord>>;
 
 /// Configuration of a synchronous run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncConfig {
     /// Abort (with `completed = false`) after this many rounds.
     pub max_rounds: u64,
@@ -163,7 +162,7 @@ impl SyncConfig {
 }
 
 /// Outcome of a synchronous run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionReport {
     /// Whether every node terminated before the round limit.
     pub completed: bool,

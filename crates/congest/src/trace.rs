@@ -8,13 +8,12 @@
 //! comparison-based algorithm on the base graph and on a crossed graph using
 //! exactly this notion.
 
-use serde::{Deserialize, Serialize};
 use symbreak_graphs::{IdAssignment, NodeId};
 
 use crate::Message;
 
 /// One recorded message: sender, receiver and payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMessage {
     /// Sending node (simulator address).
     pub from: NodeId,
@@ -25,7 +24,7 @@ pub struct TraceMessage {
 }
 
 /// A full per-round record of every message sent during a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     rounds: Vec<Vec<TraceMessage>>,
 }
@@ -101,7 +100,7 @@ impl Trace {
 
 /// An ID field after decoding: either the node that carries the ID, or the
 /// raw value if no node does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DecodedField {
     /// The ID belonged to this node.
     Node(NodeId),
@@ -110,7 +109,7 @@ pub enum DecodedField {
 }
 
 /// A message in decoded representation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DecodedMessage {
     /// Sender.
     pub from: NodeId,
@@ -126,7 +125,7 @@ pub struct DecodedMessage {
 
 /// The decoded representation of a whole execution; two executions are
 /// *similar* (Definition 2.2) exactly when their decoded traces are equal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedTrace {
     rounds: Vec<Vec<DecodedMessage>>,
 }

@@ -76,11 +76,6 @@ impl ChangPartition {
         self.num_buckets
     }
 
-    /// The leftover probability `q` (as a fraction).
-    pub fn leftover_probability(&self) -> f64 {
-        self.leftover_threshold as f64 / LEFTOVER_RESOLUTION as f64
-    }
-
     /// The part of the node with ID `id`.
     pub fn part_of_id(&self, id: u64) -> Part {
         if self.h_leftover.eval(id) < self.leftover_threshold {
@@ -166,7 +161,7 @@ mod tests {
     #[test]
     fn leftover_fraction_tracks_q() {
         let p = partition(4096, 4096);
-        let q = p.leftover_probability();
+        let q = p.leftover_threshold as f64 / LEFTOVER_RESOLUTION as f64;
         assert!(q > 0.0 && q <= 0.5);
         let total = 20_000u64;
         let leftovers = (0..total)

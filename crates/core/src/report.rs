@@ -2,12 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use symbreak_congest::CostAccount;
 use symbreak_graphs::Graph;
 
 /// One row of a Figure-1-style measurement: an algorithm run on one instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasurementRow {
     /// Algorithm label (e.g. "Alg1 (Δ+1)-coloring KT-1").
     pub algorithm: String,
@@ -69,7 +68,7 @@ impl MeasurementRow {
 }
 
 /// A collection of measurement rows rendered as an aligned text table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MeasurementTable {
     /// The rows, in insertion order.
     pub rows: Vec<MeasurementRow>,

@@ -128,21 +128,6 @@ pub fn connected_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
     b.build()
 }
 
-/// Random bipartite graph on parts of size `a` and `b_size` where each of the
-/// `a·b` cross pairs is an edge independently with probability `p`.
-pub fn random_bipartite<R: Rng + ?Sized>(a: usize, b_size: usize, p: f64, rng: &mut R) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "probability p={p} out of range");
-    let mut b = GraphBuilder::new(a + b_size);
-    for i in 0..a {
-        for j in 0..b_size {
-            if p >= 1.0 || (p > 0.0 && rng.gen_bool(p)) {
-                b.add_edge(NodeId(i as u32), NodeId((a + j) as u32));
-            }
-        }
-    }
-    b.build()
-}
-
 /// Disjoint union of graphs; node identifiers of later graphs are shifted by
 /// the sizes of the earlier ones.
 pub fn disjoint_union(graphs: &[Graph]) -> Graph {
@@ -537,16 +522,6 @@ mod tests {
         let (_, k) = properties::connected_components(&g);
         assert_eq!(k, 4);
         assert_eq!(g.max_degree(), 2);
-    }
-
-    #[test]
-    fn random_bipartite_has_no_intra_part_edges() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = random_bipartite(6, 6, 0.8, &mut rng);
-        for (_, u, v) in g.edges() {
-            let left = |w: NodeId| w.index() < 6;
-            assert_ne!(left(u), left(v));
-        }
     }
 
     #[test]

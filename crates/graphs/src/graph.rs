@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node in a [`Graph`].
 ///
 /// Node identifiers are dense indices `0..n`. They are *not* the CONGEST
 /// model IDs visible to the algorithm — those are assigned separately through
 /// [`crate::ids::IdAssignment`] so that lower-bound constructions can control
 /// the ID space precisely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -37,7 +35,7 @@ impl From<usize> for NodeId {
 ///
 /// Edge identifiers are dense indices `0..m` in the order edges were added to
 /// the [`crate::GraphBuilder`] (after deduplication).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -88,7 +86,7 @@ impl From<usize> for EdgeId {
 /// assert!(g.has_edge(NodeId(0), NodeId(1)));
 /// assert!(!g.has_edge(NodeId(0), NodeId(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// CSR row offsets: node `v`'s `(neighbour, edge)` pairs occupy
     /// `targets[offsets[v] as usize .. offsets[v + 1] as usize]`.

@@ -12,12 +12,11 @@
 //! node (the `(u64, NodeId)` pair pads to 16), in two allocations.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Graph, NodeId};
 
 /// Description of an ID space of size `n^exponent * factor` (at least `n`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdSpace {
     /// Polynomial exponent of the space size in terms of `n`.
     pub exponent: u32,
@@ -67,7 +66,7 @@ impl Default for IdSpace {
 /// let id0 = ids.id_of(NodeId(0));
 /// assert_eq!(ids.node_with_id(id0), Some(NodeId(0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdAssignment {
     ids: Vec<u64>,
     /// Every `(id, node)` pair, sorted by ID.

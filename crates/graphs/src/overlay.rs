@@ -18,8 +18,6 @@
 //! compaction suites pin this equivalence after every batch and across
 //! compaction boundaries.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Graph, GraphBuilder, NodeId};
 
 /// One batch of edge churn: the insertions and deletions to apply together.
@@ -29,7 +27,7 @@ use crate::{Graph, GraphBuilder, NodeId};
 /// one in order (deletes first, then inserts, mirroring the order a repair
 /// driver wants: deletions never create constraint violations, insertions
 /// do).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnBatch {
     /// Edges to insert, as unordered endpoint pairs.
     pub inserts: Vec<(NodeId, NodeId)>,

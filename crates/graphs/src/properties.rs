@@ -150,15 +150,6 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
     (comp, next)
 }
 
-/// Degree histogram: `hist[d]` is the number of nodes of degree `d`.
-pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for v in graph.nodes() {
-        hist[graph.degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +239,5 @@ mod tests {
         assert_eq!(comp[0], comp[1]);
         assert_ne!(comp[0], comp[3]);
         assert_ne!(comp[3], comp[7]);
-    }
-
-    #[test]
-    fn degree_histogram_of_star() {
-        let g = generators::star(5); // centre degree 4, leaves degree 1
-        let hist = degree_histogram(&g);
-        assert_eq!(hist[1], 4);
-        assert_eq!(hist[4], 1);
     }
 }

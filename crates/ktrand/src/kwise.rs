@@ -8,7 +8,6 @@
 //! for every experiment in this repository.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::field;
 
@@ -17,7 +16,7 @@ use crate::field;
 /// Sampling a function from the family costs `k` field elements of
 /// randomness — `k · 61` bits — matching the `c · max{a, b}` random bits of
 /// Lemma A.4 up to constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KWiseFamily {
     independence: usize,
     range: u64,
@@ -67,7 +66,7 @@ impl KWiseFamily {
 }
 
 /// A single hash function drawn from a [`KWiseFamily`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KWiseHash {
     coeffs: Vec<u64>,
     range: u64,
@@ -96,15 +95,6 @@ impl KWiseHash {
     #[inline]
     pub fn eval(&self, x: u64) -> u64 {
         field::poly_eval(&self.coeffs, x) % self.range
-    }
-
-    /// Evaluates the hash at `x` and returns `true` with probability
-    /// `numerator / range` — i.e. whether the hash value falls below
-    /// `numerator`. Used for pseudo-random Bernoulli decisions that every
-    /// KT-1 neighbour can reproduce locally.
-    #[inline]
-    pub fn bernoulli(&self, x: u64, numerator: u64) -> bool {
-        self.eval(x) < numerator
     }
 }
 
@@ -184,13 +174,6 @@ mod tests {
             (rate - expected).abs() < 0.5 * expected,
             "collision rate {rate} vs expected {expected}"
         );
-    }
-
-    #[test]
-    fn bernoulli_threshold() {
-        let h = KWiseHash::from_coefficients(vec![0, 1], 100); // h(x) = x mod 100
-        assert!(h.bernoulli(5, 10));
-        assert!(!h.bernoulli(50, 10));
     }
 
     #[test]

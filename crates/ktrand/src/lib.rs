@@ -15,7 +15,8 @@
 //!   implemented as random degree-(k−1) polynomials over the field.
 //! * [`SharedRandomness`] — a broadcastable seed from which every node
 //!   derives the same named hash functions, with bit-length accounting.
-//! * [`tail`] — the limited-independence Chernoff bounds of Lemmas A.1/A.2.
+//! * [`tail`] — the Θ(log n) independence that Lemma A.2's
+//!   limited-independence Chernoff bound needs.
 //! * [`sampling`] — small helpers for Bernoulli node sampling and random
 //!   ranks used by the MIS algorithms.
 //!

@@ -23,23 +23,6 @@ pub fn random_ranks<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<u64> {
     (0..n).map(|_| rng.gen::<u64>()).collect()
 }
 
-/// Samples `k` distinct indices from `0..n` uniformly at random (a partial
-/// Fisher–Yates shuffle).
-///
-/// # Panics
-///
-/// Panics if `k > n`.
-pub fn sample_without_replacement<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} items from {n}");
-    let mut pool: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        pool.swap(i, j);
-    }
-    pool.truncate(k);
-    pool
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,22 +57,5 @@ mod tests {
         assert_eq!(r.len(), 100);
         let distinct: std::collections::BTreeSet<_> = r.iter().collect();
         assert!(distinct.len() > 95);
-    }
-
-    #[test]
-    fn sample_without_replacement_is_distinct_subset() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = sample_without_replacement(50, 20, &mut rng);
-        assert_eq!(s.len(), 20);
-        let distinct: std::collections::BTreeSet<_> = s.iter().collect();
-        assert_eq!(distinct.len(), 20);
-        assert!(s.iter().all(|&x| x < 50));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn sample_without_replacement_rejects_oversampling() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let _ = sample_without_replacement(3, 5, &mut rng);
     }
 }

@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{KWiseFamily, KWiseHash};
 
@@ -19,7 +18,7 @@ use crate::{KWiseFamily, KWiseHash};
 ///
 /// Cloning this value models a node receiving the broadcast: all clones
 /// derive exactly the same hash functions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedRandomness {
     seed: u64,
     budget_bits: usize,

@@ -1,83 +1,21 @@
-//! Tail bounds for sums of variables with limited independence.
+//! The independence the paper's hash functions need.
 //!
-//! These are the bounds of Lemma A.1 and Lemma A.2 in the paper (due to
-//! Schmidt, Siegel and Srinivasan). They are used by tests and experiment
-//! harnesses to pick constants (e.g. how many neighbours can share a colour
-//! in a phase of Algorithm 2 before the w.h.p. guarantee is at risk) and to
-//! double-check that the empirical concentration observed in the simulator
-//! is consistent with the theory.
+//! Lemma A.2 of the paper (due to Schmidt, Siegel and Srinivasan) bounds a
+//! sum `X` of `c`-wise independent 0/1 variables with `μ ≥ E[X]` by
+//! `Pr[X ≥ (1 + δ)μ] ≤ exp(−min{c, δ²μ})`. Its high-probability guarantees
+//! therefore need `c = Θ(log n)`, which [`log_n_independence`] picks for the
+//! vertex/palette partition and for Algorithm 2.
 
-/// Lemma A.1: for `c ≥ 4` even and `Z` the sum of `t` `c`-wise independent
-/// variables in `[0, 1]` with mean `μ`, `Pr[|Z − μ| ≥ λ] ≤ 2 (c·t / λ²)^(c/2)`.
-///
-/// Returns the probability bound (clamped to 1).
-pub fn kwise_deviation_bound(c: u32, t: f64, lambda: f64) -> f64 {
-    assert!(
-        c >= 4 && c.is_multiple_of(2),
-        "Lemma A.1 requires even c ≥ 4"
-    );
-    assert!(t >= 0.0 && lambda > 0.0);
-    let base = (f64::from(c) * t) / (lambda * lambda);
-    (2.0 * base.powf(f64::from(c) / 2.0)).min(1.0)
-}
-
-/// Lemma A.2: for `X` a sum of `c`-wise independent 0/1 variables and
-/// `μ ≥ E[X]`, `Pr[X ≥ (1 + δ)μ] ≤ exp(−min{c, δ²μ})`.
-///
-/// Returns the probability bound (clamped to 1).
-pub fn kwise_chernoff_upper(c: u32, delta: f64, mu: f64) -> f64 {
-    assert!(delta >= 0.0 && mu >= 0.0);
-    (-f64::from(c).min(delta * delta * mu)).exp().min(1.0)
-}
-
-/// Convenience: the independence `c = Θ(log n)` the paper uses, with the
-/// constant chosen so that `exp(−c) ≤ n^{−2}`.
+/// The independence `c = Θ(log n)` the paper uses, with the constant chosen
+/// so that `exp(−c) ≤ n^{−2}`.
 pub fn log_n_independence(n: usize) -> usize {
     let ln = (n.max(2) as f64).ln();
     (2.0 * ln).ceil() as usize + 2
 }
 
-/// Convenience: a high-probability threshold `A·log n` such that a sum of
-/// `c`-wise independent indicators with mean ≤ 1 exceeds it with probability
-/// at most `n^{-2}` (cf. the proof of Lemma 3.7).
-pub fn whp_threshold(n: usize) -> usize {
-    let ln = (n.max(2) as f64).ln();
-    (4.0 * ln).ceil() as usize + 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deviation_bound_decreases_with_lambda() {
-        let b1 = kwise_deviation_bound(4, 100.0, 30.0);
-        let b2 = kwise_deviation_bound(4, 100.0, 60.0);
-        assert!(b2 < b1);
-        assert!(b1 <= 1.0 && b2 > 0.0);
-    }
-
-    #[test]
-    fn deviation_bound_clamped_to_one() {
-        assert_eq!(kwise_deviation_bound(4, 1000.0, 1.0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "even c")]
-    fn deviation_bound_requires_even_c() {
-        let _ = kwise_deviation_bound(5, 10.0, 1.0);
-    }
-
-    #[test]
-    fn chernoff_upper_behaviour() {
-        // Larger deviations or larger means give smaller bounds, until the
-        // independence c caps the exponent.
-        let loose = kwise_chernoff_upper(64, 0.5, 10.0);
-        let tight = kwise_chernoff_upper(64, 2.0, 10.0);
-        assert!(tight < loose);
-        // With tiny c the bound can never be smaller than exp(-c).
-        assert!(kwise_chernoff_upper(2, 100.0, 100.0) >= (-2.0f64).exp() - 1e-12);
-    }
 
     #[test]
     fn log_n_independence_grows_slowly() {
@@ -87,11 +25,5 @@ mod tests {
         let n = 1000usize;
         let c = log_n_independence(n) as f64;
         assert!((-c).exp() <= (n as f64).powi(-2) * 1.0001);
-    }
-
-    #[test]
-    fn whp_threshold_reasonable() {
-        assert!(whp_threshold(100) >= 20);
-        assert!(whp_threshold(100) < 100);
     }
 }
