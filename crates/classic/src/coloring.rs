@@ -413,14 +413,6 @@ pub mod johansson {
         rng: StdRng,
     }
 
-    impl FlatNode<'_> {
-        fn send_all(&self, ctx: &mut RoundContext<'_>, msg: &Message) {
-            for &u in self.active {
-                ctx.send(u, *msg);
-            }
-        }
-    }
-
     impl NodeAlgorithm for FlatNode<'_> {
         fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
             if !self.participating {
@@ -440,7 +432,7 @@ pub mod johansson {
                     let idx = self.rng.gen_range(0..self.palette.len());
                     let c = self.palette.nth(idx);
                     self.candidate = Some(c);
-                    self.send_all(ctx, &Message::tagged(TAG_PROPOSE).with_value(c));
+                    ctx.send_each(self.active, Message::tagged(TAG_PROPOSE).with_value(c));
                 }
             } else if self.color.is_none() {
                 let c = self.candidate.expect("a candidate was proposed this phase");
@@ -449,7 +441,7 @@ pub mod johansson {
                     .any(|m| m.tag() == TAG_PROPOSE && m.values()[0] == c);
                 if !conflict {
                     self.color = Some(c);
-                    self.send_all(ctx, &Message::tagged(TAG_FINAL).with_value(c));
+                    ctx.send_each(self.active, Message::tagged(TAG_FINAL).with_value(c));
                 }
                 self.candidate = None;
             }

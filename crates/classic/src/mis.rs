@@ -249,9 +249,7 @@ impl<R: Rule> NodeAlgorithm for Node<'_, R> {
             }
             if self.state == State::Undecided {
                 let msg = Message::tagged(R::VALUE).with_value(self.rule.announce());
-                for &u in self.active {
-                    ctx.send(u, msg);
-                }
+                ctx.send_each(self.active, msg);
             }
         } else if self.state == State::Undecided {
             let wins = inbox
@@ -260,10 +258,7 @@ impl<R: Rule> NodeAlgorithm for Node<'_, R> {
                 .all(|m| self.rule.beats(m.values()[0]));
             if wins {
                 self.state = State::In;
-                let msg = Message::tagged(R::JOIN);
-                for &u in self.active {
-                    ctx.send(u, msg);
-                }
+                ctx.send_each(self.active, Message::tagged(R::JOIN));
             }
         }
     }

@@ -323,7 +323,9 @@ impl<'g> AsyncSimulator<'g> {
                         &inbox,
                         config.message_bit_limit,
                         &mut max_bits,
-                        &mut |from, to, msg| outgoing.push((from, to, msg)),
+                        &mut |from, to: &[NodeId], msg| {
+                            outgoing.extend(to.iter().map(|&r| (from, r, msg)))
+                        },
                     );
                     activations[i] += 1;
                     if now_done != done[i] {
@@ -495,7 +497,7 @@ mod tests {
         assert_eq!(report.time, 20);
     }
 
-    fn run_bad_send(oversize: bool) {
+    fn run_bad_send(bad: BadSend) {
         let g = generators::cycle(256);
         let ids = IdAssignment::identity(256);
         let sim = AsyncSimulator::new(&g, &ids, KtLevel::KT1);
@@ -504,7 +506,7 @@ mod tests {
             ..AsyncConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(8);
-        let _ = sim.run(config, &mut rng, |_| BadSend { oversize });
+        let _ = sim.run(config, &mut rng, |_| bad);
     }
 
     #[test]
@@ -512,13 +514,35 @@ mod tests {
         expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
     )]
     fn oversized_send_panics() {
-        run_bad_send(true);
+        run_bad_send(BadSend::Oversize);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_batch_panics() {
+        run_bad_send(BadSend::OversizeBatch);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_broadcast_panics() {
+        run_bad_send(BadSend::OversizeBroadcast);
     }
 
     #[test]
     #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
     fn non_neighbour_send_panics() {
-        run_bad_send(false);
+        run_bad_send(BadSend::Stranger);
+    }
+
+    #[test]
+    #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
+    fn non_neighbour_in_a_batch_panics() {
+        run_bad_send(BadSend::StrangerInBatch);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!   neighbour array, and runs single-node activations: call
 //!   [`NodeAlgorithm::on_round`] with a [`RoundContext`] whose sink checks
 //!   each send against the CONGEST bit budget and hands it on to a
-//!   caller-supplied sink at once. No outbox buffers sends in between: the
-//!   synchronous loop's sink writes each one once, into the
+//!   caller-supplied sink at once. A send is one batch — one message and
+//!   its list of receivers — so a multicast pays one budget check and one
+//!   sink call, not one per copy. No outbox buffers sends in between: the
+//!   synchronous loop's sink writes each copy once, into the
 //!   [`DeliveryBuffer`] or into its window's staging vector. Both
 //!   simulators drive their delivery policies through this one code path.
 //!   For rounds the synchronous loop splits across threads,
@@ -90,10 +92,12 @@ impl RoundObserver for NoopObserver {
 }
 
 /// Executes one node activation: runs the automaton with a [`RoundContext`]
-/// whose sends are checked against the CONGEST bit budget, folded into
-/// `max_bits` and fed to `sink` as they happen. Shared by
-/// [`NodeRuntime::step`] (one-window rounds, the asynchronous executor) and
-/// the per-window [`ShardView::step`] so the two paths cannot drift.
+/// whose send batches are checked against the CONGEST bit budget, folded
+/// into `max_bits` and fed to `sink` as they happen — once per batch, not
+/// once per receiver. An empty batch is skipped: like a send to nobody, it
+/// is neither checked nor folded. Shared by [`NodeRuntime::step`]
+/// (one-window rounds, the asynchronous executor) and the per-window
+/// [`ShardView::step`] so the two paths cannot drift.
 #[allow(clippy::too_many_arguments)]
 fn step_node<A, S>(
     graph: &Graph,
@@ -110,9 +114,12 @@ fn step_node<A, S>(
 ) -> bool
 where
     A: NodeAlgorithm,
-    S: FnMut(NodeId, NodeId, Message),
+    S: FnMut(NodeId, &[NodeId], Message),
 {
-    let mut send = |to: NodeId, msg: Message| {
+    let mut send = |to: &[NodeId], msg: Message| {
+        if to.is_empty() {
+            return;
+        }
         let bits = msg.size_bits();
         assert!(
             bits <= bit_limit,
@@ -294,14 +301,15 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
     }
 
     /// Activates node `i` for one round: runs its automaton on `inbox` and
-    /// feeds every outgoing message — after validating the CONGEST bit
-    /// budget and updating `max_bits` — to `sink` at the moment it is sent.
-    /// Returns the automaton's done flag after the activation.
+    /// feeds every nonempty send batch — after validating the CONGEST bit
+    /// budget and updating `max_bits` — to `sink` as `(sender, receivers,
+    /// message)` at the moment it is sent. Returns the automaton's done
+    /// flag after the activation.
     ///
     /// # Panics
     ///
     /// Panics if the node sends a message exceeding `bit_limit`; sends to
-    /// non-neighbours already panic inside [`RoundContext::send`].
+    /// non-neighbours already panic inside [`RoundContext`].
     pub(crate) fn step<S>(
         &mut self,
         i: usize,
@@ -312,7 +320,7 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
         sink: &mut S,
     ) -> bool
     where
-        S: FnMut(NodeId, NodeId, Message),
+        S: FnMut(NodeId, &[NodeId], Message),
     {
         let lo = self.nbr_offsets[i] as usize;
         let hi = self.nbr_offsets[i + 1] as usize;
@@ -387,7 +395,7 @@ impl<A: NodeAlgorithm> ShardView<'_, '_, A> {
         sink: &mut S,
     ) -> bool
     where
-        S: FnMut(NodeId, NodeId, Message),
+        S: FnMut(NodeId, &[NodeId], Message),
     {
         let lo = self.nbr_offsets[i] as usize;
         let hi = self.nbr_offsets[i + 1] as usize;
@@ -571,6 +579,12 @@ impl MessageArena {
 /// here during a round, then [`DeliveryBuffer::flip`] moves them into a
 /// [`MessageArena`] keyed by receiver.
 ///
+/// Messages arrive one send batch at a time through
+/// [`DeliveryBuffer::stage_each`] — one message and its receivers — which
+/// takes the layout branch once per batch and writes the copies in one
+/// loop. A single message, such as one replayed from a checkpoint, is a
+/// batch of one.
+///
 /// Two staging layouts, chosen per round *before* stepping via
 /// [`DeliveryBuffer::set_dense`]:
 ///
@@ -632,28 +646,36 @@ impl DeliveryBuffer {
         }
     }
 
-    /// Queues one message for delivery to `to` next round.
+    /// Queues one copy of `msg` for delivery to each node of `to` next
+    /// round, in list order: one send batch, which takes the layout branch
+    /// once and stages its copies in one loop.
     ///
     /// The dense path tracks receivers through the `counts` markers alone
     /// (no list push): the flip's `O(n)` scan rebuilds the sorted receiver
     /// list anyway, so staging stays at one bucket write per message.
     #[inline]
-    pub(crate) fn stage(&mut self, to: NodeId, msg: Message) {
-        let t = to.index();
+    pub(crate) fn stage_each(&mut self, to: &[NodeId], msg: Message) {
         if self.dense {
-            if self.counts[t] == 0 {
-                self.counts[t] = 1;
-                self.touched += 1;
-                self.buckets[t].clear();
+            for &r in to {
+                let t = r.index();
+                if self.counts[t] == 0 {
+                    self.counts[t] = 1;
+                    self.touched += 1;
+                    self.buckets[t].clear();
+                }
+                self.buckets[t].push(msg);
             }
-            self.buckets[t].push(msg);
-            self.dense_staged += 1;
+            self.dense_staged += to.len();
         } else {
-            if self.counts[t] == 0 {
-                self.receivers.push(to.0);
+            self.staged.reserve(to.len());
+            for &r in to {
+                let t = r.index();
+                if self.counts[t] == 0 {
+                    self.receivers.push(r.0);
+                }
+                self.counts[t] += 1;
+                self.staged.push((r.0, msg));
             }
-            self.counts[t] += 1;
-            self.staged.push((to.0, msg));
         }
     }
 
@@ -704,7 +726,7 @@ impl DeliveryBuffer {
             }
             // The gather: one pointer swap publishes every staged bucket
             // (the swapped-back arena buckets, stale by two epochs, are
-            // cleared lazily on first touch by `stage`).
+            // cleared lazily on first touch by `stage_each`).
             std::mem::swap(&mut arena.buckets, &mut self.buckets);
             receivers_out.clear();
             let all = self.touched == self.counts.len() && self.touched > 0;
@@ -822,9 +844,9 @@ mod tests {
         let mut arena = MessageArena::new(3);
         let mut buf = DeliveryBuffer::new(3);
         let mut receivers = Vec::new();
-        buf.stage(NodeId(2), Message::tagged(0));
-        buf.stage(NodeId(0), Message::tagged(1));
-        buf.stage(NodeId(2), Message::tagged(2));
+        buf.stage_each(&[NodeId(2)], Message::tagged(0));
+        buf.stage_each(&[NodeId(0)], Message::tagged(1));
+        buf.stage_each(&[NodeId(2)], Message::tagged(2));
         buf.flip(&mut arena, &mut receivers);
         assert_eq!(receivers, vec![0, 2]);
         assert_eq!(arena.len(), 3);
@@ -840,7 +862,7 @@ mod tests {
         let mut arena = MessageArena::new(2);
         let mut buf = DeliveryBuffer::new(2);
         let mut receivers = Vec::new();
-        buf.stage(NodeId(1), Message::tagged(7));
+        buf.stage_each(&[NodeId(1)], Message::tagged(7));
         buf.flip(&mut arena, &mut receivers);
         assert_eq!(arena.inbox(1).len(), 1);
         // Next round: nothing staged, arena empties out and stale ranges
@@ -851,7 +873,7 @@ mod tests {
         assert!(arena.inbox(0).is_empty());
         assert!(arena.inbox(1).is_empty());
         // And staging works again afterwards.
-        buf.stage(NodeId(0), Message::tagged(9));
+        buf.stage_each(&[NodeId(0)], Message::tagged(9));
         buf.flip(&mut arena, &mut receivers);
         assert_eq!(receivers, vec![0]);
         assert_eq!(arena.inbox(0)[0].tag(), 9);
@@ -874,8 +896,8 @@ mod tests {
         dense_buf.set_dense(true);
         let (mut r1, mut r2) = (Vec::new(), Vec::new());
         for (to, msg) in stage_seq {
-            flat_buf.stage(to, msg);
-            dense_buf.stage(to, msg);
+            flat_buf.stage_each(&[to], msg);
+            dense_buf.stage_each(&[to], msg);
         }
         let flat_all = flat_buf.flip(&mut flat_arena, &mut r1);
         let dense_all = dense_buf.flip(&mut dense_arena, &mut r2);
@@ -896,8 +918,8 @@ mod tests {
         let mut arena = MessageArena::new(4);
         let mut buf = DeliveryBuffer::new(4);
         buf.set_dense(true);
-        buf.stage(NodeId(3), Message::tagged(1));
-        buf.stage(NodeId(1), Message::tagged(2));
+        buf.stage_each(&[NodeId(3)], Message::tagged(1));
+        buf.stage_each(&[NodeId(1)], Message::tagged(2));
         let mut receivers = Vec::new();
         let all = buf.flip(&mut arena, &mut receivers);
         assert!(!all);
@@ -915,14 +937,14 @@ mod tests {
         let mut receivers = Vec::new();
         // Dense round.
         buf.set_dense(true);
-        buf.stage(NodeId(0), Message::tagged(1));
-        buf.stage(NodeId(1), Message::tagged(2));
+        buf.stage_each(&[NodeId(0)], Message::tagged(1));
+        buf.stage_each(&[NodeId(1)], Message::tagged(2));
         buf.flip(&mut arena, &mut receivers);
         assert_eq!(arena.inbox(0)[0].tag(), 1);
         assert_eq!(arena.inbox(1)[0].tag(), 2);
         // Flat round: stale bucket stamps must not leak.
         buf.set_dense(false);
-        buf.stage(NodeId(1), Message::tagged(3));
+        buf.stage_each(&[NodeId(1)], Message::tagged(3));
         buf.flip(&mut arena, &mut receivers);
         assert_eq!(receivers, vec![1]);
         assert!(arena.inbox(0).is_empty());
@@ -931,7 +953,7 @@ mod tests {
         // Dense again: the swapped-back staging bucket (holding round-1
         // leftovers) is cleared on first touch.
         buf.set_dense(true);
-        buf.stage(NodeId(0), Message::tagged(4));
+        buf.stage_each(&[NodeId(0)], Message::tagged(4));
         buf.flip(&mut arena, &mut receivers);
         assert_eq!(arena.len(), 1);
         let tags: Vec<u16> = arena.inbox(0).iter().map(Message::tag).collect();
@@ -956,7 +978,7 @@ mod tests {
         let mut seq_buf = DeliveryBuffer::new(n);
         let mut seq_receivers = Vec::new();
         for &(to, msg) in shard_a.iter().chain(&shard_b).chain(&shard_c) {
-            seq_buf.stage(NodeId(to), msg);
+            seq_buf.stage_each(&[NodeId(to)], msg);
         }
         seq_buf.flip(&mut seq_arena, &mut seq_receivers);
 
@@ -973,7 +995,7 @@ mod tests {
         }
         // Buffers drained and reusable.
         assert!(shards.iter().all(Vec::is_empty));
-        par_buf.stage(NodeId(2), Message::tagged(9));
+        par_buf.stage_each(&[NodeId(2)], Message::tagged(9));
         par_buf.flip(&mut par_arena, &mut par_receivers);
         assert_eq!(par_receivers, vec![2]);
     }

@@ -23,27 +23,32 @@ pub struct NodeInit<'a> {
 /// The context handed to a node on every round.
 ///
 /// It exposes the node's initial knowledge and the current round number,
-/// and it carries the activation's message sink: [`RoundContext::send`]
-/// hands each message straight to the simulator, which validates it and
-/// writes it once into next round's delivery staging. Sending is only
-/// permitted to direct neighbours, as in the CONGEST model.
+/// and it carries the activation's message sink. Every send is one
+/// *batch*: one message and the list of neighbours it goes to. The sink
+/// takes the whole batch at once, so the simulator checks its bit budget
+/// once and stages its copies in one loop, straight into next round's
+/// delivery. [`RoundContext::send`] is a batch of one,
+/// [`RoundContext::send_each`] a batch of any list, and
+/// [`RoundContext::broadcast`] the batch of the whole neighbour row.
+/// Sending is only permitted to direct neighbours, as in the CONGEST model.
 pub struct RoundContext<'a> {
     node: NodeId,
     round: u64,
     knowledge: KnowledgeView<'a>,
     neighbors: &'a [NodeId],
-    sink: &'a mut dyn FnMut(NodeId, Message),
+    sink: &'a mut dyn FnMut(&[NodeId], Message),
 }
 
 impl<'a> RoundContext<'a> {
-    /// A context whose sends (after the neighbour check) go to `sink`.
+    /// A context whose send batches (after the neighbour check) go to
+    /// `sink`.
     #[inline]
     pub(crate) fn new(
         node: NodeId,
         round: u64,
         knowledge: KnowledgeView<'a>,
         neighbors: &'a [NodeId],
-        sink: &'a mut dyn FnMut(NodeId, Message),
+        sink: &'a mut dyn FnMut(&[NodeId], Message),
     ) -> Self {
         RoundContext {
             node,
@@ -106,21 +111,61 @@ impl<'a> RoundContext<'a> {
     /// panic on a message over their bit budget.
     #[inline]
     pub fn send(&mut self, to: NodeId, message: Message) {
-        assert!(
-            self.neighbors.binary_search(&to).is_ok(),
-            "node {} attempted to send to non-neighbour {}",
-            self.node,
-            to
-        );
+        if self.neighbors.binary_search(&to).is_err() {
+            self.non_neighbour(to);
+        }
+        (self.sink)(std::slice::from_ref(&to), message);
+    }
+
+    /// Sends a copy of `message` to each node of `to`, in list order, for
+    /// delivery at the start of the next round. This is one batch: the
+    /// targets are checked in one merge walk over the sorted neighbour
+    /// row, and the simulator checks the message's bit budget once. A
+    /// target listed below its predecessor is checked by a binary search
+    /// instead, so any order is accepted, and delivered in that order; an
+    /// ascending list costs O(`degree`). An empty list sends nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is sent, if any target is not a neighbour
+    /// of this node, with the same message as [`RoundContext::send`]. The
+    /// simulators also panic on a message over their bit budget.
+    #[inline]
+    pub fn send_each(&mut self, to: &[NodeId], message: Message) {
+        let row = self.neighbors;
+        let (mut at, mut last) = (0, None);
+        for &t in to {
+            let found = if last < Some(t) {
+                // In order: the walk resumes where the last target left it.
+                while row.get(at).is_some_and(|&u| u < t) {
+                    at += 1;
+                }
+                last = Some(t);
+                row.get(at) == Some(&t)
+            } else {
+                row.binary_search(&t).is_ok()
+            };
+            if !found {
+                self.non_neighbour(t);
+            }
+        }
         (self.sink)(to, message);
     }
 
-    /// Sends a copy of `message` to every neighbour.
+    /// Sends a copy of `message` to every neighbour: one batch over the
+    /// neighbour row, which needs no check.
     #[inline]
     pub fn broadcast(&mut self, message: &Message) {
-        for &to in self.neighbors {
-            (self.sink)(to, *message);
-        }
+        (self.sink)(self.neighbors, *message);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn non_neighbour(&self, to: NodeId) -> ! {
+        panic!(
+            "node {} attempted to send to non-neighbour {}",
+            self.node, to
+        )
     }
 }
 
@@ -135,8 +180,9 @@ impl std::fmt::Debug for RoundContext<'_> {
     }
 }
 
-/// Runs one activation of `node` and returns its sends in send order. The
-/// naive oracles validate them after the call, independently of the
+/// Runs one activation of `node` and returns its sends in send order, each
+/// batch expanded into one entry per target. The naive oracles validate
+/// them after the call, message by message and independently of the
 /// engine's sink; the lockstep wrapper re-sends them wrapped.
 pub(crate) fn collect_sends<A: NodeAlgorithm + ?Sized>(
     node: &mut A,
@@ -147,7 +193,7 @@ pub(crate) fn collect_sends<A: NodeAlgorithm + ?Sized>(
     inbox: &[Message],
 ) -> Vec<(NodeId, Message)> {
     let mut outbox = Vec::new();
-    let mut push = |to, msg| outbox.push((to, msg));
+    let mut push = |to: &[NodeId], msg: Message| outbox.extend(to.iter().map(|&t| (t, msg)));
     node.on_round(
         &mut RoundContext::new(v, round, knowledge, neighbors, &mut push),
         inbox,
@@ -189,19 +235,50 @@ mod tests {
     use crate::KtLevel;
     use symbreak_graphs::{generators, IdAssignment};
 
-    #[test]
-    fn sends_reach_the_sink_in_send_order() {
-        let g = generators::path(3);
-        let ids = IdAssignment::identity(3);
-        let k = KnowledgeView::new(&g, &ids, KtLevel::KT1, NodeId(1));
-        let nbrs = vec![NodeId(0), NodeId(2)];
+    /// Runs `send` on node `v` of `g` (identity IDs, KT1) and returns the
+    /// batches its context handed to the sink, in send order.
+    fn batches_of<F>(g: &symbreak_graphs::Graph, v: NodeId, send: F) -> Vec<(Vec<NodeId>, u16)>
+    where
+        F: FnOnce(&mut RoundContext<'_>),
+    {
+        let ids = IdAssignment::identity(g.num_nodes());
+        let k = KnowledgeView::new(g, &ids, KtLevel::KT1, v);
+        let nbrs = g.neighbor_vec(v);
         let mut out = Vec::new();
-        let mut sink = |to, msg| out.push((to, msg));
-        let mut ctx = RoundContext::new(NodeId(1), 0, k, &nbrs, &mut sink);
-        ctx.send(NodeId(0), Message::tagged(1));
-        ctx.broadcast(&Message::tagged(2));
-        let tags: Vec<(NodeId, u16)> = out.iter().map(|(to, m)| (*to, m.tag())).collect();
-        assert_eq!(tags, [(NodeId(0), 1), (NodeId(0), 2), (NodeId(2), 2)]);
+        let mut sink = |to: &[NodeId], m: Message| out.push((to.to_vec(), m.tag()));
+        send(&mut RoundContext::new(v, 0, k, &nbrs, &mut sink));
+        out
+    }
+
+    #[test]
+    fn sends_reach_the_sink_as_batches_in_send_order() {
+        let g = generators::path(3);
+        let batches = batches_of(&g, NodeId(1), |ctx| {
+            ctx.send(NodeId(0), Message::tagged(1));
+            ctx.broadcast(&Message::tagged(2));
+            ctx.send_each(&[NodeId(2)], Message::tagged(3));
+        });
+        let expect = [
+            (vec![NodeId(0)], 1),
+            (vec![NodeId(0), NodeId(2)], 2),
+            (vec![NodeId(2)], 3),
+        ];
+        assert_eq!(batches, expect);
+    }
+
+    #[test]
+    fn send_each_keeps_the_list_order_of_an_unsorted_list() {
+        let g = generators::star(6);
+        let to = [NodeId(4), NodeId(2), NodeId(5), NodeId(1), NodeId(1)];
+        let batches = batches_of(&g, NodeId(0), |ctx| ctx.send_each(&to, Message::tagged(7)));
+        assert_eq!(batches, [(to.to_vec(), 7)]);
+    }
+
+    #[test]
+    fn an_empty_send_each_is_an_empty_batch() {
+        let g = generators::path(3);
+        let batches = batches_of(&g, NodeId(1), |ctx| ctx.send_each(&[], Message::tagged(1)));
+        assert_eq!(batches, [(Vec::new(), 1)]);
     }
 
     #[test]
@@ -211,9 +288,34 @@ mod tests {
         let ids = IdAssignment::identity(3);
         let k = KnowledgeView::new(&g, &ids, KtLevel::KT1, NodeId(0));
         let nbrs = vec![NodeId(1)];
-        let mut sink = |_, _| panic!("a rejected send must not reach the sink");
+        let mut sink = |_: &[NodeId], _: Message| panic!("a rejected send must not reach the sink");
         let mut ctx = RoundContext::new(NodeId(0), 0, k, &nbrs, &mut sink);
         ctx.send(NodeId(2), Message::tagged(1));
+    }
+
+    /// Node 0 of a 6-cycle has neighbours v1 and v5; `to` lists v3 among
+    /// them, in order or out of it.
+    fn send_each_with_a_stranger(to: &[NodeId]) {
+        let g = generators::cycle(6);
+        let ids = IdAssignment::identity(6);
+        let k = KnowledgeView::new(&g, &ids, KtLevel::KT1, NodeId(0));
+        let nbrs = g.neighbor_vec(NodeId(0));
+        let mut sink =
+            |_: &[NodeId], _: Message| panic!("a rejected batch must not reach the sink");
+        let mut ctx = RoundContext::new(NodeId(0), 0, k, &nbrs, &mut sink);
+        ctx.send_each(to, Message::tagged(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "node v0 attempted to send to non-neighbour v3")]
+    fn send_each_to_a_non_neighbour_in_order_panics() {
+        send_each_with_a_stranger(&[NodeId(1), NodeId(3), NodeId(5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node v0 attempted to send to non-neighbour v3")]
+    fn send_each_to_a_non_neighbour_out_of_order_panics() {
+        send_each_with_a_stranger(&[NodeId(5), NodeId(3), NodeId(1)]);
     }
 
     #[test]
@@ -222,7 +324,7 @@ mod tests {
         let ids = IdAssignment::from_vec(vec![9, 8, 7, 6]);
         let k = KnowledgeView::new(&g, &ids, KtLevel::KT1, NodeId(0));
         let nbrs: Vec<NodeId> = g.neighbor_vec(NodeId(0));
-        let mut sink = |_, _| {};
+        let mut sink = |_: &[NodeId], _: Message| {};
         let ctx = RoundContext::new(NodeId(0), 5, k, &nbrs, &mut sink);
         assert_eq!(ctx.node(), NodeId(0));
         assert_eq!(ctx.round(), 5);

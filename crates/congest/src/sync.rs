@@ -9,12 +9,14 @@
 //!
 //! * **one window** — at one thread, or when a round is too small to
 //!   split: the active nodes step on the caller's thread through
-//!   [`NodeRuntime::step`] and stage straight into the [`DeliveryBuffer`],
-//!   which switches to its receiver-major dense layout on rounds predicted
-//!   to be all-to-all ([`NodeRuntime::dense_round`]);
+//!   [`NodeRuntime::step`] and stage each send batch (one message, its
+//!   receivers) straight into the [`DeliveryBuffer`] with one
+//!   [`DeliveryBuffer::stage_each`], which switches to its receiver-major
+//!   dense layout on rounds predicted to be all-to-all
+//!   ([`NodeRuntime::dense_round`]);
 //! * **claimed windows** — the active list is cut into contiguous,
-//!   degree-balanced windows that worker threads claim, each staging into
-//!   its own buffer, merged by one counting sort
+//!   degree-balanced windows that worker threads claim, each expanding its
+//!   send batches into its own buffer, merged by one counting sort
 //!   ([`DeliveryBuffer::flip_shards`]).
 //!
 //! The windows' buffers concatenated in window order are the one-window
@@ -412,7 +414,8 @@ impl<'g> SyncSimulator<'g> {
             // it reproduces the original arena's inboxes exactly (both
             // delivery layouts group identically).
             for tm in &record.in_flight {
-                run.staging.stage(tm.to, tm.message);
+                run.staging
+                    .stage_each(std::slice::from_ref(&tm.to), tm.message);
             }
             run.staging.flip(&mut run.arena, &mut run.receivers);
             run.round = record.round;
@@ -733,12 +736,14 @@ fn step_window<A: NodeAlgorithm, S: Hooks<A>>(
     undone.clear();
     let n = done.len();
     let mut step_one = |i: usize| {
-        let mut sink = |from: NodeId, to: NodeId, msg: Message| {
-            *messages += 1;
+        let mut sink = |from: NodeId, to: &[NodeId], msg: Message| {
+            *messages += to.len() as u64;
             if S::SENDS {
-                hooks.on_send(from, to, &msg);
+                for &r in to {
+                    hooks.on_send(from, r, &msg);
+                }
             }
-            staging.stage(to, msg);
+            staging.stage_each(to, msg);
         };
         let now_done = runtime.step(i, round, arena.inbox(i), bit_limit, max_bits, &mut sink);
         if now_done != done[i] {
@@ -780,12 +785,14 @@ impl<A: NodeAlgorithm> Window<'_, '_, A> {
     fn step<S: Hooks<A>>(&mut self, round: u64, arena: &MessageArena, bit_limit: u32) {
         let base = self.active[0] as usize;
         for &i in self.active {
-            let mut sink = |from: NodeId, to: NodeId, msg: Message| {
-                self.messages += 1;
+            // Each batch is expanded in place: the window's buffers hold
+            // one entry per copy, in send order.
+            let mut sink = |from: NodeId, to: &[NodeId], msg: Message| {
+                self.messages += to.len() as u64;
                 if S::SENDS {
-                    self.sent.push((from, to, msg));
+                    self.sent.extend(to.iter().map(|&r| (from, r, msg)));
                 }
-                self.staged.push((to.0, msg));
+                self.staged.extend(to.iter().map(|&r| (r.0, msg)));
             };
             let (i, inbox) = (i as usize, arena.inbox(i as usize));
             let now_done =
@@ -1066,11 +1073,21 @@ pub(crate) mod tests {
         assert_eq!(trace.num_messages(), 1);
     }
 
-    /// Node [`BAD_SENDER`] sends one invalid message in round 0 — over a
-    /// 64-bit budget, or to a non-neighbour — while every other node sends
-    /// valid ones, so each stepping path meets exactly one bad send.
-    pub(crate) struct BadSend {
-        pub(crate) oversize: bool,
+    /// The one invalid send node [`BAD_SENDER`] makes in round 0 while
+    /// every other node broadcasts valid ones, so each stepping path meets
+    /// exactly one bad send.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum BadSend {
+        /// `send` of a message over a 64-bit budget.
+        Oversize,
+        /// `send` to the non-neighbour v72.
+        Stranger,
+        /// `send_each` of a message over the budget to both neighbours.
+        OversizeBatch,
+        /// `broadcast` of a message over the budget.
+        OversizeBroadcast,
+        /// `send_each` to v199, v72, v201: a non-neighbour mid-list.
+        StrangerInBatch,
     }
 
     const BAD_SENDER: NodeId = NodeId(200);
@@ -1086,10 +1103,18 @@ pub(crate) mod tests {
             }
             if ctx.node() != BAD_SENDER {
                 ctx.broadcast(&Message::tagged(1));
-            } else if self.oversize {
-                ctx.send(NodeId(201), Message::tagged(1).with_value(2));
-            } else {
-                ctx.send(NodeId(72), Message::tagged(1));
+                return;
+            }
+            let big = Message::tagged(1).with_value(2);
+            match self {
+                BadSend::Oversize => ctx.send(NodeId(201), big),
+                BadSend::Stranger => ctx.send(NodeId(72), Message::tagged(1)),
+                BadSend::OversizeBatch => ctx.send_each(&[NodeId(199), NodeId(201)], big),
+                BadSend::OversizeBroadcast => ctx.broadcast(&big),
+                BadSend::StrangerInBatch => {
+                    let to = [NodeId(199), NodeId(72), NodeId(201)];
+                    ctx.send_each(&to, Message::tagged(1));
+                }
             }
         }
         fn is_done(&self) -> bool {
@@ -1097,24 +1122,33 @@ pub(crate) mod tests {
         }
     }
 
-    /// Runs [`BadSend`] on a 256-cycle at `threads`: one thread steps
-    /// round 0 as one window, and at more threads the round is large
-    /// enough to split, which is asserted first.
-    fn run_bad_send(threads: usize, oversize: bool) {
-        let g = generators::cycle(256);
-        let ids = IdAssignment::identity(256);
+    /// Asserts that at `threads` threads, a 256-cycle's round 0 steps as
+    /// claimed windows when `threads > 1`; one thread always steps one
+    /// window.
+    fn assert_round0_splits(threads: usize) {
         if threads > 1 {
+            let g = generators::cycle(256);
+            let ids = IdAssignment::identity(256);
             let runtime = NodeRuntime::new(&g, &ids, KtLevel::KT1, |_| Silent);
             let round0: Vec<u32> = (0..256).collect();
             let windows = threads * SHARD_OVERSUBSCRIPTION;
             assert!(plan_shards(&runtime, &round0, windows).len() > 1);
         }
+    }
+
+    /// Runs `bad` on a 256-cycle at `threads`: one thread steps round 0 as
+    /// one window, and at more threads the round is large enough to split,
+    /// which is asserted first.
+    fn run_bad_send(threads: usize, bad: BadSend) {
+        assert_round0_splits(threads);
+        let g = generators::cycle(256);
+        let ids = IdAssignment::identity(256);
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
         let config = SyncConfig {
             message_bit_limit: BAD_SEND_BITS,
             ..SyncConfig::default().with_threads(threads)
         };
-        let _ = sim.run(config, |_| BadSend { oversize });
+        let _ = sim.run(config, |_| bad);
     }
 
     #[test]
@@ -1122,13 +1156,35 @@ pub(crate) mod tests {
         expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
     )]
     fn oversized_send_panics_on_a_one_window_round() {
-        run_bad_send(1, true);
+        run_bad_send(1, BadSend::Oversize);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_batch_panics_on_a_one_window_round() {
+        run_bad_send(1, BadSend::OversizeBatch);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_broadcast_panics_on_a_one_window_round() {
+        run_bad_send(1, BadSend::OversizeBroadcast);
     }
 
     #[test]
     #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
     fn non_neighbour_send_panics_on_a_one_window_round() {
-        run_bad_send(1, false);
+        run_bad_send(1, BadSend::Stranger);
+    }
+
+    #[test]
+    #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
+    fn non_neighbour_in_a_batch_panics_on_a_one_window_round() {
+        run_bad_send(1, BadSend::StrangerInBatch);
     }
 
     #[test]
@@ -1136,13 +1192,101 @@ pub(crate) mod tests {
         expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
     )]
     fn oversized_send_panics_on_a_claimed_window_round() {
-        run_bad_send(4, true);
+        run_bad_send(4, BadSend::Oversize);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_batch_panics_on_a_claimed_window_round() {
+        run_bad_send(4, BadSend::OversizeBatch);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node v200 sent a 80-bit message, exceeding the CONGEST budget of 64 bits"
+    )]
+    fn oversized_broadcast_panics_on_a_claimed_window_round() {
+        run_bad_send(4, BadSend::OversizeBroadcast);
     }
 
     #[test]
     #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
     fn non_neighbour_send_panics_on_a_claimed_window_round() {
-        run_bad_send(4, false);
+        run_bad_send(4, BadSend::Stranger);
+    }
+
+    #[test]
+    #[should_panic(expected = "node v200 attempted to send to non-neighbour v72")]
+    fn non_neighbour_in_a_batch_panics_on_a_claimed_window_round() {
+        run_bad_send(4, BadSend::StrangerInBatch);
+    }
+
+    /// Every node sends an empty batch of an over-budget message in round 0,
+    /// then is done.
+    struct EmptyBatches;
+    impl NodeAlgorithm for EmptyBatches {
+        fn on_round(&mut self, ctx: &mut RoundContext<'_>, _inbox: &[Message]) {
+            ctx.send_each(&[], Message::tagged(1).with_value(2));
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn empty_batches_report_like_a_silent_run() {
+        let g = generators::cycle(256);
+        let ids = IdAssignment::identity(256);
+        let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
+        for threads in [1, 4] {
+            assert_round0_splits(threads);
+            let config = SyncConfig {
+                message_bit_limit: BAD_SEND_BITS,
+                ..SyncConfig::instrumented().with_threads(threads)
+            };
+            let silent = sim.run(config, |_| Silent);
+            let empty = sim.run(config, |_| EmptyBatches);
+            assert_eq!((empty.messages, empty.max_message_bits), (0, 0));
+            assert_eq!(empty, silent, "{threads} threads");
+        }
+    }
+
+    /// Every node sends one batch in round 0: its two cycle neighbours,
+    /// the higher one first.
+    struct Descending;
+    impl NodeAlgorithm for Descending {
+        fn on_round(&mut self, ctx: &mut RoundContext<'_>, _inbox: &[Message]) {
+            if ctx.round() == 0 {
+                let mut to: Vec<NodeId> = ctx.neighbors().collect();
+                to.reverse();
+                ctx.send_each(&to, Message::tagged(1).with_id(ctx.own_id()));
+            }
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn an_out_of_order_batch_is_delivered_in_list_order() {
+        let g = generators::cycle(256);
+        let ids = IdAssignment::identity(256);
+        let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
+        let expected: Vec<(NodeId, NodeId)> = g
+            .nodes()
+            .flat_map(|v| g.neighbor_vec(v).into_iter().rev().map(move |u| (v, u)))
+            .collect();
+        for threads in [1, 4] {
+            assert_round0_splits(threads);
+            let config = SyncConfig::instrumented().with_threads(threads);
+            let report = sim.run(config, |_| Descending);
+            let trace = report.trace.expect("trace recorded");
+            let sent: Vec<(NodeId, NodeId)> =
+                trace.round(0).iter().map(|m| (m.from, m.to)).collect();
+            assert_eq!(sent, expected, "{threads} threads");
+        }
     }
 
     #[test]

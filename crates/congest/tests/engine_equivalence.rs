@@ -4,7 +4,7 @@
 //! (observable through traces), per-edge counters and utilized-edge flags.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use symbreak_congest::reference::NaiveSyncSimulator;
 use symbreak_congest::{
     ExecutionReport, KtLevel, Message, NodeAlgorithm, NodeInit, RoundContext, SyncConfig,
@@ -235,6 +235,79 @@ fn parallel_engine_matches_naive_and_instrumented_runs() {
             &instrumented_seq,
             &format!("instrumented-vs-{threads}-threads"),
         );
+    }
+}
+
+/// For a few rounds, every node sends one message to a seeded random
+/// subset of its neighbours, sorted, through one `send_each` batch, and
+/// folds its inbox in delivery order into its output.
+struct Subsets {
+    rng: StdRng,
+    rounds_left: u32,
+    fold: u64,
+}
+
+impl Subsets {
+    fn new(init: NodeInit<'_>) -> Self {
+        Subsets {
+            rng: StdRng::seed_from_u64(init.knowledge.own_id() ^ 0x5eed),
+            rounds_left: 5,
+            fold: 0,
+        }
+    }
+}
+
+impl NodeAlgorithm for Subsets {
+    fn on_round(&mut self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
+        for m in inbox {
+            self.fold = self.fold.wrapping_mul(31).wrapping_add(m.values()[0]);
+        }
+        if self.rounds_left > 0 {
+            self.rounds_left -= 1;
+            let rng = &mut self.rng;
+            let to: Vec<NodeId> = ctx.neighbors().filter(|_| rng.gen_bool(0.5)).collect();
+            let msg = Message::tagged(3)
+                .with_id(ctx.own_id())
+                .with_value(self.fold);
+            ctx.send_each(&to, msg);
+        }
+    }
+    fn is_done(&self) -> bool {
+        self.rounds_left == 0
+    }
+    fn output(&self) -> Option<u64> {
+        Some(self.fold)
+    }
+}
+
+/// Send batches to arbitrary neighbour subsets must give the naive
+/// oracle's report, which checks and counts each message on its own, at
+/// one thread and on rounds split across four — on a sparse graph (flat
+/// delivery) and a clique (receiver-major delivery on one window).
+#[test]
+fn send_each_batches_match_the_reference() {
+    let graphs = [
+        (
+            "random_d8",
+            generators::random_near_regular(600, 8, &mut StdRng::seed_from_u64(5)),
+        ),
+        ("clique", generators::clique(96)),
+    ];
+    for (label, graph) in graphs {
+        let ids = IdAssignment::random(
+            &graph,
+            symbreak_graphs::IdSpace::CUBIC,
+            &mut StdRng::seed_from_u64(7),
+        );
+        let sim = SyncSimulator::new(&graph, &ids, KtLevel::KT1);
+        for config in [SyncConfig::default(), SyncConfig::instrumented()] {
+            let slow = NaiveSyncSimulator::new(sim).run(config, Subsets::new);
+            assert!(slow.completed && slow.messages > 0, "{label}");
+            for threads in [1, 4] {
+                let fast = sim.run(config.with_threads(threads), Subsets::new);
+                assert_reports_identical(&fast, &slow, &format!("{label} @{threads} threads"));
+            }
+        }
     }
 }
 

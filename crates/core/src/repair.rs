@@ -190,6 +190,11 @@ impl ChurnSession {
     /// Applies a churn batch to the overlay; returns `(deleted, inserted)`
     /// effective-operation counts. Call this once per batch, then repair
     /// whichever outputs the session maintains.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a self-loop or an out-of-range endpoint, as
+    /// [`GraphOverlay::apply`] does.
     pub fn apply(&mut self, batch: &ChurnBatch) -> (usize, usize) {
         self.overlay.apply(batch)
     }

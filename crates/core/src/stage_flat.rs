@@ -223,12 +223,6 @@ impl<T: AsRef<[u64]> + AsMut<[u64]>> FlatStageNode<'_, T> {
         self.spec.active.row(self.me)
     }
 
-    fn send_active(&self, ctx: &mut RoundContext<'_>, msg: &Message) {
-        for &u in self.active_row() {
-            ctx.send(u, *msg);
-        }
-    }
-
     fn respond_to_queries(&self, ctx: &mut RoundContext<'_>, inbox: &[Message]) {
         for msg in inbox {
             if msg.tag() != TAG_QUERY {
@@ -269,7 +263,8 @@ impl<T: AsRef<[u64]> + AsMut<[u64]>> NodeAlgorithm for FlatStageNode<'_, T> {
                         Some(c) => {
                             self.candidate = Some(c);
                             self.conflict = false;
-                            self.send_active(ctx, &Message::tagged(TAG_PROPOSE).with_value(c));
+                            let propose = Message::tagged(TAG_PROPOSE).with_value(c);
+                            ctx.send_each(self.active_row(), propose);
                             let query = Message::tagged(TAG_QUERY)
                                 .with_value(c)
                                 .with_id(self.own_id);
@@ -323,7 +318,7 @@ impl<T: AsRef<[u64]> + AsMut<[u64]>> NodeAlgorithm for FlatStageNode<'_, T> {
                         }
                     } else {
                         self.color = Some(c);
-                        self.send_active(ctx, &Message::tagged(TAG_FINAL).with_value(c));
+                        ctx.send_each(self.active_row(), Message::tagged(TAG_FINAL).with_value(c));
                     }
                 }
             }

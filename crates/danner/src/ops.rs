@@ -89,9 +89,7 @@ impl NodeAlgorithm for BroadcastNode<'_> {
             let msg = Message::tagged(TAG_BCAST)
                 .with_value(self.next as u64)
                 .with_value(word);
-            for &child in self.children {
-                ctx.send(child, msg);
-            }
+            ctx.send_each(self.children, msg);
             self.fold = fnv_step(self.fold, word);
             self.next += 1;
         }

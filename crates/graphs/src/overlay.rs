@@ -213,6 +213,11 @@ impl GraphOverlay {
     /// `(applied_deletes, applied_inserts)` — operations that were no-ops
     /// (deleting an absent edge, inserting a present one) are skipped and
     /// not counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a self-loop or an out-of-range endpoint in either list,
+    /// like [`GraphOverlay::insert_edge`] and [`GraphOverlay::delete_edge`].
     pub fn apply(&mut self, batch: &ChurnBatch) -> (usize, usize) {
         let mut deleted = 0;
         for &(u, v) in &batch.deletes {

@@ -373,3 +373,72 @@ fn churn_repair_handles_degenerate_batches() {
         );
     }
 }
+
+#[test]
+fn churn_repair_never_panics_on_tiny_graphs() {
+    // The repair half of the never-panics sweep: on n = 0, 1, 2 and a star,
+    // an empty batch, a batch of no-op operations (insert a present edge,
+    // delete a missing one) and a delete plus re-insert of one edge in one
+    // batch must each leave a valid colouring and MIS, in at most one
+    // repair iteration. Self-loops are a documented panic of
+    // `GraphOverlay::apply`, so no batch holds one.
+    use symbreak::core::repair::{ChurnSession, ColoringRepairDriver, MisRepairDriver};
+    use symbreak::graphs::ChurnBatch;
+    let graphs = [
+        ("n=0", generators::empty(0)),
+        ("n=1", generators::empty(1)),
+        ("n=2 apart", generators::empty(2)),
+        ("n=2 joined", generators::path(2)),
+        ("star", generators::star(6)),
+    ];
+    for (label, graph) in graphs {
+        let n = graph.num_nodes() as u32;
+        let present = graph.edges().next().map(|(_, u, v)| (u, v));
+        let missing = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (NodeId(u), NodeId(v))))
+            .find(|&(u, v)| !graph.has_edge(u, v));
+        let mut batches = vec![
+            ("empty", ChurnBatch::default()),
+            (
+                "no-ops",
+                ChurnBatch {
+                    inserts: present.into_iter().collect(),
+                    deletes: missing.into_iter().collect(),
+                },
+            ),
+        ];
+        if let Some(edge) = present {
+            let batch = ChurnBatch {
+                deletes: vec![edge],
+                inserts: vec![edge],
+            };
+            batches.push(("delete and re-insert", batch));
+        }
+        let ids = IdAssignment::identity(graph.num_nodes());
+        let mut session = ChurnSession::new(graph.clone(), ids, SyncConfig::default());
+        let (mut colors, _) = session.recompute_coloring(1);
+        let (mut in_set, _) = session.recompute_mis(2);
+        for (k, (what, batch)) in batches.iter().enumerate() {
+            session.apply(batch);
+            let seed = k as u64;
+            let repaired =
+                session.repair_coloring(batch, &mut colors, ColoringRepairDriver::Johansson, seed);
+            let repaired_mis = session.repair_mis(batch, &mut in_set, MisRepairDriver::Luby, seed);
+            let now = session.overlay().materialize();
+            assert!(
+                coloring::verify::is_proper_coloring(&now, &colors),
+                "{label}, {what}: improper colouring"
+            );
+            assert!(
+                mis::verify::is_mis(&now, &in_set),
+                "{label}, {what}: broken MIS"
+            );
+            assert!(
+                repaired.iterations <= 1 && repaired_mis.iterations <= 1,
+                "{label}, {what}: {} colouring and {} MIS iterations",
+                repaired.iterations,
+                repaired_mis.iterations
+            );
+        }
+    }
+}
