@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use symbreak_congest::async_sim::{AsyncConfig, AsyncReport, AsyncSimulator};
 use symbreak_congest::{
     run_synchronized, CheckpointConfig, ExecutionReport, FaultPlan, KtLevel, Message,
-    NodeAlgorithm, PersistState, RoundContext, RoundObserver, SyncConfig, SyncSimulator,
+    NodeAlgorithm, PersistState, RoundContext, SyncConfig, SyncSimulator,
 };
 use symbreak_graphs::{AdjacencyArena, Graph, IdAssignment, NodeId};
 
@@ -384,22 +384,20 @@ pub fn run(
 /// Runs whole-graph MIS as [`run`] does, with checkpoints
 /// ([`SyncSimulator::run_checkpointed`]) every `checkpoint.every` rounds —
 /// Luby's per-node RNG cursors included, so a resumed run continues the
-/// exact same random streams; `observer` sees every message and round end
-/// of the run (pass [`symbreak_congest::NoopObserver`] to observe nothing).
-/// Unlike [`run`], the report is returned even when the round budget ran
-/// out (`completed == false`) — the "killed" half of a kill-and-resume
-/// cycle.
+/// exact same random streams. The report carries the instrumentation
+/// `config` asks for, as [`run`]'s does. Unlike [`run`], the report is
+/// returned even when the round budget ran out (`completed == false`) —
+/// the "killed" half of a kill-and-resume cycle.
 ///
 /// # Errors
 ///
 /// As [`SyncSimulator::run_checkpointed`].
-pub fn run_checkpointed<O: RoundObserver>(
+pub fn run_checkpointed(
     graph: &Graph,
     ids: &IdAssignment,
     priority: Priority<'_>,
     config: SyncConfig,
     checkpoint: &CheckpointConfig,
-    observer: &mut O,
 ) -> std::io::Result<ExecutionReport> {
     let active = AdjacencyArena::from_filtered(graph, |_, _| true);
     let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
@@ -407,27 +405,26 @@ pub fn run_checkpointed<O: RoundObserver>(
         config,
         checkpoint,
         |init| Node::new(true, rule(init.node), active.row(init.node)),
-        observer,
     ))
 }
 
 /// Resumes an interrupted [`run_checkpointed`] run from the latest valid
 /// checkpoint ([`SyncSimulator::resume_from`]); the completed resumed run
-/// is bit-identical to an uninterrupted one. `observer` sees only the
-/// resumed rounds, from the checkpoint boundary on: a recording the kill
-/// cut short continues from its rounds before that boundary.
+/// is bit-identical to an uninterrupted one, except that its
+/// instrumentation records only the resumed rounds, from the checkpoint
+/// boundary on: a trace the kill cut short continues with this one from
+/// that boundary.
 ///
 /// # Errors
 ///
 /// As [`SyncSimulator::resume_from`]: a log written under another priority
 /// rule or on another graph is [`std::io::ErrorKind::InvalidData`].
-pub fn resume<O: RoundObserver>(
+pub fn resume(
     graph: &Graph,
     ids: &IdAssignment,
     priority: Priority<'_>,
     config: SyncConfig,
     checkpoint: &CheckpointConfig,
-    observer: &mut O,
 ) -> std::io::Result<ExecutionReport> {
     let active = AdjacencyArena::from_filtered(graph, |_, _| true);
     let sim = SyncSimulator::new(graph, ids, KtLevel::KT1);
@@ -435,7 +432,6 @@ pub fn resume<O: RoundObserver>(
         config,
         checkpoint,
         |init| Node::new(true, rule(init.node), active.row(init.node)),
-        observer,
     ))
 }
 
@@ -586,29 +582,21 @@ mod tests {
 
     #[test]
     fn luby_kill_and_resume_matches_uninterrupted_run() {
-        use symbreak_congest::NoopObserver;
+        use symbreak_congest::checkpoint::checkpoint_dir;
         let mut rng = StdRng::seed_from_u64(55);
         let g = generators::connected_gnp(30, 0.15, &mut rng);
         let ids = IdAssignment::identity(30);
         let (mis, baseline) = luby::run(&g, &ids, 9, SyncConfig::default());
-        let dir = std::env::temp_dir().join(format!("sbck-mis-{}", std::process::id()));
+        let dir = checkpoint_dir().join(format!("sbck-mis-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = CheckpointConfig::new(dir.join("luby.sbck")).with_every(2);
         // Kill after the first boundary, then resume: Luby's per-node RNG
         // cursors must continue the exact same draw streams.
         let killed = SyncConfig::default().with_max_rounds(2);
         let luby = Priority::Luby(9);
-        let partial = run_checkpointed(&g, &ids, luby, killed, &ckpt, &mut NoopObserver).unwrap();
+        let partial = run_checkpointed(&g, &ids, luby, killed, &ckpt).unwrap();
         assert!(!partial.completed);
-        let resumed = resume(
-            &g,
-            &ids,
-            luby,
-            SyncConfig::default(),
-            &ckpt,
-            &mut NoopObserver,
-        )
-        .unwrap();
+        let resumed = resume(&g, &ids, luby, SyncConfig::default(), &ckpt).unwrap();
         assert_eq!(resumed, baseline);
         assert_eq!(verify::outputs_to_membership(&resumed.outputs), mis);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -26,10 +26,10 @@
 //! under) or accumulate for inspection ([`Auditor::finish`]).
 //!
 //! Wiring: the auditor is one of the round loop's hooks, so it runs at any
-//! thread count, composes with instrumentation, observers and checkpoints,
-//! and sees every message in sequential send order (replayed from the
-//! workers' send logs on rounds split across threads). Unaudited runs carry
-//! no audit code at all.
+//! thread count, composes with the instrumentation and checkpoints, and
+//! sees every message in sequential send order (replayed from the workers'
+//! send logs on rounds split across threads). Unaudited runs carry no
+//! audit code at all.
 
 use std::{fmt, io};
 
@@ -42,7 +42,8 @@ use crate::Message;
 /// Environment variable enabling deny-mode auditing on every
 /// [`crate::SyncSimulator::run`] — instrumented runs included — and every
 /// checkpointed or resumed run (`CONGEST_AUDIT=1`; empty or `0`
-/// disables).
+/// disables). A [`crate::SyncSimulator::run_audited`] run keeps its own
+/// auditor instead: no run is audited twice.
 pub const AUDIT_ENV: &str = "CONGEST_AUDIT";
 
 /// Environment variable overriding the bandwidth budget multiplier `c`

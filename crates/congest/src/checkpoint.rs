@@ -26,12 +26,13 @@
 //! [`SyncSimulator::run_checkpointed`] and [`SyncSimulator::resume_from`]
 //! attach the checkpoint to the one synchronous round loop as hooks — a
 //! restore step, the boundary record at round start, and the in-flight
-//! capture on each boundary's preceding round — so checkpointed runs step
-//! at any thread count, and every record is a function of the execution
-//! alone: the log's bytes are the same at every thread count. Resumed runs
-//! are **bit-identical** to uninterrupted ones (same reports, outputs and
-//! traces), which the `checkpoint_resume` integration suite proves by
-//! killing a run at every checkpoint boundary.
+//! capture on each boundary's preceding round — composed with the same
+//! instrumentation and auditor as [`SyncSimulator::run`]'s. Checkpointed
+//! runs step at any thread count, and every record is a function of the
+//! execution alone: the log's bytes are the same at every thread count.
+//! Resumed runs are **bit-identical** to uninterrupted ones (same reports,
+//! outputs and traces), which the `checkpoint_resume` integration suite
+//! proves by killing a run at every checkpoint boundary.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -39,10 +40,9 @@ use std::path::{Path, PathBuf};
 
 use symbreak_graphs::NodeId;
 
-use crate::audit::{audit_enabled, AuditConfig, Auditor};
-use crate::engine::{NodeRuntime, RoundObserver};
+use crate::engine::NodeRuntime;
 use crate::message::{MAX_ID_FIELDS, MAX_VALUE_FIELDS};
-use crate::sync::{Hooks, Observe, Resume, RoundLoop};
+use crate::sync::{Hooks, Resume, RoundLoop};
 use crate::trace::TraceMessage;
 use crate::{ExecutionReport, Message, NodeAlgorithm, NodeInit, SyncConfig, SyncSimulator};
 
@@ -444,12 +444,12 @@ impl CheckpointWriter {
 }
 
 impl SyncSimulator<'_> {
-    /// Runs like [`SyncSimulator::run_observed`], snapshotting the loop
-    /// state to `checkpoint.path` every `checkpoint.every` rounds; pass
-    /// [`crate::NoopObserver`] to observe nothing. The report is
-    /// bit-identical to an uncheckpointed run, and the log's bytes are the
-    /// same at every thread count. Under `CONGEST_AUDIT=1` the run is
-    /// audited in deny mode, like [`SyncSimulator::run`].
+    /// Runs like [`SyncSimulator::run`], snapshotting the loop state to
+    /// `checkpoint.path` every `checkpoint.every` rounds. The report —
+    /// with the instrumentation `config` asks for — is bit-identical to an
+    /// uncheckpointed run's, and the log's bytes are the same at every
+    /// thread count. Under `CONGEST_AUDIT=1` the run is audited in deny
+    /// mode, like [`SyncSimulator::run`].
     ///
     /// # Errors
     ///
@@ -459,19 +459,17 @@ impl SyncSimulator<'_> {
     /// # Panics
     ///
     /// As [`SyncSimulator::run`] (bit-budget or non-neighbour sends).
-    pub fn run_checkpointed<A, F, O>(
+    pub fn run_checkpointed<A, F>(
         &self,
         config: SyncConfig,
         checkpoint: &CheckpointConfig,
         make: F,
-        observer: &mut O,
     ) -> io::Result<ExecutionReport>
     where
         A: PersistState + Send,
         F: FnMut(NodeInit<'_>) -> A,
-        O: RoundObserver,
     {
-        self.checkpointed(config, checkpoint, false, make, observer)
+        self.checkpointed(config, checkpoint, false, make)
     }
 
     /// Resumes an interrupted checkpointed run from the latest valid
@@ -479,12 +477,13 @@ impl SyncSimulator<'_> {
     /// appending further checkpoints from there. The factory must be the
     /// same deterministic one the interrupted run used; the completed
     /// resumed run is then bit-identical to an uninterrupted
-    /// [`SyncSimulator::run_checkpointed`] run. A log holding no valid
+    /// [`SyncSimulator::run_checkpointed`] run, except for the
+    /// instrumentation `config` asks for. That records only the rounds this
+    /// call runs, from the checkpoint boundary on: the trace's first round
+    /// is the boundary's round, and the per-edge counters and utilized
+    /// edges cover those rounds alone, so a trace the crash cut short
+    /// continues with this one from the boundary. A log holding no valid
     /// checkpoint restarts the run from round 0.
-    ///
-    /// The observer sees only the resumed rounds, from the checkpoint
-    /// boundary on: a recording the crash cut short continues from its
-    /// rounds before that boundary.
     ///
     /// # Errors
     ///
@@ -492,41 +491,37 @@ impl SyncSimulator<'_> {
     /// is touched); [`io::ErrorKind::InvalidData`] when the log's header is
     /// damaged or a recorded automaton state is rejected by
     /// [`PersistState::decode_state`]; ordinary I/O errors otherwise.
-    pub fn resume_from<A, F, O>(
+    pub fn resume_from<A, F>(
         &self,
         config: SyncConfig,
         checkpoint: &CheckpointConfig,
         make: F,
-        observer: &mut O,
     ) -> io::Result<ExecutionReport>
     where
         A: PersistState + Send,
         F: FnMut(NodeInit<'_>) -> A,
-        O: RoundObserver,
     {
-        self.checkpointed(config, checkpoint, true, make, observer)
+        self.checkpointed(config, checkpoint, true, make)
     }
 
-    /// Drives the loop with the checkpoint hooks, the observer and — under
-    /// `CONGEST_AUDIT=1` — the deny-mode auditor, then syncs the log.
-    fn checkpointed<A, F, O>(
+    /// Drives the loop with the checkpoint hooks through
+    /// [`SyncSimulator::compose`], then syncs the log.
+    fn checkpointed<A, F>(
         &self,
         config: SyncConfig,
         checkpoint: &CheckpointConfig,
         resume: bool,
         make: F,
-        observer: &mut O,
     ) -> io::Result<ExecutionReport>
     where
         A: PersistState + Send,
         F: FnMut(NodeInit<'_>) -> A,
-        O: RoundObserver,
     {
         if checkpoint.every == 0 {
             let what = "checkpoint cadence must be at least one round";
             return Err(io::Error::new(io::ErrorKind::InvalidInput, what));
         }
-        let checkpointing = Checkpointing {
+        let mut checkpointing = Checkpointing {
             config: checkpoint,
             resume,
             writer: None,
@@ -539,15 +534,7 @@ impl SyncSimulator<'_> {
             body: Vec::new(),
             words: Vec::new(),
         };
-        let observe = Observe(self.graph(), observer);
-        let (report, checkpointing) = if audit_enabled() {
-            let auditor = Auditor::new(self.graph(), AuditConfig::from_env());
-            let mut hooks = ((observe, auditor), checkpointing);
-            (self.drive(config, make, &mut hooks)?, hooks.1)
-        } else {
-            let mut hooks = (observe, checkpointing);
-            (self.drive(config, make, &mut hooks)?, hooks.1)
-        };
+        let (report, _) = self.compose(config, None, make, &mut checkpointing)?;
         if let Some(writer) = checkpointing.writer {
             writer.finish()?;
         }
@@ -702,9 +689,10 @@ impl<A: PersistState> Hooks<A> for Checkpointing<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{KtLevel, NoopObserver, RoundContext};
+    use crate::sync::tests::assert_round0_splits;
+    use crate::{KtLevel, RoundContext};
     use symbreak_graphs::{generators, IdAssignment};
 
     /// The crate-doc flooding automaton, made checkpointable.
@@ -755,10 +743,28 @@ mod tests {
         }
     }
 
-    fn scratch_log(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sbck-unit-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("log.sbck")
+    /// A test's checkpoint log in a directory of its own under
+    /// [`checkpoint_dir`]; dropping it removes the directory.
+    pub(crate) struct ScratchLog(PathBuf);
+
+    impl ScratchLog {
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = checkpoint_dir().join(format!("sbck-unit-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            ScratchLog(dir.join("log.sbck"))
+        }
+
+        pub(crate) fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchLog {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
     }
 
     #[test]
@@ -767,14 +773,15 @@ mod tests {
         let ids = IdAssignment::identity(64);
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
         let baseline = sim.run(SyncConfig::default(), fresh);
-        let path = scratch_log("match");
-        let ckpt = CheckpointConfig::new(&path).with_every(4);
+        let log = ScratchLog::new("match");
+        let path = log.path();
+        let ckpt = CheckpointConfig::new(path).with_every(4);
         let report = sim
-            .run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+            .run_checkpointed(SyncConfig::default(), &ckpt, fresh)
             .unwrap();
         assert_eq!(report, baseline);
         // The log holds one checkpoint per boundary the run crossed.
-        let chain = CheckpointChain::load(&path).unwrap();
+        let chain = CheckpointChain::load(path).unwrap();
         assert_eq!(
             chain.records().len(),
             (baseline.rounds as usize - 1) / 4,
@@ -788,7 +795,25 @@ mod tests {
             "incremental, got {}",
             last.states.len()
         );
-        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn checkpointed_runs_keep_the_instrumentation() {
+        let g = generators::cycle(256);
+        let ids = IdAssignment::identity(256);
+        let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
+        let log = ScratchLog::new("instrumented");
+        let ckpt = CheckpointConfig::new(log.path()).with_every(8);
+        for threads in [1, 4] {
+            assert_round0_splits(threads);
+            let config = SyncConfig::instrumented().with_threads(threads);
+            let plain = sim.run(config, fresh);
+            assert!(plain.trace.is_some());
+            assert!(plain.per_edge_messages.is_some());
+            assert!(plain.utilized_edges.is_some());
+            let checkpointed = sim.run_checkpointed(config, &ckpt, fresh).unwrap();
+            assert_eq!(checkpointed, plain, "{threads} threads");
+        }
     }
 
     #[test]
@@ -797,8 +822,9 @@ mod tests {
         let ids = IdAssignment::identity(48);
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
         let baseline = sim.run(SyncConfig::default(), fresh);
-        let path = scratch_log("kill");
-        let ckpt = CheckpointConfig::new(&path).with_every(5);
+        let log = ScratchLog::new("kill");
+        let path = log.path();
+        let ckpt = CheckpointConfig::new(path).with_every(5);
         let mut boundary = 5;
         while boundary < baseline.rounds {
             // "Kill" the run at the boundary by capping its round budget …
@@ -807,18 +833,16 @@ mod tests {
                     SyncConfig::default().with_max_rounds(boundary),
                     &ckpt,
                     fresh,
-                    &mut NoopObserver,
                 )
                 .unwrap();
             assert!(!partial.completed);
             // … then resume with the full budget from the surviving log.
             let resumed = sim
-                .resume_from(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+                .resume_from(SyncConfig::default(), &ckpt, fresh)
                 .unwrap();
             assert_eq!(resumed, baseline, "kill at round {boundary}");
             boundary += 5;
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -827,25 +851,25 @@ mod tests {
         let ids = IdAssignment::identity(40);
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
         let baseline = sim.run(SyncConfig::default(), fresh);
-        let path = scratch_log("torn");
-        let ckpt = CheckpointConfig::new(&path).with_every(4);
-        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+        let log = ScratchLog::new("torn");
+        let path = log.path();
+        let ckpt = CheckpointConfig::new(path).with_every(4);
+        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh)
             .unwrap();
-        let full = CheckpointChain::load(&path).unwrap();
+        let full = CheckpointChain::load(path).unwrap();
         let full_records = full.records().len();
         assert!(full_records >= 2);
         // Tear the final record: truncate mid-body.
-        let intact = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &intact[..intact.len() - 9]).unwrap();
-        let torn = CheckpointChain::load(&path).unwrap();
+        let intact = std::fs::read(path).unwrap();
+        std::fs::write(path, &intact[..intact.len() - 9]).unwrap();
+        let torn = CheckpointChain::load(path).unwrap();
         assert_eq!(torn.records().len(), full_records - 1);
         assert_eq!(torn.records(), &full.records()[..full_records - 1]);
         // Resuming from the shortened chain still reproduces the run.
         let resumed = sim
-            .resume_from(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+            .resume_from(SyncConfig::default(), &ckpt, fresh)
             .unwrap();
         assert_eq!(resumed, baseline);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -854,30 +878,25 @@ mod tests {
         let ids = IdAssignment::identity(8);
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
         let baseline = sim.run(SyncConfig::default(), fresh);
-        let path = scratch_log("empty");
-        std::fs::write(&path, LOG_MAGIC).unwrap();
+        let log = ScratchLog::new("empty");
+        let path = log.path();
+        std::fs::write(path, LOG_MAGIC).unwrap();
         let resumed = sim
-            .resume_from(
-                SyncConfig::default(),
-                &CheckpointConfig::new(&path),
-                fresh,
-                &mut NoopObserver,
-            )
+            .resume_from(SyncConfig::default(), &CheckpointConfig::new(path), fresh)
             .unwrap();
         assert_eq!(resumed, baseline);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn damaged_headers_are_invalid_data() {
-        let path = scratch_log("header");
-        std::fs::write(&path, b"NOTACKPT").unwrap();
-        let err = CheckpointChain::load(&path).unwrap_err();
+        let log = ScratchLog::new("header");
+        let path = log.path();
+        std::fs::write(path, b"NOTACKPT").unwrap();
+        let err = CheckpointChain::load(path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::write(&path, b"SBCK").unwrap();
-        let err = CheckpointChain::load(&path).unwrap_err();
+        std::fs::write(path, b"SBCK").unwrap();
+        let err = CheckpointChain::load(path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -885,11 +904,12 @@ mod tests {
         let g = generators::cycle(32);
         let ids = IdAssignment::identity(32);
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
-        let path = scratch_log("fold");
-        let ckpt = CheckpointConfig::new(&path).with_every(3);
-        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+        let log = ScratchLog::new("fold");
+        let path = log.path();
+        let ckpt = CheckpointConfig::new(path).with_every(3);
+        sim.run_checkpointed(SyncConfig::default(), &ckpt, fresh)
             .unwrap();
-        let chain = CheckpointChain::load(&path).unwrap();
+        let chain = CheckpointChain::load(path).unwrap();
         let last_round = chain.latest().unwrap().round;
         // Node 0 floods in round 0 and is done well before the last
         // checkpoint: its folded state must say so.
@@ -903,7 +923,6 @@ mod tests {
         // Later checkpoints are incremental: the second record only carries
         // the nodes the frontier touched between the boundaries.
         assert!(chain.records()[1].states.len() < 32);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -917,19 +936,20 @@ mod tests {
         let g = generators::cycle(8);
         let ids = IdAssignment::identity(8);
         let sim = SyncSimulator::new(&g, &ids, KtLevel::KT1);
-        let path = scratch_log("zero");
-        let _ = std::fs::remove_file(&path);
+        let log = ScratchLog::new("zero");
+        let path = log.path();
+        let _ = std::fs::remove_file(path);
         // The fields are public, so `with_every`'s check can be bypassed.
         let ckpt = CheckpointConfig {
-            path: path.clone(),
+            path: path.to_path_buf(),
             every: 0,
         };
         let err = sim
-            .run_checkpointed(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+            .run_checkpointed(SyncConfig::default(), &ckpt, fresh)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let err = sim
-            .resume_from(SyncConfig::default(), &ckpt, fresh, &mut NoopObserver)
+            .resume_from(SyncConfig::default(), &ckpt, fresh)
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(!path.exists(), "a rejected run must not create its log");

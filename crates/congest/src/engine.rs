@@ -35,12 +35,12 @@
 //!   per-window staging buffers with the same counting sort, walking them in
 //!   window order so the merged arena is bit-identical to a one-window
 //!   round.
-//! * [`RoundObserver`] — compile-time-gated instrumentation. The
-//!   uninstrumented fast path runs with [`NoopObserver`], whose
-//!   `ACTIVE = false` constant statically removes every observation branch
-//!   (including the per-message edge lookup) from the inner loop.
+//!
+//! Nothing here observes a run: traces, per-edge counters, utilized edges,
+//! the auditor and checkpoints are the synchronous loop's hooks
+//! ([`crate::sync`]), which see each send as the sink hands it on.
 
-use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
+use symbreak_graphs::{Graph, IdAssignment, NodeId};
 
 use crate::{KnowledgeView, KtLevel, Message, NodeAlgorithm, NodeInit, RoundContext};
 
@@ -53,43 +53,6 @@ const DENSE_SMALL_NODES: usize = 8192;
 /// land near the stepping cursor (cycles, grids, banded graphs), keeping the
 /// receiver-major path cache-friendly on graphs of any size.
 const DENSE_MAX_AVG_SPAN: u64 = 64;
-
-/// Observer of a simulated execution, called from the engine's inner loop.
-///
-/// Implementations receive every delivered message (with the edge it
-/// travelled on) and a callback at the end of every round. The simulator's
-/// built-in instrumentation (traces, per-edge counters, utilized edges) is
-/// one implementation; callers can pass their own to
-/// [`crate::SyncSimulator::run_observed`] and the checkpointed entry points.
-/// Messages arrive in sequential send order at every thread count.
-pub trait RoundObserver {
-    /// Whether this observer wants callbacks at all. When `false`, the
-    /// engine statically skips the per-message edge resolution *and* the
-    /// observer calls, leaving the fast path free of instrumentation
-    /// branches.
-    const ACTIVE: bool = true;
-
-    /// Called once per message, after CONGEST validation, before delivery.
-    /// `edge` is the graph edge the message travels on.
-    fn on_message(&mut self, from: NodeId, to: NodeId, edge: EdgeId, message: &Message);
-
-    /// Called once at the end of every executed round.
-    fn on_round_end(&mut self, round: u64);
-}
-
-/// The do-nothing observer of the uninstrumented fast path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl RoundObserver for NoopObserver {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn on_message(&mut self, _from: NodeId, _to: NodeId, _edge: EdgeId, _message: &Message) {}
-
-    #[inline(always)]
-    fn on_round_end(&mut self, _round: u64) {}
-}
 
 /// Executes one node activation: runs the automaton with a [`RoundContext`]
 /// whose send batches are checked against the CONGEST bit budget, folded

@@ -91,15 +91,6 @@ pub enum DelayLaw {
         /// Seed of the per-edge delay assignment.
         seed: u64,
     },
-    /// A seeded slow/fast partition of the directed edges: a `slow_fraction`
-    /// of edges always take `max_delay`, the rest always take 1 — the
-    /// classic "one slow link" adversary at `slow_fraction` generality.
-    EdgeClasses {
-        /// Seed of the edge classification.
-        seed: u64,
-        /// Fraction of directed edges classified slow, in `[0, 1]`.
-        slow_fraction: f64,
-    },
     /// An adaptive adversary observing the traffic frontier: a message to a
     /// receiver whose cumulative inbound traffic is above the network
     /// average takes `max_delay`; everything else is delivered at speed 1.
@@ -295,12 +286,6 @@ impl FaultPlan {
             "reorder probability {} outside [0, 1]",
             self.reorder
         );
-        if let DelayLaw::EdgeClasses { slow_fraction, .. } = self.delay {
-            assert!(
-                (0.0..=1.0).contains(&slow_fraction),
-                "slow_fraction {slow_fraction} outside [0, 1]"
-            );
-        }
         for c in &self.crashes {
             assert!(
                 c.node.index() < n,
@@ -494,18 +479,6 @@ impl<'p> FaultSession<'p> {
                 DelayLaw::Uniform => rng.gen_range(1..=self.max_delay),
                 DelayLaw::Fixed(d) => d.max(1),
                 DelayLaw::Oblivious { seed } => 1 + edge_hash(seed, from, to) % self.max_delay,
-                DelayLaw::EdgeClasses {
-                    seed,
-                    slow_fraction,
-                } => {
-                    // Map the edge hash onto [0, 1) with 53-bit precision.
-                    let u = (edge_hash(seed, from, to) >> 11) as f64 / (1u64 << 53) as f64;
-                    if u < slow_fraction {
-                        self.max_delay
-                    } else {
-                        1
-                    }
-                }
                 DelayLaw::Adaptive => {
                     let above_avg =
                         self.inbound[to.index()].saturating_mul(self.n as u64) > self.total_inbound;

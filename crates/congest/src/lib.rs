@@ -15,11 +15,13 @@
 //! * [`SyncSimulator`] drives [`NodeAlgorithm`] automata round by round,
 //!   metering every message, every round, per-edge traffic and utilized
 //!   edges (Definition 2.3). One round loop runs every synchronous run —
-//!   observed, instrumented, audited ([`audit`]), checkpointed and resumed
-//!   ([`checkpoint`]) ones included — at any thread count. Its throughput
-//!   knob — worker threads ([`SyncConfig::threads`] / `CONGEST_THREADS`) —
-//!   never changes results: reports are bit-identical at every thread
-//!   count.
+//!   instrumented, audited ([`audit`]), checkpointed and resumed
+//!   ([`checkpoint`]) ones included — at any thread count, and a run is
+//!   observed one way: the recordings [`SyncConfig`]'s flags ask for (trace,
+//!   per-edge counters, utilized edges) fill the [`ExecutionReport`] of
+//!   every entry point. Its throughput knob — worker threads
+//!   ([`SyncConfig::threads`] / `CONGEST_THREADS`) — never changes results:
+//!   reports are bit-identical at every thread count.
 //! * [`CostAccount`] additionally supports *charged* costs, used when a
 //!   substrate (the danner of Theorem 1.1, the asynchronous MST of
 //!   Theorem 1.3) is invoked as a black box with published complexity.
@@ -83,7 +85,6 @@ pub use audit::{
 pub use checkpoint::{
     CheckpointChain, CheckpointConfig, CheckpointRecord, PersistState, CHECKPOINT_DIR_ENV,
 };
-pub use engine::{NoopObserver, RoundObserver};
 pub use error::SimError;
 pub use faults::{
     fault_seed_from_env, scenario_enabled, CrashFault, DelayLaw, EdgeProb, FaultPlan, FaultStats,

@@ -61,10 +61,15 @@
 //! [`crate::async_sim::alpha_synchronizer_overhead`].
 //!
 //! The wrapper needs KT-1 knowledge (pulses are matched to neighbour slots
-//! by sender ID) and message room for the wrapping: a pulse is 208 bits and
-//! a wrapped payload adds one ID plus one value field to the inner message,
-//! so configure [`AsyncConfig::message_bit_limit`] accordingly (384 covers
-//! every algorithm in this repository).
+//! by sender ID) and message room for the wrapping: a wrapped payload adds
+//! one ID plus one value field (128 bits) to the inner message, and a pulse
+//! is 208 bits. [`run_synchronized`] and
+//! [`run_synchronized_recovering`] add those 128 bits to the caller's
+//! [`AsyncConfig::message_bit_limit`], so the inner algorithm is held to
+//! exactly the caller's budget, as in a synchronous run; at the default
+//! 256 bits the pulses fit too. Callers driving [`Synchronized`] through
+//! [`AsyncSimulator::run_with_faults`] themselves size the budget for the
+//! wrapped traffic.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -82,6 +87,19 @@ use crate::{Message, NodeAlgorithm, NodeInit, RoundContext};
 /// Reserved tag of synchronizer pulse messages. Inner algorithms must not
 /// use it (asserted when wrapping payloads).
 pub const PULSE_TAG: u16 = u16::MAX;
+
+/// Bits the wrapper adds to every payload: the sender's ID and the
+/// `(round, seq)` marker, one 64-bit field each.
+const WRAP_BITS: u32 = 128;
+
+/// The executor's budget for wrapped traffic: the caller's budget for the
+/// inner algorithm plus [`WRAP_BITS`].
+fn wrapped(config: AsyncConfig) -> AsyncConfig {
+    AsyncConfig {
+        message_bit_limit: config.message_bit_limit.saturating_add(WRAP_BITS),
+        ..config
+    }
+}
 
 /// Reserved pulse count marking a `REJOIN` request. Unreachable by real
 /// pulses, whose counts are bounded by the 64-messages-per-round cap.
@@ -482,8 +500,9 @@ impl<A: NodeAlgorithm> NodeAlgorithm for Synchronized<A> {
 /// [module docs](self)) and still complete bit-identically; under loss or
 /// unrecovered crashes the run stalls instead of producing unsafe outputs.
 ///
-/// Re-join traffic is reported in the returned
-/// [`AsyncReport::faults`](crate::async_sim::AsyncReport)
+/// `config.message_bit_limit` is the inner algorithm's budget: the executor
+/// allows 128 bits more for the wrapping. Re-join traffic is reported
+/// in the returned [`AsyncReport::faults`](crate::async_sim::AsyncReport)
 /// (`rejoin_pulses` / `replayed`).
 ///
 /// [`Recovery::Retain`]: crate::faults::Recovery::Retain
@@ -501,7 +520,7 @@ where
     R: Rng + ?Sized,
 {
     let ledger = Rc::new(RejoinLedger::default());
-    let mut report = sim.run_with_faults(config, plan, rng, |init| {
+    let mut report = sim.run_with_faults(wrapped(config), plan, rng, |init| {
         Synchronized::new(make(init), init, total_rounds).with_ledger(Rc::clone(&ledger))
     });
     report.faults.rejoin_pulses = ledger.rejoin_pulses();
@@ -509,9 +528,9 @@ where
     report
 }
 
-/// Like [`run_synchronized`], additionally re-seating
-/// [`Recovery::Reset`](crate::faults::Recovery::Reset) revivals at the
-/// nearest engine checkpoint so they re-join instead of stalling.
+/// Like [`run_synchronized`] (the same budget rule included), additionally
+/// re-seating [`Recovery::Reset`](crate::faults::Recovery::Reset) revivals
+/// at the nearest engine checkpoint so they re-join instead of stalling.
 ///
 /// The asynchronous executor rebuilds a reset node through the factory;
 /// this wrapper then restores the rebuilt automaton from `chain` at the
@@ -547,7 +566,7 @@ where
 {
     let ledger = Rc::new(RejoinLedger::default());
     let mut seen = vec![false; sim.graph().num_nodes()];
-    let mut report = sim.run_with_faults(config, plan, rng, |init| {
+    let mut report = sim.run_with_faults(wrapped(config), plan, rng, |init| {
         let i = init.node.index();
         // A second factory call for the same node is a reset revival.
         let rebirth = std::mem::replace(&mut seen[i], true);
@@ -574,9 +593,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::ScratchLog;
     use crate::checkpoint::CheckpointConfig;
     use crate::faults::{CrashFault, DelayLaw, EdgeProb, Recovery};
-    use crate::{KtLevel, NoopObserver, SyncConfig, SyncSimulator};
+    use crate::{KtLevel, SyncConfig, SyncSimulator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symbreak_graphs::{generators, IdAssignment};
@@ -788,15 +808,13 @@ mod tests {
         assert!(sync_report.completed);
 
         // Checkpoint a synchronous run of the same algorithm every 2 rounds.
-        let dir = std::env::temp_dir().join(format!("sb-lockstep-reset-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("log.sbck");
-        let ckpt = CheckpointConfig::new(&path).with_every(2);
+        let log = ScratchLog::new("lockstep-reset");
+        let ckpt = CheckpointConfig::new(log.path()).with_every(2);
         let ck_report = sync
-            .run_checkpointed(SyncConfig::default(), &ckpt, make_max(8), &mut NoopObserver)
+            .run_checkpointed(SyncConfig::default(), &ckpt, make_max(8))
             .unwrap();
         assert_eq!(ck_report, sync_report);
-        let chain = CheckpointChain::load(&path).unwrap();
+        let chain = CheckpointChain::load(log.path()).unwrap();
 
         // Fixed 1-unit delays advance exactly one inner round per tick, so a
         // crash at t = 5 catches node 3 with 5 rounds executed; the nearest
@@ -832,8 +850,6 @@ mod tests {
         assert_eq!(report.faults.recoveries, 1);
         assert_eq!(report.faults.rejoin_pulses, 2);
         assert!(report.faults.replayed > 0);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_dir(&dir).ok();
     }
 
     #[test]

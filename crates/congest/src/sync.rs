@@ -1,8 +1,8 @@
 //! The synchronous round-driven CONGEST simulator.
 //!
 //! One round loop, built from the [`crate::engine`] primitives, runs every
-//! synchronous execution — plain, observed, instrumented, audited,
-//! checkpointed and resumed — at any thread count. A bit-identical naive
+//! synchronous execution — plain, instrumented, audited, checkpointed and
+//! resumed — at any thread count. A bit-identical naive
 //! implementation is kept in [`crate::reference`] for differential tests
 //! and throughput baselines. Only the thread count and a round's work
 //! estimate ([`plan_shards`]) decide how the round steps:
@@ -21,11 +21,15 @@
 //!
 //! The windows' buffers concatenated in window order are the one-window
 //! staging order, so reports are **bit-identical** at every thread count.
-//! Observers, the built-in instrumentation, the compliance auditor and
-//! checkpoints all ride on the [`Hooks`] trait, whose per-message callbacks
-//! see that same sequential order: inline on one-window rounds, replayed
-//! from per-window send logs otherwise. The no-op hooks `()` compile to the
-//! bare loop.
+//!
+//! A run is observed one way: through the [`Hooks`] trait, whose
+//! per-message callbacks see that same sequential order — inline on
+//! one-window rounds, replayed from per-window send logs otherwise. One
+//! function, [`SyncSimulator::compose`], builds every run's hooks: the
+//! instrumentation [`SyncConfig`]'s flags ask for (trace, per-edge counters,
+//! utilized edges), the compliance auditor, and a checkpoint's hooks. A run
+//! that asks for none of them drives the loop with the no-op hooks `()`,
+//! which compile to the bare loop.
 
 use std::io;
 
@@ -34,8 +38,7 @@ use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
 use crate::audit::{audit_enabled, AuditConfig, Auditor, Violation};
 use crate::checkpoint::CheckpointRecord;
 use crate::engine::{
-    balanced_cuts, split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, RoundObserver,
-    ShardView,
+    balanced_cuts, split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, ShardView,
 };
 use crate::model::DEFAULT_MESSAGE_BITS;
 use crate::trace::{Trace, TraceMessage};
@@ -83,9 +86,9 @@ pub struct SyncConfig {
     pub track_per_edge: bool,
     /// Worker threads for round stepping. `0` (the default) resolves to the
     /// `CONGEST_THREADS` environment variable if set, else to the available
-    /// CPU count. Every run — observed, instrumented, audited and
-    /// checkpointed ones included — splits its large rounds across this
-    /// many workers, and reports are bit-identical at every thread count.
+    /// CPU count. Every run — instrumented, audited and checkpointed ones
+    /// included — splits its large rounds across this many workers, and
+    /// reports are bit-identical at every thread count.
     pub threads: usize,
 }
 
@@ -278,10 +281,7 @@ impl<'g> SyncSimulator<'g> {
         A: NodeAlgorithm + Send,
         F: FnMut(NodeInit<'_>) -> A,
     {
-        if audit_enabled() {
-            return self.run_audited(config, &AuditConfig::from_env(), make).0;
-        }
-        self.run_instrumented(config, make, ()).0
+        self.compose(config, None, make, &mut ()).expect(NO_IO).0
     }
 
     /// Runs like [`SyncSimulator::run`] under a CONGEST-model compliance
@@ -291,7 +291,8 @@ impl<'g> SyncSimulator<'g> {
     /// [`crate::audit`]). Returns the report — bit-identical to an unaudited
     /// run, with the instrumentation `config` asks for — plus the
     /// violations (always empty when [`AuditConfig::deny`] is set: deny mode
-    /// panics at the first finding instead).
+    /// panics at the first finding instead). `audit` replaces the
+    /// `CONGEST_AUDIT` auditor: the run is audited once.
     ///
     /// # Panics
     ///
@@ -307,55 +308,44 @@ impl<'g> SyncSimulator<'g> {
         A: NodeAlgorithm + Send,
         F: FnMut(NodeInit<'_>) -> A,
     {
-        let auditor = Auditor::new(self.graph, *audit);
-        let (report, auditor) = self.run_instrumented(config, make, auditor);
-        (report, auditor.finish())
+        self.compose(config, Some(*audit), make, &mut ())
+            .expect(NO_IO)
     }
 
-    /// Runs like [`SyncSimulator::run`] with a caller-supplied
-    /// [`RoundObserver`] receiving every message — in sequential send
-    /// order, at any thread count — and every round end.
+    /// Composes the hooks of every synchronous run and drives the loop with
+    /// them: the built-in instrumentation `config`'s flags ask for, whose
+    /// recordings fill the report; the auditor — `audit` if given, else the
+    /// deny-mode one when `CONGEST_AUDIT` is set — whose findings are
+    /// returned; and `extra` (a checkpoint's hooks, or `()`). With no flag
+    /// set and no auditor the loop runs with `extra` alone.
     ///
-    /// The built-in instrumentation fields of the returned
-    /// [`ExecutionReport`] (`per_edge_messages`, `utilized_edges`, `trace`)
-    /// are `None` here — the observer owns whatever it recorded.
-    pub fn run_observed<A, F, O>(
+    /// # Errors
+    ///
+    /// Whatever `extra`'s restore and round-start steps return (checkpoint
+    /// I/O).
+    pub(crate) fn compose<A, F, H>(
         &self,
         config: SyncConfig,
+        audit: Option<AuditConfig>,
         make: F,
-        observer: &mut O,
-    ) -> ExecutionReport
-    where
-        A: NodeAlgorithm + Send,
-        F: FnMut(NodeInit<'_>) -> A,
-        O: RoundObserver,
-    {
-        let mut hooks = Observe(self.graph, observer);
-        self.drive(config, make, &mut hooks).expect(NO_IO)
-    }
-
-    /// Drives the loop with `hooks` plus the built-in instrumentation
-    /// `config` asks for, whose recordings fill the report.
-    fn run_instrumented<A, F, H>(
-        &self,
-        config: SyncConfig,
-        make: F,
-        hooks: H,
-    ) -> (ExecutionReport, H)
+        extra: &mut H,
+    ) -> io::Result<(ExecutionReport, Vec<Violation>)>
     where
         A: NodeAlgorithm + Send,
         F: FnMut(NodeInit<'_>) -> A,
         H: Hooks<A>,
     {
+        let audit = audit.or_else(|| audit_enabled().then(AuditConfig::from_env));
+        let mut auditor = audit.map(|audit| Auditor::new(self.graph, audit));
         let mut instr = Instrumentation::new(self.graph, self.ids, config);
-        let mut both = (Observe(self.graph, &mut instr), hooks);
-        let report = if config.record_trace || config.track_utilization || config.track_per_edge {
-            self.drive(config, make, &mut both)
-        } else {
-            self.drive(config, make, &mut both.1)
-        };
-        let (_, hooks) = both;
-        (instr.fill(report.expect(NO_IO)), hooks)
+        let report = match (instr.records(), &mut auditor) {
+            (false, None) => self.drive(config, make, extra),
+            (true, None) => self.drive(config, make, &mut (&mut instr, extra)),
+            (false, Some(auditor)) => self.drive(config, make, &mut (auditor, extra)),
+            (true, Some(auditor)) => self.drive(config, make, &mut ((&mut instr, auditor), extra)),
+        }?;
+        let violations = auditor.map_or_else(Vec::new, Auditor::finish);
+        Ok((instr.fill(report), violations))
     }
 
     /// The synchronous round loop behind every entry point (see the module
@@ -461,9 +451,9 @@ impl<'g> SyncSimulator<'g> {
 }
 
 /// Everything a run threads through the round loop besides stepping and
-/// delivery: observers, the built-in instrumentation, the auditor and
-/// checkpoints. The loop calls every hook at any thread count. `()` is the
-/// no-op set, and a pair runs both members' hooks.
+/// delivery: the built-in instrumentation, the auditor and checkpoints. The
+/// loop calls every hook at any thread count. `()` is the no-op set, a pair
+/// runs both members' hooks, and `&mut H` runs `H`'s.
 pub(crate) trait Hooks<A> {
     /// Whether [`Hooks::on_send`] does anything; `false` compiles the
     /// per-message call and the windows' send logs out of the loop.
@@ -496,6 +486,34 @@ pub(crate) trait Hooks<A> {
 }
 
 impl<A> Hooks<A> for () {}
+
+impl<A, H: Hooks<A>> Hooks<A> for &mut H {
+    const SENDS: bool = H::SENDS;
+
+    fn on_send(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        (**self).on_send(from, to, msg);
+    }
+
+    fn restore(&mut self, runtime: &mut NodeRuntime<'_, A>) -> Resume {
+        (**self).restore(runtime)
+    }
+
+    fn begin_round(&mut self, at: &RoundLoop<'_, A>) -> io::Result<bool> {
+        (**self).begin_round(at)
+    }
+
+    fn capture(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        (**self).capture(from, to, msg);
+    }
+
+    fn record_window(&mut self, window: usize, lo: usize, hi: usize) {
+        (**self).record_window(window, lo, hi);
+    }
+
+    fn end_round(&mut self, round: u64, arena: &MessageArena) {
+        (**self).end_round(round, arena);
+    }
+}
 
 impl<A, H1: Hooks<A>, H2: Hooks<A>> Hooks<A> for (H1, H2) {
     const SENDS: bool = H1::SENDS || H2::SENDS;
@@ -550,26 +568,6 @@ impl<A, H: Hooks<A>> Hooks<A> for Capturing<'_, H> {
 
     fn record_window(&mut self, window: usize, lo: usize, hi: usize) {
         self.0.record_window(window, lo, hi);
-    }
-}
-
-/// A caller's [`RoundObserver`] as loop hooks; the graph resolves each
-/// message's edge.
-pub(crate) struct Observe<'o, 'g, O>(pub(crate) &'g Graph, pub(crate) &'o mut O);
-
-impl<A, O: RoundObserver> Hooks<A> for Observe<'_, '_, O> {
-    const SENDS: bool = O::ACTIVE;
-
-    fn on_send(&mut self, from: NodeId, to: NodeId, msg: &Message) {
-        let edge = self.0.edge_between(from, to);
-        let edge = edge.expect("send target verified to be a neighbour");
-        self.1.on_message(from, to, edge, msg);
-    }
-
-    fn end_round(&mut self, round: u64, _arena: &MessageArena) {
-        if O::ACTIVE {
-            self.1.on_round_end(round);
-        }
     }
 }
 
@@ -866,7 +864,9 @@ fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// The built-in observer behind [`SyncConfig`]'s instrumentation flags.
+/// The built-in instrumentation behind [`SyncConfig`]'s flags, as loop
+/// hooks: per-edge counters, utilized edges and the trace, each recorded
+/// only when its flag is set.
 struct Instrumentation<'g> {
     graph: &'g Graph,
     ids: &'g IdAssignment,
@@ -889,9 +889,12 @@ impl<'g> Instrumentation<'g> {
             round_buf: Vec::new(),
         }
     }
-}
 
-impl Instrumentation<'_> {
+    /// Whether any flag asked for a recording.
+    fn records(&self) -> bool {
+        self.per_edge.is_some() || self.utilized.is_some() || self.trace.is_some()
+    }
+
     /// Moves the recordings into `report`'s instrumentation fields.
     fn fill(self, mut report: ExecutionReport) -> ExecutionReport {
         report.per_edge_messages = self.per_edge;
@@ -901,24 +904,28 @@ impl Instrumentation<'_> {
     }
 }
 
-impl RoundObserver for Instrumentation<'_> {
-    fn on_message(&mut self, from: NodeId, to: NodeId, edge: EdgeId, message: &Message) {
+impl<A> Hooks<A> for Instrumentation<'_> {
+    const SENDS: bool = true;
+
+    fn on_send(&mut self, from: NodeId, to: NodeId, msg: &Message) {
+        let edge = self.graph.edge_between(from, to);
+        let edge = edge.expect("send target verified to be a neighbour");
         if let Some(pe) = self.per_edge.as_mut() {
             pe[edge.index()] += 1;
         }
         if let Some(util) = self.utilized.as_mut() {
-            mark_utilized(self.graph, self.ids, util, from, to, edge, message);
+            mark_utilized(self.graph, self.ids, util, from, to, edge, msg);
         }
         if self.trace.is_some() {
             self.round_buf.push(TraceMessage {
                 from,
                 to,
-                message: *message,
+                message: *msg,
             });
         }
     }
 
-    fn on_round_end(&mut self, _round: u64) {
+    fn end_round(&mut self, _round: u64, _arena: &MessageArena) {
         if let Some(t) = self.trace.as_mut() {
             t.push_round(std::mem::take(&mut self.round_buf));
         }
@@ -1125,7 +1132,7 @@ pub(crate) mod tests {
     /// Asserts that at `threads` threads, a 256-cycle's round 0 steps as
     /// claimed windows when `threads > 1`; one thread always steps one
     /// window.
-    fn assert_round0_splits(threads: usize) {
+    pub(crate) fn assert_round0_splits(threads: usize) {
         if threads > 1 {
             let g = generators::cycle(256);
             let ids = IdAssignment::identity(256);

@@ -2,12 +2,13 @@
 //! and two thread settings, the checkpointed loop is killed at **every**
 //! round boundary and resumed from the surviving log. Every resumed run
 //! must reproduce the uninterrupted run bit-exactly — the full
-//! [`ExecutionReport`] (outputs, messages, rounds, per-edge metering) *and*
-//! the recorded message trace: the killed run's rounds before the
-//! checkpoint boundary followed by the resumed run's rounds must be the
-//! baseline's rounds. The 320-node input is large enough for the 4-thread
-//! cells to split rounds into claimed windows, and the log an uninterrupted
-//! run writes must be byte-identical at 1 and 4 threads.
+//! [`ExecutionReport`] (outputs, messages, rounds) *and* the message trace
+//! every run records through [`SyncConfig::record_trace`]: the killed run's
+//! rounds before the checkpoint boundary followed by the resumed run's
+//! rounds must be the baseline's rounds, and the baseline's report, trace
+//! included, must equal a plain run's. The 320-node input is large enough
+//! for the 4-thread cells to split rounds into claimed windows, and the log
+//! an uninterrupted run writes must be byte-identical at 1 and 4 threads.
 //!
 //! The kill is simulated the way a real crash looks on disk: the checkpoint
 //! log is left wherever the round budget cut it off (including *before the
@@ -22,10 +23,8 @@ use rand::SeedableRng;
 use symbreak_classic::mis::{self, Priority};
 use symbreak_congest::checkpoint::checkpoint_dir;
 use symbreak_congest::trace::TraceMessage;
-use symbreak_congest::{
-    CheckpointChain, CheckpointConfig, ExecutionReport, Message, RoundObserver, SyncConfig,
-};
-use symbreak_graphs::{generators, EdgeId, Graph, IdAssignment, NodeId};
+use symbreak_congest::{CheckpointChain, CheckpointConfig, ExecutionReport, SyncConfig};
+use symbreak_graphs::{generators, Graph, IdAssignment};
 
 /// A scratch directory under [`checkpoint_dir`], so the logs land where
 /// `CONGEST_CHECKPOINT_DIR` points — the CI chaos-recovery job routes it
@@ -36,25 +35,21 @@ fn scratch_dir(kind: &str) -> PathBuf {
     dir
 }
 
-/// Records every round's messages in RAM, one `Vec` per executed round.
-#[derive(Default)]
-struct RoundLog {
-    rounds: Vec<Vec<TraceMessage>>,
-    current: Vec<TraceMessage>,
+/// The configuration of every run in the matrix: `threads` workers, trace
+/// recorded.
+fn traced(threads: usize) -> SyncConfig {
+    SyncConfig {
+        record_trace: true,
+        ..SyncConfig::default().with_threads(threads)
+    }
 }
 
-impl RoundObserver for RoundLog {
-    fn on_message(&mut self, from: NodeId, to: NodeId, _edge: EdgeId, message: &Message) {
-        self.current.push(TraceMessage {
-            from,
-            to,
-            message: *message,
-        });
-    }
-
-    fn on_round_end(&mut self, _round: u64) {
-        self.rounds.push(std::mem::take(&mut self.current));
-    }
+/// Takes `report`'s trace out, one message list per recorded round.
+fn take_rounds(report: &mut ExecutionReport) -> Vec<Vec<TraceMessage>> {
+    let trace = report.trace.take().expect("every run records its trace");
+    (0..trace.num_rounds())
+        .map(|r| trace.round(r).to_vec())
+        .collect()
 }
 
 /// Runs the full kill matrix for one `(algorithm, graph, threads)` cell:
@@ -73,16 +68,15 @@ fn kill_everywhere<RunC, Res>(
     resume: Res,
 ) -> (ExecutionReport, Vec<u8>)
 where
-    RunC: Fn(SyncConfig, &CheckpointConfig, &mut RoundLog) -> io::Result<ExecutionReport>,
-    Res: Fn(SyncConfig, &CheckpointConfig, &mut RoundLog) -> io::Result<ExecutionReport>,
+    RunC: Fn(SyncConfig, &CheckpointConfig) -> io::Result<ExecutionReport>,
+    Res: Fn(SyncConfig, &CheckpointConfig) -> io::Result<ExecutionReport>,
 {
-    let config = SyncConfig::default().with_threads(threads);
+    let config = traced(threads);
     let log = log_dir.join(format!("{label}-t{threads}.sbck"));
     let ckpt = CheckpointConfig::new(&log).with_every(every);
 
     // Uninterrupted baseline, trace attached.
-    let mut baseline_trace = RoundLog::default();
-    let baseline = run_ckpt(config, &ckpt, &mut baseline_trace).expect("baseline run");
+    let mut baseline = run_ckpt(config, &ckpt).expect("baseline run");
     assert!(baseline.completed, "{label}: baseline must terminate");
     assert!(
         baseline.rounds > every,
@@ -91,20 +85,19 @@ where
     );
     assert_eq!(
         &baseline, plain,
-        "{label}: checkpointing must not change the report"
+        "{label}: checkpointing must not change the report or the trace"
     );
-    let baseline_rounds = &baseline_trace.rounds;
+    let baseline_rounds = take_rounds(&mut baseline);
     assert_eq!(baseline_rounds.len() as u64, baseline.rounds);
     let baseline_log = std::fs::read(&log).expect("read baseline log");
 
     for kill in 1..baseline.rounds {
         // The "kill": round budget runs out mid-run, the log keeps whatever
         // boundaries were hit.
-        let mut killed_trace = RoundLog::default();
-        let partial =
-            run_ckpt(config.with_max_rounds(kill), &ckpt, &mut killed_trace).expect("partial run");
+        let mut partial = run_ckpt(config.with_max_rounds(kill), &ckpt).expect("partial run");
         assert!(!partial.completed, "{label}: kill at {kill} must interrupt");
         assert_eq!(partial.rounds, kill);
+        let killed_rounds = take_rounds(&mut partial);
 
         // Recover at the boundary the log resumes at (round 0 when the kill
         // predates the first checkpoint).
@@ -112,18 +105,18 @@ where
         let boundary = chain.latest().map_or(0, |r| r.round) as usize;
         assert!(boundary as u64 <= kill);
         assert_eq!(
-            killed_trace.rounds[..boundary],
+            killed_rounds[..boundary],
             baseline_rounds[..boundary],
             "{label}: killed trace before the boundary at {boundary} diverged (kill at {kill})"
         );
-        let mut resumed_trace = RoundLog::default();
-        let resumed = resume(config, &ckpt, &mut resumed_trace).expect("resume");
+        let mut resumed = resume(config, &ckpt).expect("resume");
+        let resumed_rounds = take_rounds(&mut resumed);
         assert_eq!(
             resumed, baseline,
             "{label}: resume after kill at {kill} must be bit-identical"
         );
         assert_eq!(
-            resumed_trace.rounds,
+            resumed_rounds,
             baseline_rounds[boundary..],
             "{label}: resumed trace after kill at {kill} diverged"
         );
@@ -167,7 +160,7 @@ fn kill_at_every_boundary_resumes_bit_identically() {
         let mut luby_reports = Vec::new();
         let mut greedy_reports = Vec::new();
         for threads in [1usize, 4] {
-            let config = SyncConfig::default().with_threads(threads);
+            let config = traced(threads);
             let luby = Priority::Luby(0xAB);
             let (_, luby_plain) = mis::run(graph, &ids, luby, config);
             let label = format!("luby-{gname}");
@@ -177,8 +170,8 @@ fn kill_at_every_boundary_resumes_bit_identically() {
                 threads,
                 2,
                 &luby_plain,
-                |cfg, ck, obs| mis::run_checkpointed(graph, &ids, luby, cfg, ck, obs),
-                |cfg, ck, obs| mis::resume(graph, &ids, luby, cfg, ck, obs),
+                |cfg, ck| mis::run_checkpointed(graph, &ids, luby, cfg, ck),
+                |cfg, ck| mis::resume(graph, &ids, luby, cfg, ck),
             ));
 
             let greedy = Priority::Rank(&ranks);
@@ -190,8 +183,8 @@ fn kill_at_every_boundary_resumes_bit_identically() {
                 threads,
                 3,
                 &greedy_plain,
-                |cfg, ck, obs| mis::run_checkpointed(graph, &ids, greedy, cfg, ck, obs),
-                |cfg, ck, obs| mis::resume(graph, &ids, greedy, cfg, ck, obs),
+                |cfg, ck| mis::run_checkpointed(graph, &ids, greedy, cfg, ck),
+                |cfg, ck| mis::resume(graph, &ids, greedy, cfg, ck),
             ));
         }
         // Thread-invariance: the same cell at 1 and 4 workers is the same

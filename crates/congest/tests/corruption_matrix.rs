@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use symbreak_classic::mis::{self, Priority};
 use symbreak_congest::checkpoint::checkpoint_dir;
-use symbreak_congest::{CheckpointChain, CheckpointConfig, NoopObserver, SyncConfig};
+use symbreak_congest::{CheckpointChain, CheckpointConfig, SyncConfig};
 use symbreak_graphs::{generators, Graph, IdAssignment};
 
 /// A scratch directory under [`checkpoint_dir`], so the CI chaos-recovery
@@ -81,7 +81,6 @@ fn checkpoint_log_survives_truncation_and_bit_flips() {
         Priority::Luby(5),
         SyncConfig::default(),
         &ckpt,
-        &mut NoopObserver,
     )
     .expect("checkpointed run");
     assert!(report.completed);
@@ -119,15 +118,8 @@ fn foreign_checkpoint_logs_are_refused_on_resume() {
     let (luby, rank) = (Priority::Luby(5), Priority::Rank(&ranks));
     let write = |name: &str, graph: &Graph, ids: &IdAssignment, priority| {
         let ckpt = CheckpointConfig::new(dir.join(name)).with_every(2);
-        let report = mis::run_checkpointed(
-            graph,
-            ids,
-            priority,
-            SyncConfig::default(),
-            &ckpt,
-            &mut NoopObserver,
-        )
-        .expect("checkpointed run");
+        let report = mis::run_checkpointed(graph, ids, priority, SyncConfig::default(), &ckpt)
+            .expect("checkpointed run");
         assert!(report.completed, "{name}");
         ckpt
     };
@@ -149,15 +141,8 @@ fn foreign_checkpoint_logs_are_refused_on_resume() {
         ),
     ];
     for (what, ckpt, priority) in &cases {
-        let err = mis::resume(
-            &small,
-            &small_ids,
-            *priority,
-            SyncConfig::default(),
-            ckpt,
-            &mut NoopObserver,
-        )
-        .expect_err(what);
+        let err = mis::resume(&small, &small_ids, *priority, SyncConfig::default(), ckpt)
+            .expect_err(what);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         assert!(err.to_string().contains("decode_state"), "{what}: {err}");
     }

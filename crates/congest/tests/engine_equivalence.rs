@@ -200,8 +200,8 @@ fn parallel_engine_is_deterministic_across_thread_counts() {
     }
 }
 
-/// Parallel runs must also match the naive oracle, and an active observer
-/// (instrumentation) must yield the same report — trace, per-edge counters
+/// Parallel runs must also match the naive oracle, and the built-in
+/// instrumentation must yield the same report — trace, per-edge counters
 /// and utilized edges included — at every thread count: on rounds split
 /// across threads it replays the windows' send logs in sequential order.
 #[test]

@@ -511,6 +511,57 @@ mod tests {
     }
 
     #[test]
+    fn async_stage_with_queries_finishes_at_the_default_budget() {
+        // Level 0 colours the buckets; the final stage then queries coloured
+        // neighbours through the level-0 history. Wrapped for the lockstep
+        // run, each QUERY and RESPONSE is 16 + 4·64 = 272 bits.
+        let n = 48;
+        let g = generators::connected_gnp(n, 0.5, &mut StdRng::seed_from_u64(4));
+        let ids = IdAssignment::identity(n);
+        let palette_size = g.max_degree() as u64 + 1;
+        let shared = SharedRandomness::from_seed(9, 1024);
+        let partition = ChangPartition::compute(&shared, 0, n, g.max_degree());
+        let parts = partition.parts_for(&ids);
+        let uncolored = vec![None; n];
+        let plan = empty_plan(&g, &ids);
+        let level0 = FlatStageSpec::for_bucket_level(
+            &g,
+            &partition,
+            &parts,
+            &uncolored,
+            palette_size,
+            plan,
+            40,
+        );
+        let (colors, _) = run_stage_flat(&g, &ids, &level0, 1, SyncConfig::default());
+        let plan = Arc::new(QueryPlan::new(&g, &ids, vec![partition]));
+        let spec = FlatStageSpec::for_final_stage(&g, &colors, palette_size, plan, 100);
+        let traced = SyncConfig {
+            record_trace: true,
+            ..SyncConfig::default()
+        };
+        let (sync_colors, sync_report, report) = run_stage_flat_async(
+            &g,
+            &ids,
+            &spec,
+            3,
+            traced,
+            AsyncConfig::default(),
+            &FaultPlan::default(),
+            &mut StdRng::seed_from_u64(2),
+        );
+        let trace = sync_report.trace.expect("trace recorded");
+        for tag in [TAG_QUERY, TAG_RESPONSE] {
+            assert!(
+                trace.iter().any(|(_, m)| m.message.tag() == tag),
+                "no tag {tag}"
+            );
+        }
+        assert!(report.completed);
+        assert_eq!(report.outputs, sync_colors);
+    }
+
+    #[test]
     fn empty_palette_participants_give_up_gracefully() {
         let g = generators::path(2);
         let ids = IdAssignment::identity(2);
