@@ -9,10 +9,11 @@
 //! * **announce** — every node broadcasts its ID in round 0. All `2m`
 //!   messages land in a single round, stressing peak arena throughput.
 //! * **dense_rounds** — every node broadcasts every round for
-//!   [`DENSE_ROUNDS`] rounds: sustained all-to-all traffic, the shape that
-//!   historically lost to the naive loop (see the receiver-major delivery
-//!   path in `congest::engine`). The harness *asserts* the engine is at
-//!   least as fast as the naive loop on these rows.
+//!   [`DENSE_ROUNDS`] rounds: sustained all-to-all traffic, the shape where
+//!   the engine's per-copy staging and scatter cost most against the naive
+//!   loop's direct inbox pushes (`congest::engine` stages each broadcast's
+//!   message once). The harness *asserts* the engine is at least as fast
+//!   as the naive loop on these rows.
 //!
 //! Every timing is the median of [`SAMPLES`] runs, and every gated
 //! comparison interleaves its two sides run by run, so slow clock drift
@@ -29,8 +30,9 @@
 //!
 //! Two **checkpoint rows** run the flood with an engine checkpoint every 8
 //! rounds: `flood_ckpt8` on the n = 10⁵ near-regular random graph gates
-//! the checkpointed loop at ≥ 0.8× of the plain engine (report asserted
-//! bit-identical), and `flood_ckpt8_cycle` reports — without gating — the
+//! the checkpointed loop's extra time per logged byte at ≤
+//! [`CKPT_NS_PER_LOG_BYTE`] (report asserted bit-identical), and
+//! `flood_ckpt8_cycle` reports — without gating — the
 //! adversarial ~n/2-round cycle flood, where thousands of boundaries land
 //! on near-zero per-round work. A **fault-seam row** (`async_fault0`)
 //! gates the identity-plan fault path at ≥ 0.9× of the plain asynchronous
@@ -62,6 +64,15 @@ const DENSE_ROUNDS: u32 = 8;
 /// Timed runs per side of every measurement; each reported time is their
 /// median.
 const SAMPLES: usize = 7;
+
+/// Bound on the `flood_ckpt8` row's checkpoint cost: median checkpointed
+/// time minus median plain time, per byte of the log. A boundary's cost is
+/// its state dump and in-flight capture, which grow with the log, not with
+/// the plain flood's time; a ratio to that time tightened whenever the
+/// engine got faster. The bound is what the earlier ≥ 0.8× ratio gate
+/// allowed at the artifact it last passed on: 0.25 × 42 550 127 ns of plain
+/// flood over 3 879 553 logged bytes.
+const CKPT_NS_PER_LOG_BYTE: f64 = 2.74;
 
 /// Token flood from node 0: broadcast once on first contact.
 ///
@@ -530,18 +541,21 @@ fn audit_row(json: &mut BenchArtifact, mt_threads: usize) {
 /// boundary every 8 rounds against the plain engine, interleaved, compared
 /// by their medians, with the reports asserted bit-identical.
 ///
+/// Each row prints and records the plain-over-checkpointed time ratio and
+/// the extra time per logged byte.
+///
 /// * **`flood_ckpt8`** (gated) — the flood on the near-regular random
 ///   graph at n = 10⁵, the same row the engine-speedup gate measures. The
 ///   ~9-round run crosses one boundary, so the row prices a full-state
-///   dump plus the in-flight capture against real per-round work: ≥ 0.8×
-///   of the uncheckpointed engine at full size (informational at smoke
-///   scale), with a non-vacuity check that the log really holds a
+///   dump plus the in-flight capture: at most [`CKPT_NS_PER_LOG_BYTE`]
+///   extra nanoseconds per logged byte at full size (informational at
+///   smoke scale), with a non-vacuity check that the log really holds a
 ///   checkpoint record.
 /// * **`flood_ckpt8_cycle`** (informational) — the ~n/2-round cycle
 ///   flood: thousands of boundaries over near-zero per-round work, the
 ///   adversarial stress for the boundary path itself. A plain cycle round
-///   is a few skip-list probes, so no boundary encoder can stay within
-///   0.8× here; the row is reported to track the trend, not gated.
+///   is a few skip-list probes, so its ratio sits far below the random
+///   graph's; the row is reported to track the trend, not gated.
 fn checkpoint_row(json: &mut BenchArtifact) {
     let shrink = if smoke() { 16 } else { 1 };
     let n = 100_000 / shrink;
@@ -574,8 +588,9 @@ fn checkpoint_row(json: &mut BenchArtifact) {
         let log_bytes = std::fs::metadata(&log).map_or(0, |m| m.len());
         let _ = std::fs::remove_file(&log);
         let ratio = plain_ns / ckpt_ns;
+        let ns_per_byte = (ckpt_ns - plain_ns) / log_bytes.max(1) as f64;
         println!(
-            "{:<22} {:<13} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x",
+            "{:<22} {:<13} {:>3} {:>12} {:>12.2}ms {:>12.2}ms {:>8.2}x {:>6.2}ns/B",
             graph_name,
             workload,
             1,
@@ -583,24 +598,28 @@ fn checkpoint_row(json: &mut BenchArtifact) {
             ckpt_ns / 1e6,
             plain_ns / 1e6,
             ratio,
+            ns_per_byte,
         );
         json.row(format_args!(
             "{{\"bench\":\"sim_engine\",\"graph\":\"{graph_name}\",\"workload\":\"{workload}\",\
              \"n\":{},\"m\":{},\"threads\":1,\"messages\":{messages},\
              \"ckpt_ns\":{ckpt_ns:.0},\"plain_ns\":{plain_ns:.0},\"ratio\":{ratio:.3},\
-             \"log_bytes\":{log_bytes}}}",
+             \"ns_per_log_byte\":{ns_per_byte:.3},\"log_bytes\":{log_bytes}}}",
             graph.num_nodes(),
             graph.num_edges(),
         ));
-        (ratio, records)
+        (ns_per_byte, records)
     };
 
     let graph = generators::random_near_regular(n, 8, &mut StdRng::seed_from_u64(42));
-    let (ratio, records) = measure(format!("random_d8_{n}"), "flood_ckpt8", &graph);
+    let (ns_per_byte, records) = measure(format!("random_d8_{n}"), "flood_ckpt8", &graph);
     if smoke() {
-        if ratio < 0.8 {
+        if records == 0 {
+            // A log of its header alone makes the per-byte cost meaningless.
+            println!("smoke: the reduced-n flood crossed no checkpoint boundary");
+        } else if ns_per_byte > CKPT_NS_PER_LOG_BYTE {
             println!(
-                "smoke: checkpointing every 8 rounds at {ratio:.2}x of the plain engine \
+                "smoke: checkpointing every 8 rounds costs {ns_per_byte:.2} ns per logged byte \
                  (informational only at reduced n)"
             );
         }
@@ -610,9 +629,10 @@ fn checkpoint_row(json: &mut BenchArtifact) {
             "checkpoint gate is vacuous: the run never crossed a boundary"
         );
         assert!(
-            ratio >= 0.8,
-            "checkpoint overhead regression: every-8-rounds checkpointing is {ratio:.2}x \
-             the plain engine on random_d8_{n}"
+            ns_per_byte <= CKPT_NS_PER_LOG_BYTE,
+            "checkpoint overhead regression: every-8-rounds checkpointing costs \
+             {ns_per_byte:.2} ns per logged byte on random_d8_{n} (bound \
+             {CKPT_NS_PER_LOG_BYTE})"
         );
     }
 

@@ -10,30 +10,23 @@
 //!   caller-supplied sink at once. A send is one batch — one message and
 //!   its list of receivers — so a multicast pays one budget check and one
 //!   sink call, not one per copy. No outbox buffers sends in between: the
-//!   synchronous loop's sink writes each copy once, into the
-//!   [`DeliveryBuffer`] or into its window's staging vector. Both
+//!   synchronous loop's sink stages each batch at once, into the
+//!   [`DeliveryBuffer`] or into its window's [`Staged`] buffer. Both
 //!   simulators drive their delivery policies through this one code path.
 //!   For rounds the synchronous loop splits across threads,
 //!   [`NodeRuntime::shard_views`] cuts the automata into disjoint
 //!   [`ShardView`]s over contiguous node ranges, each steppable from its
 //!   own thread with no shared mutable state.
-//! * [`MessageArena`] + [`DeliveryBuffer`] — the synchronous double buffer,
-//!   with two delivery layouts:
-//!   - **sender-major scatter** (the default): messages are staged in sender
-//!     order and [`DeliveryBuffer::flip`] counting-sorts them by receiver
-//!     into one flat `Vec<Message>`;
-//!   - **receiver-major gather** (dense rounds): when the round loop
-//!     predicts traffic comparable to the edge count on a high-degree graph
-//!     ([`NodeRuntime::dense_round`]), staging writes each message once into
-//!     a per-receiver bucket and `flip` *swaps* the buckets into the arena —
-//!     no second copy, closing the scatter's double-write gap on
-//!     clique-like all-to-all rounds.
-//!
-//!   Both layouts produce identical inboxes (same per-receiver contents and
-//!   order), so reports are bit-identical whichever heuristic path runs.
-//!   [`DeliveryBuffer::flip_shards`] is the multi-window variant: it merges
-//!   per-window staging buffers with the same counting sort, walking them in
-//!   window order so the merged arena is bit-identical to a one-window
+//! * [`MessageArena`] + [`DeliveryBuffer`] — the synchronous double buffer.
+//!   A round's sends are staged in one format, [`Staged`]: each send
+//!   batch's message is stored once, and each copy is an 8-byte
+//!   `(receiver, payload index)` pair, in send order.
+//!   [`DeliveryBuffer::flip`] counting-sorts the copies by receiver and
+//!   writes each copy's message into one flat `Vec<Message>`, so every
+//!   inbox is a contiguous slice in send order.
+//!   [`DeliveryBuffer::flip_shards`] runs the same scatter over the
+//!   per-window buffers of a round split across threads, walking them in
+//!   window order, so the merged arena is bit-identical to a one-window
 //!   round.
 //!
 //! Nothing here observes a run: traces, per-edge counters, utilized edges,
@@ -43,16 +36,6 @@
 use symbreak_graphs::{Graph, IdAssignment, NodeId};
 
 use crate::{KnowledgeView, KtLevel, Message, NodeAlgorithm, NodeInit, RoundContext};
-
-/// Node-count bound under which the per-receiver bucket array (headers and
-/// typical payloads) stays cache-resident, making receiver-major delivery
-/// profitable regardless of the graph's edge locality.
-const DENSE_SMALL_NODES: usize = 8192;
-
-/// Average `|receiver − sender|` index distance under which bucket writes
-/// land near the stepping cursor (cycles, grids, banded graphs), keeping the
-/// receiver-major path cache-friendly on graphs of any size.
-const DENSE_MAX_AVG_SPAN: u64 = 64;
 
 /// Executes one node activation: runs the automaton with a [`RoundContext`]
 /// whose send batches are checked against the CONGEST bit budget, folded
@@ -112,9 +95,6 @@ pub(crate) struct NodeRuntime<'g, A> {
     /// All neighbour lists, flattened into one allocation (the old code
     /// cloned the adjacency structure into a `Vec<Vec<NodeId>>` per run).
     nbrs: Vec<NodeId>,
-    /// Whether per-receiver buckets are cache-friendly on this graph (see
-    /// [`NodeRuntime::dense_round`]); computed once at construction.
-    buckets_local: bool,
 }
 
 impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
@@ -146,23 +126,6 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
                 })
             })
             .collect();
-        // Receiver-major staging writes through one bucket per receiver, so
-        // it only pays off when those writes stay cache-resident: either the
-        // whole bucket array is small, or senders' neighbour indices are
-        // close to their own (small average edge span, e.g. cycles/grids),
-        // keeping consecutive activations on neighbouring cache lines.
-        let span_sum: u64 = (0..n)
-            .map(|i| {
-                let lo = nbr_offsets[i] as usize;
-                let hi = nbr_offsets[i + 1] as usize;
-                nbrs[lo..hi]
-                    .iter()
-                    .map(|&w| (w.0 as i64 - i as i64).unsigned_abs())
-                    .sum::<u64>()
-            })
-            .sum();
-        let buckets_local =
-            n <= DENSE_SMALL_NODES || span_sum <= nbrs.len() as u64 * DENSE_MAX_AVG_SPAN;
         NodeRuntime {
             graph,
             ids,
@@ -170,7 +133,6 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
             nodes,
             nbr_offsets,
             nbrs,
-            buckets_local,
         }
     }
 
@@ -225,42 +187,6 @@ impl<'g, A: NodeAlgorithm> NodeRuntime<'g, A> {
     #[inline]
     pub(crate) fn degree_of(&self, i: usize) -> u32 {
         self.nbr_offsets[i + 1] - self.nbr_offsets[i]
-    }
-
-    /// [`NodeRuntime::dense_round`] for the case where the active list is
-    /// already known to be every node (density 1): only the locality gate
-    /// remains to check, making the per-round heuristic O(1).
-    pub(crate) fn dense_full(&self) -> bool {
-        self.buckets_local && !self.nbrs.is_empty()
-    }
-
-    /// Whether the upcoming round should use the receiver-major dense
-    /// delivery path: the active set's degree sum (an upper bound on the
-    /// round's traffic, reached by all-to-all broadcasts) must cover at
-    /// least half of all directed edge slots, *and* the graph's bucket
-    /// access pattern must be cache-friendly (`buckets_local`). On such
-    /// rounds writing each message once into its receiver's bucket beats
-    /// the flat layout's stage-then-scatter double write; on large graphs
-    /// with scattered neighbourhoods the flat layout's sequential staging
-    /// wins instead and this returns `false`.
-    pub(crate) fn dense_round(&self, active: &[u32]) -> bool {
-        let n = self.nbr_offsets.len() - 1;
-        let dirs = self.nbrs.len() as u64;
-        if dirs == 0 || !self.buckets_local {
-            return false;
-        }
-        // The degree sum is only an upper bound on traffic; without a sender
-        // quorum a handful of hubs (one star centre) would trip it every
-        // round and make each flip's O(n) scan violate the round loop's
-        // O(active + messages) cost contract.
-        if active.len() * 4 < n {
-            return false;
-        }
-        let active_degrees: u64 = active
-            .iter()
-            .map(|&i| self.degree_of(i as usize) as u64)
-            .sum();
-        active_degrees * 2 >= dirs
     }
 
     /// Activates node `i` for one round: runs its automaton on `inbox` and
@@ -446,17 +372,14 @@ pub(crate) fn split_ranges_mut<'a, T>(
 }
 
 /// Flat per-round inbox storage: one `Vec<Message>` partitioned into
-/// per-node ranges, or — for dense rounds — per-receiver bucket vectors
-/// swapped in wholesale by the gather path.
+/// per-node ranges.
 ///
 /// Ranges are *epoch-stamped*: [`DeliveryBuffer::flip`] bumps the epoch and
 /// rewrites only the entries of this round's receivers, so stale ranges from
-/// earlier rounds are ignored without any per-round `O(n)` clearing. The
-/// `bucketed` flag records which layout the current epoch was written in;
-/// stamps from older epochs are ignored either way.
+/// earlier rounds are ignored without any per-round `O(n)` clearing.
 pub(crate) struct MessageArena {
     /// `ranges[i]` is node `i`'s inbox range in `msgs` — valid only when
-    /// `stamps[i] == epoch` and the epoch is flat.
+    /// `stamps[i] == epoch`.
     ranges: Vec<(u32, u32)>,
     stamps: Vec<u64>,
     epoch: u64,
@@ -465,16 +388,6 @@ pub(crate) struct MessageArena {
     /// need neither dropping nor clearing and each flip simply overwrites.
     msgs: Vec<Message>,
     live: usize,
-    /// Whether the current epoch's inboxes live in `buckets` instead of
-    /// `msgs` (receiver-major dense delivery).
-    bucketed: bool,
-    /// Whether the current (bucketed) epoch delivered to *every* node —
-    /// sustained all-to-all rounds. Lets [`MessageArena::inbox`] skip the
-    /// stamp check and [`DeliveryBuffer::flip`] skip stamping altogether.
-    all_valid: bool,
-    /// Per-receiver inboxes of a bucketed epoch; allocated lazily on the
-    /// first dense round and swapped (not copied) with the staging buckets.
-    buckets: Vec<Vec<Message>>,
 }
 
 impl MessageArena {
@@ -485,26 +398,15 @@ impl MessageArena {
             epoch: 0,
             msgs: Vec::new(),
             live: 0,
-            bucketed: false,
-            all_valid: false,
-            buckets: Vec::new(),
         }
     }
 
     /// Node `i`'s inbox for the current round.
     #[inline]
     pub(crate) fn inbox(&self, i: usize) -> &[Message] {
-        if self.all_valid {
-            // Full all-to-all epoch: every bucket is this round's inbox.
-            return &self.buckets[i];
-        }
         if self.stamps[i] == self.epoch {
-            if self.bucketed {
-                &self.buckets[i]
-            } else {
-                let (lo, hi) = self.ranges[i];
-                &self.msgs[lo as usize..hi as usize]
-            }
+            let (lo, hi) = self.ranges[i];
+            &self.msgs[lo as usize..hi as usize]
         } else {
             &[]
         }
@@ -516,13 +418,9 @@ impl MessageArena {
         self.live
     }
 
-    /// Audit support: the first pair of nodes whose current-epoch flat
-    /// inbox ranges overlap, if any. Bucketed epochs hold one owned vector
-    /// per receiver and are structurally disjoint.
+    /// Audit support: the first pair of nodes whose current-epoch inbox
+    /// ranges overlap, if any.
     pub(crate) fn overlapping_inboxes(&self) -> Option<(u32, u32)> {
-        if self.bucketed || self.all_valid {
-            return None;
-        }
         let mut spans: Vec<(u32, u32, u32)> = (0..self.ranges.len())
             .filter(|&i| self.stamps[i] == self.epoch)
             .filter_map(|i| {
@@ -538,108 +436,63 @@ impl MessageArena {
     }
 }
 
+/// Sends staged in sender order, each send batch's message stored once:
+/// `payloads` holds one message per batch and `copies` one
+/// `(receiver, payload index)` pair per copy, so a broadcast to `d`
+/// neighbours stages one 48-byte message plus `8·d` bytes. The one-window
+/// [`DeliveryBuffer`] and every claimed window of a round split across
+/// threads stage in this one format, and [`DeliveryBuffer::flip_shards`]
+/// delivers both with one scatter.
+#[derive(Default)]
+pub(crate) struct Staged {
+    payloads: Vec<Message>,
+    copies: Vec<(u32, u32)>,
+}
+
+impl Staged {
+    /// Stages one send batch: `msg` once, and one copy for each node of
+    /// `to`, in list order.
+    #[inline]
+    pub(crate) fn push(&mut self, to: &[NodeId], msg: Message) {
+        let k = self.payloads.len() as u32;
+        self.payloads.push(msg);
+        self.copies.extend(to.iter().map(|r| (r.0, k)));
+    }
+}
+
 /// The staging half of the synchronous double buffer: messages accumulate
 /// here during a round, then [`DeliveryBuffer::flip`] moves them into a
 /// [`MessageArena`] keyed by receiver.
 ///
 /// Messages arrive one send batch at a time through
-/// [`DeliveryBuffer::stage_each`] — one message and its receivers — which
-/// takes the layout branch once per batch and writes the copies in one
-/// loop. A single message, such as one replayed from a checkpoint, is a
-/// batch of one.
-///
-/// Two staging layouts, chosen per round *before* stepping via
-/// [`DeliveryBuffer::set_dense`]:
-///
-/// * **flat** (default): sender-order `staged` vector, counting-sorted into
-///   the arena on flip (two writes per message);
-/// * **dense**: per-receiver buckets written once at stage time and swapped
-///   into the arena on flip (one write per message plus a pointer swap per
-///   receiver) — the receiver-major gather path for all-to-all rounds.
-///
-/// The dense layout is kept because it pays on the rounds that select it.
-/// With the flat layout forced on every round (every check kept), the
-/// benchmark's `dense-fig1` workload at seed 1 read `pass_ref_s` 3.05 s
-/// against 2.84 s over 6 interleaved pairs on a 2-CPU VM, flat slower in 5
-/// of 6, and `peak_rss_mb` 78.0 against 62.1 MB. Where it would not pay,
-/// [`NodeRuntime::dense_round`] never selects it: on the `sparse-1e5`
-/// workload's n = 10⁵ random graph, too many nodes and too scattered
-/// neighbourhoods keep its bucket writes out of cache.
+/// [`DeliveryBuffer::stage_each`] — one message and its receivers — and
+/// are kept in the [`Staged`] format, the message once and 8 bytes per
+/// copy. A single message, such as one replayed from a checkpoint, is a
+/// batch of one. The flip writes each copy's message into the arena once,
+/// so a round holds one full message per copy only there.
 pub(crate) struct DeliveryBuffer {
-    staged: Vec<(u32, Message)>,
+    staged: Staged,
     /// Per-receiver message counts; nonzero only at indices listed in
-    /// `receivers`. Reused as placement cursors during `flip`, then zeroed.
+    /// `receivers`. Reused as placement cursors during a flip, then zeroed.
     counts: Vec<u32>,
-    /// Nodes with staged messages this round (unsorted until `flip`).
+    /// Nodes with staged messages this round (unsorted until the flip).
     receivers: Vec<u32>,
-    /// Whether this round stages into `buckets` (receiver-major).
-    dense: bool,
-    /// Per-receiver staging buckets of the dense path; lazily allocated,
-    /// cleared lazily on first touch per round (they hold the arena's
-    /// two-epochs-old buckets after a swap).
-    buckets: Vec<Vec<Message>>,
-    /// Messages staged this round on the dense path (`staged.len()` covers
-    /// the flat path).
-    dense_staged: usize,
-    /// Distinct receivers touched this round on the dense path; `== n`
-    /// detects full all-to-all rounds, whose flip skips stamping.
-    touched: usize,
 }
 
 impl DeliveryBuffer {
     pub(crate) fn new(n: usize) -> Self {
         DeliveryBuffer {
-            staged: Vec::new(),
+            staged: Staged::default(),
             counts: vec![0; n],
             receivers: Vec::new(),
-            dense: false,
-            buckets: Vec::new(),
-            dense_staged: 0,
-            touched: 0,
-        }
-    }
-
-    /// Selects the staging layout for the upcoming round. Must be called
-    /// only while the buffer is empty (between flips).
-    pub(crate) fn set_dense(&mut self, dense: bool) {
-        debug_assert!(self.staged.is_empty() && self.dense_staged == 0);
-        self.dense = dense;
-        if dense && self.buckets.len() < self.counts.len() {
-            self.buckets.resize_with(self.counts.len(), Vec::new);
         }
     }
 
     /// Queues one copy of `msg` for delivery to each node of `to` next
-    /// round, in list order: one send batch, which takes the layout branch
-    /// once and stages its copies in one loop.
-    ///
-    /// The dense path tracks receivers through the `counts` markers alone
-    /// (no list push): the flip's `O(n)` scan rebuilds the sorted receiver
-    /// list anyway, so staging stays at one bucket write per message.
+    /// round, in list order: one send batch, staged with its message once.
     #[inline]
     pub(crate) fn stage_each(&mut self, to: &[NodeId], msg: Message) {
-        if self.dense {
-            for &r in to {
-                let t = r.index();
-                if self.counts[t] == 0 {
-                    self.counts[t] = 1;
-                    self.touched += 1;
-                    self.buckets[t].clear();
-                }
-                self.buckets[t].push(msg);
-            }
-            self.dense_staged += to.len();
-        } else {
-            self.staged.reserve(to.len());
-            for &r in to {
-                let t = r.index();
-                if self.counts[t] == 0 {
-                    self.receivers.push(r.0);
-                }
-                self.counts[t] += 1;
-                self.staged.push((r.0, msg));
-            }
-        }
+        self.staged.push(to, msg);
     }
 
     /// Sorts `receivers` ascending: a comparison sort when the list is small
@@ -665,80 +518,40 @@ impl DeliveryBuffer {
     /// non-done nodes to form the next round's active set.
     ///
     /// The arena's previous contents (last round's inboxes) are dropped
-    /// here. The flat path runs in `O(staged + min(n, receivers·log
-    /// receivers))`; the dense path in `O(receivers + n)` — both independent
-    /// of stale state, with no allocations once the buffers have warmed up.
-    ///
-    /// Returns `true` when *every* node received a message, in which case
-    /// `receivers_out` is left **empty** (the receiver set is the identity
-    /// and the caller can skip materializing it).
-    pub(crate) fn flip(&mut self, arena: &mut MessageArena, receivers_out: &mut Vec<u32>) -> bool {
-        arena.epoch += 1;
-        if self.dense {
-            arena.live = self.dense_staged;
-            arena.bucketed = true;
-            arena.all_valid = false;
-            if self.touched == 0 {
-                // Nothing staged (the quiescent round closing a dense
-                // workload): no swap, no scan.
-                receivers_out.clear();
-                return false;
-            }
-            if arena.buckets.len() < self.buckets.len() {
-                arena.buckets.resize_with(self.buckets.len(), Vec::new);
-            }
-            // The gather: one pointer swap publishes every staged bucket
-            // (the swapped-back arena buckets, stale by two epochs, are
-            // cleared lazily on first touch by `stage_each`).
-            std::mem::swap(&mut arena.buckets, &mut self.buckets);
-            receivers_out.clear();
-            let all = self.touched == self.counts.len() && self.touched > 0;
-            if all {
-                // Full all-to-all round: every node is a receiver, so no
-                // per-node stamping is needed at all — a single arena flag
-                // validates every bucket, and the receiver set is the
-                // identity (left implicit; see the return value).
-                arena.all_valid = true;
-                self.counts.fill(0);
-            } else {
-                // One fused pass: collect the (ascending) receivers, stamp
-                // their buckets into the new epoch and reset the touch
-                // markers.
-                arena.all_valid = false;
-                for i in 0..self.counts.len() {
-                    if self.counts[i] != 0 {
-                        self.counts[i] = 0;
-                        receivers_out.push(i as u32);
-                        arena.stamps[i] = arena.epoch;
-                    }
-                }
-            }
-            self.dense_staged = 0;
-            self.touched = 0;
-            return all;
-        }
+    /// here. A flip runs in `O(copies + min(n, receivers·log receivers))`,
+    /// independent of stale state, with no allocations once the buffers
+    /// have warmed up.
+    pub(crate) fn flip(&mut self, arena: &mut MessageArena, receivers_out: &mut Vec<u32>) {
         let mut staged = std::mem::take(&mut self.staged);
-        self.scatter_flat(std::slice::from_mut(&mut staged), arena, receivers_out);
+        self.flip_shards(std::slice::from_mut(&mut staged), arena, receivers_out);
         self.staged = staged;
-        false
     }
 
-    /// The flat counting-sort scatter shared by [`DeliveryBuffer::flip`] and
-    /// [`DeliveryBuffer::flip_shards`]: with `counts`/`receivers` already
-    /// populated, sorts the receivers, carves the arena's per-receiver
-    /// ranges, scatters every chunk of staged messages (chunk order = send
-    /// order) and resets this buffer. Keeping one implementation is what
-    /// guarantees sequential and shard-merging flips produce bit-identical arenas.
-    fn scatter_flat(
+    /// The counting-sort scatter behind every flip: merges staging buffers
+    /// (each in its window's sender order) into `arena`, walking them in
+    /// slice order, and drains them. [`DeliveryBuffer::flip`] passes its
+    /// own buffer alone; a round split across threads passes its windows'
+    /// buffers. Because the round loop's windows are contiguous slices of
+    /// the ascending active list, the concatenation of their buffers *is*
+    /// the one-window staging order, and this one implementation is what
+    /// makes the merged arena bit-identical to a one-window flip.
+    pub(crate) fn flip_shards(
         &mut self,
-        staged_chunks: &mut [Vec<(u32, Message)>],
+        shards: &mut [Staged],
         arena: &mut MessageArena,
         receivers_out: &mut Vec<u32>,
     ) {
+        for shard in shards.iter() {
+            for &(to, _) in &shard.copies {
+                if self.counts[to as usize] == 0 {
+                    self.receivers.push(to);
+                }
+                self.counts[to as usize] += 1;
+            }
+        }
         self.order_receivers();
-        arena.live = staged_chunks.iter().map(Vec::len).sum();
-        arena.bucketed = false;
-        arena.all_valid = false;
+        arena.epoch += 1;
+        arena.live = shards.iter().map(|s| s.copies.len()).sum();
         if arena.msgs.len() < arena.live {
             // Grow to the high-water mark; the placeholder fill happens at
             // most a few times per run and the scatter below overwrites
@@ -754,47 +567,20 @@ impl DeliveryBuffer {
             self.counts[r as usize] = acc;
             acc += c;
         }
-        for chunk in staged_chunks.iter_mut() {
-            for &(to, msg) in chunk.iter() {
+        for shard in shards.iter_mut() {
+            for &(to, k) in &shard.copies {
                 let slot = self.counts[to as usize];
-                arena.msgs[slot as usize] = msg;
+                arena.msgs[slot as usize] = shard.payloads[k as usize];
                 self.counts[to as usize] += 1;
             }
-            chunk.clear();
+            shard.payloads.clear();
+            shard.copies.clear();
         }
         for &r in &self.receivers {
             self.counts[r as usize] = 0;
         }
         receivers_out.clear();
-        receivers_out.append(&mut self.receivers);
-    }
-
-    /// The multi-threaded flip: merges per-shard staging vectors (each in
-    /// that shard's sender order) into `arena` with one counting sort,
-    /// walking shards in shard order. Because the round loop's windows are
-    /// contiguous slices of the ascending active list, the concatenation of
-    /// their buffers *is* the one-window staging order, and the merged arena
-    /// is bit-identical to a one-window flip.
-    ///
-    /// All shard buffers are drained; the flat layout is always used (the
-    /// dense heuristic only drives one-window rounds).
-    pub(crate) fn flip_shards(
-        &mut self,
-        shards: &mut [Vec<(u32, Message)>],
-        arena: &mut MessageArena,
-        receivers_out: &mut Vec<u32>,
-    ) {
-        debug_assert!(self.staged.is_empty() && self.dense_staged == 0);
-        for shard in shards.iter() {
-            for &(to, _) in shard {
-                if self.counts[to as usize] == 0 {
-                    self.receivers.push(to);
-                }
-                self.counts[to as usize] += 1;
-            }
-        }
-        arena.epoch += 1;
-        self.scatter_flat(shards, arena, receivers_out);
+        std::mem::swap(receivers_out, &mut self.receivers);
     }
 }
 
@@ -802,22 +588,35 @@ impl DeliveryBuffer {
 mod tests {
     use super::*;
 
+    /// A message whose value field, not only its tag, must survive staging.
+    fn msg(tag: u16) -> Message {
+        Message::tagged(tag).with_value(u64::from(tag) * 10)
+    }
+
+    fn tags(arena: &MessageArena, i: usize) -> Vec<u16> {
+        arena.inbox(i).iter().map(Message::tag).collect()
+    }
+
     #[test]
     fn delivery_buffer_groups_by_receiver_preserving_send_order() {
-        let mut arena = MessageArena::new(3);
-        let mut buf = DeliveryBuffer::new(3);
+        let mut arena = MessageArena::new(4);
+        let mut buf = DeliveryBuffer::new(4);
         let mut receivers = Vec::new();
-        buf.stage_each(&[NodeId(2)], Message::tagged(0));
-        buf.stage_each(&[NodeId(0)], Message::tagged(1));
-        buf.stage_each(&[NodeId(2)], Message::tagged(2));
+        buf.stage_each(&[NodeId(2)], msg(0));
+        buf.stage_each(&[NodeId(0)], msg(1));
+        buf.stage_each(&[NodeId(2)], msg(2));
+        // Multi-receiver batches, one listed out of ascending order, whose
+        // receivers interleave with the single sends around them.
+        buf.stage_each(&[NodeId(3), NodeId(0), NodeId(2)], msg(3));
+        buf.stage_each(&[NodeId(0)], msg(4));
+        buf.stage_each(&[NodeId(2), NodeId(3)], msg(5));
         buf.flip(&mut arena, &mut receivers);
-        assert_eq!(receivers, vec![0, 2]);
-        assert_eq!(arena.len(), 3);
-        assert_eq!(arena.inbox(0).len(), 1);
-        assert_eq!(arena.inbox(0)[0].tag(), 1);
+        assert_eq!(receivers, vec![0, 2, 3]);
+        assert_eq!(arena.len(), 9);
+        assert_eq!(arena.inbox(0), [msg(1), msg(3), msg(4)]);
         assert!(arena.inbox(1).is_empty());
-        let tags: Vec<u16> = arena.inbox(2).iter().map(Message::tag).collect();
-        assert_eq!(tags, vec![0, 2]);
+        assert_eq!(arena.inbox(2), [msg(0), msg(2), msg(3), msg(5)]);
+        assert_eq!(arena.inbox(3), [msg(3), msg(5)]);
     }
 
     #[test]
@@ -843,124 +642,70 @@ mod tests {
     }
 
     #[test]
-    fn dense_flip_matches_flat_layout() {
-        // Same staging sequence through both layouts; inboxes must agree.
-        let stage_seq = [
-            (NodeId(2), Message::tagged(0)),
-            (NodeId(0), Message::tagged(1)),
-            (NodeId(2), Message::tagged(2)),
-            (NodeId(1), Message::tagged(3)),
-            (NodeId(0), Message::tagged(4)),
-        ];
-        let mut flat_arena = MessageArena::new(3);
-        let mut flat_buf = DeliveryBuffer::new(3);
-        let mut dense_arena = MessageArena::new(3);
-        let mut dense_buf = DeliveryBuffer::new(3);
-        dense_buf.set_dense(true);
-        let (mut r1, mut r2) = (Vec::new(), Vec::new());
-        for (to, msg) in stage_seq {
-            flat_buf.stage_each(&[to], msg);
-            dense_buf.stage_each(&[to], msg);
-        }
-        let flat_all = flat_buf.flip(&mut flat_arena, &mut r1);
-        let dense_all = dense_buf.flip(&mut dense_arena, &mut r2);
-        // Every node received: the dense path signals full coverage through
-        // the return value and leaves the receiver list implicit.
-        assert!(!flat_all);
-        assert!(dense_all);
-        assert_eq!(r1, vec![0, 1, 2]);
-        assert!(r2.is_empty());
-        assert_eq!(flat_arena.len(), dense_arena.len());
-        for i in 0..3 {
-            assert_eq!(flat_arena.inbox(i), dense_arena.inbox(i), "inbox {i}");
-        }
-    }
-
-    #[test]
-    fn partial_dense_flip_reports_receivers() {
-        let mut arena = MessageArena::new(4);
-        let mut buf = DeliveryBuffer::new(4);
-        buf.set_dense(true);
-        buf.stage_each(&[NodeId(3)], Message::tagged(1));
-        buf.stage_each(&[NodeId(1)], Message::tagged(2));
-        let mut receivers = Vec::new();
-        let all = buf.flip(&mut arena, &mut receivers);
-        assert!(!all);
-        assert_eq!(receivers, vec![1, 3]);
-        assert_eq!(arena.len(), 2);
-        assert!(arena.inbox(0).is_empty());
-        assert_eq!(arena.inbox(1)[0].tag(), 2);
-        assert_eq!(arena.inbox(3)[0].tag(), 1);
-    }
-
-    #[test]
-    fn dense_and_flat_rounds_interleave() {
-        let mut arena = MessageArena::new(2);
-        let mut buf = DeliveryBuffer::new(2);
-        let mut receivers = Vec::new();
-        // Dense round.
-        buf.set_dense(true);
-        buf.stage_each(&[NodeId(0)], Message::tagged(1));
-        buf.stage_each(&[NodeId(1)], Message::tagged(2));
-        buf.flip(&mut arena, &mut receivers);
-        assert_eq!(arena.inbox(0)[0].tag(), 1);
-        assert_eq!(arena.inbox(1)[0].tag(), 2);
-        // Flat round: stale bucket stamps must not leak.
-        buf.set_dense(false);
-        buf.stage_each(&[NodeId(1)], Message::tagged(3));
-        buf.flip(&mut arena, &mut receivers);
-        assert_eq!(receivers, vec![1]);
-        assert!(arena.inbox(0).is_empty());
-        assert_eq!(arena.inbox(1).len(), 1);
-        assert_eq!(arena.inbox(1)[0].tag(), 3);
-        // Dense again: the swapped-back staging bucket (holding round-1
-        // leftovers) is cleared on first touch.
-        buf.set_dense(true);
-        buf.stage_each(&[NodeId(0)], Message::tagged(4));
-        buf.flip(&mut arena, &mut receivers);
-        assert_eq!(arena.len(), 1);
-        let tags: Vec<u16> = arena.inbox(0).iter().map(Message::tag).collect();
-        assert_eq!(tags, vec![4]);
-        assert!(arena.inbox(1).is_empty());
-    }
-
-    #[test]
     fn flip_shards_matches_sequential_flip() {
-        // Shard buffers concatenated in shard order == one sequential
-        // staging sequence; the merged arena must be identical.
+        // Windows concatenated in window order == one sequential staging
+        // sequence; the merged arena must be identical. Batches interleave
+        // their receivers within and across windows, and each window
+        // numbers its payloads from 0.
         let n = 5;
-        let shard_a = vec![
-            (3u32, Message::tagged(0)),
-            (1, Message::tagged(1)),
-            (3, Message::tagged(2)),
+        let windows: [Vec<(Vec<u32>, Message)>; 3] = [
+            vec![
+                (vec![3, 1], msg(0)),
+                (vec![3], msg(1)),
+                (vec![1, 0, 3], msg(2)),
+            ],
+            vec![
+                (vec![0, 3], msg(3)),
+                (vec![1], msg(4)),
+                (vec![4, 3, 0], msg(5)),
+            ],
+            Vec::new(),
         ];
-        let shard_b = vec![(0u32, Message::tagged(3)), (3, Message::tagged(4))];
-        let shard_c: Vec<(u32, Message)> = Vec::new();
+        let nodes = |to: &[u32]| to.iter().map(|&r| NodeId(r)).collect::<Vec<_>>();
 
         let mut seq_arena = MessageArena::new(n);
         let mut seq_buf = DeliveryBuffer::new(n);
         let mut seq_receivers = Vec::new();
-        for &(to, msg) in shard_a.iter().chain(&shard_b).chain(&shard_c) {
-            seq_buf.stage_each(&[NodeId(to)], msg);
+        for (to, m) in windows.iter().flatten() {
+            seq_buf.stage_each(&nodes(to), *m);
         }
         seq_buf.flip(&mut seq_arena, &mut seq_receivers);
+        assert_eq!(seq_receivers, vec![0, 1, 3, 4]);
+        let expected: [&[u16]; 5] = [&[2, 3, 5], &[0, 2, 4], &[], &[0, 1, 2, 3, 5], &[5]];
+        for (i, want) in expected.iter().enumerate() {
+            assert_eq!(tags(&seq_arena, i), *want, "inbox {i}");
+        }
 
         let mut par_arena = MessageArena::new(n);
         let mut par_buf = DeliveryBuffer::new(n);
         let mut par_receivers = Vec::new();
-        let mut shards = [shard_a, shard_b, shard_c];
-        par_buf.flip_shards(&mut shards, &mut par_arena, &mut par_receivers);
-
-        assert_eq!(seq_receivers, par_receivers);
-        assert_eq!(seq_arena.len(), par_arena.len());
-        for i in 0..n {
-            assert_eq!(seq_arena.inbox(i), par_arena.inbox(i), "inbox {i}");
+        let mut shards: Vec<Staged> = windows.iter().map(|_| Staged::default()).collect();
+        // Twice: the flip drains the window buffers, and their payload
+        // indices restart at 0 the next round.
+        for round in 0..2 {
+            for (shard, window) in shards.iter_mut().zip(&windows) {
+                for (to, m) in window {
+                    shard.push(&nodes(to), *m);
+                }
+            }
+            par_buf.flip_shards(&mut shards, &mut par_arena, &mut par_receivers);
+            assert_eq!(seq_receivers, par_receivers, "round {round}");
+            assert_eq!(seq_arena.len(), par_arena.len(), "round {round}");
+            for i in 0..n {
+                assert_eq!(
+                    seq_arena.inbox(i),
+                    par_arena.inbox(i),
+                    "round {round}, inbox {i}"
+                );
+            }
+            assert!(shards
+                .iter()
+                .all(|s| s.payloads.is_empty() && s.copies.is_empty()));
         }
-        // Buffers drained and reusable.
-        assert!(shards.iter().all(Vec::is_empty));
         par_buf.stage_each(&[NodeId(2)], Message::tagged(9));
         par_buf.flip(&mut par_arena, &mut par_receivers);
         assert_eq!(par_receivers, vec![2]);
+        assert_eq!(tags(&par_arena, 2), [9]);
     }
 
     #[test]

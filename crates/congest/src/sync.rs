@@ -11,16 +11,16 @@
 //!   split: the active nodes step on the caller's thread through
 //!   [`NodeRuntime::step`] and stage each send batch (one message, its
 //!   receivers) straight into the [`DeliveryBuffer`] with one
-//!   [`DeliveryBuffer::stage_each`], which switches to its receiver-major
-//!   dense layout on rounds predicted to be all-to-all
-//!   ([`NodeRuntime::dense_round`]);
+//!   [`DeliveryBuffer::stage_each`];
 //! * **claimed windows** — the active list is cut into contiguous,
-//!   degree-balanced windows that worker threads claim, each expanding its
-//!   send batches into its own buffer, merged by one counting sort
-//!   ([`DeliveryBuffer::flip_shards`]).
+//!   degree-balanced windows that worker threads claim, each staging its
+//!   send batches into its own buffer.
 //!
-//! The windows' buffers concatenated in window order are the one-window
-//! staging order, so reports are **bit-identical** at every thread count.
+//! Both stage in one format, [`Staged`]: each batch's message once, plus
+//! an 8-byte `(receiver, payload index)` pair per copy. One counting sort
+//! delivers either ([`DeliveryBuffer::flip_shards`]). The windows' buffers
+//! concatenated in window order are the one-window staging order, so
+//! reports are **bit-identical** at every thread count.
 //!
 //! A run is observed one way: through the [`Hooks`] trait, whose
 //! per-message callbacks see that same sequential order — inline on
@@ -38,7 +38,7 @@ use symbreak_graphs::{EdgeId, Graph, IdAssignment, NodeId};
 use crate::audit::{audit_enabled, AuditConfig, Auditor, Violation};
 use crate::checkpoint::CheckpointRecord;
 use crate::engine::{
-    balanced_cuts, split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, ShardView,
+    balanced_cuts, split_ranges_mut, DeliveryBuffer, MessageArena, NodeRuntime, ShardView, Staged,
 };
 use crate::model::DEFAULT_MESSAGE_BITS;
 use crate::trace::{Trace, TraceMessage};
@@ -396,13 +396,13 @@ impl<'g> SyncSimulator<'g> {
                 .num_threads(threads)
                 .build()
                 .expect("vendored thread pool cannot fail to build"),
-            staged: (0..windows).map(|_| Vec::new()).collect(),
+            staged: (0..windows).map(|_| Staged::default()).collect(),
             sent: (0..windows).map(|_| Vec::new()).collect(),
         };
         if let Some(record) = hooks.restore(&mut run.runtime)? {
-            // Replay the in-flight messages through the flat counting sort;
-            // it reproduces the original arena's inboxes exactly (both
-            // delivery layouts group identically).
+            // Replay the in-flight messages, captured in send order, as
+            // batches of one: the counting sort regroups them into the
+            // original arena's inboxes exactly.
             for tm in &record.in_flight {
                 run.staging
                     .stage_each(std::slice::from_ref(&tm.to), tm.message);
@@ -580,8 +580,8 @@ pub(crate) struct RoundLoop<'g, A> {
     pub(crate) round: u64,
     pub(crate) messages: u64,
     pub(crate) max_bits: u32,
-    /// The round's active set, ascending — stale while `active_all` holds
-    /// after a dense all-to-all delivery, which leaves it implicit.
+    /// The round's active set, ascending; `active_all` records that it is
+    /// every node.
     pub(crate) active: Vec<u32>,
     pub(crate) active_all: bool,
     receivers: Vec<u32>,
@@ -593,7 +593,7 @@ pub(crate) struct RoundLoop<'g, A> {
     /// The run's workers, plus one staging buffer and one send log per
     /// window (`SHARD_OVERSUBSCRIPTION` per thread), reused across rounds.
     pool: rayon::ThreadPool,
-    staged: Vec<Vec<(u32, Message)>>,
+    staged: Vec<Staged>,
     sent: Vec<Vec<(NodeId, NodeId, Message)>>,
 }
 
@@ -605,10 +605,6 @@ impl<A: NodeAlgorithm + Send> RoundLoop<'_, A> {
         let n = self.done.len();
         let mut bounds = Vec::new();
         if self.pool.current_num_threads() > 1 {
-            if self.active_all && self.active.len() != n {
-                self.active.clear();
-                self.active.extend(0..n as u32);
-            }
             bounds = plan_shards(&self.runtime, &self.active, self.staged.len());
         }
         if bounds.len() > 1 {
@@ -636,16 +632,10 @@ impl<A: NodeAlgorithm + Send> RoundLoop<'_, A> {
             step_window(
                 runtime, arena, staging, hooks, active, done, undone, round, bit_limit, counters,
             );
-            if staging.flip(arena, &mut self.receivers) {
-                // Full all-to-all delivery: next round activates everyone,
-                // no receiver list or merge required.
-                self.active_all = true;
-                return;
-            }
+            staging.flip(arena, &mut self.receivers);
             if all && self.undone_count > 0 {
-                // An all-active round defers its undone list (an all-to-all
-                // delivery never reads it); one O(n) scan rebuilds it, the
-                // round being Ω(n) already.
+                // An all-active round defers its undone list; one O(n) scan
+                // rebuilds it, the round being Ω(n) already.
                 let done = &self.done;
                 self.undone
                     .extend((0..n as u32).filter(|&i| !done[i as usize]));
@@ -723,14 +713,6 @@ fn step_window<A: NodeAlgorithm, S: Hooks<A>>(
     bit_limit: u32,
     (messages, max_bits, undone_count): (&mut u64, &mut u32, &mut usize),
 ) {
-    // Pick the delivery layout before any message is staged (both yield
-    // identical inboxes, so this is purely a throughput knob); on an
-    // all-active round the density check collapses to the O(1) locality
-    // gate.
-    staging.set_dense(match active {
-        None => runtime.dense_full(),
-        Some(active) => runtime.dense_round(active),
-    });
     undone.clear();
     let n = done.len();
     let mut step_one = |i: usize| {
@@ -772,7 +754,7 @@ struct Window<'a, 'g, A> {
     active: &'a [u32],
     /// Done flags of the window's node range, which starts at `active[0]`.
     done: &'a mut [bool],
-    staged: &'a mut Vec<(u32, Message)>,
+    staged: &'a mut Staged,
     sent: &'a mut Vec<(NodeId, NodeId, Message)>,
     messages: u64,
     max_bits: u32,
@@ -783,14 +765,14 @@ impl<A: NodeAlgorithm> Window<'_, '_, A> {
     fn step<S: Hooks<A>>(&mut self, round: u64, arena: &MessageArena, bit_limit: u32) {
         let base = self.active[0] as usize;
         for &i in self.active {
-            // Each batch is expanded in place: the window's buffers hold
-            // one entry per copy, in send order.
+            // The send log holds one entry per copy, the staging buffer
+            // each batch's message once; both keep send order.
             let mut sink = |from: NodeId, to: &[NodeId], msg: Message| {
                 self.messages += to.len() as u64;
                 if S::SENDS {
                     self.sent.extend(to.iter().map(|&r| (from, r, msg)));
                 }
-                self.staged.extend(to.iter().map(|&r| (r.0, msg)));
+                self.staged.push(to, msg);
             };
             let (i, inbox) = (i as usize, arena.inbox(i as usize));
             let now_done =
@@ -1337,19 +1319,5 @@ pub(crate) mod tests {
         // Tiny rounds stay single-sharded.
         let small: Vec<u32> = (0..40).collect();
         assert_eq!(plan_shards(&runtime, &small, 4), vec![(0, 40)]);
-    }
-
-    #[test]
-    fn dense_round_requires_a_sender_quorum() {
-        // A lone hub covers half the directed edge slots by itself, but the
-        // dense path's O(n) flip would break the O(active + messages) round
-        // cost — only a quorum of active senders may trip the heuristic.
-        let g = generators::star(512);
-        let ids = IdAssignment::identity(512);
-        let runtime = NodeRuntime::new(&g, &ids, KtLevel::KT1, |_| Silent);
-        assert!(!runtime.dense_round(&[0]));
-        let all: Vec<u32> = (0..512).collect();
-        assert!(runtime.dense_round(&all));
-        assert!(runtime.dense_full());
     }
 }

@@ -148,8 +148,8 @@ fn engine_matches_reference_on_random_graphs() {
 
 /// The thread count must be a pure throughput knob: identical `Report`s
 /// (rounds, message counts, max bits, per-node outputs) at every thread
-/// count, across workloads and graph shapes — including graphs dense enough
-/// to trigger the one-window receiver-major delivery path.
+/// count, across workloads and graph shapes — including a clique, whose
+/// all-to-all rounds stage one batch per node and up to n − 1 copies each.
 #[test]
 fn parallel_engine_is_deterministic_across_thread_counts() {
     let graphs: Vec<(&str, Graph)> = vec![
@@ -282,8 +282,8 @@ impl NodeAlgorithm for Subsets {
 
 /// Send batches to arbitrary neighbour subsets must give the naive
 /// oracle's report, which checks and counts each message on its own, at
-/// one thread and on rounds split across four — on a sparse graph (flat
-/// delivery) and a clique (receiver-major delivery on one window).
+/// one thread and on rounds split across four — on a sparse graph and on a
+/// clique, whose batches cover most of each window's receivers.
 #[test]
 fn send_each_batches_match_the_reference() {
     let graphs = [
